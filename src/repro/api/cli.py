@@ -607,6 +607,10 @@ def _bench_engine_predict(repeats: int, reuse: bool, label: str) -> dict:
 
     reference, fast = run(loop_engine), run(fast_engine)  # warm-up + parity
     max_abs_diff = float(np.max(np.abs(reference.samples - fast.samples)))
+    parity_exact = bool(
+        np.array_equal(reference.samples, fast.samples)
+        and reference.ops_executed == fast.ops_executed
+    )
     timings = {}
     for name, engine in (("loop", loop_engine), ("fast", fast_engine)):
         laps = []
@@ -624,6 +628,7 @@ def _bench_engine_predict(repeats: int, reuse: bool, label: str) -> dict:
         "fast_s": timings["fast"],
         "speedup": timings["loop"] / timings["fast"] if timings["fast"] > 0 else None,
         "max_abs_diff": max_abs_diff,
+        "parity_exact": parity_exact,
         "ops_executed": fast.ops_executed,
         "ops_naive": fast.ops_naive,
     }
@@ -1184,6 +1189,7 @@ def _run_serve_bench(args: argparse.Namespace) -> tuple[int, dict]:
 # metric label to a path into the fresh/baseline JSON payload.
 _CHECK_METRICS: dict[str, tuple[str, ...]] = {
     "engine.reference.speedup": ("engine", "reference", "speedup"),
+    "engine.reuse.speedup": ("engine", "reuse", "speedup"),
     "serve.speedup_vs_direct": ("serve", "serve", "speedup_vs_direct"),
     "serve.speedup_sharded_vs_coalesced": (
         "serve", "serve", "speedup_sharded_vs_coalesced",
@@ -1350,12 +1356,22 @@ def _run_core_bench(args: argparse.Namespace) -> tuple[int, dict]:
     engine_payload = {
         "version": __version__,
         "reference": reference,
+        "reuse": reuse_case,
         "cases": [reference, reuse_case, macro],
     }
     engine_out = Path(args.engine_out)
     engine_out.parent.mkdir(parents=True, exist_ok=True)
     engine_out.write_text(json.dumps(engine_payload, indent=2) + "\n")
     print(f"wrote {engine_out}")
+    for entry in (reference, reuse_case):
+        if not entry["parity_exact"]:
+            print(
+                f"error: {entry['case']}: the fast path differs from the "
+                "loop in samples or ops_executed (max |sample diff| "
+                f"{entry['max_abs_diff']})",
+                file=sys.stderr,
+            )
+            return 1, engine_payload
     if reference["speedup"] is not None and reference["speedup"] < 1.0:
         print(
             "error: engine fast path slower than the loop path at the "

@@ -23,7 +23,7 @@ class MaskStream:
         masks = np.asarray(masks)
         if masks.ndim != 2:
             raise ValueError("masks must be (T, width)")
-        if not np.isin(masks, (0, 1)).all():
+        if not ((masks == 0) | (masks == 1)).all():
             raise ValueError("mask entries must be 0/1")
         if not 0.0 < keep_probability < 1.0:
             raise ValueError("keep_probability must be in (0, 1)")
@@ -57,10 +57,9 @@ class MaskStream:
         rng: np.random.Generator,
     ) -> "MaskStream":
         """Stream drawn from a hardware DropoutBitGenerator."""
-        masks = np.stack(
-            [generator.mask(width, rng) for _ in range(n_iterations)], axis=0
+        return MaskStream(
+            generator.masks(n_iterations, width, rng), generator.keep_probability
         )
-        return MaskStream(masks, generator.keep_probability)
 
     def reordered(self, order: np.ndarray) -> "MaskStream":
         """The same masks visited in a different order."""

@@ -27,41 +27,81 @@ def mask_hamming_path_length(masks: np.ndarray, order: np.ndarray | None = None)
     return int((masks[1:] != masks[:-1]).sum())
 
 
+def _neighbours(distances: np.ndarray) -> list[list[int]]:
+    """Per mask, every mask by increasing distance, ties by index."""
+    return np.argsort(distances, axis=1, kind="stable").tolist()
+
+
+def _greedy_path(neighbours: list[list[int]], start: int) -> list[int]:
+    """Nearest-neighbour path; a tie goes to the lowest index."""
+    visited = [False] * len(neighbours)
+    visited[start] = True
+    order = [start]
+    for _ in range(len(neighbours) - 1):
+        # The first unvisited entry of the sorted row is the nearest.
+        for nearest in neighbours[order[-1]]:
+            if not visited[nearest]:
+                break
+        visited[nearest] = True
+        order.append(nearest)
+    return order
+
+
 def greedy_mask_order(masks: np.ndarray, start: int = 0) -> np.ndarray:
     """Greedy nearest-neighbour order over the mask Hamming graph."""
     masks = np.asarray(masks)
     n = masks.shape[0]
     if not 0 <= start < n:
         raise ValueError("start out of range")
-    distances = _hamming_matrix(masks)
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    order[0] = start
-    visited[start] = True
-    for k in range(1, n):
-        row = distances[order[k - 1]].astype(float)
-        row[visited] = np.inf
-        order[k] = int(np.argmin(row))
-        visited[order[k]] = True
-    return order
+    order = _greedy_path(_neighbours(_hamming_matrix(masks)), start)
+    return np.asarray(order, dtype=np.int64)
 
 
-def _two_opt(order: np.ndarray, distances: np.ndarray, max_rounds: int = 4) -> np.ndarray:
-    """2-opt improvement on an open path."""
-    order = order.copy()
-    n = order.size
+def _best_greedy(distances: np.ndarray) -> list[int]:
+    """Shortest greedy path over a few start points, or the identity.
+
+    The identity order is kept as a candidate so the result is never
+    worse than no reordering at all; a tie keeps the earliest candidate.
+    """
+    n = distances.shape[0]
+    neighbours = _neighbours(distances)
+    candidates = [_greedy_path(neighbours, start) for start in range(min(n, 4))]
+    candidates.append(list(range(n)))
+    lengths = [
+        int(distances[order[:-1], order[1:]].sum()) for order in candidates
+    ]
+    return candidates[lengths.index(min(lengths))]
+
+
+def _two_opt(
+    order: list[int], distances: list[list[int]], max_rounds: int = 4
+) -> list[int]:
+    """First-improvement 2-opt on an open path.
+
+    Every applied reversal strictly shortens the path, so the result is
+    never longer than ``order``.
+    """
+    order = list(order)
+    n = len(order)
     for _ in range(max_rounds):
         improved = False
         for i in range(n - 2):
-            for j in range(i + 2, n):
-                a, b = order[i], order[i + 1]
-                c = order[j]
-                d = order[j + 1] if j + 1 < n else None
-                removed = distances[a, b] + (distances[c, d] if d is not None else 0)
-                added = distances[a, c] + (distances[b, d] if d is not None else 0)
-                if added < removed:
+            # Reversals start at i + 1, so order[i] stays put for all j.
+            from_a = distances[order[i]]
+            b = order[i + 1]
+            from_b, ab = distances[b], from_a[b]
+            for j in range(i + 2, n - 1):
+                c, d = order[j], order[j + 1]
+                # Swap edges a-b, c-d for a-c, b-d.
+                if from_a[c] + from_b[d] < ab + distances[c][d]:
                     order[i + 1 : j + 1] = order[i + 1 : j + 1][::-1]
                     improved = True
+                    b = order[i + 1]
+                    from_b, ab = distances[b], from_a[b]
+            # Reversing the whole tail swaps the end edge a-b for a-c.
+            if from_a[order[-1]] < ab:
+                order[i + 1 :] = order[i + 1 :][::-1]
+                improved = True
         if not improved:
             break
     return order
@@ -85,22 +125,15 @@ def optimal_mask_order(
     n = masks.shape[0]
     if n <= 2:
         return np.arange(n, dtype=np.int64)
-    if method == "greedy":
-        # Best greedy tour over a few start points; the identity order is
-        # kept as a candidate so the result is never worse than no
-        # reordering at all.
-        candidates = [greedy_mask_order(masks, start) for start in range(min(n, 4))]
-        candidates.append(np.arange(n, dtype=np.int64))
-        lengths = [mask_hamming_path_length(masks, c) for c in candidates]
-        return candidates[int(np.argmin(lengths))]
-    if method == "greedy-2opt":
-        order = optimal_mask_order(masks, method="greedy")
-        improved = _two_opt(order, _hamming_matrix(masks))
-        if mask_hamming_path_length(masks, improved) <= mask_hamming_path_length(
-            masks, order
-        ):
-            return improved
-        return order
+    if method in ("greedy", "greedy-2opt"):
+        # One Hamming matrix for every search; the greedy walks and 2-opt
+        # run over plain int lists, since scalar indexing into numpy
+        # arrays would dominate their O(T^2) inner loops.
+        distances = _hamming_matrix(masks)
+        order = _best_greedy(distances)
+        if method == "greedy-2opt":
+            order = _two_opt(order, distances.tolist())
+        return np.asarray(order, dtype=np.int64)
     if method == "tsp":
         import networkx as nx
 

@@ -67,6 +67,41 @@ class EnergyLedger:
             raise ValueError("energy must be non-negative")
         self._apply(operation, int(count), count * energy_per_op_j)
 
+    def add_many(
+        self, operation: str, counts: list[int], energy_per_op_j: float
+    ) -> None:
+        """Record one :meth:`add` per entry of ``counts``, in order.
+
+        The per-call energies ``count * energy_per_op_j`` are accumulated
+        one float addition at a time, into this ledger and into every
+        open scope, exactly as the sequence of :meth:`add` calls would.
+        A single ``add(operation, sum(counts), ...)`` is not bit-equal to
+        that (one product of the sum rounds differently from a running
+        sum of products), so batched paths that stand in for per-call
+        loops account through this.
+        """
+        counts = [int(count) for count in counts]
+        if not counts:
+            return
+        if min(counts) < 0:
+            raise ValueError("count must be non-negative")
+        if energy_per_op_j < 0:
+            raise ValueError("energy must be non-negative")
+        self._apply_many(
+            operation, counts, [count * energy_per_op_j for count in counts]
+        )
+
+    def _apply_many(
+        self, operation: str, counts: list[int], energies: list[float]
+    ) -> None:
+        total = self._energies.get(operation, 0.0)
+        for energy_j in energies:
+            total += energy_j
+        self._counts[operation] = self._counts.get(operation, 0) + sum(counts)
+        self._energies[operation] = total
+        for scope in self._scopes:
+            scope._apply_many(operation, counts, energies)
+
     def add_energy(self, operation: str, total_energy_j: float, count: int = 1) -> None:
         """Record a pre-totalled energy contribution."""
         if total_energy_j < 0:

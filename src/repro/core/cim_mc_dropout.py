@@ -118,9 +118,11 @@ class CIMMCDropoutEngine:
             hard on out-of-distribution activations.
         fast_path: evaluate independent iterations sample-major through
             :meth:`~repro.sram.macro.SRAMCIMMacro.matvec_many` (all of
-            them when ``reuse`` is off, the refresh iterations otherwise).
-            Results and accounting are identical to the per-iteration
-            loop; disable only to time or cross-check the loop path.
+            them when ``reuse`` is off, the refresh iterations otherwise)
+            and the delta iterations layer-major through
+            :meth:`~repro.sram.macro.SRAMCIMMacro.matvec_delta_many`.
+            Results and ops are identical to the per-iteration loop;
+            disable only to time or cross-check the loop path.
         rng: generator for hardware instantiation and noise.
     """
 
@@ -362,12 +364,16 @@ class CIMMCDropoutEngine:
             batch = x.shape[0]
             noise_bank = self._draw_noise_bank(rng, batch)
             refresh_steps = self._refresh_steps()
-            if self.fast_path and len(refresh_steps) == self.n_iterations:
-                samples, _, _ = self._forward_stacked(
+            if not self.fast_path:
+                samples = self._forward_loop(
+                    x, ordered, refresh_steps, noise_bank, rng
+                )
+            elif len(refresh_steps) == self.n_iterations:
+                samples, _ = self._forward_stacked(
                     x, ordered, refresh_steps, noise_bank, rng
                 )
             else:
-                samples = self._forward_loop(
+                samples = self._forward_reuse(
                     x, ordered, refresh_steps, noise_bank, rng
                 )
         finally:
@@ -418,8 +424,9 @@ class CIMMCDropoutEngine:
         One flat draw in loop order (iteration-major, layer-inner) yields
         exactly the variates T x L sequential per-read draws would, but
         lets the engine evaluate iterations out of order -- vectorised
-        refresh passes and the delta loop consume the same noise a pure
-        loop would, keeping both schedules bit-for-bit equivalent.
+        refresh passes and layer-major delta chains consume the same
+        noise a pure loop would, keeping both schedules bit-for-bit
+        equivalent.
         """
         if self.config.adc_noise_lsb <= 0:
             return None
@@ -443,8 +450,7 @@ class CIMMCDropoutEngine:
         steps: np.ndarray,
         noise_bank: list[np.ndarray] | None,
         rng: np.random.Generator,
-        collect: bool = False,
-    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Sample-major evaluation of independent iterations.
 
         Every iteration in ``steps`` is a from-scratch forward pass, so
@@ -452,24 +458,19 @@ class CIMMCDropoutEngine:
         :meth:`~repro.sram.macro.SRAMCIMMacro.matvec_many` call.
 
         Returns:
-            (outputs, masked_inputs, products): outputs is the
-            final-layer activation stack; with ``collect`` the other two
-            are per-layer lists of (len(steps), B, features) arrays that
-            seed the delta loop's reuse state at refresh positions
-            (empty lists otherwise, sparing the all-refresh hot path the
-            extra live working set).
+            (outputs, products): outputs is the final-layer activation
+            stack, products the per-layer list of (len(steps), B, out)
+            macro products (under reuse they anchor the delta chains).
         """
         activation = np.broadcast_to(
             x, (len(steps), x.shape[0], x.shape[1])
         )
-        masked_inputs: list[np.ndarray] = []
         products_stack: list[np.ndarray] = []
         for index, layer in enumerate(self.layers):
             stream = ordered[index]
             if stream is not None:
-                keep = stream.masks[steps].astype(float)
-                masked = activation * keep[:, None, :] / self.keep_probability
                 input_masks = stream.masks[steps]
+                masked = self._apply_mask(activation, input_masks)
             else:
                 masked = np.ascontiguousarray(activation)
                 input_masks = None
@@ -477,14 +478,74 @@ class CIMMCDropoutEngine:
             products = layer.macro.matvec_many(
                 masked, input_masks=input_masks, rng=rng, noise=noise
             )
-            if collect:
-                masked_inputs.append(masked)
-                products_stack.append(products)
-            pre = products if layer.bias is None else products + layer.bias
-            activation = (
-                layer.activation.forward(pre) if layer.activation else pre
+            products_stack.append(products)
+            activation = self._finish_layer(layer, products)
+        return activation, products_stack
+
+    def _apply_mask(self, activation: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """Inverted dropout of a (T, B, in) stack under (T, in) masks."""
+        keep = masks.astype(float)
+        return activation * keep[:, None, :] / self.keep_probability
+
+    @staticmethod
+    def _finish_layer(layer: _MappedLayer, products: np.ndarray) -> np.ndarray:
+        """Bias and activation applied to a layer's macro products."""
+        pre = products if layer.bias is None else products + layer.bias
+        return layer.activation.forward(pre) if layer.activation else pre
+
+    def _forward_reuse(
+        self,
+        x: np.ndarray,
+        ordered: list[MaskStream | None],
+        refresh_steps: np.ndarray,
+        noise_bank: list[np.ndarray] | None,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Layer-major evaluation of the reuse schedule.
+
+        The refresh iterations run sample-major first; their products
+        anchor the delta chains.  Then each layer takes every iteration's
+        masked input at once, forms each delta iteration's change against
+        the iteration before it, and runs all of them as one
+        :meth:`~repro.sram.macro.SRAMCIMMacro.matvec_delta_many` chain,
+        before bias and activation over the whole stack feed the next
+        layer.  A delta read depends only on the inputs, never on the
+        products it updates, so this performs exactly the arithmetic of
+        the per-iteration loop; the pre-drawn noise bank hands every read
+        the variate the loop would.
+        """
+        n_iterations = self.n_iterations
+        _, refresh_products = self._forward_stacked(
+            x, ordered, refresh_steps, noise_bank, rng
+        )
+        is_refresh = np.zeros(n_iterations, dtype=bool)
+        is_refresh[refresh_steps] = True
+        delta_steps = np.flatnonzero(~is_refresh)
+        # Delta iterations right after a refresh restart the chain there.
+        restarts = [k for k, t in enumerate(delta_steps) if is_refresh[t - 1]]
+        activation = np.broadcast_to(x, (n_iterations,) + x.shape)
+        for index, layer in enumerate(self.layers):
+            stream = ordered[index]
+            masked = (
+                activation
+                if stream is None
+                else self._apply_mask(activation, stream.masks)
             )
-        return activation, masked_inputs, products_stack
+            delta = masked[delta_steps] - masked[delta_steps - 1]
+            changed = np.any(np.abs(delta) > 0, axis=1)
+            products = np.empty(
+                (n_iterations, x.shape[0], layer.macro.out_features)
+            )
+            products[refresh_steps] = refresh_products[index]
+            products[delta_steps] = layer.macro.matvec_delta_many(
+                {k: products[delta_steps[k] - 1] for k in restarts},
+                delta,
+                changed,
+                rng=rng,
+                noise=None if noise_bank is None else noise_bank[index][delta_steps],
+            )
+            activation = self._finish_layer(layer, products)
+        return activation
 
     def _forward_loop(
         self,
@@ -494,37 +555,20 @@ class CIMMCDropoutEngine:
         noise_bank: list[np.ndarray] | None,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Per-iteration loop; refresh iterations may be hoisted stacked.
+        """Per-iteration loop: the reference behind ``fast_path=False``.
 
-        Under reuse, from-scratch (refresh) iterations are independent of
-        the delta chain, so with the fast path enabled they are evaluated
-        sample-major up front and their products injected into the reuse
-        state as the loop passes them; delta iterations stay sequential.
-        The pre-drawn noise bank makes either schedule consume identical
-        variates, so hoisting does not change a single output bit.
+        Every read goes through one :meth:`~repro.sram.macro.SRAMCIMMacro.
+        matvec` or :meth:`~repro.sram.macro.SRAMCIMMacro.matvec_delta`
+        call, iteration by iteration in visit order.
         """
         batch = x.shape[0]
         samples = np.empty(
             (self.n_iterations, batch, self.layers[-1].macro.out_features)
         )
-        hoisted: dict[int, int] = {}
-        stacked_out = stacked_inputs = stacked_products = None
-        if self.fast_path and len(refresh_steps) > 1:
-            stacked_out, stacked_inputs, stacked_products = self._forward_stacked(
-                x, ordered, refresh_steps, noise_bank, rng, collect=True
-            )
-            hoisted = {int(t): i for i, t in enumerate(refresh_steps)}
         refresh_set = set(int(t) for t in refresh_steps)
         previous_products: list[np.ndarray | None] = [None] * len(self.layers)
         previous_inputs: list[np.ndarray | None] = [None] * len(self.layers)
         for t in range(self.n_iterations):
-            if t in hoisted:
-                i = hoisted[t]
-                for index in range(len(self.layers)):
-                    previous_products[index] = stacked_products[index][i]
-                    previous_inputs[index] = stacked_inputs[index][i]
-                samples[t] = stacked_out[i]
-                continue
             refresh = t in refresh_set
             activation = x
             for index, layer in enumerate(self.layers):
@@ -535,7 +579,7 @@ class CIMMCDropoutEngine:
                 else:
                     masked = activation
                 noise = None if noise_bank is None else noise_bank[index][t]
-                if refresh or previous_products[index] is None:
+                if refresh:
                     # Passing the mask lets the macro gate (and not pay for)
                     # dropped column lines, as the CL AND gates do.
                     products = layer.macro.matvec(
@@ -556,10 +600,7 @@ class CIMMCDropoutEngine:
                     )
                 previous_products[index] = products
                 previous_inputs[index] = masked
-                pre = products if layer.bias is None else products + layer.bias
-                activation = (
-                    layer.activation.forward(pre) if layer.activation else pre
-                )
+                activation = self._finish_layer(layer, products)
             samples[t] = activation
         return samples
 

@@ -51,12 +51,29 @@ class DropoutBitGenerator:
 
     def mask(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """A keep-mask of n bits (1 = keep), Bernoulli(keep_probability)."""
+        return self.masks(1, n, rng)[0]
+
+    def masks(
+        self, n_masks: int, width: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """(n_masks, width) keep-masks from one raw-bit draw.
+
+        Bit-for-bit equal to ``n_masks`` sequential :meth:`mask` calls
+        from the same generator state, with the same ``cycles_used`` and
+        the same post-draw generator state: the RNG's decision variates
+        consume the stream identically whether or not the draw is
+        chunked, and the ``resolution_bits``-deep uniforms are exact
+        dyadic sums in any summation order.
+        """
+        n = n_masks * width
         if self.keep_probability == 0.5:
-            return self.raw_bits(n, rng)
-        raw = self.raw_bits(n * self.resolution_bits, rng)
-        weights = 2.0 ** -(1 + np.arange(self.resolution_bits))
-        uniforms = raw.reshape(n, self.resolution_bits) @ weights
-        return (uniforms < self.keep_probability).astype(np.uint8)
+            bits = self.raw_bits(n, rng)
+        else:
+            raw = self.raw_bits(n * self.resolution_bits, rng)
+            weights = 2.0 ** -(1 + np.arange(self.resolution_bits))
+            uniforms = raw.reshape(n, self.resolution_bits) @ weights
+            bits = (uniforms < self.keep_probability).astype(np.uint8)
+        return bits.reshape(n_masks, width)
 
     def iteration_masks(
         self,
@@ -71,12 +88,8 @@ class DropoutBitGenerator:
             (input_masks, output_masks) of shapes (T, n_inputs) and
             (T, n_outputs), dtype uint8.
         """
-        input_masks = np.stack(
-            [self.mask(n_inputs, rng) for _ in range(n_iterations)], axis=0
-        )
-        output_masks = np.stack(
-            [self.mask(n_outputs, rng) for _ in range(n_iterations)], axis=0
-        )
+        input_masks = self.masks(n_iterations, n_inputs, rng)
+        output_masks = self.masks(n_iterations, n_outputs, rng)
         return input_masks, output_masks
 
     def generation_energy(

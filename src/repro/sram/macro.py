@@ -9,7 +9,8 @@ their evaluation (and energy) entirely.
 
 A delta port (:meth:`matvec_delta`) supports the compute-reuse schedule:
 given the previous accumulated products and the input *change* vector, only
-the changed columns are driven.
+the changed columns are driven.  :meth:`matvec_delta_many` runs a whole
+chain of such reads for stacked iterations in one call.
 """
 
 from __future__ import annotations
@@ -266,6 +267,98 @@ class SRAMCIMMacro:
         if output_mask is not None:
             out = out * np.asarray(output_mask, dtype=float)[None, :]
         self._account(previous.shape[0], n_changed, active_out)
+        return out
+
+    def matvec_delta_many(
+        self,
+        anchors: dict[int, np.ndarray],
+        delta_x: np.ndarray,
+        changed: np.ndarray,
+        rng: np.random.Generator | None = None,
+        noise: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Chained delta reads of T stacked steps: (T, B, in) -> (T, B, out).
+
+        The delta-port counterpart of :meth:`matvec_many`.  Equivalent to
+        T :meth:`matvec_delta` calls in which step ``k`` updates
+        ``anchors[k]`` when given and step ``k - 1``'s output otherwise --
+        the same outputs bit for bit and the same per-call ledger entries
+        in the same order -- with one quantise, one ADC pass and one
+        batched ledger replay (:meth:`EnergyLedger.add_many`).  Two
+        details keep it exact:
+
+        - every step that drives a line keeps its own GEMM over exactly
+          its changed lines; zero-padding deltas to a full-width GEMM, or
+          stacking steps with different line sets into one, may change
+          the BLAS summation order (it depends on the BLAS kernel);
+        - a step that drives no line carries its predecessor forward by
+          copy, since adding a zero read would turn -0.0 into +0.0.
+
+        Args:
+            anchors: step index -> (B, out) products that step updates;
+                must contain step 0.
+            delta_x: (T, B, in) input changes; only entries where
+                ``changed`` is True are driven.
+            changed: (T, in) boolean masks of driven input lines.
+            rng: generator for analog noise; the driven steps' variates
+                are drawn in one C-order block, which matches sequential
+                per-step draws.
+            noise: pre-drawn (T, B, out) standard-normal read noise (rows
+                of steps that drive no line are not used).
+        """
+        delta_x = np.asarray(delta_x, dtype=float)
+        if delta_x.ndim != 3 or delta_x.shape[2] != self.in_features:
+            raise ValueError(
+                f"expected (T, B, {self.in_features}) deltas, got {delta_x.shape}"
+            )
+        n_steps, batch = delta_x.shape[0], delta_x.shape[1]
+        changed = np.asarray(changed, dtype=bool)
+        if changed.shape != (n_steps, self.in_features):
+            raise ValueError("changed mask width mismatch")
+        if n_steps and 0 not in anchors:
+            raise ValueError("anchors must give the products step 0 updates")
+        n_changed = changed.sum(axis=1).tolist()
+        driven = [k for k in range(n_steps) if n_changed[k]]
+        if driven:
+            first = driven[0]
+            # Pin the DAC grid exactly as the first driving call would.
+            self._ensure_input_spec(delta_x[first][:, changed[first]])
+            delta_q = self._quantize_inputs(delta_x[driven])
+            analog = np.empty((len(driven), batch, self.out_features))
+            for read, k in enumerate(driven):
+                lines = changed[k]
+                np.matmul(
+                    delta_q[read].compress(lines, axis=1),
+                    self.stored_weight.compress(lines, axis=0),
+                    out=analog[read],
+                )
+            reads = self._read_columns(
+                analog, rng, noise=None if noise is None else noise[driven]
+            )
+        out = np.empty((n_steps, batch, self.out_features))
+        next_read = 0
+        for k in range(n_steps):
+            base = anchors[k] if k in anchors else out[k - 1]
+            if n_changed[k]:
+                np.add(base, reads[next_read], out=out[k])
+                next_read += 1
+            else:
+                out[k] = base
+        self.ledger.add_many(
+            "cim_mac",
+            [batch * n * self.out_features for n in n_changed],
+            self.config.mac_energy(),
+        )
+        self.ledger.add_many(
+            "column_adc",
+            [batch * self.out_features if n else 0 for n in n_changed],
+            self.config.node.adc_energy(self.config.adc_bits),
+        )
+        self.ledger.add_many(
+            "input_dac",
+            [batch * n for n in n_changed],
+            self.config.node.dac_energy_j,
+        )
         return out
 
     def matvec_many(

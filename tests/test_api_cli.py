@@ -236,11 +236,38 @@ class TestBenchCommand:
         assert reference["reuse"] is False
         assert reference["loop_s"] > 0 and reference["fast_s"] > 0
         assert reference["max_abs_diff"] == 0.0  # fast == loop, bit-for-bit
+        assert reference["parity_exact"] is True
+        assert engine_payload["reuse"]["case"] == "engine-predict-reuse-refresh"
+        assert engine_payload["reuse"]["parity_exact"] is True
         assert {c["case"] for c in engine_payload["cases"]} == {
             "engine-predict-no-reuse",
             "engine-predict-reuse-refresh",
             "macro-matvec_many",
         }
+
+    def test_bench_fails_when_reuse_fast_path_diverges(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.api import cli
+
+        measure = cli._bench_engine_predict
+
+        def diverging(repeats, reuse, label):
+            entry = measure(repeats, reuse, label)
+            if reuse:
+                entry["parity_exact"] = False
+            return entry
+
+        monkeypatch.setattr(cli, "_bench_engine_predict", diverging)
+        code = main(
+            [
+                "bench", "--ids", "E1", "--repeats", "1",
+                "--out", str(tmp_path / "r.json"),
+                "--engine-out", str(tmp_path / "e.json"),
+            ]
+        )
+        assert code == 1
+        assert "engine-predict-reuse-refresh" in capsys.readouterr().err
 
     def test_bench_unknown_id_friendly(self, capsys):
         assert main(["bench", "--ids", "E99"]) == 2

@@ -315,6 +315,32 @@ class TestEnergyLedger:
         assert scope.count("op") == 4
         assert scope.energy("op") == pytest.approx(8.0)
 
+    def test_add_many_replays_adds_in_order(self):
+        # Energies must equal the per-call running sum bit for bit, in the
+        # ledger and in every open scope.
+        counts = [3, 0, 7, 1, 12, 5]
+        batched, looped = EnergyLedger(), EnergyLedger()
+        for ledger in (batched, looped):
+            ledger.add("op", 5, 0.3e-15)
+        batched_scope, looped_scope = batched.begin_scope(), looped.begin_scope()
+        batched.add_many("op", counts, 1.7e-15)
+        for count in counts:
+            looped.add("op", count, 1.7e-15)
+        batched.end_scope(batched_scope)
+        looped.end_scope(looped_scope)
+        for a, b in ((batched, looped), (batched_scope, looped_scope)):
+            assert a.count("op") == b.count("op")
+            assert a.energy("op").hex() == b.energy("op").hex()
+
+    def test_add_many_validation(self):
+        ledger = EnergyLedger()
+        with pytest.raises(ValueError):
+            ledger.add_many("op", [1, -1], 1.0)
+        with pytest.raises(ValueError):
+            ledger.add_many("op", [1], -1.0)
+        ledger.add_many("op", [], 1.0)  # no call, no entry
+        assert ledger.operations == []
+
     def test_end_scope_rejects_foreign_child(self):
         ledger = EnergyLedger()
         with pytest.raises(ValueError, match="not active"):

@@ -144,6 +144,41 @@ class TestDropoutGenerator:
         assert input_masks.shape == (5, 16)
         assert output_masks.shape == (5, 8)
 
+    @pytest.mark.parametrize("keep", [0.5, 0.7])
+    def test_batched_draw_matches_sequential_masks(self, keep):
+        cell = CrossCoupledInverterRNG(NODE_16NM, rng=np.random.default_rng(7))
+        cell.calibrate(np.random.default_rng(8))
+        batched_gen = DropoutBitGenerator(cell, keep_probability=keep)
+        looped_gen = DropoutBitGenerator(cell, keep_probability=keep)
+        batched_rng, looped_rng = np.random.default_rng(9), np.random.default_rng(9)
+        batched = batched_gen.masks(32, 16, batched_rng)
+        looped = np.stack([looped_gen.mask(16, looped_rng) for _ in range(32)])
+        assert batched.shape == (32, 16) and batched.dtype == np.uint8
+        assert np.array_equal(batched, looped)
+        assert batched_gen.cycles_used == looped_gen.cycles_used
+        assert batched_rng.bit_generator.state == looped_rng.bit_generator.state
+
+        # Independent reference: one raw-bit draw (8-bit uniform) per mask.
+        reference_rng = np.random.default_rng(9)
+        reference = []
+        for _ in range(32):
+            if keep == 0.5:
+                reference.append(cell.generate(16, reference_rng))
+            else:
+                raw = cell.generate(16 * 8, reference_rng).reshape(16, 8)
+                uniforms = raw @ 2.0 ** -(1 + np.arange(8))
+                reference.append((uniforms < keep).astype(np.uint8))
+        assert np.array_equal(batched, np.stack(reference))
+        assert batched_gen.cycles_used == 32 * 16 * (1 if keep == 0.5 else 8)
+
+    def test_iteration_masks_draw_inputs_then_outputs(self, generator):
+        inputs, outputs = generator.iteration_masks(
+            4, 6, 3, np.random.default_rng(1)
+        )
+        rng = np.random.default_rng(1)
+        assert np.array_equal(inputs, generator.masks(4, 6, rng))
+        assert np.array_equal(outputs, generator.masks(4, 3, rng))
+
     def test_probability_validation(self):
         cell = CrossCoupledInverterRNG(NODE_16NM, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -351,6 +386,74 @@ class TestMatvecMany:
         a = macro.matvec_many(x, noise=noise)
         b = macro.matvec_many(x, noise=noise)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("predrawn", [True, False], ids=["noise", "rng"])
+    def test_delta_many_matches_chained_matvec_delta(self, predrawn):
+        weight = np.random.default_rng(0).normal(size=(10, 6))
+        fused = SRAMCIMMacro(weight, rng=np.random.default_rng(1))
+        looped = SRAMCIMMacro(weight, rng=np.random.default_rng(1))
+        for macro in (fused, looped):
+            macro.pin_input_range(3.0)
+        rng = np.random.default_rng(2)
+        delta = rng.normal(size=(7, 3, 10))
+        changed = rng.random((7, 10)) < 0.4
+        changed[[0, 3]] = False  # undriven steps carry their base by copy
+        anchors = {0: rng.normal(size=(3, 6)), 4: rng.normal(size=(3, 6))}
+        anchors[0][0, 0] = -0.0  # a zero read added would flip it to +0.0
+        noise = rng.normal(size=(7, 3, 6))
+        fused_rng, looped_rng = np.random.default_rng(3), np.random.default_rng(3)
+        fused_scope = fused.ledger.begin_scope()
+        out = fused.matvec_delta_many(
+            anchors,
+            delta,
+            changed,
+            rng=fused_rng,
+            noise=noise if predrawn else None,
+        )
+        fused.ledger.end_scope(fused_scope)
+        looped_scope = looped.ledger.begin_scope()
+        expected = []
+        for k in range(7):
+            base = anchors[k] if k in anchors else expected[-1]
+            expected.append(
+                looped.matvec_delta(
+                    base,
+                    delta[k],
+                    changed[k],
+                    rng=looped_rng,
+                    noise=noise[k] if predrawn else None,
+                )
+            )
+        looped.ledger.end_scope(looped_scope)
+        expected = np.stack(expected)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+        assert np.signbit(out[0, 0, 0])
+        assert fused_rng.bit_generator.state == looped_rng.bit_generator.state
+        for a, b in ((fused.ledger, looped.ledger), (fused_scope, looped_scope)):
+            assert a.operations == b.operations
+            for operation in b.operations:
+                assert a.count(operation) == b.count(operation)
+                assert a.energy(operation).hex() == b.energy(operation).hex()
+
+    def test_delta_many_validation(self, rng):
+        macro = SRAMCIMMacro(rng.normal(size=(8, 4)), rng=rng)
+        anchors = {0: np.zeros((2, 4))}
+        with pytest.raises(ValueError, match="deltas"):
+            macro.matvec_delta_many(
+                anchors, np.zeros((3, 2, 9)), np.ones((3, 9), bool), rng=rng
+            )
+        with pytest.raises(ValueError, match="changed"):
+            macro.matvec_delta_many(
+                anchors, np.zeros((3, 2, 8)), np.ones((2, 8), bool), rng=rng
+            )
+        with pytest.raises(ValueError, match="step 0"):
+            macro.matvec_delta_many(
+                {1: np.zeros((2, 4))},
+                np.zeros((3, 2, 8)),
+                np.ones((3, 8), bool),
+                rng=rng,
+            )
 
     def test_shape_validation(self, rng):
         macro = SRAMCIMMacro(rng.normal(size=(8, 4)), rng=rng)
