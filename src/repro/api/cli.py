@@ -1404,7 +1404,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         queue=QueuePolicy(max_pending=args.max_pending),
         shard=ShardPolicy(workers=args.workers),
-        pool_size=args.pool_size,
         session_seed=args.session_seed,
         track_world=track_world,
         tracks=TrackPolicy(
@@ -1430,7 +1429,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"serving {', '.join(described['substrates'])} on "
             f"http://{args.host}:{context.port} "
             f"(max_batch={args.max_batch}, max_wait_ms={args.max_wait_ms}, "
-            f"max_pending={args.max_pending}, pool_size={args.pool_size}, "
+            f"max_pending={args.max_pending}, "
             f"workers={args.workers})",
             flush=True,
         )
@@ -1728,15 +1727,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="worker shard processes; 0 (default) serves in-process, "
-        "N >= 1 fans micro-batches out over N spawned shards, each with "
-        "its own calibrated session pools (same bits, more cores)",
-    )
-    serve_parser.add_argument(
-        "--pool-size", type=int, default=1, metavar="N",
-        help="pre-warmed sessions per (substrate, model) pair "
-        "(in-process mode; with --workers, concurrency comes from "
-        "the shard count instead)",
+        help="worker shard processes; 0 (default) serves on one "
+        "in-process shard that runs one op at a time, N >= 1 fans "
+        "micro-batches out over N spawned shards, each with its own "
+        "calibrated session pools (same bits, more cores)",
     )
     serve_parser.add_argument(
         "--model-seed", type=int, default=0, metavar="N",

@@ -11,15 +11,18 @@ with results that stay bit-for-bit equal to a standalone pinned-mask
   wire encoding) and :class:`ServiceOverloaded`.
 - :mod:`repro.serve.pool` -- :class:`SessionPool`: pre-warmed, cloned,
   calibrated sessions per (substrate, model) pair.
-- :mod:`repro.serve.execution` -- the one micro-batch execution path
-  every backend shares; :func:`reference_run` is the determinism oracle.
+- :mod:`repro.serve.execution` -- the one execution path: what every
+  shard runs (:class:`~repro.serve.execution.ShardState` op dispatch,
+  one outcome codec); :func:`reference_run` is the determinism oracle.
 - :mod:`repro.serve.service` -- :class:`InferenceService` /
   :class:`Batcher`: asyncio submission, ``(max_batch, max_wait_ms)``
   coalescing, bounded-queue backpressure, per-request scoped metering.
-- :mod:`repro.serve.workers` -- :class:`WorkerPool` /
-  :class:`WorkerSpec`: sharded scale-out over spawned worker processes
-  (least-loaded + substrate-affinity routing, crash detection with 503
-  + respawn), selected with ``ShardPolicy(workers=N)``.
+- :mod:`repro.serve.workers` -- the shard transports behind one
+  surface: :class:`InProcessShard` (the default: one shard on one
+  executor thread) or :class:`WorkerPool` (``ShardPolicy(workers=N)``:
+  N spawned shard processes, least-loaded + substrate-affinity routing,
+  crash detection with 503 + respawn), both built from a
+  :class:`WorkerSpec`.
 - :mod:`repro.serve.tracks` -- :class:`TrackManager` / :class:`TrackStore`:
   stateful streaming localization tracks (sticky shard routing, bounded
   admission + idle-TTL eviction via
@@ -57,8 +60,6 @@ from repro.serve.service import (
     reference_run,
 )
 from repro.serve.tracks import (
-    LocalTrackBackend,
-    ShardedTrackBackend,
     TrackHandle,
     TrackManager,
     TrackStore,
@@ -78,7 +79,7 @@ from repro.serve.types import (
     TrackStepResponse,
     WorkerCrashed,
 )
-from repro.serve.workers import WorkerPool, WorkerSpec
+from repro.serve.workers import InProcessShard, WorkerPool, WorkerSpec
 
 __all__ = [
     "BatchPolicy",
@@ -87,14 +88,13 @@ __all__ = [
     "InferenceRequest",
     "InferenceResponse",
     "InferenceService",
-    "LocalTrackBackend",
+    "InProcessShard",
     "QueuePolicy",
     "RequestExecutionError",
     "ServiceOverloaded",
     "ServiceStats",
     "SessionPool",
     "ShardPolicy",
-    "ShardedTrackBackend",
     "TrackError",
     "TrackHandle",
     "TrackInit",

@@ -1,11 +1,20 @@
-"""Micro-batch execution shared by every serving backend.
+"""What one shard runs: the op dispatch every deployment shape shares.
 
-The service has two ways to run an assembled micro-batch -- on a worker
-thread borrowing a session from the in-process pool, or inside a spawned
-shard process (:mod:`repro.serve.workers`).  Both MUST execute requests
-identically, or the per-request determinism contract would depend on the
-deployment shape.  This module is that single code path:
+The service always executes through shards.  In-process serving is a
+single shard on one executor thread; sharded serving spawns N of them
+(:mod:`repro.serve.workers`).  Only the transport differs -- every shard
+runs :meth:`ShardState.run` and answers in one outcome codec, so a
+request executes (and fails) identically whatever the deployment shape,
+and the per-request determinism contract cannot depend on it:
 
+- :class:`WorkerSpec` -- everything a shard needs to build its state.
+- :class:`ShardState` -- one shard's warm sessions and track store, and
+  the dispatch of its ops: ``batch`` (``/infer`` micro-batches),
+  ``open`` / ``steps`` / ``close`` (streaming tracks).
+- :func:`encode_error` / :func:`decode_outcomes` -- the outcome codec:
+  ``("ok", payload)`` / ``("track_error", (kind, message))`` /
+  ``("error", message)`` tuples, so nothing unpicklable ever crosses a
+  shard pipe.
 - :func:`reference_run` -- the determinism oracle: what one standalone
   pinned-mask ``session.run`` produces for a request seed.
 - :func:`run_grouped` -- executes a micro-batch of wire-level request
@@ -20,21 +29,29 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro.api.results import InferenceResult
 from repro.api.substrates import MaskPlan, MCDropoutSession
+from repro.nn.sequential import Sequential
+from repro.serve.pool import SessionPool
 from repro.serve.types import (
     InferenceResponse,
     RequestExecutionError,
+    TrackError,
 )
+
+PairKey = tuple[str, str]
 
 # One wire-level request inside a micro-batch: (inputs, seed, request_id).
 RequestItem = tuple[np.ndarray, int, Optional[str]]
 
-Outcome = Union[InferenceResponse, RequestExecutionError]
+# One wire-encoded outcome: ("ok", payload), ("track_error", (kind,
+# message)) or ("error", message).
+Encoded = tuple[str, Any]
 
 
 def reference_run(
@@ -68,28 +85,36 @@ def post_draw_generators(
     return plan, generators
 
 
+def encode_error(error: Exception) -> Encoded:
+    """The wire outcome of a failed item: typed for :class:`TrackError`,
+    otherwise an execution error carrying the exception's type and
+    message."""
+    if isinstance(error, TrackError):
+        return ("track_error", (error.kind, str(error)))
+    return ("error", f"{type(error).__name__}: {error}")
+
+
 def run_grouped(
     session: MCDropoutSession,
     substrate: str,
     model: str,
     items: Sequence[RequestItem],
-) -> list[Outcome]:
+) -> list[Encoded]:
     """Run one micro-batch of request items on a borrowed session.
 
     Items are grouped by seed; each group shares one mask-plan draw and
     every item gets a generator restored to the post-draw state, which
     is exactly what :func:`reference_run` would hand a standalone run --
-    so neither batch composition nor the executing process changes bits.
+    so neither batch composition nor the executing shard changes bits.
 
-    Returns one outcome per item, in item order: an
-    :class:`InferenceResponse` on success, or a
-    :class:`RequestExecutionError` (original exception chained as
-    ``__cause__``) for every item of a group whose execution raised.
+    Returns one encoded outcome per item, in item order: ``("ok",``
+    :class:`InferenceResponse` ``)`` on success, or an ``("error",
+    message)`` for every item of a group whose execution raised.
     """
     groups: dict[int, list[int]] = {}
     for index, (_, seed, _) in enumerate(items):
         groups.setdefault(int(seed), []).append(index)
-    outcomes: list[Optional[Outcome]] = [None] * len(items)
+    outcomes: list[Optional[Encoded]] = [None] * len(items)
     for seed, indexes in groups.items():
         try:
             plan, generators = post_draw_generators(
@@ -101,31 +126,150 @@ def run_grouped(
                 item_rngs=generators,
             )
             for position, index in enumerate(indexes):
-                request_id = items[index][2]
-                outcomes[index] = InferenceResponse(
-                    result=result.results[position],
-                    substrate=substrate,
-                    model=model,
-                    seed=seed,
-                    request_id=request_id,
-                    batch_size=len(items),
-                    group_size=len(indexes),
+                outcomes[index] = (
+                    "ok",
+                    InferenceResponse(
+                        result=result.results[position],
+                        substrate=substrate,
+                        model=model,
+                        seed=seed,
+                        request_id=items[index][2],
+                        batch_size=len(items),
+                        group_size=len(indexes),
+                    ),
                 )
         except Exception as error:
-            # Mark it as an *execution* failure (vs a submission-time
-            # client error) so transports can answer 500, not 400.
-            wrapped = RequestExecutionError(
-                f"{type(error).__name__}: {error}"
-            )
-            wrapped.__cause__ = error
+            failed = encode_error(error)
             for index in indexes:
-                outcomes[index] = wrapped
+                outcomes[index] = failed
     return [outcome for outcome in outcomes if outcome is not None]
 
 
+def decode_outcomes(encoded: Sequence[Encoded]) -> list[Any]:
+    """Decode wire-encoded outcomes into payloads / typed exceptions.
+
+    A ``"track_error"`` becomes a :class:`TrackError` with its kind; an
+    ``"error"`` becomes a :class:`RequestExecutionError` (a server-side
+    fault, HTTP 500).
+    """
+    outcomes: list[Any] = []
+    for tag, payload in encoded:
+        if tag == "ok":
+            outcomes.append(payload)
+        elif tag == "track_error":
+            kind, message = payload
+            outcomes.append(TrackError(kind, message))
+        else:
+            outcomes.append(RequestExecutionError(str(payload)))
+    return outcomes
+
+
+@dataclass(frozen=True)
+class WorkerSpec:
+    """Everything a shard needs to rebuild the served sessions.
+
+    A spawned shard receives the spec once, at spawn; the in-process
+    shard builds from it directly.  Either way the shard owns private
+    session pools built from the same calibration and ``session_seed``,
+    which is what makes every shard bit-for-bit interchangeable.
+    """
+
+    models: dict[str, Sequential]
+    substrates: tuple[str, ...]
+    n_iterations: int = 30
+    calibration_inputs: np.ndarray | None = None
+    session_seed: int = 0
+    # Streaming tracks (repro.serve.tracks): when a world is given, the
+    # shard also warms one TrackStore over these substrates before
+    # reporting ready, so sticky-routed track state can live shard-side.
+    track_world: Any = None
+    track_substrates: tuple[str, ...] | None = None
+
+    def keys(self) -> list[PairKey]:
+        return [
+            (substrate, model)
+            for substrate in self.substrates
+            for model in self.models
+        ]
+
+
+class ShardState:
+    """One shard's warm execution state and the dispatch of its ops.
+
+    Holds one width-1 :class:`SessionPool` per (substrate, model) pair
+    -- a shard executes strictly one op at a time, so wider pools would
+    only warm clones that can never run; concurrency comes from the
+    number of shards -- and, when the spec carries a track world, one
+    :class:`~repro.serve.tracks.TrackStore`.
+    """
+
+    def __init__(self, spec: WorkerSpec):
+        self.pools = {
+            key: SessionPool(
+                key[0],
+                spec.models[key[1]],
+                n_iterations=spec.n_iterations,
+                size=1,
+                calibration_inputs=spec.calibration_inputs,
+                session_seed=spec.session_seed,
+            )
+            for key in spec.keys()
+        }
+        self.tracks: Any = None
+        if spec.track_world is not None:
+            from repro.serve.tracks import TrackStore
+
+            self.tracks = TrackStore(
+                spec.track_world,
+                spec.track_substrates or spec.substrates,
+            )
+
+    def run(self, op: str, payload: Any) -> list[Encoded]:
+        """Execute one op; one encoded outcome per item.
+
+        ``batch`` takes ``(key, items)`` and ``steps`` a list of
+        ``(track_id, control, depth, truth)`` items, answering per item;
+        ``open`` takes ``(track_id, substrate, init, seed)`` and
+        ``close`` a track id, answering once.  An op-level failure fails
+        every item with the same outcome.
+        """
+        n_outcomes = (
+            len(payload[1]) if op == "batch"
+            else len(payload) if op == "steps"
+            else 1
+        )
+        try:
+            if op == "batch":
+                key, items = payload
+                pool = self.pools[tuple(key)]
+                session = pool.acquire_nowait()
+                try:
+                    # Looked up as this module's global at call time, so
+                    # a wrapper installed on it sees every shard's calls.
+                    return run_grouped(session, key[0], key[1], items)
+                finally:
+                    pool.release(session)
+            if self.tracks is None:
+                raise RuntimeError("track serving is not enabled on this shard")
+            if op == "open":
+                return [("ok", self.tracks.open(*payload))]
+            if op == "steps":
+                return self.tracks.step_batch(payload)
+            if op == "close":
+                return [("ok", self.tracks.close(payload))]
+            raise RuntimeError(f"unknown shard op {op!r}")
+        except Exception as error:
+            return [encode_error(error)] * n_outcomes
+
+
 __all__ = [
-    "Outcome",
+    "Encoded",
+    "PairKey",
     "RequestItem",
+    "ShardState",
+    "WorkerSpec",
+    "decode_outcomes",
+    "encode_error",
     "post_draw_generators",
     "reference_run",
     "run_grouped",

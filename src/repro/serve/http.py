@@ -44,7 +44,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Callable, Coroutine
 
 from repro.api.results import strict_dumps, strict_loads
 from repro.serve.service import InferenceService
@@ -143,41 +143,32 @@ class _Handler(BaseHTTPRequestHandler):
             return None
 
     def do_POST(self) -> None:
-        routes = {
-            "/infer": self._post_infer,
-            "/track/open": self._post_track_open,
-            "/track/step": self._post_track_step,
-            "/track/close": self._post_track_close,
-        }
-        handler = routes.get(self.path)
-        if handler is None:
+        route = _ROUTES.get(self.path)
+        if route is None:
             self._reply(404, {"error": f"unknown path {self.path!r}"})
             return
         body = self._read_body()
         if body is None:
             return
-        handler(body)
-
-    def _run(self, coroutine: Any) -> Any:
-        """Bridge a service coroutine into the handler thread."""
-        future = asyncio.run_coroutine_threadsafe(
-            coroutine, self.server.loop
-        )
-        return future.result(timeout=REQUEST_TIMEOUT_S)
-
-    def _post_infer(self, body: str) -> None:
         try:
-            request = InferenceRequest.from_json(body)
+            call = route(self.server.service, body)
         except (ValueError, KeyError, TypeError) as error:
             self._reply(400, {"error": f"bad request: {error}"})
             return
         try:
-            response = self._run(self.server.service.submit(request))
+            result = asyncio.run_coroutine_threadsafe(
+                call, self.server.loop
+            ).result(timeout=REQUEST_TIMEOUT_S)
         except ServiceOverloaded as error:
             self._reply_overloaded(error)
+        except TrackError as error:
+            self._reply(
+                _TRACK_STATUS.get(error.kind, 400),
+                {"error": str(error), "kind": error.kind, "retryable": False},
+            )
         except RequestExecutionError as error:
-            # Engine/session failure while executing the micro-batch: a
-            # server-side fault, never the client's request.
+            # A failure while executing on a shard: a server-side fault,
+            # never the client's request.
             self._reply(500, {"error": str(error)})
         except (KeyError, ValueError) as error:
             # Submission-time validation: unknown substrate/model, input
@@ -187,76 +178,27 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as error:
             self._reply(500, {"error": f"{type(error).__name__}: {error}"})
         else:
-            self._reply(200, response.to_dict())
+            self._reply(
+                200, result if isinstance(result, dict) else result.to_dict()
+            )
 
-    def _reply_track_error(self, error: TrackError) -> None:
-        self._reply(
-            _TRACK_STATUS.get(error.kind, 400),
-            {"error": str(error), "kind": error.kind, "retryable": False},
-        )
 
-    def _post_track_open(self, body: str) -> None:
-        service = self.server.service
-        try:
-            request = TrackOpenRequest.from_json(body)
-        except (ValueError, KeyError, TypeError) as error:
-            self._reply(400, {"error": f"bad request: {error}"})
-            return
-        try:
-            result = self._run(service.track_open(request))
-        except ServiceOverloaded as error:
-            self._reply_overloaded(error)
-        except TrackError as error:
-            self._reply_track_error(error)
-        except (KeyError, ValueError) as error:
-            message = error.args[0] if error.args else str(error)
-            self._reply(400, {"error": str(message)})
-        except Exception as error:
-            self._reply(500, {"error": f"{type(error).__name__}: {error}"})
-        else:
-            self._reply(200, result)
-
-    def _post_track_step(self, body: str) -> None:
-        service = self.server.service
-        try:
-            request = TrackStepRequest.from_json(body)
-        except (ValueError, KeyError, TypeError) as error:
-            self._reply(400, {"error": f"bad request: {error}"})
-            return
-        try:
-            response = self._run(service.track_step(request))
-        except ServiceOverloaded as error:
-            self._reply_overloaded(error)
-        except TrackError as error:
-            self._reply_track_error(error)
-        except RequestExecutionError as error:
-            self._reply(500, {"error": str(error)})
-        except (KeyError, ValueError) as error:
-            message = error.args[0] if error.args else str(error)
-            self._reply(400, {"error": str(message)})
-        except Exception as error:
-            self._reply(500, {"error": f"{type(error).__name__}: {error}"})
-        else:
-            self._reply(200, response.to_dict())
-
-    def _post_track_close(self, body: str) -> None:
-        service = self.server.service
-        try:
-            payload = strict_loads(body)
-            track_id = str(payload["track_id"])
-        except (ValueError, KeyError, TypeError) as error:
-            self._reply(400, {"error": f"bad request: {error}"})
-            return
-        try:
-            result = self._run(service.track_close(track_id))
-        except ServiceOverloaded as error:
-            self._reply_overloaded(error)
-        except TrackError as error:
-            self._reply_track_error(error)
-        except Exception as error:
-            self._reply(500, {"error": f"{type(error).__name__}: {error}"})
-        else:
-            self._reply(200, result)
+# POST path -> (service, body) -> the service coroutine serving it.  A
+# body that does not parse raises before any coroutine exists (400).
+_ROUTES: dict[str, Callable[[InferenceService, str], Coroutine]] = {
+    "/infer": lambda service, body: service.submit(
+        InferenceRequest.from_json(body)
+    ),
+    "/track/open": lambda service, body: service.track_open(
+        TrackOpenRequest.from_json(body)
+    ),
+    "/track/step": lambda service, body: service.track_step(
+        TrackStepRequest.from_json(body)
+    ),
+    "/track/close": lambda service, body: service.track_close(
+        str(strict_loads(body)["track_id"])
+    ),
+}
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):

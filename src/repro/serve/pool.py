@@ -116,18 +116,6 @@ class SessionPool:
         for session in self._sessions:
             self._idle.put_nowait(session)
 
-    def reset_idle(self) -> None:
-        """Rebuild the idle queue with every session.
-
-        An ``asyncio.Queue`` binds to the first event loop that touches
-        it, so a service restarted on a fresh loop (each ``infer_many``
-        call runs its own) re-creates the queue while keeping the warm
-        sessions.
-        """
-        self._idle = asyncio.Queue()
-        for session in self._sessions:
-            self._idle.put_nowait(session)
-
     def _build_session(self) -> MCDropoutSession:
         return build_reference_session(
             self.substrate,
@@ -152,9 +140,9 @@ class SessionPool:
     def acquire_nowait(self) -> MCDropoutSession:
         """Borrow an idle session without an event loop.
 
-        Worker shards (:mod:`repro.serve.workers`) process one batch at
-        a time from a plain loop, so they borrow synchronously; raises
-        if every member is busy rather than blocking.
+        Shards (:class:`~repro.serve.execution.ShardState`) run one op
+        at a time off any event loop, so they borrow synchronously;
+        raises if every member is busy rather than blocking.
         """
         try:
             return self._idle.get_nowait()

@@ -4,23 +4,25 @@ The public entry points of the stack used to be caller-owned blocking
 sessions; this module redesigns the API around **stateless concurrent
 requests**:
 
-- :class:`InferenceService` owns a pre-warmed :class:`~repro.serve.pool.
-  SessionPool` per (substrate, model) pair and admits requests through a
-  bounded queue (:class:`~repro.runtime.QueuePolicy`) -- beyond the
-  bound, ``submit`` raises :class:`~repro.serve.types.ServiceOverloaded`
+- :class:`InferenceService` serves the (substrate, model) pairs it was
+  built with and admits requests through a bounded queue
+  (:class:`~repro.runtime.QueuePolicy`) -- beyond the bound, ``submit``
+  raises :class:`~repro.serve.types.ServiceOverloaded`
   instead of queueing without limit.
 - A :class:`Batcher` per pair coalesces concurrent ``submit`` calls into
   ``session.run_batch`` micro-batches under the
   :class:`~repro.runtime.BatchPolicy` ``(max_batch, max_wait_ms)``
   window, amortising dropout-mask drawing and the O(T^2) ordering search
   across every same-seed request in the batch.
-- Execution is pluggable: micro-batches run either on worker threads
-  over the in-process :class:`~repro.serve.pool.SessionPool`
-  (:class:`LocalBackend`, the default) or fanned out across spawned
-  shard processes (:class:`ShardedBackend` over a
-  :class:`~repro.serve.workers.WorkerPool`) when the
+- Execution always goes through shards running one op dispatch
+  (:class:`~repro.serve.execution.ShardState`): by default a single
+  in-process shard on one executor thread
+  (:class:`~repro.serve.workers.InProcessShard`), or ``workers`` spawned
+  shard processes (:class:`~repro.serve.workers.WorkerPool`) when the
   :class:`~repro.runtime.policy.ShardPolicy` asks for ``workers >= 1``
-  -- same request path, same bits, N cores.
+  -- same request path, same bits, N cores.  The in-process shard runs
+  one op at a time, so ``/infer`` micro-batches and track steps take
+  turns on it, exactly as they do inside a spawned shard.
 - Results are deterministic **per request**: each response is bit-for-bit
   what :func:`reference_run` produces on a fresh identically-built
   session with the same seed, no matter how the request was batched or
@@ -46,9 +48,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Awaitable, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,13 +61,8 @@ from repro.runtime.policy import (
     ShardPolicy,
     TrackPolicy,
 )
-from repro.serve.execution import (
-    Outcome,
-    RequestItem,
-    reference_run,
-    run_grouped,
-)
-from repro.serve.pool import SessionPool
+from repro.serve.execution import PairKey, WorkerSpec, reference_run
+from repro.serve.pool import build_reference_session
 from repro.serve.types import (
     DEFAULT_MODEL,
     InferenceRequest,
@@ -74,8 +70,6 @@ from repro.serve.types import (
     RequestExecutionError,
     ServiceOverloaded,
 )
-
-PairKey = tuple[str, str]
 
 
 @dataclass
@@ -120,72 +114,29 @@ class _Pending:
 _SHUTDOWN = object()
 
 
-class LocalBackend:
-    """Executes micro-batches on worker threads over in-process pools.
-
-    The single-process path: borrow a pre-warmed session from the pair's
-    :class:`SessionPool`, run :func:`~repro.serve.execution.run_grouped`
-    on the shared thread pool, return the session.  Pool width bounds
-    per-pair concurrency.
-    """
-
-    def __init__(
-        self,
-        pools: Mapping[PairKey, SessionPool],
-        executor: ThreadPoolExecutor,
-    ):
-        self._pools = dict(pools)
-        self._executor = executor
-
-    async def execute(
-        self, key: PairKey, items: Sequence[RequestItem]
-    ) -> list[Outcome]:
-        loop = asyncio.get_running_loop()
-        pool = self._pools[key]
-        session = await pool.acquire()
-        try:
-            return await loop.run_in_executor(
-                self._executor, run_grouped, session, key[0], key[1], items
-            )
-        finally:
-            pool.release(session)
-
-
-class ShardedBackend:
-    """Executes micro-batches across a :class:`~repro.serve.workers.
-    WorkerPool` of shard processes (see :mod:`repro.serve.workers`)."""
-
-    def __init__(self, worker_pool: Any):
-        self._worker_pool = worker_pool
-
-    async def execute(
-        self, key: PairKey, items: Sequence[RequestItem]
-    ) -> list[Outcome]:
-        return await self._worker_pool.execute(key, items)
-
-
 class Batcher:
     """Coalesces one (substrate, model) pair's requests into micro-batches.
 
     The collection loop takes the first waiting request, then keeps
     accepting company until the batch hits ``policy.max_batch`` or the
     first request has waited ``policy.max_wait_ms``; the assembled batch
-    is dispatched as a task so collection continues while the backend
-    executes it (backend capacity -- pool width or shard count -- bounds
-    per-pair concurrency).
+    is dispatched as a task so collection continues while ``execute``
+    runs it (the shard count bounds concurrency).  ``execute`` maps the
+    batch's wire items to one outcome per item -- a response, or the
+    exception that item failed with.
     """
 
     def __init__(
         self,
         key: PairKey,
         policy: BatchPolicy,
-        backend: LocalBackend | ShardedBackend,
+        execute: Callable[[Sequence[Any]], Awaitable[Sequence[Any]]],
         stats: ServiceStats,
     ):
         self.key = key
         self.substrate = key[0]
         self.policy = policy
-        self._backend = backend
+        self._execute = execute
         self._stats = stats
         self._queue: asyncio.Queue = asyncio.Queue()
         self._task: asyncio.Task | None = None
@@ -265,15 +216,15 @@ class Batcher:
         # wire_item() keeps the Batcher request-shape agnostic: the same
         # coalescing loop batches stateless /infer requests and track
         # steps (repro.serve.tracks), whose items differ on the wire.
-        items: list[RequestItem] = [p.request.wire_item() for p in batch]
+        items = [p.request.wire_item() for p in batch]
         outcomes: Sequence[Any]
         try:
-            outcomes = await self._backend.execute(self.key, items)
+            outcomes = await self._execute(items)
         except ServiceOverloaded as error:
             # Shard death (WorkerCrashed) or exhausted capacity: the
             # whole batch gets the retryable 503, never a hung future.
             outcomes = [error] * len(batch)
-        except Exception as error:  # backend-level failure: fail every item
+        except Exception as error:  # transport-level failure: fail every item
             wrapped = RequestExecutionError(f"{type(error).__name__}: {error}")
             wrapped.__cause__ = error
             outcomes = [wrapped] * len(batch)
@@ -308,10 +259,8 @@ class InferenceService:
         shard: scale-out policy (see :class:`~repro.runtime.policy.
             ShardPolicy`); ``workers >= 1`` fans micro-batches out over
             that many spawned shard processes, each owning its own
-            calibrated session pools (default: in-process execution).
-        pool_size: pre-warmed sessions per (substrate, model) pair
-            (in-process mode; shard processes execute serially and pin
-            their pool width to 1 -- add shards for concurrency).
+            calibrated session pools (default: one in-process shard,
+            executing one op at a time).
         calibration_inputs: representative activations for session
             calibration (default: deterministic synthetic ones).
         session_seed: hardware-instantiation seed shared by every pool
@@ -336,7 +285,6 @@ class InferenceService:
         batch: BatchPolicy | None = None,
         queue: QueuePolicy | None = None,
         shard: ShardPolicy | None = None,
-        pool_size: int = 1,
         calibration_inputs: np.ndarray | None = None,
         session_seed: int = 0,
         track_world: Any = None,
@@ -363,7 +311,6 @@ class InferenceService:
         self.batch_policy = batch or BatchPolicy()
         self.queue_policy = queue or QueuePolicy()
         self.shard_policy = shard or ShardPolicy()
-        self.pool_size = int(pool_size)
         self.calibration_inputs = calibration_inputs
         self.session_seed = int(session_seed)
         self.track_world = track_world
@@ -384,10 +331,10 @@ class InferenceService:
             name: model.dense_layers()[0].weight.value.shape[0]
             for name, model in self.models.items()
         }
-        self._pools: dict[PairKey, SessionPool] = {}
         self._batchers: dict[PairKey, Batcher] = {}
-        self._executor: ThreadPoolExecutor | None = None
-        self._worker_pool: Any = None
+        # The shard surface (InProcessShard or WorkerPool), built on the
+        # first start() and kept warm across restarts.
+        self._shards: Any = None
         self._pending = 0
         self._started = False
         self._started_at: float | None = None
@@ -396,92 +343,62 @@ class InferenceService:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Warm the execution backend and start the batchers (idempotent).
+        """Warm the shards and start the batchers (idempotent).
 
-        In-process mode warms one :class:`SessionPool` per pair; sharded
-        mode (``shard.workers >= 1``) spawns the worker shards instead
-        and waits until every shard has warmed its own pools.
+        In-process mode builds its one shard's session pools (and track
+        store) on the calling loop; sharded mode (``shard.workers >= 1``)
+        spawns the worker shards and waits until each has warmed its
+        own.  Warm state survives ``stop()`` / ``start()``; live tracks
+        do not.
         """
         if self._started:
             return
-        backend: LocalBackend | ShardedBackend
-        if self.shard_policy.workers >= 1:
-            if self._worker_pool is None:
-                from repro.serve.workers import WorkerPool, WorkerSpec
+        if self._shards is None:
+            from repro.serve.workers import InProcessShard, WorkerPool
 
-                self._worker_pool = WorkerPool(
-                    WorkerSpec(
-                        models=dict(self.models),
-                        substrates=tuple(self.substrates),
-                        n_iterations=self.n_iterations,
-                        calibration_inputs=self.calibration_inputs,
-                        session_seed=self.session_seed,
-                        track_world=self.track_world,
-                        track_substrates=tuple(self.track_substrates),
-                    ),
-                    self.shard_policy,
-                )
-            await self._worker_pool.start()
-            backend = ShardedBackend(self._worker_pool)
-        else:
-            if not self._pools:
-                for substrate in self.substrates:
-                    for model_name, model in self.models.items():
-                        self._pools[(substrate, model_name)] = SessionPool(
-                            substrate,
-                            model,
-                            n_iterations=self.n_iterations,
-                            size=self.pool_size,
-                            calibration_inputs=self.calibration_inputs,
-                            session_seed=self.session_seed,
-                        )
-            for pool in self._pools.values():
-                pool.reset_idle()
-            self._executor = ThreadPoolExecutor(
-                max_workers=max(1, len(self._pools) * self.pool_size),
-                thread_name_prefix="repro-serve",
+            spec = WorkerSpec(
+                models=dict(self.models),
+                substrates=tuple(self.substrates),
+                n_iterations=self.n_iterations,
+                calibration_inputs=self.calibration_inputs,
+                session_seed=self.session_seed,
+                track_world=self.track_world,
+                track_substrates=tuple(self.track_substrates),
             )
-            backend = LocalBackend(self._pools, self._executor)
+            if self.shard_policy.workers >= 1:
+                self._shards = WorkerPool(spec, self.shard_policy)
+            else:
+                self._shards = InProcessShard(spec, self.shard_policy)
+        shards = self._shards
+        await shards.start()
         for key in sorted(self._keys):
-            batcher = Batcher(key, self.batch_policy, backend, self.stats)
+            batcher = Batcher(
+                key,
+                self.batch_policy,
+                # Looked up on every call rather than bound here, so a
+                # wrapper installed on the shard class later still sees
+                # each batch.
+                lambda items, key=key: shards.execute(key, items),
+                self.stats,
+            )
             batcher.start()
             self._batchers[key] = batcher
         if self.track_world is not None:
-            from repro.serve.tracks import (
-                LocalTrackBackend,
-                ShardedTrackBackend,
-                TrackManager,
-                TrackStore,
-            )
+            from repro.serve.tracks import TrackManager
 
-            if self._track_manager is None:
-                if self._worker_pool is not None:
-                    track_backend: Any = ShardedTrackBackend(
-                        self._worker_pool
-                    )
-                else:
-                    # Build the prototypes off-loop: calibrating one
-                    # session per substrate takes real time.
-                    store = await asyncio.get_running_loop().run_in_executor(
-                        None,
-                        TrackStore,
-                        self.track_world,
-                        tuple(self.track_substrates),
-                    )
-                    track_backend = LocalTrackBackend(store)
-                self._track_manager = TrackManager(
-                    track_backend,
-                    policy=self.track_policy,
-                    batch=self.batch_policy,
-                    substrates=self.track_substrates,
-                )
+            self._track_manager = TrackManager(
+                shards,
+                policy=self.track_policy,
+                batch=self.batch_policy,
+                substrates=self.track_substrates,
+            )
             await self._track_manager.start()
         self._started = True
         # repro: ignore[DET003] uptime metadata, not a result field
         self._started_at = time.time()
 
     async def stop(self) -> None:
-        """Drain the batchers, release threads, stop worker shards.
+        """Drain the batchers, then stop the shards.
 
         Worker shards are stopped with the shard policy's join deadline
         (terminate -> kill escalation), so no child process can outlive
@@ -502,14 +419,10 @@ class InferenceService:
         for batcher in self._batchers.values():
             await batcher.close()
         self._batchers.clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._worker_pool is not None:
-            # stop() joins processes; keep the event loop responsive.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._worker_pool.stop
-            )
+        # stop() joins threads or processes; keep the event loop responsive.
+        await asyncio.get_running_loop().run_in_executor(
+            None, self._shards.stop
+        )
 
     async def __aenter__(self) -> "InferenceService":
         await self.start()
@@ -671,24 +584,17 @@ class InferenceService:
         from repro.api.substrates import get_substrate
 
         substrate = get_substrate(substrate).name
-        key = (substrate, model)
-        if key not in self._pools:
-            # Before start() the pools do not exist yet; build the bare
-            # session so parity checks can run against a cold service too.
-            if substrate not in self.substrates or model not in self.models:
-                raise KeyError(
-                    f"not serving substrate {substrate!r} / model {model!r}"
-                )
-            from repro.serve.pool import build_reference_session
-
-            return build_reference_session(
-                substrate,
-                self.models[model],
-                n_iterations=self.n_iterations,
-                calibration_inputs=self.calibration_inputs,
-                session_seed=self.session_seed,
+        if substrate not in self.substrates or model not in self.models:
+            raise KeyError(
+                f"not serving substrate {substrate!r} / model {model!r}"
             )
-        return self._pools[key].reference_session()
+        return build_reference_session(
+            substrate,
+            self.models[model],
+            n_iterations=self.n_iterations,
+            calibration_inputs=self.calibration_inputs,
+            session_seed=self.session_seed,
+        )
 
     def health(self) -> dict[str, Any]:
         """Liveness summary for ``/healthz``.
@@ -699,8 +605,8 @@ class InferenceService:
         ``"ok"`` otherwise.
         """
         respawning: list[int] = []
-        if self._worker_pool is not None and self._started:
-            respawning = self._worker_pool.respawning_shards()
+        if self._shards is not None and self._started:
+            respawning = self._shards.respawning_shards()
         return {
             "status": "degraded" if respawning else "ok",
             "respawning_shards": respawning,
@@ -722,7 +628,6 @@ class InferenceService:
                 "affinity": self.shard_policy.affinity,
                 "respawn": self.shard_policy.respawn,
             },
-            "pool_size": self.pool_size,
             "session_seed": self.session_seed,
             "started": self._started,
             "tracks": (
@@ -733,7 +638,10 @@ class InferenceService:
         }
 
     def stats_snapshot(self) -> dict[str, Any]:
-        """Live counters (for ``/stats``)."""
+        """Live counters (for ``/stats``): per-pair ``pools`` in-process,
+        per-shard ``shards`` rows when sharded."""
+        described = {} if self._shards is None else self._shards.describe()
+        local = self._shards is None or self._shards.mode == "local"
         return {
             "received": self.stats.received,
             "completed": self.stats.completed,
@@ -745,15 +653,8 @@ class InferenceService:
             "mean_batch_size": self.stats.mean_batch_size(),
             "per_substrate": dict(self.stats.per_substrate),
             "pending": self._pending,
-            "pools": {
-                f"{substrate}/{model}": pool.describe()
-                for (substrate, model), pool in self._pools.items()
-            },
-            "shards": (
-                None
-                if self._worker_pool is None
-                else self._worker_pool.describe()
-            ),
+            "pools": described if local else {},
+            "shards": None if local else described,
             "uptime_s": (
                 None
                 if self._started_at is None
@@ -771,8 +672,6 @@ class InferenceService:
 __all__ = [
     "Batcher",
     "InferenceService",
-    "LocalBackend",
     "ServiceStats",
-    "ShardedBackend",
     "reference_run",
 ]

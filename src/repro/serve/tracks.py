@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import copy
+import functools
 import time
 import uuid
 from collections import Counter, OrderedDict
@@ -60,6 +61,7 @@ from repro.circuits.energy import EnergyLedger
 from repro.core.tiling import TiledCIMBackend
 from repro.filtering.measurement import CIMArrayBackend, DigitalGMMBackend
 from repro.runtime.policy import BatchPolicy, TrackPolicy
+from repro.serve.execution import Encoded, encode_error
 from repro.serve.types import (
     RequestExecutionError,
     ServiceOverloaded,
@@ -71,7 +73,7 @@ from repro.serve.types import (
     WorkerCrashed,
 )
 
-# The pseudo-home used when tracks execute in-process (no shard pool).
+# The one home of in-process serving (repro.serve.workers.InProcessShard).
 LOCAL_HOME = (-1, -1)
 
 _TOMBSTONE_LIMIT = 4096
@@ -165,26 +167,6 @@ def _merged_view(ledgers: Sequence[EnergyLedger]) -> EnergyLedger:
     return merged
 
 
-def decode_track_outcomes(encoded: Sequence[tuple]) -> list[Any]:
-    """Decode wire-encoded track outcomes into payloads / exceptions.
-
-    The encoding -- ``("ok", payload)`` / ``("track_error", (kind,
-    message))`` / ``("error", message)`` -- is shared by the in-process
-    store path and the shard pipe, so both deployment shapes fail the
-    same way.
-    """
-    outcomes: list[Any] = []
-    for tag, payload in encoded:
-        if tag == "ok":
-            outcomes.append(payload)
-        elif tag == "track_error":
-            kind, message = payload
-            outcomes.append(TrackError(kind, message))
-        else:
-            outcomes.append(RequestExecutionError(str(payload)))
-    return outcomes
-
-
 class _StoredTrack:
     """One track's swap-in state inside a :class:`TrackStore`."""
 
@@ -230,9 +212,6 @@ class TrackStore:
     def substrates(self) -> list[str]:
         return sorted(self._prototypes)
 
-    def live_count(self) -> int:
-        return len(self._tracks)
-
     def open(
         self, track_id: str, substrate: str, init: TrackInit, seed: int
     ) -> dict:
@@ -257,22 +236,18 @@ class TrackStore:
             "n_particles": int(session.localizer.n_particles),
         }
 
-    def step_batch(self, items: Sequence[tuple]) -> list[tuple]:
+    def step_batch(self, items: Sequence[tuple]) -> list[Encoded]:
         """Execute one micro-batch of steps, one wire-encoded outcome per
         item (items may mix tracks and substrates; same-track items
         execute in list order)."""
-        encoded: list[tuple] = []
+        encoded: list[Encoded] = []
         for track_id, control, depth, truth in items:
             try:
                 encoded.append(
                     ("ok", self._step_one(track_id, control, depth, truth))
                 )
-            except TrackError as error:
-                encoded.append(("track_error", (error.kind, str(error))))
             except Exception as error:
-                encoded.append(
-                    ("error", f"{type(error).__name__}: {error}")
-                )
+                encoded.append(encode_error(error))
         return encoded
 
     def _step_one(
@@ -350,169 +325,9 @@ class TrackStore:
             "steps": track.steps,
         }
 
-    def drop(self, track_id: str) -> bool:
-        """Silent eviction (TTL sweep): no error when already gone."""
-        return self._tracks.pop(track_id, None) is not None
-
-    def describe(self) -> dict:
-        return {
-            "substrates": self.substrates,
-            "live_tracks": self.live_count(),
-        }
-
-
-class LocalTrackBackend:
-    """In-process track execution behind the manager's async interface.
-
-    A single-thread executor serializes every store call: the prototype
-    swap-in/swap-out must never interleave.  There is one pseudo-home
-    (:data:`LOCAL_HOME`), always ready; crash recovery never triggers
-    because the "shard" is this process.
-    """
-
-    spawn_timeout_s = 5.0
-
-    def __init__(self, store: TrackStore):
-        self.store = store
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-tracks"
-        )
-
-    async def _call(self, fn: Any, *args: Any) -> Any:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, fn, *args)
-
-    def ready_homes(self) -> list[tuple[int, int]]:
-        return [LOCAL_HOME]
-
-    async def open(
-        self,
-        home: tuple[int, int],
-        track_id: str,
-        substrate: str,
-        init: TrackInit,
-        seed: int,
-    ) -> dict:
-        return await self._call(self.store.open, track_id, substrate, init, seed)
-
-    async def steps(
-        self, home: tuple[int, int], items: Sequence[tuple]
-    ) -> list[Any]:
-        encoded = await self._call(self.store.step_batch, list(items))
-        return decode_track_outcomes(encoded)
-
-    async def close(self, home: tuple[int, int], track_id: str) -> dict:
-        return await self._call(self.store.close, track_id)
-
-    def describe(self) -> dict:
-        return {"mode": "local", **self.store.describe()}
-
-    def shutdown(self) -> None:
-        self._executor.shutdown(wait=True)
-
-
-class ShardedTrackBackend:
-    """Track execution over a :class:`~repro.serve.workers.WorkerPool`.
-
-    Homes are ``(shard index, generation)`` pairs: a respawned shard has
-    a new generation, so a track homed on the dead one can never be
-    silently served by its fresh-state replacement -- dispatch raises
-    :class:`~repro.serve.types.WorkerCrashed` and the manager recovers
-    explicitly (replay or ``state_lost``).
-    """
-
-    def __init__(self, pool: Any):
-        self._pool = pool
-
-    @property
-    def spawn_timeout_s(self) -> float:
-        return self._pool.policy.spawn_timeout_s
-
-    def ready_homes(self) -> list[tuple[int, int]]:
-        return self._pool.ready_homes()
-
-    async def open(
-        self,
-        home: tuple[int, int],
-        track_id: str,
-        substrate: str,
-        init: TrackInit,
-        seed: int,
-    ) -> dict:
-        index, generation = home
-        [outcome] = await self._pool.execute_track(
-            index, generation, "open", (track_id, substrate, init, int(seed))
-        )
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    async def steps(
-        self, home: tuple[int, int], items: Sequence[tuple]
-    ) -> list[Any]:
-        index, generation = home
-        return await self._pool.execute_track(
-            index, generation, "steps", list(items), n_items=len(items)
-        )
-
-    async def close(self, home: tuple[int, int], track_id: str) -> dict:
-        index, generation = home
-        [outcome] = await self._pool.execute_track(
-            index, generation, "close", track_id
-        )
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    def describe(self) -> dict:
-        return {"mode": "sharded", "shards": self._pool.policy.workers}
-
-    def shutdown(self) -> None:
-        pass  # the pool's lifecycle belongs to the service
-
-
-class _HomeStepBackend:
-    """Adapter giving one home's step path the Batcher execute interface.
-
-    The Batcher hands it ``(track_id, control, depth, truth)`` wire
-    items assembled from concurrent :class:`TrackStepRequest`\\ s; dict
-    payloads come back wrapped as :class:`TrackStepResponse` (manager
-    fills in step index and recovery flags after the future resolves).
-    """
-
-    def __init__(self, backend: Any, home: tuple[int, int]):
-        self._backend = backend
-        self._home = home
-
-    async def execute(self, key: Any, items: Sequence[tuple]) -> list[Any]:
-        outcomes = await self._backend.steps(self._home, items)
-        wrapped: list[Any] = []
-        for item, outcome in zip(items, outcomes):
-            if isinstance(outcome, Exception):
-                wrapped.append(outcome)
-            else:
-                wrapped.append(
-                    TrackStepResponse(
-                        track_id=item[0],
-                        step_index=0,  # filled by the manager on ack
-                        estimate=outcome["estimate"],
-                        ess=outcome["ess"],
-                        resampled=outcome["resampled"],
-                        log_evidence=outcome["log_evidence"],
-                        spread=outcome["spread"],
-                        energy_j=outcome["energy_j"],
-                        ops_executed=outcome["ops_executed"],
-                        energy_breakdown_j=outcome["energy_breakdown_j"],
-                        step_energy_j=outcome["step_energy_j"],
-                        step_ops=outcome["step_ops"],
-                        substrate=outcome["substrate"],
-                        error_m=outcome["error_m"],
-                        batch_size=len(items),
-                    )
-                )
-        return wrapped
+    def clear(self) -> None:
+        """Forget every live track (the owning service stopped)."""
+        self._tracks.clear()
 
 
 @dataclass
@@ -580,18 +395,27 @@ class TrackManager:
     contract requires in-order execution -- while steps of *different*
     tracks homed on the same shard coalesce into micro-batches through
     one :class:`~repro.serve.service.Batcher` per home.
+
+    ``shards`` is the service's shard surface (an
+    :class:`~repro.serve.workers.InProcessShard` or a
+    :class:`~repro.serve.workers.WorkerPool`).  Homes are ``(shard index,
+    generation)`` pairs: a respawned shard has a new generation, so a
+    track homed on the dead one can never be silently served by its
+    fresh-state replacement -- dispatch raises
+    :class:`~repro.serve.types.WorkerCrashed` and the manager recovers
+    explicitly (replay or ``state_lost``).
     """
 
     def __init__(
         self,
-        backend: LocalTrackBackend | ShardedTrackBackend,
+        shards: Any,
         policy: TrackPolicy | None = None,
         batch: BatchPolicy | None = None,
         substrates: Sequence[str] | None = None,
     ):
         from repro.serve.service import ServiceStats
 
-        self._backend = backend
+        self._shards = shards
         self.policy = policy or TrackPolicy()
         self.batch_policy = batch or BatchPolicy()
         self._substrates = (
@@ -628,17 +452,16 @@ class TrackManager:
             await batcher.close()
         self._batchers.clear()
         self._tracks.clear()
-        self._backend.shutdown()
 
     # -- placement ---------------------------------------------------------
 
     async def _pick_home(self) -> tuple[int, int]:
         """The ready home with the fewest live tracks; waits out shard
-        warm-up/respawn up to the backend's spawn deadline."""
+        warm-up/respawn up to the shard policy's spawn deadline."""
         assert self._loop is not None
-        deadline = self._loop.time() + self._backend.spawn_timeout_s
+        deadline = self._loop.time() + self._shards.policy.spawn_timeout_s
         while True:
-            homes = self._backend.ready_homes()
+            homes = self._shards.ready_homes()
             if homes:
                 counts = Counter(
                     record.home for record in self._tracks.values()
@@ -663,12 +486,43 @@ class TrackManager:
             batcher = Batcher(
                 ("steps", f"{home[0]}:{home[1]}"),
                 self.batch_policy,
-                _HomeStepBackend(self._backend, home),
+                functools.partial(self._execute_steps, home),
                 self.step_stats,
             )
             batcher.start()
             self._batchers[home] = batcher
         return batcher
+
+    async def _execute_steps(
+        self, home: tuple[int, int], items: Sequence[tuple]
+    ) -> list[Any]:
+        """Run one micro-batch of ``(track_id, control, depth, truth)``
+        step items on ``home``: a :class:`TrackStepResponse` per served
+        item (the manager fills in the step index and recovery flags on
+        ack), the typed exception per failed one."""
+        outcomes = await self._shards.execute_track(
+            *home, "steps", list(items), n_items=len(items)
+        )
+        return [
+            outcome
+            if isinstance(outcome, Exception)
+            else TrackStepResponse(
+                track_id=item[0],
+                step_index=0,
+                batch_size=len(items),
+                **outcome,
+            )
+            for item, outcome in zip(items, outcomes)
+        ]
+
+    async def _track_op(
+        self, home: tuple[int, int], op: str, payload: Any
+    ) -> dict:
+        """One ``open`` / ``close`` on ``home``; raises its failure."""
+        [outcome] = await self._shards.execute_track(*home, op, payload)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     # -- lookup ------------------------------------------------------------
 
@@ -720,14 +574,15 @@ class TrackManager:
             home,
             replayable=self.policy.replay_log_steps > 0,
         )
-        # Reserve the id (and hold the track lock) across the backend
-        # call so a concurrent same-id open or step cannot interleave.
+        # Reserve the id (and hold the track lock) across the shard op
+        # so a concurrent same-id open or step cannot interleave.
         self._tracks[track_id] = record
         async with record.lock:
             try:
-                result = await self._backend.open(
-                    home, track_id, request.substrate, request.init,
-                    request.seed,
+                result = await self._track_op(
+                    home,
+                    "open",
+                    (track_id, request.substrate, request.init, request.seed),
                 )
             except BaseException:
                 self._tracks.pop(track_id, None)
@@ -752,7 +607,7 @@ class TrackManager:
             record.last_used = time.monotonic()
             recoveries = 0
             while True:
-                if record.home not in self._backend.ready_homes():
+                if record.home not in self._shards.ready_homes():
                     await self._recover(record)
                 try:
                     response = await self._submit_step(record, request)
@@ -793,12 +648,16 @@ class TrackManager:
         """Re-home a track whose shard died: replay the buffered
         measurement log, or re-initialize and flag ``state_lost``."""
         home = await self._pick_home()
-        await self._backend.open(
-            home, record.track_id, record.substrate, record.init, record.seed
+        await self._track_op(
+            home,
+            "open",
+            (record.track_id, record.substrate, record.init, record.seed),
         )
         if record.replayable:
             if record.log:
-                outcomes = await self._backend.steps(home, list(record.log))
+                outcomes = await self._shards.execute_track(
+                    *home, "steps", list(record.log), n_items=len(record.log)
+                )
                 for outcome in outcomes:
                     if isinstance(outcome, Exception):
                         raise outcome
@@ -845,9 +704,9 @@ class TrackManager:
         async with record.lock:
             if self._tracks.get(track_id) is not record:
                 self._lookup(track_id)
-            if record.home in self._backend.ready_homes():
+            if record.home in self._shards.ready_homes():
                 try:
-                    await self._backend.close(record.home, track_id)
+                    await self._track_op(record.home, "close", track_id)
                 except (TrackError, ServiceOverloaded):
                     pass  # the shard-side state is gone either way
             self._tracks.pop(track_id, None)
@@ -892,9 +751,9 @@ class TrackManager:
                 self._tombstone(track_id, "expired")
                 self.track_stats.expired += 1
                 evicted += 1
-                if record.home in self._backend.ready_homes():
+                if record.home in self._shards.ready_homes():
                     try:
-                        await self._backend.close(record.home, track_id)
+                        await self._track_op(record.home, "close", track_id)
                     except (TrackError, ServiceOverloaded,
                             RequestExecutionError):
                         pass
@@ -911,7 +770,7 @@ class TrackManager:
             "idle_ttl_s": self.policy.idle_ttl_s,
             "replay_log_steps": self.policy.replay_log_steps,
             "max_track_bytes": self.policy.max_track_bytes,
-            "backend": self._backend.describe(),
+            "backend": {"mode": self._shards.mode},
         }
 
     def stats_snapshot(self) -> dict:
@@ -964,13 +823,10 @@ class TrackHandle:
 
 __all__ = [
     "LOCAL_HOME",
-    "LocalTrackBackend",
-    "ShardedTrackBackend",
     "TrackHandle",
     "TrackManager",
     "TrackStats",
     "TrackStore",
     "TrackWorld",
-    "decode_track_outcomes",
     "reference_track_run",
 ]

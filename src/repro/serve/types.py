@@ -38,14 +38,22 @@ from repro.api.results import (
 DEFAULT_MODEL = "default"
 
 
+def _require_finite(name: str, array: np.ndarray) -> None:
+    """Admission check: a non-finite value would execute into a
+    confident-looking answer (or a mid-step failure), never a 400."""
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite (no NaN or inf)")
+
+
 class RequestExecutionError(RuntimeError):
     """A request failed *while executing* on its session.
 
     Submission-time problems (unknown substrate, width mismatch,
     overload) raise their own types from ``submit`` before batching;
-    this wrapper marks failures from inside the micro-batch execution so
+    this wrapper marks failures from inside a shard's execution so
     transports can distinguish server-side faults (HTTP 500) from client
-    errors (400).  The original exception is chained as ``__cause__``.
+    errors (400).  The message carries the original exception's type and
+    message (outcomes cross shard pipes as plain strings).
     """
 
 
@@ -117,7 +125,8 @@ class InferenceRequest:
     """One stateless MC-Dropout inference request.
 
     Attributes:
-        inputs: (B, in) feature batch (1-D inputs are promoted).
+        inputs: (B, in) feature batch (1-D inputs are promoted); every
+            value must be finite.
         substrate: registered substrate name to run on.
         model: served model name (services may host several).
         seed: determinism seed -- fixes the dropout mask plan and the
@@ -132,8 +141,13 @@ class InferenceRequest:
     request_id: str | None = None
 
     def __post_init__(self) -> None:
-        array = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        object.__setattr__(self, "inputs", array)
+        array = np.asarray(self.inputs, dtype=float)
+        if array.ndim > 2:
+            raise ValueError(
+                f"request inputs must be 1-D or 2-D, got shape {array.shape}"
+            )
+        _require_finite("request inputs", array)
+        object.__setattr__(self, "inputs", np.atleast_2d(array))
         object.__setattr__(self, "seed", int(self.seed))
 
     def wire_item(self) -> tuple:
@@ -382,10 +396,12 @@ class TrackStepRequest:
 
     Attributes:
         track_id: the open track this measurement belongs to.
-        control: (4,) body-frame odometry increment.
-        depth: the depth frame for this step.
-        truth: optional (4,) ground-truth state; when given, the
-            response reports the position error for this step.
+        control: (4,) body-frame odometry increment; must be finite.
+        depth: the depth frame for this step (NaN marks an invalid
+            pixel).
+        truth: optional (4,) ground-truth state; when given, it must be
+            finite and the response reports the position error for
+            this step.
     """
 
     track_id: str
@@ -397,6 +413,7 @@ class TrackStepRequest:
         object.__setattr__(
             self, "control", np.asarray(self.control, dtype=float).reshape(-1)
         )
+        _require_finite("track-step control", self.control)
         object.__setattr__(
             self, "depth", np.asarray(self.depth, dtype=float)
         )
@@ -404,6 +421,7 @@ class TrackStepRequest:
             object.__setattr__(
                 self, "truth", np.asarray(self.truth, dtype=float).reshape(-1)
             )
+            _require_finite("track-step truth", self.truth)
 
     def wire_item(self) -> tuple:
         """The picklable per-step tuple batched across tracks:

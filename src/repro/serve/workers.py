@@ -1,38 +1,45 @@
-"""Sharded worker backend: micro-batches fanned out over processes.
+"""The two shard transports: one in-process shard, or N spawned ones.
 
-The single-process service executes every micro-batch on one CPU core
-inside the event-loop process, so throughput is capped by the GIL and
-one engine's arithmetic.  This module scales the same deterministic
-contract horizontally:
+Every deployment shape executes through shards running the same
+:class:`~repro.serve.execution.ShardState` dispatch and outcome codec;
+this module only moves ops to them and outcomes back.  Both transports
+expose one surface -- ``start`` / ``stop`` / ``execute`` /
+``execute_track`` / ``ready_homes`` / ``respawning_shards`` /
+``describe`` -- so the service and the track manager never branch on
+the shape:
 
-- :class:`WorkerPool` spawns ``ShardPolicy.workers`` shard processes
+- :class:`InProcessShard` (``ShardPolicy.workers == 0``) runs the one
+  shard of in-process serving on a single executor thread: ops, whether
+  ``/infer`` micro-batches or track steps, execute one at a time.
+- :class:`WorkerPool` (``workers >= 1``) scales the same contract over
+  cores: it spawns ``ShardPolicy.workers`` shard processes
   (``multiprocessing`` *spawn* start method, daemonic so they can never
-  outlive the parent).  Each shard warms its **own** calibrated
-  :class:`~repro.serve.pool.SessionPool` per (substrate, model) pair
-  from the :class:`WorkerSpec` -- sessions are rebuilt from the same
-  ``session_seed``, so every shard is bit-for-bit interchangeable with
-  the in-process pool and with :func:`~repro.serve.execution.
-  reference_run`.
-- Assembled micro-batches are routed to the **least-loaded live shard**,
-  tie-broken toward a shard that has already served the batch's
-  substrate (``ShardPolicy.affinity``) so calibration state stays warm;
-  request items and responses cross stdlib pipes as plain picklable
-  payloads.
-- **Worker death is detected** (pipe EOF from a dedicated reader thread
-  per shard): every in-flight request on the dead shard fails with
-  :class:`~repro.serve.types.WorkerCrashed` -- a retryable 503, never a
-  hung future -- the shard is respawned, and subsequent requests keep
-  matching the reference bit-for-bit.
-- Shutdown sends every shard a stop message, then joins with the
-  ``ShardPolicy.join_timeout_s`` deadline, escalating terminate -> kill;
-  an ``atexit`` guard runs the same teardown if the owner never calls
-  :meth:`WorkerPool.stop`, so Ctrl-C cannot leak orphaned children.
-  A shard that loses its parent pipe exits on its own (EOF), covering
-  even hard parent kills.
+  outlive the parent), each warming its **own** state from the
+  :class:`~repro.serve.execution.WorkerSpec` -- sessions are rebuilt
+  from the same ``session_seed``, so every shard is bit-for-bit
+  interchangeable with the in-process one and with
+  :func:`~repro.serve.execution.reference_run`.
 
-Metering stays exact because the scoped ledgers live in the worker that
-executed the batch; the responses carry per-request energy/ops back over
-the pipe like any other result field.
+  - Micro-batches are routed to the **least-loaded live shard**,
+    tie-broken toward a shard that has already served the batch's
+    substrate (``ShardPolicy.affinity``) so calibration state stays
+    warm; ops and outcomes cross stdlib pipes as plain picklable
+    payloads.
+  - **Worker death is detected** (pipe EOF from a dedicated reader
+    thread per shard): every in-flight op on the dead shard fails with
+    :class:`~repro.serve.types.WorkerCrashed` -- a retryable 503, never
+    a hung future -- the shard is respawned, and subsequent requests
+    keep matching the reference bit-for-bit.
+  - Shutdown sends every shard a stop message, then joins with the
+    ``ShardPolicy.join_timeout_s`` deadline, escalating terminate ->
+    kill; an ``atexit`` guard runs the same teardown if the owner never
+    calls :meth:`WorkerPool.stop`, so Ctrl-C cannot leak orphaned
+    children.  A shard that loses its parent pipe exits on its own
+    (EOF), covering even hard parent kills.
+
+Metering stays exact because the scoped ledgers live in the shard that
+executed the op; responses carry per-request energy/ops back like any
+other result field.
 """
 
 from __future__ import annotations
@@ -43,23 +50,20 @@ import itertools
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
-from repro.nn.sequential import Sequential
 from repro.runtime.policy import ShardPolicy
-from repro.serve.execution import Outcome, RequestItem, run_grouped
-from repro.serve.pool import SessionPool
-from repro.serve.types import (
-    InferenceResponse,
-    RequestExecutionError,
-    TrackError,
-    WorkerCrashed,
+from repro.serve.execution import (
+    PairKey,
+    RequestItem,
+    ShardState,
+    WorkerSpec,
+    decode_outcomes,
 )
-
-PairKey = tuple[str, str]
+from repro.serve.tracks import LOCAL_HOME
+from repro.serve.types import RequestExecutionError, WorkerCrashed
 
 _STARTUP_FAILURE_MESSAGE = (
     "worker shards keep dying during warm-up; giving up on respawns. "
@@ -70,69 +74,17 @@ _STARTUP_FAILURE_MESSAGE = (
 )
 
 
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Everything a spawned shard needs to rebuild the served sessions.
-
-    The spec crosses the process boundary once, at spawn; the shard then
-    owns private session pools built exactly like the in-process ones
-    (same calibration, same ``session_seed``), which is what makes every
-    shard bit-for-bit interchangeable.
-    """
-
-    models: dict[str, Sequential]
-    substrates: tuple[str, ...]
-    n_iterations: int = 30
-    calibration_inputs: np.ndarray | None = None
-    session_seed: int = 0
-    # Streaming tracks (repro.serve.tracks): when a world is given, the
-    # shard also warms one TrackStore over these substrates before
-    # reporting ready, so sticky-routed track state can live shard-side.
-    track_world: Any = None
-    track_substrates: tuple[str, ...] | None = None
-
-    def keys(self) -> list[PairKey]:
-        return [
-            (substrate, model)
-            for substrate in self.substrates
-            for model in self.models
-        ]
-
-
 def _worker_main(spec: WorkerSpec, conn: Any) -> None:
-    """Shard process entry point: warm the pools, serve batches forever.
+    """Shard process entry point: build the shard state, serve ops forever.
 
-    Protocol (parent -> shard): ``("batch", job_id, key, items)``,
-    ``("track", job_id, op, payload)`` with op open/steps/close,
-    ``("stop",)``, ``("exit", code)`` (chaos/test hook: die instantly).
-    Shard -> parent: ``("ready", pid)`` once warmed, then one
-    ``("result", job_id, encoded_outcomes)`` per batch.  Outcomes are
-    encoded as ``("ok", payload)`` / ``("track_error", (kind, message))``
-    / ``("error", message)`` tuples so nothing unpicklable ever crosses
-    the pipe.
+    Protocol (parent -> shard): ``("run", job_id, op, payload)`` with an
+    op of :meth:`~repro.serve.execution.ShardState.run`, ``("stop",)``,
+    ``("exit", code)`` (chaos/test hook: die instantly).  Shard ->
+    parent: ``("ready", pid)`` once warmed, then one ``("result",
+    job_id, encoded_outcomes)`` per op, in the outcome codec of
+    :mod:`repro.serve.execution`.
     """
-    # The shard's message loop is strictly serial (one batch at a time),
-    # so a pool width above 1 would only warm clones that can never run;
-    # shard-level concurrency comes from the number of shards instead.
-    pools = {
-        key: SessionPool(
-            key[0],
-            spec.models[key[1]],
-            n_iterations=spec.n_iterations,
-            size=1,
-            calibration_inputs=spec.calibration_inputs,
-            session_seed=spec.session_seed,
-        )
-        for key in spec.keys()
-    }
-    track_store = None
-    if spec.track_world is not None:
-        from repro.serve.tracks import TrackStore
-
-        track_store = TrackStore(
-            spec.track_world,
-            spec.track_substrates or spec.substrates,
-        )
+    state = ShardState(spec)
     conn.send(("ready", os.getpid()))
     while True:
         try:
@@ -145,67 +97,94 @@ def _worker_main(spec: WorkerSpec, conn: Any) -> None:
         if kind == "exit":  # chaos/test hook: die without cleanup
             conn.close()
             os._exit(int(message[1]))
-        if kind == "track":
-            _, job_id, op, payload = message
-            try:
-                conn.send(
-                    ("result", job_id, _run_track_op(track_store, op, payload))
-                )
-            except (OSError, ValueError, BrokenPipeError):
-                break
+        if kind != "run":
             continue
-        if kind != "batch":
-            continue
-        _, job_id, key, items = message
+        _, job_id, op, payload = message
         try:
-            pool = pools[tuple(key)]
-            session = pool.acquire_nowait()
-            try:
-                outcomes = run_grouped(session, key[0], key[1], items)
-            finally:
-                pool.release(session)
-            encoded: list[tuple[str, Any]] = [
-                ("ok", outcome)
-                if isinstance(outcome, InferenceResponse)
-                else ("error", str(outcome))
-                for outcome in outcomes
-            ]
-        except Exception as error:  # pool-level failure: fail every item
-            encoded = [
-                ("error", f"{type(error).__name__}: {error}")
-            ] * len(items)
-        try:
-            conn.send(("result", job_id, encoded))
+            conn.send(("result", job_id, state.run(op, payload)))
         except (OSError, ValueError, BrokenPipeError):
             break
     conn.close()
 
 
-def _run_track_op(track_store: Any, op: str, payload: Any) -> list:
-    """Execute one shard-side track operation, wire-encoded.
+class InProcessShard:
+    """The one shard of in-process serving (``ShardPolicy(workers=0)``).
 
-    The encoding matches the batch path -- a list of ``("ok", payload)``
-    / ``("track_error", (kind, message))`` / ``("error", message)``
-    tuples -- so the parent's result plumbing needs no new message kind.
-    ``steps`` payloads are per-item lists; ``open``/``close`` encode one
-    outcome.
+    Runs the same :class:`~repro.serve.execution.ShardState` dispatch and
+    outcome codec as a spawned shard; only the transport differs -- one
+    executor thread instead of a pipe -- so ops execute strictly one at
+    a time, as inside a spawned shard.  Exposes the :class:`WorkerPool`
+    surface the service and the track manager use, with a single
+    always-ready home, :data:`~repro.serve.tracks.LOCAL_HOME`.
+
+    The state is built once, on the first :meth:`start`, and stays warm
+    across ``stop()`` / ``start()``; live tracks do not survive a stop.
     """
-    n_outcomes = len(payload) if op == "steps" else 1
-    try:
-        if track_store is None:
-            raise RuntimeError("track serving is not enabled on this shard")
-        if op == "open":
-            track_id, substrate, init, seed = payload
-            return [("ok", track_store.open(track_id, substrate, init, seed))]
-        if op == "steps":
-            return track_store.step_batch(payload)
-        if op == "close":
-            return [("ok", track_store.close(payload))]
-        raise RuntimeError(f"unknown track op {op!r}")
-    except TrackError as error:
-        return [("track_error", (error.kind, str(error)))] * n_outcomes
-    except Exception as error:
-        return [("error", f"{type(error).__name__}: {error}")] * n_outcomes
+
+    mode = "local"
+
+    def __init__(self, spec: WorkerSpec, policy: ShardPolicy):
+        self.spec = spec
+        self.policy = policy
+        self._state: ShardState | None = None
+        self._executor: ThreadPoolExecutor | None = None
+
+    async def start(self) -> None:
+        if self._executor is not None:
+            return
+        if self._state is None:
+            # Built on the calling thread, like a spawned shard builds
+            # before reporting ready: a hand-off to a worker thread
+            # would only add latency to start().
+            self._state = ShardState(self.spec)
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serve-shard"
+        )
+
+    def stop(self) -> None:
+        if self._executor is None:
+            return
+        self._executor.shutdown(wait=True)
+        self._executor = None
+        if self._state is not None and self._state.tracks is not None:
+            self._state.tracks.clear()
+
+    async def _run(self, op: str, payload: Any) -> list[Any]:
+        if self._executor is None or self._state is None:
+            raise RuntimeError("in-process shard is not started")
+        encoded = await asyncio.get_running_loop().run_in_executor(
+            self._executor, self._state.run, op, payload
+        )
+        return decode_outcomes(encoded)
+
+    async def execute(
+        self, key: PairKey, items: Sequence[RequestItem]
+    ) -> list[Any]:
+        return await self._run("batch", (tuple(key), list(items)))
+
+    async def execute_track(
+        self,
+        index: int,
+        generation: int,
+        op: str,
+        payload: Any,
+        n_items: int = 1,
+    ) -> list[Any]:
+        return await self._run(op, payload)
+
+    def ready_homes(self) -> list[tuple[int, int]]:
+        return [LOCAL_HOME]
+
+    def respawning_shards(self) -> list[int]:
+        return []
+
+    def describe(self) -> dict[str, Any]:
+        """Per-pair pool stats (the ``/stats`` ``pools`` map)."""
+        pools = {} if self._state is None else self._state.pools
+        return {
+            f"{substrate}/{model}": pool.describe()
+            for (substrate, model), pool in pools.items()
+        }
 
 
 @dataclass
@@ -285,6 +264,8 @@ class WorkerPool:
     so the pool survives the service being driven from different event
     loops over its lifetime (each ``infer_many`` call runs its own).
     """
+
+    mode = "sharded"
 
     def __init__(self, spec: WorkerSpec, policy: ShardPolicy):
         if policy.workers < 1:
@@ -417,8 +398,8 @@ class WorkerPool:
 
     async def execute(
         self, key: PairKey, items: Sequence[RequestItem]
-    ) -> list[Outcome]:
-        """Route one assembled micro-batch to a shard; await its result.
+    ) -> list[Any]:
+        """Route one assembled micro-batch to a shard; await its outcomes.
 
         Raises:
             WorkerCrashed: the chosen shard died before answering (its
@@ -428,26 +409,9 @@ class WorkerPool:
         if not self._started:
             raise RuntimeError("worker pool is not started")
         handle = await self._pick(key[0])
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        job_id = next(self._job_ids)
-        with self._lock:
-            handle.inflight[job_id] = _Inflight(
-                loop=loop,
-                future=future,
-                n_requests=len(items),
-                sent_at=time.monotonic(),
-            )
-            handle.dispatched_batches += 1
-            handle.last_dispatch_at = time.monotonic()
-            handle.substrates.add(key[0])
-        try:
-            handle.conn.send(("batch", job_id, tuple(key), list(items)))
-        except (OSError, ValueError, BrokenPipeError) as error:
-            with self._lock:
-                handle.inflight.pop(job_id, None)
-            raise WorkerCrashed(handle.index, len(items)) from error
-        return await future
+        return await self._submit(
+            handle, "batch", (tuple(key), list(items)), len(items)
+        )
 
     async def execute_track(
         self,
@@ -477,11 +441,22 @@ class WorkerPool:
             if (
                 handle is None
                 or handle.generation != generation
-                or not (handle.alive and handle.ready)
+                or not handle.ready
             ):
                 raise WorkerCrashed(index, n_items)
-            loop = asyncio.get_running_loop()
-            future: asyncio.Future = loop.create_future()
+        return await self._submit(handle, op, payload, n_items)
+
+    async def _submit(
+        self, handle: WorkerHandle, op: str, payload: Any, n_items: int
+    ) -> list[Any]:
+        """Send one op to ``handle`` and await its decoded outcomes."""
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        with self._lock:
+            # Checked under the lock the death handler fails in-flight
+            # work under, so an op can never slip in after that sweep.
+            if not handle.alive:
+                raise WorkerCrashed(handle.index, n_items)
             job_id = next(self._job_ids)
             handle.inflight[job_id] = _Inflight(
                 loop=loop,
@@ -492,7 +467,7 @@ class WorkerPool:
             handle.dispatched_batches += 1
             handle.last_dispatch_at = time.monotonic()
         try:
-            handle.conn.send(("track", job_id, op, payload))
+            handle.conn.send(("run", job_id, op, payload))
         except (OSError, ValueError, BrokenPipeError) as error:
             with self._lock:
                 handle.inflight.pop(job_id, None)
@@ -530,7 +505,7 @@ class WorkerPool:
                 ]
                 if ready:
                     if self.policy.affinity:
-                        return min(
+                        chosen = min(
                             ready,
                             key=lambda h: (
                                 h.inflight_requests,
@@ -538,10 +513,13 @@ class WorkerPool:
                                 h.index,
                             ),
                         )
-                    return min(
-                        ready,
-                        key=lambda h: (h.inflight_requests, h.index),
-                    )
+                    else:
+                        chosen = min(
+                            ready,
+                            key=lambda h: (h.inflight_requests, h.index),
+                        )
+                    chosen.substrates.add(substrate)
+                    return chosen
             with self._lock:
                 if self._failed_permanently:
                     raise WorkerCrashed(
@@ -581,14 +559,7 @@ class WorkerPool:
             handle.completed_batches += 1
         if entry is None:
             return
-        outcomes: list[Outcome] = [
-            payload
-            if tag == "ok"
-            else TrackError(payload[0], str(payload[1]))
-            if tag == "track_error"
-            else RequestExecutionError(str(payload))
-            for tag, payload in encoded
-        ]
+        outcomes = decode_outcomes(encoded)
 
         def apply() -> None:
             if not entry.future.done():
@@ -673,4 +644,10 @@ class WorkerPool:
         }
 
 
-__all__ = ["WorkerHandle", "WorkerPool", "WorkerSpec", "_worker_main"]
+__all__ = [
+    "InProcessShard",
+    "WorkerHandle",
+    "WorkerPool",
+    "WorkerSpec",
+    "_worker_main",
+]

@@ -401,7 +401,7 @@ class TestBackpressure:
         def boom(session, substrate, model_name, items):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr("repro.serve.service.run_grouped", boom)
+        monkeypatch.setattr("repro.serve.execution.run_grouped", boom)
         service = make_service(model, ["cim"])
 
         async def drive():
@@ -523,7 +523,7 @@ class TestHTTP:
         def boom(session, substrate, model_name, items):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr("repro.serve.service.run_grouped", boom)
+        monkeypatch.setattr("repro.serve.execution.run_grouped", boom)
         service = make_service(model, ["cim"])
         with serve_http(service, port=0) as context:
             body = InferenceRequest(inputs, substrate="cim").to_json().encode()

@@ -405,7 +405,7 @@ class TestShardedTracks:
                 responses = [
                     await handle.step(controls[0], depths[0], truth=truths[0])
                 ]
-                victim = service._worker_pool._handles[0]
+                victim = service._shards._handles[0]
                 os.kill(victim.process.pid, signal.SIGSTOP)
                 task = asyncio.ensure_future(
                     handle.step(controls[1], depths[1], truth=truths[1])
@@ -450,7 +450,7 @@ class TestShardedTracks:
                     substrate="cim", init=init, seed=6
                 )
                 await handle.step(controls[0], depths[0], truth=truths[0])
-                victim = service._worker_pool._handles[0]
+                victim = service._shards._handles[0]
                 victim.process.kill()
                 responses = []
                 for control, depth, truth in zip(
@@ -603,7 +603,7 @@ class TestDegradedHealth:
         service = make_service(world, workers=1)
         with serve_http(service, port=0) as context:
             url = f"http://127.0.0.1:{context.port}/healthz"
-            victim = service._worker_pool._handles[0]
+            victim = service._shards._handles[0]
             victim.process.kill()
             victim.process.join(timeout=30)
             health = json.loads(

@@ -218,7 +218,7 @@ class TestCrashRecovery:
 
         async def drive():
             async with service:
-                victim = service._worker_pool._handles[0]
+                victim = service._shards._handles[0]
                 victim_pid = victim.process.pid
                 # Freeze the shard first so it provably cannot answer
                 # before the kill: the batch stays in flight until
@@ -244,12 +244,12 @@ class TestCrashRecovery:
                 response = await service.submit(
                     InferenceRequest(inputs, substrate="cim", seed=5)
                 )
-                respawned = service._worker_pool._handles[0]
+                respawned = service._shards._handles[0]
                 return victim_pid, respawned.process.pid, response
 
         victim_pid, respawned_pid, response = asyncio.run(drive())
         assert respawned_pid != victim_pid
-        assert service._worker_pool.respawns == 1
+        assert service._shards.respawns == 1
         assert service.stats.failed == 1
         session = build_reference_session("cim", model, n_iterations=N_ITER)
         assert_result_equal(response.result, reference_run(session, inputs, 5))
@@ -259,10 +259,10 @@ class TestCrashRecovery:
 
         async def drive():
             async with service:
-                victim = service._worker_pool._handles[0]
+                victim = service._shards._handles[0]
                 victim.process.kill()
                 for _ in range(200):
-                    replacement = service._worker_pool._handles[0]
+                    replacement = service._shards._handles[0]
                     if replacement is not victim and replacement.ready:
                         break
                     await asyncio.sleep(0.05)
