@@ -816,10 +816,11 @@ def _bench_serve(repeats: int) -> dict:
 # Reference config for the streaming-track benchmark (the "tracking"
 # case in BENCH_serve.json): thousands of concurrent live tracks over
 # the tiny demo world, each stepped measurement-by-measurement through
-# the service's track path (per-track state swap over one shared
-# prototype session, steps coalesced into micro-batches).  The baseline
-# is the same filter stepped by a one-shot session.run() -- the ratio is
-# machine-relative, so a committed baseline transfers across runners.
+# the service's track path (per-track state over one shared prototype
+# session, steps coalesced into micro-batches that run as fused waves).
+# The baseline is the same filter stepped by one-shot session.run()s --
+# the ratio is machine-relative, so a committed baseline transfers
+# across runners.
 _TRACKING_BENCH = {
     "substrate": "cim",
     "n_tracks": 2000,
@@ -827,7 +828,27 @@ _TRACKING_BENCH = {
     "parity_tracks": 4,
     "max_batch": 32,
     "max_wait_ms": 2.0,
+    "direct_runs": 2000,
 }
+
+
+def _direct_steps_per_s(session, init, measurements, runs: int) -> float:
+    """Steps/s of ``runs`` one-shot ``session.run()`` calls (seeds
+    0..runs-1): total steps over total elapsed, the statistic the service
+    side reports.  Each run's initialization is outside the timer, like
+    the service's track opens."""
+    import numpy as np
+
+    elapsed = 0.0
+    steps = 0
+    for seed in range(runs):
+        rng = np.random.default_rng(seed)
+        init.apply(session, rng)
+        start = time.perf_counter()
+        session.run(measurements, rng=rng)
+        elapsed += time.perf_counter() - start
+        steps += len(measurements[1])
+    return steps / elapsed
 
 
 def _bench_tracking() -> dict:
@@ -857,17 +878,13 @@ def _bench_tracking() -> dict:
     )
 
     # Direct baseline: the same filter advanced by one-shot session.run()
-    # (session build and initialization outside the timer -- steady-state
-    # per-step cost, same as the service's timed region).
-    session = world.build_session(cfg["substrate"])
-    direct_laps = []
-    for _ in range(3):
-        rng = np.random.default_rng(0)
-        init.apply(session, rng)
-        start = time.perf_counter()
-        session.run((controls, depths, truths), rng=rng)
-        direct_laps.append(time.perf_counter() - start)
-    direct_steps_per_s = cfg["steps_per_track"] / min(direct_laps)
+    # calls (session build outside the timer).
+    direct_steps_per_s = _direct_steps_per_s(
+        world.build_session(cfg["substrate"]),
+        init,
+        (controls, depths, truths),
+        cfg["direct_runs"],
+    )
 
     service = InferenceService(
         demo_model(),
@@ -963,6 +980,7 @@ _SCENARIO_MIX_BENCH = {
     "steps_per_track": 2,
     "max_batch": 32,
     "max_wait_ms": 2.0,
+    "direct_runs": 48,
 }
 
 
@@ -998,17 +1016,16 @@ def _bench_scenario_mix() -> dict:
 
     # Direct baseline: per-scenario one-shot session.run() per-step cost,
     # weighted by how many tracks of that scenario the mix assigns.
-    per_step_s: dict[str, float] = {}
-    for name, (world, init, measurements) in setups.items():
-        session = world.build_session(cfg["substrate"])
-        laps = []
-        for _ in range(3):
-            rng = np.random.default_rng(0)
-            init.apply(session, rng)
-            start = time.perf_counter()
-            session.run(measurements, rng=rng)
-            laps.append(time.perf_counter() - start)
-        per_step_s[name] = min(laps) / steps
+    per_step_s = {
+        name: 1.0
+        / _direct_steps_per_s(
+            world.build_session(cfg["substrate"]),
+            init,
+            measurements,
+            cfg["direct_runs"],
+        )
+        for name, (world, init, measurements) in setups.items()
+    }
     direct_total_s = sum(per_step_s[name] * steps for name in assignment)
     steps_total = len(assignment) * steps
     direct_steps_per_s = steps_total / direct_total_s
@@ -1093,6 +1110,7 @@ def _bench_scenario_mix() -> dict:
         "steps_per_track": steps,
         "max_batch": cfg["max_batch"],
         "max_wait_ms": cfg["max_wait_ms"],
+        "direct_runs": cfg["direct_runs"],
         "mix": {name: weight for name, weight in cfg["mix"]},
         "counts": counts,
         "steps_total": steps_total,

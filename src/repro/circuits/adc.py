@@ -55,13 +55,30 @@ class LogarithmicADC:
     ) -> np.ndarray:
         """Quantise current(s) to integer codes."""
         current = np.asarray(current, dtype=float)
+        return self.quantize(current, self.draw_noise(current.shape, rng))
+
+    def draw_noise(
+        self, shape: tuple[int, ...], rng: np.random.Generator | None
+    ) -> np.ndarray | None:
+        """The input-referred noise (in LSBs) one :meth:`convert` of
+        ``shape`` draws from ``rng``; ``None`` for a noiseless ADC."""
+        if self.noise_lsb <= 0:
+            return None
+        if rng is None:
+            raise ValueError("rng required when noise_lsb > 0")
+        return rng.normal(scale=self.noise_lsb, size=shape)
+
+    def quantize(
+        self, current: np.ndarray, noise: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Quantise current(s) to integer codes with pre-drawn input noise
+        (see :meth:`draw_noise`)."""
+        current = np.asarray(current, dtype=float)
         clipped = np.clip(current, self.i_min, self.i_max)
         fraction = np.log(clipped / self.i_min) / self._log_span
         codes = fraction * (self.levels - 1)
-        if self.noise_lsb > 0:
-            if rng is None:
-                raise ValueError("rng required when noise_lsb > 0")
-            codes = codes + rng.normal(scale=self.noise_lsb, size=codes.shape)
+        if noise is not None:
+            codes = codes + noise
         return np.clip(np.rint(codes), 0, self.levels - 1).astype(np.int64)
 
     def decode(self, codes: np.ndarray) -> np.ndarray:

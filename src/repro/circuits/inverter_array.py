@@ -89,6 +89,41 @@ class VoltageEncoder:
         return np.asarray(sigma_volts, dtype=float) / self.scale()
 
 
+# Rows per stacked array pass: past a few thousand queries the per-call
+# overhead is amortised, and larger passes only raise peak memory.
+STACK_ROWS = 4096
+
+
+@dataclass(frozen=True)
+class PlannedRead:
+    """One read's query points with its noise already drawn.
+
+    Attributes:
+        points: (N, A) world points.
+        current_noise: (N,) standard normals for the output-line current
+            noise, or ``None`` without a noise model.
+        adc_noise: (N,) ADC input noise in LSBs, or ``None`` for a
+            noiseless ADC.
+    """
+
+    points: np.ndarray
+    current_noise: np.ndarray | None
+    adc_noise: np.ndarray | None
+
+    @staticmethod
+    def stack(reads: list["PlannedRead"]) -> "PlannedRead":
+        """Reads of one array concatenated in order (one noise config)."""
+
+        def cat(parts: list[np.ndarray | None]) -> np.ndarray | None:
+            return None if parts[0] is None else np.concatenate(parts)
+
+        return PlannedRead(
+            np.concatenate([read.points for read in reads]),
+            cat([read.current_noise for read in reads]),
+            cat([read.adc_noise for read in reads]),
+        )
+
+
 class InverterColumn:
     """Specification of one programmed column.
 
@@ -251,14 +286,79 @@ class InverterArray:
             (N,) unnormalised log-likelihood values (log of the decoded
             summed current).
         """
+        [(log_lik, currents)] = self.read_planned(
+            [self.plan_read(points, rng)], encoder
+        )
+        self._account(currents.shape[0], currents)
+        return log_lik
+
+    def plan_read(
+        self, points: np.ndarray, rng: np.random.Generator | None = None
+    ) -> PlannedRead:
+        """Draw everything one read of ``points`` takes from ``rng``.
+
+        The draws are exactly those of :meth:`read_log_likelihood`, in its
+        order: the current noise (``total_current``), then the ADC input
+        noise.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        volts = encoder.encode(points)
+        current_noise = None
+        if self.noise is not None:
+            if rng is None:
+                raise ValueError("rng required when a noise model is attached")
+            current_noise = rng.normal(size=(points.shape[0],))
+        adc_noise = self.adc.draw_noise((points.shape[0],), rng)
+        return PlannedRead(points, current_noise, adc_noise)
+
+    def read_planned(
+        self, reads: list[PlannedRead], encoder: VoltageEncoder
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Evaluate planned reads in one stacked pass, without metering.
+
+        Returns one ``(log-likelihoods, currents)`` pair per read, each
+        bit-equal to that read evaluated alone; the caller meters every
+        read with :meth:`_account` on its ``currents``.  Consecutive reads
+        are stacked up to :data:`STACK_ROWS` rows per pass.  The
+        column-current sum stays one matvec per read: a BLAS matvec rounds
+        a row differently depending on the call's row count, so one
+        matvec over the stack would not reproduce the per-read values.
+        """
+        outputs: list[tuple[np.ndarray, np.ndarray]] = []
+        batch: list[PlannedRead] = []
+        rows = 0
+        for read in reads:
+            if batch and rows + read.points.shape[0] > STACK_ROWS:
+                outputs += self._read_stacked(batch, encoder)
+                batch, rows = [], 0
+            batch.append(read)
+            rows += read.points.shape[0]
+        if batch:
+            outputs += self._read_stacked(batch, encoder)
+        return outputs
+
+    def _read_stacked(
+        self, reads: list[PlannedRead], encoder: VoltageEncoder
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        stacked = reads[0] if len(reads) == 1 else PlannedRead.stack(reads)
+        volts = encoder.encode(stacked.points)
         for axis, dac in enumerate(self.dacs):
             volts[:, axis] = dac.convert(volts[:, axis])
-        currents = self.total_current(volts, rng=rng)
-        codes = self.adc.convert(currents, rng=rng)
-        self._account(points.shape[0], currents)
-        return self.adc.log_likelihood(codes)
+        columns = self.column_currents(volts)
+        bounds = np.cumsum([0] + [read.points.shape[0] for read in reads])
+        currents = np.empty(columns.shape[0])
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            currents[start:stop] = columns[start:stop] @ self.replication
+        if self.noise is not None:
+            currents = np.maximum(
+                self.noise.apply(currents, stacked.current_noise), 0.0
+            )
+        log_lik = self.adc.log_likelihood(
+            self.adc.quantize(currents, stacked.adc_noise)
+        )
+        return [
+            (log_lik[start:stop], currents[start:stop])
+            for start, stop in zip(bounds[:-1], bounds[1:])
+        ]
 
     def _account(self, n_queries: int, currents: np.ndarray) -> None:
         self.ledger.add(

@@ -65,4 +65,10 @@ class NoiseModel:
     def sample(self, current: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Return ``current`` with one noise realisation added."""
         current = np.asarray(current, dtype=float)
-        return current + rng.normal(size=current.shape) * self.total_sigma(current)
+        return self.apply(current, rng.normal(size=current.shape))
+
+    def apply(self, current: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        """Return ``current`` with pre-drawn standard normals scaled to
+        its noise sigma added (:meth:`sample` with the draw taken out)."""
+        current = np.asarray(current, dtype=float)
+        return current + normals * self.total_sigma(current)

@@ -15,16 +15,18 @@ sides; the duplicated columns are reported in the tiling report.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.circuits.energy import EnergyLedger
-from repro.circuits.inverter_array import VoltageEncoder
+from repro.circuits.inverter_array import PlannedRead, VoltageEncoder
 from repro.circuits.noise import NoiseModel
 from repro.circuits.technology import TechnologyNode
 from repro.circuits.variability import MismatchSampler
 from repro.core.codesign import hardware_sigma_menu, program_inverter_array
+from repro.filtering.measurement import FieldReading, MapFieldBackend
 from repro.maps.hmgm import HMGMixture
 
 
@@ -49,6 +51,20 @@ def tiled_sigma_menu(
     span = tile_size * (1.0 + 2.0 * apron_fraction)
     encoder = VoltageEncoder(lo=lo, hi=lo + span, vdd=node.vdd, margin=margin)
     return hardware_sigma_menu(node, encoder, fg_bits=fg_bits)
+
+
+@dataclass(frozen=True)
+class TiledPlan:
+    """One planned :meth:`TiledInverterArrayMap.field_log` call.
+
+    Attributes:
+        n_points: number of query points.
+        reads: ``(tile index, query rows, planned read)`` per tile visited,
+            in the stable-argsort order the field evaluation draws in.
+    """
+
+    n_points: int
+    reads: list[tuple[tuple[int, ...], np.ndarray, PlannedRead]]
 
 
 @dataclass(frozen=True)
@@ -178,6 +194,11 @@ class TiledInverterArrayMap:
             self._encoders[index] = encoder
         if not self._arrays:
             raise ValueError("no tile received any mixture component")
+        # Active tiles by the flat key plan_field_log groups queries on.
+        self._tile_at_key = {
+            (i * self.tiles[1] + j) * self.tiles[2] + k: (i, j, k)
+            for i, j, k in self._arrays
+        }
         duplicated -= mixture.n_components
         self.report = TilingReport(
             tiles=self.tiles,
@@ -194,16 +215,27 @@ class TiledInverterArrayMap:
         """(N, 3) integer tile indices for world points (clipped to grid)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         raw = np.floor((points - self.lo) / self.tile_size).astype(int)
-        return np.clip(raw, 0, np.asarray(self.tiles) - 1)
+        return np.minimum(np.maximum(raw, 0), np.asarray(self.tiles) - 1)
 
     def field_log(
         self, points: np.ndarray, rng: np.random.Generator | None = None
     ) -> np.ndarray:
         """(N,) log field values; queries are routed to their tile's array."""
+        [reading] = self.read_planned([self.plan_field_log(points, rng)])
+        reading.account()
+        return reading.values
+
+    def plan_field_log(
+        self, points: np.ndarray, rng: np.random.Generator | None = None
+    ) -> TiledPlan:
+        """Group ``points`` by tile and draw each tile read's noise.
+
+        Tiles are visited in stable-argsort key order, one
+        :meth:`~repro.circuits.inverter_array.InverterArray.plan_read` per
+        tile, so ``rng`` sees exactly the draws :meth:`field_log` makes.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         indices = self.tile_of(points)
-        result = np.full(points.shape[0], self._empty_tile_log)
-        # Group queries by tile to keep evaluations vectorised.
         keys = (
             indices[:, 0] * (self.tiles[1] * self.tiles[2])
             + indices[:, 1] * self.tiles[2]
@@ -211,17 +243,44 @@ class TiledInverterArrayMap:
         )
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
-        boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-        for group in np.split(order, boundaries):
-            index = tuple(indices[group[0]])
-            array = self._arrays.get(index)
-            if array is None:
+        ordered = points[order]
+        bounds = [0, *(np.flatnonzero(np.diff(sorted_keys)) + 1).tolist(), order.size]
+        reads = []
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            index = self._tile_at_key.get(int(sorted_keys[start]))
+            if index is None:
                 continue
-            encoder = self._encoders[index]
-            result[group] = array.read_log_likelihood(
-                points[group], encoder, rng=rng
+            read = self._arrays[index].plan_read(ordered[start:stop], rng)
+            reads.append((index, order[start:stop], read))
+        return TiledPlan(points.shape[0], reads)
+
+    def read_planned(self, plans: list[TiledPlan]) -> list[FieldReading]:
+        """Evaluate many planned field reads with one array pass per tile.
+
+        Every plan's reads of one tile are stacked into a single
+        DAC -> array -> noise -> ADC pass; each plan gets its values and
+        its deferred per-tile metering back, bit-equal to evaluating it
+        alone.  Nothing is metered until a reading's ``account()`` runs.
+        """
+        values = [np.full(plan.n_points, self._empty_tile_log) for plan in plans]
+        charges: list[list] = [[None] * len(plan.reads) for plan in plans]
+        by_tile: dict[tuple, list[tuple[int, int]]] = {}
+        for p, plan in enumerate(plans):
+            for j, (index, _, _) in enumerate(plan.reads):
+                by_tile.setdefault(index, []).append((p, j))
+        for index, members in by_tile.items():
+            array = self._arrays[index]
+            outputs = array.read_planned(
+                [plans[p].reads[j][2] for p, j in members], self._encoders[index]
             )
-        return result
+            for (p, j), (log_lik, currents) in zip(members, outputs):
+                values[p][plans[p].reads[j][1]] = log_lik
+                charges[p][j] = functools.partial(
+                    array._account, currents.shape[0], currents
+                )
+        return [
+            FieldReading(value, charge) for value, charge in zip(values, charges)
+        ]
 
     def merged_ledger(self) -> EnergyLedger:
         """Combined energy ledger across all tile arrays."""
@@ -239,7 +298,7 @@ class TiledInverterArrayMap:
         return merged.total_energy_j() / queries
 
 
-class TiledCIMBackend:
+class TiledCIMBackend(MapFieldBackend):
     """Measurement-model backend adapter for a tiled array map."""
 
     def __init__(self, tiled_map: TiledInverterArrayMap):
@@ -249,7 +308,10 @@ class TiledCIMBackend:
     def ledger(self) -> EnergyLedger:
         return self.tiled_map.merged_ledger()
 
-    def field_log(
+    def plan_field_log(
         self, points: np.ndarray, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        return self.tiled_map.field_log(points, rng=rng)
+    ) -> TiledPlan:
+        return self.tiled_map.plan_field_log(points, rng=rng)
+
+    def read_planned(self, plans: list[TiledPlan]) -> list[FieldReading]:
+        return self.tiled_map.read_planned(plans)

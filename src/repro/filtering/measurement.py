@@ -14,11 +14,14 @@ field comes from a pluggable backend:
 from __future__ import annotations
 
 import abc
+import functools
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.circuits.energy import EnergyLedger
-from repro.circuits.inverter_array import InverterArray, VoltageEncoder
+from repro.circuits.inverter_array import InverterArray, PlannedRead, VoltageEncoder
 from repro.circuits.technology import TechnologyNode
 from repro.filtering.particles import YAW_INDEX, ParticleSet
 from repro.maps.gmm import GaussianMixture
@@ -42,14 +45,55 @@ def state_to_pose(state: np.ndarray, camera_mount: Pose | None = None) -> Pose:
     return body.compose(camera_mount)
 
 
-class MapFieldBackend(abc.ABC):
-    """Evaluates the (unnormalised) log map field at world points."""
+@dataclass(frozen=True)
+class FieldReading:
+    """One planned field evaluation's values and its deferred metering.
 
-    @abc.abstractmethod
+    Attributes:
+        values: (Q,) log field values.
+        charges: ledger entries still owed, applied by :meth:`account`
+            into whatever ledgers the backend holds at that moment.
+    """
+
+    values: np.ndarray
+    charges: list[Callable[[], None]]
+
+    def account(self) -> None:
+        for charge in self.charges:
+            charge()
+
+
+class MapFieldBackend(abc.ABC):
+    """Evaluates the (unnormalised) log map field at world points.
+
+    A field evaluation runs in two halves so several callers can share
+    one hardware pass: :meth:`plan_field_log` takes every draw the
+    evaluation needs from the caller's generator, and
+    :meth:`read_planned` evaluates many plans at once and returns each
+    one's values plus its metering, deferred until
+    :meth:`FieldReading.account`.  :meth:`field_log` is the two halves
+    for a single caller.
+    """
+
     def field_log(
         self, points: np.ndarray, rng: np.random.Generator | None = None
     ) -> np.ndarray:
         """(Q,) log field values at (Q, 3) world points."""
+        [reading] = self.read_planned([self.plan_field_log(points, rng)])
+        reading.account()
+        return reading.values
+
+    @abc.abstractmethod
+    def plan_field_log(
+        self, points: np.ndarray, rng: np.random.Generator | None = None
+    ) -> Any:
+        """Everything one :meth:`field_log` of ``points`` draws from
+        ``rng``, drawn now and in the same order."""
+
+    @abc.abstractmethod
+    def read_planned(self, plans: list[Any]) -> list[FieldReading]:
+        """Evaluate planned reads; one reading per plan, each bit-equal
+        to that plan's :meth:`field_log` alone."""
 
     @property
     @abc.abstractmethod
@@ -88,12 +132,22 @@ class DigitalGMMBackend(MapFieldBackend):
     def ledger(self) -> EnergyLedger:
         return self._ledger
 
-    def field_log(
+    def plan_field_log(
         self, points: np.ndarray, rng: np.random.Generator | None = None
     ) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.atleast_2d(np.asarray(points, dtype=float))
+
+    def read_planned(self, plans: list[np.ndarray]) -> list[FieldReading]:
+        return [
+            FieldReading(
+                self._field_values(points),
+                [functools.partial(self._account, points.shape[0])],
+            )
+            for points in plans
+        ]
+
+    def _field_values(self, points: np.ndarray) -> np.ndarray:
         values = self.gmm.logpdf(points)
-        self._account(points.shape[0])
         if self.bits is None:
             return values
         if self._log_ceiling is None:
@@ -145,10 +199,24 @@ class CIMArrayBackend(MapFieldBackend):
     def ledger(self) -> EnergyLedger:
         return self.array.ledger
 
-    def field_log(
+    def plan_field_log(
         self, points: np.ndarray, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        return self.array.read_log_likelihood(points, self.encoder, rng=rng)
+    ) -> PlannedRead:
+        return self.array.plan_read(points, rng)
+
+    def read_planned(self, plans: list[PlannedRead]) -> list[FieldReading]:
+        """All plans in one array pass (a single array is one tile)."""
+        return [
+            FieldReading(
+                log_lik,
+                [
+                    functools.partial(
+                        self.array._account, currents.shape[0], currents
+                    )
+                ],
+            )
+            for log_lik, currents in self.array.read_planned(plans, self.encoder)
+        ]
 
 
 class DepthScanMeasurementModel:
@@ -223,11 +291,26 @@ class DepthScanMeasurementModel:
     ) -> np.ndarray:
         """Per-particle scan log-likelihoods, shape (N,).
 
+        :meth:`project`, the backend's field evaluation, then
+        :meth:`combine`.
+
         Args:
             particles: particle set (states (N, 4)).
             scan_points_cam: (M, 3) valid scan points in the camera frame.
             rng: generator (scan subsampling, backend noise).
         """
+        world = self.project(particles, scan_points_cam, rng)
+        field = self.backend.field_log(world.reshape(-1, 3), rng=rng)
+        return self.combine(field.reshape(world.shape[:2]))
+
+    def project(
+        self,
+        particles: ParticleSet,
+        scan_points_cam: np.ndarray,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Subsample the scan and move it through every particle pose:
+        (N, M, 3) world points (the scan subsample draws from ``rng``)."""
         if self._log_floor is None:
             raise RuntimeError("call calibrate_floor() before log_likelihoods()")
         scan = self.subsample_scan(scan_points_cam, rng)
@@ -248,7 +331,10 @@ class DepthScanMeasurementModel:
             + states[:, None, 1]
         )
         world[:, :, 2] = mounted[None, :, 2] + states[:, None, 2]
-        field = self.backend.field_log(world.reshape(-1, 3), rng=rng).reshape(n, m)
+        return world
+
+    def combine(self, field: np.ndarray) -> np.ndarray:
+        """(N,) log-likelihoods from the (N, M) field at projected points."""
         # Robust mixture with the floor, computed stably in the log domain.
         log_in = field + np.log1p(-self.outlier_fraction)
         log_out = self._log_floor + np.log(self.outlier_fraction + 1e-300)

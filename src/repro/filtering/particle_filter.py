@@ -86,6 +86,8 @@ class ParticleFilter:
     ) -> StepDiagnostics:
         """One predict-update-resample cycle.
 
+        :meth:`predict`, the measurement likelihoods, then :meth:`update`.
+
         Args:
             control: body-frame odometry increment (4,).
             scan_points_cam: (M, 3) valid scan points in the camera frame.
@@ -96,10 +98,34 @@ class ParticleFilter:
         """
         if self.particles is None:
             raise RuntimeError("call initialize() before step()")
-        predicted = self.motion_model.propagate(self.particles, control, rng)
+        predicted = self.predict(self.particles, control, rng)
         log_lik = self.measurement_model.log_likelihoods(
             predicted, scan_points_cam, rng
         )
+        self.particles, diagnostics = self.update(predicted, log_lik, rng)
+        self.history.append(diagnostics)
+        return diagnostics
+
+    def predict(
+        self,
+        particles: ParticleSet,
+        control: np.ndarray,
+        rng: np.random.Generator,
+    ) -> ParticleSet:
+        """The prediction half: propagate ``particles`` through the
+        motion model."""
+        return self.motion_model.propagate(particles, control, rng)
+
+    def update(
+        self,
+        predicted: ParticleSet,
+        log_lik: np.ndarray,
+        rng: np.random.Generator,
+    ) -> tuple[ParticleSet, StepDiagnostics]:
+        """The correction half: reweight ``predicted`` by the per-particle
+        log-likelihoods, resample (with roughening) when the ESS
+        collapses.  Returns the posterior set and its diagnostics; the
+        filter's own state is untouched."""
         updated = predicted.reweighted(log_lik - log_lik.max())
         ess = updated.effective_sample_size()
         resampled = ess < self.resample_threshold * updated.n_particles
@@ -112,7 +138,6 @@ class ParticleFilter:
                 updated = ParticleSet(
                     updated.states + jitter, updated.log_weights.copy()
                 )
-        self.particles = updated
         diagnostics = StepDiagnostics(
             estimate=updated.mean_estimate(),
             ess=ess,
@@ -120,8 +145,7 @@ class ParticleFilter:
             log_evidence=log_evidence,
             spread=updated.position_spread(),
         )
-        self.history.append(diagnostics)
-        return diagnostics
+        return updated, diagnostics
 
     def estimate(self) -> np.ndarray:
         """Current posterior-mean state."""

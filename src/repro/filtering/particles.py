@@ -8,9 +8,31 @@ position and heading (the convention of the paper's prior work [10]).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
-
 YAW_INDEX = 3
+
+
+def logsumexp(values: np.ndarray) -> np.float64:
+    """``scipy.special.logsumexp`` of a 1-D float array, bit-for-bit.
+
+    The same arithmetic as scipy 1.17's implementation, in plain numpy:
+    the maximal elements are taken out of the shifted sum and counted,
+    ``log1p(s / m) + log(m) + max``, with the direct ``log(sum(exp))``
+    standing in wherever that is not finite.  scipy's array-API layer
+    costs more per call than the particle filter's whole weight sum.
+    """
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if values.size == 0:
+        return np.float64(-np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = values.max(keepdims=True)
+        at_max = values == a_max
+        m = np.sum(at_max, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, values) - a_max), keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out[0]):
+            out = np.log(np.sum(np.exp(values), keepdims=True))
+    return out[0]
 
 
 class ParticleSet:

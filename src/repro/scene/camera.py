@@ -7,6 +7,7 @@ maps camera-frame points to world-frame points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +87,21 @@ class PinholeCamera:
         )
 
     def pixel_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrid of pixel coordinates (u, v), each of shape (H, W)."""
-        u = np.arange(self.width, dtype=float)
-        v = np.arange(self.height, dtype=float)
-        return np.meshgrid(u, v)
+        """Meshgrid of pixel coordinates (u, v), each of shape (H, W).
+
+        Built once per camera and returned read-only: every
+        :meth:`backproject` needs it.
+        """
+        return self._pixel_grid
+
+    @functools.cached_property
+    def _pixel_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        u, v = np.meshgrid(
+            np.arange(self.width, dtype=float), np.arange(self.height, dtype=float)
+        )
+        u.flags.writeable = False
+        v.flags.writeable = False
+        return u, v
 
     def ray_directions(self) -> np.ndarray:
         """Unit ray directions in the camera frame, shape (H, W, 3)."""

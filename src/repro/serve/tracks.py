@@ -11,9 +11,12 @@ first stateful layer on top of the stateless ``/infer`` path:
 - :class:`TrackStore` -- the per-process execution engine.  It does NOT
   build one session per track: it keeps one shared prototype
   :class:`~repro.api.substrates.LocalizationSession` per substrate and
-  swaps each track's state -- particles, its private RNG, and private
-  copies of the backend's energy ledgers -- in and out around every
-  step.  Per-track state is O(n_particles), which is what makes
+  carries each track's state -- particles, its private RNG, and private
+  copies of the backend's energy ledgers -- through the prototype's
+  filter halves, swapping the ledgers in only around the metering of
+  the track's field read.  A micro-batch executes as waves of at most
+  one step per track with one field pass per wave (one array pass per
+  tile on CIM).  Per-track state is O(n_particles), which is what makes
   thousands of live tracks feasible in one process.
 - :class:`TrackManager` -- lifecycle, placement, eviction and recovery:
   open/step/close with sticky routing of every track to one home shard,
@@ -23,7 +26,8 @@ first stateful layer on top of the stateless ``/infer`` path:
   :class:`~repro.serve.service.Batcher`, and crash recovery that either
   replays the track's buffered measurement log on a fresh shard or
   re-initializes the filter and flags ``state_lost`` on the next step
-  response.
+  response.  In-process tracks keep no replay log: their home dies only
+  with the service.
 
 The stream determinism contract (:func:`reference_track_run` is the
 oracle): a track stepped measurement-by-measurement is bit-for-bit equal
@@ -36,7 +40,8 @@ sequence on an identically built session.  Two mechanisms carry it:
    open and carried across steps reproduces the one-shot run exactly.
 2. Each track owns deep copies of the backend's post-calibration
    ledgers (the exact state a fresh session starts serving with).  A
-   step swaps them into the backend's ledger attributes, so cumulative
+   step meters its field read with them swapped into the backend's
+   ledger attributes, so cumulative
    metering is the same single ``since(open_mark)`` subtraction the
    one-shot run performs -- never a sum of per-step float deltas, which
    would not be bit-exact.
@@ -51,7 +56,7 @@ import time
 import uuid
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -170,7 +175,15 @@ def _merged_view(ledgers: Sequence[EnergyLedger]) -> EnergyLedger:
 class _StoredTrack:
     """One track's swap-in state inside a :class:`TrackStore`."""
 
-    __slots__ = ("substrate", "rng", "particles", "ledgers", "open_mark", "steps")
+    __slots__ = (
+        "substrate",
+        "rng",
+        "particles",
+        "ledgers",
+        "open_mark",
+        "last_mark",
+        "steps",
+    )
 
     def __init__(self, substrate: str, rng: np.random.Generator):
         self.substrate = substrate
@@ -178,7 +191,25 @@ class _StoredTrack:
         self.particles: Any = None
         self.ledgers: list[EnergyLedger] = []
         self.open_mark: Any = None
+        # Snapshot of the merged ledger view after the last step (None
+        # when a failed step metered after it was taken).
+        self.last_mark: Any = None
         self.steps = 0
+
+
+class _WaveItem:
+    """One step item between the phases of a wave."""
+
+    __slots__ = ("index", "item", "track", "rng_state", "predicted", "plan", "shape")
+
+    def __init__(self, index: int, item: tuple, track: _StoredTrack):
+        self.index = index
+        self.item = item
+        self.track = track
+        self.rng_state = track.rng.bit_generator.state
+        self.predicted: Any = None
+        self.plan: Any = None
+        self.shape: tuple[int, ...] = ()
 
 
 class TrackStore:
@@ -191,6 +222,15 @@ class TrackStore:
     must be called from one thread at a time (the manager serializes
     through a single-thread executor in-process, and shard processes are
     serial by construction).
+
+    A micro-batch of steps executes as *waves* of at most one step per
+    track.  A wave runs the per-track predict/project half of every
+    step (motion, scan subsample, world points, tile grouping and read
+    noise, all from the track's own generator in the order a lone step
+    draws them), then ONE field pass over every track's points -- one
+    DAC -> array -> noise -> ADC pass per tile on CIM -- then the
+    per-track update half (metering, reweight, resample).  Each response
+    is bit-for-bit the lone step's.
     """
 
     def __init__(self, world: TrackWorld, substrates: Sequence[str]):
@@ -229,6 +269,7 @@ class TrackStore:
         track.particles = session.localizer.filter.particles
         track.ledgers = [copy.deepcopy(ledger) for ledger in baseline]
         track.open_mark = _merged_view(track.ledgers).snapshot()
+        track.last_mark = track.open_mark
         self._tracks[track_id] = track
         return {
             "track_id": track_id,
@@ -237,37 +278,114 @@ class TrackStore:
         }
 
     def step_batch(self, items: Sequence[tuple]) -> list[Encoded]:
-        """Execute one micro-batch of steps, one wire-encoded outcome per
-        item (items may mix tracks and substrates; same-track items
-        execute in list order)."""
-        encoded: list[Encoded] = []
-        for track_id, control, depth, truth in items:
-            try:
-                encoded.append(
-                    ("ok", self._step_one(track_id, control, depth, truth))
+        """Execute one micro-batch of ``(track_id, control, depth,
+        truth)`` steps, one wire-encoded outcome per item in input order.
+
+        Items may mix tracks and substrates.  A new wave starts whenever
+        an item's track already has a step in the current wave, so
+        same-track items (a replayed log) execute in list order.
+        """
+        encoded: list[Any] = [None] * len(items)
+        wave: dict[str, list[_WaveItem]] = {}
+        in_wave: set[str] = set()
+        for index, item in enumerate(items):
+            track_id = item[0]
+            if track_id in in_wave:
+                self._run_wave(wave, encoded)
+                wave, in_wave = {}, set()
+            track = self._tracks.get(track_id)
+            if track is None:
+                encoded[index] = encode_error(
+                    TrackError(
+                        "unknown",
+                        f"track {track_id!r} is not open on this shard",
+                    )
                 )
-            except Exception as error:
-                encoded.append(encode_error(error))
+                continue
+            in_wave.add(track_id)
+            wave.setdefault(track.substrate, []).append(
+                _WaveItem(index, item, track)
+            )
+        self._run_wave(wave, encoded)
         return encoded
 
-    def _step_one(
-        self,
-        track_id: str,
-        control: np.ndarray,
-        depth: np.ndarray,
-        truth: Optional[np.ndarray],
-    ) -> dict:
-        track = self._tracks.get(track_id)
-        if track is None:
-            raise TrackError(
-                "unknown", f"track {track_id!r} is not open on this shard"
-            )
-        session, cells, _ = self._prototypes[track.substrate]
+    def _run_wave(
+        self, wave: dict[str, list[_WaveItem]], encoded: list[Any]
+    ) -> None:
+        for substrate, members in wave.items():
+            self._run_group(substrate, members, encoded)
+
+    def _run_group(
+        self, substrate: str, members: list[_WaveItem], encoded: list[Any]
+    ) -> None:
+        """One wave's steps on one substrate prototype."""
+        session, cells, _ = self._prototypes[substrate]
         localizer = session.localizer
-        pf = localizer.filter
-        step_mark = _merged_view(track.ledgers).snapshot()
-        pf.particles = track.particles
-        pf.history = []
+        staged = []
+        for member in members:
+            try:
+                self._predict(localizer, member)
+                staged.append(member)
+            except Exception as error:
+                encoded[member.index] = encode_error(error)
+        if not staged:
+            return
+        try:
+            readings = localizer.field_backend.read_planned(
+                [member.plan for member in staged]
+            )
+        except Exception as error:
+            if len(staged) == 1:
+                encoded[staged[0].index] = encode_error(error)
+                return
+            # Isolate the failure: rewind every generator to before its
+            # predict half and re-run the steps one at a time, so only
+            # the item that raises fails and the rest stay bit-exact.
+            for member in staged:
+                member.track.rng.bit_generator.state = member.rng_state
+            for member in staged:
+                self._run_group(
+                    substrate,
+                    [_WaveItem(member.index, member.item, member.track)],
+                    encoded,
+                )
+            return
+        for member, reading in zip(staged, readings):
+            try:
+                encoded[member.index] = (
+                    "ok",
+                    self._update(localizer, cells, member, reading),
+                )
+            except Exception as error:
+                encoded[member.index] = encode_error(error)
+
+    @staticmethod
+    def _predict(localizer: Any, member: _WaveItem) -> None:
+        """A step's first half: everything up to the field evaluation,
+        drawing from the track's generator exactly as a lone step does."""
+        _, control, depth, _ = member.item
+        rng = member.track.rng
+        scan = localizer.scan_points(np.asarray(depth, dtype=float), rng)
+        member.predicted = localizer.filter.predict(
+            member.track.particles, np.asarray(control, dtype=float), rng
+        )
+        world = localizer.measurement_model.project(member.predicted, scan, rng)
+        member.shape = world.shape[:2]
+        member.plan = localizer.field_backend.plan_field_log(
+            world.reshape(-1, 3), rng
+        )
+
+    @staticmethod
+    def _update(
+        localizer: Any, cells: list, member: _WaveItem, reading: Any
+    ) -> dict:
+        """A step's second half: meter the field read into the track's
+        ledgers, then reweight/resample and build the response."""
+        track = member.track
+        step_mark = track.last_mark
+        if step_mark is None:
+            step_mark = _merged_view(track.ledgers).snapshot()
+        track.last_mark = None
         # DET004 audit: the ledger-cell swap must restore the prototype
         # ledgers on every exit path -- a raising step would otherwise
         # leave this track's ledgers wired into the shared prototype,
@@ -276,21 +394,24 @@ class TrackStore:
         for (owner, attr), ledger in zip(cells, track.ledgers):
             setattr(owner, attr, ledger)
         try:
-            diagnostics = localizer.step(
-                np.asarray(control, dtype=float),
-                np.asarray(depth, dtype=float),
-                track.rng,
-            )
+            reading.account()
         finally:
             for (owner, attr), ledger in zip(cells, saved):
                 setattr(owner, attr, ledger)
-        track.particles = pf.particles
+        log_lik = localizer.measurement_model.combine(
+            reading.values.reshape(member.shape)
+        )
+        track.particles, diagnostics = localizer.filter.update(
+            member.predicted, log_lik, track.rng
+        )
         track.steps += 1
         view = _merged_view(track.ledgers)
+        track.last_mark = view.snapshot()
         cumulative = view.since(track.open_mark)
         step_scope = view.since(step_mark)
         estimate = np.asarray(diagnostics.estimate, dtype=float)
         error_m = None
+        truth = member.item[3]
         if truth is not None:
             truth_state = np.asarray(truth, dtype=float).reshape(-1)
             error_m = float(
@@ -572,7 +693,7 @@ class TrackManager:
             request.init,
             request.seed,
             home,
-            replayable=self.policy.replay_log_steps > 0,
+            replayable=self._replays(home),
         )
         # Reserve the id (and hold the track lock) across the shard op
         # so a concurrent same-id open or step cannot interleave.
@@ -671,10 +792,16 @@ class TrackManager:
             record.step_index = 0
             record.log = []
             record.log_bytes = 0
-            record.replayable = self.policy.replay_log_steps > 0
+            record.replayable = self._replays(home)
             record.state_lost_pending = True
             record.replayed_pending = 0
             self.track_stats.recovered_reinit += 1
+
+    def _replays(self, home: tuple[int, int]) -> bool:
+        """Whether a track on ``home`` keeps a crash-replay log: only a
+        shard process can die under a live service, so an in-process
+        home never replays and keeps no log."""
+        return home != LOCAL_HOME and self.policy.replay_log_steps > 0
 
     def _log_step(self, record: _LiveTrack, request: TrackStepRequest) -> None:
         """Buffer an *acked* step for crash replay, within the policy's

@@ -709,12 +709,15 @@ def _alive(pid):
 
 class TestStepExceptionSafety:
     """DET004 contract: a raising step must restore the prototype ledger
-    cells (the swap-in/swap-out in TrackStore._step_one), or one bad
-    measurement would wire a dead track's ledgers into every other
-    track's energy accounting on the shard."""
+    cells (the swap-in/swap-out around a wave item's metering in
+    TrackStore), or one bad measurement would wire a dead track's ledgers
+    into every other track's energy accounting on the shard."""
 
     @staticmethod
-    def _failing_store(world, init, seed, monkeypatch, measurements):
+    def _failing_store(world, init, seed, monkeypatch, measurements, seam):
+        """Step track ``t1`` once through ``step_batch`` with the
+        ``(owner, attribute)`` that ``seam(prototype session)`` picks out
+        of the wave's calls raising."""
         from repro.serve.tracks import TrackStore
 
         store = TrackStore(world, ("cim",))
@@ -722,12 +725,13 @@ class TestStepExceptionSafety:
         session, cells, _ = store._prototypes["cim"]
         before = [getattr(owner, attr) for owner, attr in cells]
         controls, depths, truths = measurements
+        owner, attribute = seam(session)
 
         def boom(*args, **kwargs):
             raise RuntimeError("sensor glitch")
 
         with monkeypatch.context() as patched:
-            patched.setattr(session.localizer, "step", boom)
+            patched.setattr(owner, attribute, boom)
             outcomes = store.step_batch(
                 [("t1", controls[0], depths[0], truths[0])]
             )
@@ -736,8 +740,13 @@ class TestStepExceptionSafety:
     def test_raising_step_restores_prototype_ledgers(
         self, world, measurements, init, monkeypatch
     ):
+        # The metering is the one part of a step that runs with the
+        # track's ledgers swapped into the prototype.
+        from repro.circuits.inverter_array import InverterArray
+
         store, cells, before, outcomes = self._failing_store(
-            world, init, 5, monkeypatch, measurements
+            world, init, 5, monkeypatch, measurements,
+            lambda session: (InverterArray, "_account"),
         )
         status, payload = outcomes[0]
         assert status == "error"
@@ -748,15 +757,21 @@ class TestStepExceptionSafety:
     def test_steps_after_failure_stay_bit_exact(
         self, world, measurements, init, monkeypatch
     ):
+        # The predict half is the wave's first call into a step, before
+        # any draw from the track's generator.
         store, _, _, outcomes = self._failing_store(
-            world, init, 7, monkeypatch, measurements
+            world, init, 7, monkeypatch, measurements,
+            lambda session: (session.localizer.filter, "predict"),
         )
         assert outcomes[0][0] == "error"
         controls, depths, truths = measurements
-        results = [
-            store._step_one("t1", controls[i], depths[i], truths[i])
-            for i in range(N_STEPS)
-        ]
+        results = []
+        for i in range(N_STEPS):
+            [(status, payload)] = store.step_batch(
+                [("t1", controls[i], depths[i], truths[i])]
+            )
+            assert status == "ok", payload
+            results.append(payload)
         reference = reference_track_run(world, "cim", init, 7, measurements)
         streamed = np.array([r["estimate"] for r in results])
         assert np.array_equal(streamed, reference.mean)

@@ -1,0 +1,521 @@
+"""Cross-track fused localization step: golden pins and wave parity.
+
+``TrackStore.step_batch`` runs a micro-batch as waves -- at most one
+step per track -- with one DAC -> array -> noise -> ADC pass per tile
+over every track's points.  Every response must stay bit-for-bit what
+the per-track step loop produced.
+
+The pins in ``data/track_golden_pins.json`` were captured from the
+per-track step loop (one ``localizer.step`` per item) that the wave
+replaces: per-step estimates (sha256), ``log_evidence``, ESS, spread,
+cumulative and per-step energy (float hex), ops and the energy
+breakdown, over the demo world with tiles (2, 2, 2) and noise on, a
+single array (tiles (1, 1, 1)), noise and mismatch off, and the
+``digital`` substrate.
+
+Regenerate the pins (only for a deliberate, reviewed change of the
+numerics) with::
+
+    PYTHONPATH=src python tests/test_track_wave.py --write
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.serve import TrackInit, reference_track_run
+from repro.serve.demo import demo_track_measurements, demo_track_world
+from repro.serve.tracks import TrackStore
+
+PINS_PATH = Path(__file__).with_name("data") / "track_golden_pins.json"
+PIN_SEEDS = (0, 1, 2, 3)
+PIN_STEPS = 8
+PIN_CONFIGS = {
+    "tiled-noisy": ("cim", {}),
+    "single-array": ("cim", {"tiles": (1, 1, 1)}),
+    "noiseless": ("cim", {"with_noise": False, "with_mismatch": False}),
+    "digital": ("digital", {}),
+}
+
+
+def pin_world(overrides: dict):
+    world = demo_track_world()
+    return dataclasses.replace(
+        world, localizer_kwargs={**world.localizer_kwargs, **overrides}
+    )
+
+
+def tracking_init(truths: np.ndarray) -> TrackInit:
+    return TrackInit(
+        mode="tracking",
+        state=truths[0],
+        sigma=np.full(truths.shape[1], 0.05),
+        z_range=None,
+    )
+
+
+def _response_pin(payload: dict) -> dict:
+    estimate = np.ascontiguousarray(payload["estimate"], dtype=float)
+    return {
+        "estimate_sha256": hashlib.sha256(estimate.tobytes()).hexdigest(),
+        "log_evidence": float(payload["log_evidence"]).hex(),
+        "ess": float(payload["ess"]).hex(),
+        "spread": float(payload["spread"]).hex(),
+        "resampled": bool(payload["resampled"]),
+        "energy_j": float(payload["energy_j"]).hex(),
+        "step_energy_j": float(payload["step_energy_j"]).hex(),
+        "ops_executed": int(payload["ops_executed"]),
+        "step_ops": int(payload["step_ops"]),
+        "breakdown": {
+            op: float(energy).hex()
+            for op, energy in sorted(payload["energy_breakdown_j"].items())
+        },
+    }
+
+
+def capture_config_pins(substrate: str, overrides: dict) -> list[list[dict]]:
+    """Seeds ``PIN_SEEDS`` stepped in lockstep, one batch per step."""
+    world = pin_world(overrides)
+    controls, depths, truths = demo_track_measurements(n_steps=PIN_STEPS)
+    init = tracking_init(truths)
+    store = TrackStore(world, (substrate,))
+    for seed in PIN_SEEDS:
+        store.open(f"t{seed}", substrate, init, seed)
+    pins: list[list[dict]] = [[] for _ in PIN_SEEDS]
+    for k in range(PIN_STEPS):
+        outcomes = store.step_batch(
+            [(f"t{seed}", controls[k], depths[k], truths[k]) for seed in PIN_SEEDS]
+        )
+        for bucket, (status, payload) in zip(pins, outcomes):
+            assert status == "ok", payload
+            bucket.append(_response_pin(payload))
+    return pins
+
+
+def capture_pins() -> dict:
+    return {
+        name: capture_config_pins(substrate, overrides)
+        for name, (substrate, overrides) in PIN_CONFIGS.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(PINS_PATH.read_text())
+
+
+@pytest.mark.parametrize("config", sorted(PIN_CONFIGS))
+def test_golden_pins_reproduce(golden, config):
+    substrate, overrides = PIN_CONFIGS[config]
+    assert capture_config_pins(substrate, overrides) == golden[config]
+
+
+# -- wave == per-track parity ----------------------------------------------
+
+N_STEPS = 4
+WAVE_CONFIGS = ("tiled-noisy", "single-array", "digital")
+
+
+@pytest.fixture(scope="module")
+def measurements():
+    return demo_track_measurements(n_steps=N_STEPS)
+
+
+@pytest.fixture(scope="module")
+def init(measurements):
+    return tracking_init(measurements[2])
+
+
+@pytest.fixture(scope="module")
+def worlds():
+    return {name: pin_world(PIN_CONFIGS[name][1]) for name in PIN_CONFIGS}
+
+
+@pytest.fixture(scope="module")
+def fresh_sessions(worlds):
+    """One freshly built session per config; oracles run on clones."""
+    return {
+        name: worlds[name].build_session(PIN_CONFIGS[name][0])
+        for name in WAVE_CONFIGS
+    }
+
+
+def oracle(fresh_session, init, seed, measurements):
+    """:func:`reference_track_run` on a clone of a fresh session (the
+    same build, without paying for it per seed)."""
+    session = fresh_session.clone()
+    rng = np.random.default_rng(int(seed))
+    init.apply(session, rng)
+    return session.run(measurements, rng=rng)
+
+
+def open_store(world, substrate, init, seeds):
+    store = TrackStore(world, (substrate,))
+    for seed in seeds:
+        store.open(f"t{seed}", substrate, init, seed)
+    return store
+
+
+def step_item(seed, k, measurements):
+    controls, depths, truths = measurements
+    return (f"t{seed}", controls[k], depths[k], truths[k])
+
+
+def payloads(outcomes):
+    for status, payload in outcomes:
+        assert status == "ok", payload
+    return [payload for _, payload in outcomes]
+
+
+def assert_matches_oracle(responses, reference):
+    streamed = np.array([r["estimate"] for r in responses])
+    assert np.array_equal(streamed, reference.mean)
+    final = responses[-1]
+    assert final["energy_j"] == reference.energy_j
+    assert final["ops_executed"] == reference.ops_executed
+    assert final["energy_breakdown_j"] == reference.energy_breakdown_j
+
+
+def test_clone_oracle_is_reference_track_run(
+    worlds, fresh_sessions, init, measurements
+):
+    reference = reference_track_run(
+        worlds["tiled-noisy"], "cim", init, 3, measurements
+    )
+    cloned = oracle(fresh_sessions["tiled-noisy"], init, 3, measurements)
+    assert np.array_equal(cloned.mean, reference.mean)
+    assert cloned.energy_j == reference.energy_j
+    assert cloned.energy_breakdown_j == reference.energy_breakdown_j
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 32])
+@pytest.mark.parametrize("config", WAVE_CONFIGS)
+class TestWaveParity:
+    """A ``width``-track wave == each track stepped on its own."""
+
+    def test_wave_matches_per_track(
+        self, width, config, worlds, fresh_sessions, init, measurements
+    ):
+        substrate = PIN_CONFIGS[config][0]
+        seeds = range(100, 100 + width)
+        store = open_store(worlds[config], substrate, init, seeds)
+        streams = {seed: [] for seed in seeds}
+        for k in range(N_STEPS):
+            batch = payloads(
+                store.step_batch([step_item(seed, k, measurements) for seed in seeds])
+            )
+            for seed, payload in zip(seeds, batch):
+                streams[seed].append(payload)
+        # Full responses (per-step scopes, evidence, ESS) against one
+        # track stepped alone, cumulative metering against the oracle.
+        lone_seed = seeds[-1]
+        lone = open_store(worlds[config], substrate, init, [lone_seed])
+        for k in range(N_STEPS):
+            [alone] = payloads(lone.step_batch([step_item(lone_seed, k, measurements)]))
+            assert _response_pin(alone) == _response_pin(streams[lone_seed][k])
+        for seed in seeds:
+            reference = oracle(fresh_sessions[config], init, seed, measurements)
+            assert_matches_oracle(streams[seed], reference)
+
+    def test_planned_reads_match_lone_reads(self, width, config, fresh_sessions):
+        """Backend level, with ADC input noise switched on as well: one
+        ``read_planned`` over ``width`` plans == lone ``field_log`` calls
+        in values, generator states and metering."""
+        session_a = fresh_sessions[config].clone()
+        session_b = fresh_sessions[config].clone()
+        for session in (session_a, session_b):
+            for array in _arrays(session.localizer.field_backend):
+                array.adc.noise_lsb = 0.4
+        lone_backend = session_a.localizer.field_backend
+        wave_backend = session_b.localizer.field_backend
+        lo, hi = session_a.localizer.bounds
+        points = [
+            np.random.default_rng([width, i]).uniform(lo - 0.3, hi + 0.3, size=(n, 3))
+            for i, n in enumerate(_point_counts(width))
+        ]
+        lone_rngs = [np.random.default_rng([7, i]) for i in range(width)]
+        wave_rngs = [np.random.default_rng([7, i]) for i in range(width)]
+        lone_values = [
+            lone_backend.field_log(p, rng=r) for p, r in zip(points, lone_rngs)
+        ]
+        readings = wave_backend.read_planned(
+            [wave_backend.plan_field_log(p, rng=r) for p, r in zip(points, wave_rngs)]
+        )
+        for reading in readings:
+            reading.account()
+        for lone, reading in zip(lone_values, readings):
+            assert np.array_equal(lone, reading.values)
+        for lone_rng, wave_rng in zip(lone_rngs, wave_rngs):
+            assert lone_rng.bit_generator.state == wave_rng.bit_generator.state
+        assert _ledger_pin(lone_backend.ledger) == _ledger_pin(wave_backend.ledger)
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 32])
+def test_stacked_array_pass_matches_lone_reads(width, fresh_sessions):
+    """Array level, currents compared bitwise: short reads of every
+    length mod 4, so each read's rows land on both sides of a BLAS
+    matvec's row blocking when stacked."""
+    localizer = fresh_sessions["single-array"].localizer
+    array, encoder = localizer.array, localizer.encoder
+    lo, hi = localizer.bounds
+    rng = np.random.default_rng([11, width])
+    reads = [
+        array.plan_read(rng.uniform(lo, hi, size=(1 + (7 * i) % 13, 3)), rng)
+        for i in range(4 * width)
+    ]
+    stacked = array.read_planned(reads, encoder)
+    for read, (log_lik, currents) in zip(reads, stacked):
+        [(lone_log_lik, lone_currents)] = array.read_planned([read], encoder)
+        assert np.array_equal(currents, lone_currents)
+        assert np.array_equal(log_lik, lone_log_lik)
+
+
+def _arrays(backend):
+    if hasattr(backend, "tiled_map"):
+        return list(backend.tiled_map._arrays.values())
+    if hasattr(backend, "array"):
+        return [backend.array]
+    return []
+
+
+def _point_counts(width):
+    """Uneven per-plan sizes, so stacked reads straddle every tail."""
+    return [48 * 16 - 37 * (i % 5) for i in range(width)]
+
+
+def _ledger_pin(ledger):
+    return {op: (ledger.count(op), ledger.energy(op).hex()) for op in ledger.operations}
+
+
+class TestWaveShapes:
+    def test_replay_shaped_batch_runs_in_order(
+        self, worlds, fresh_sessions, init, measurements
+    ):
+        """One track's whole log in one batch (crash replay), interleaved
+        with another track: same-track items split into waves in order."""
+        store = open_store(worlds["tiled-noisy"], "cim", init, [1, 2])
+        items = [step_item(1, k, measurements) for k in range(N_STEPS)]
+        items.insert(2, step_item(2, 0, measurements))
+        outcomes = payloads(store.step_batch(items))
+        replayed = [outcomes[i] for i in (0, 1, 3, 4)]
+        assert_matches_oracle(
+            replayed, oracle(fresh_sessions["tiled-noisy"], init, 1, measurements)
+        )
+        lone = open_store(worlds["tiled-noisy"], "cim", init, [2])
+        [alone] = payloads(lone.step_batch([step_item(2, 0, measurements)]))
+        assert _response_pin(alone) == _response_pin(outcomes[2])
+
+    def test_invalid_depth_fails_only_its_item(
+        self, worlds, fresh_sessions, init, measurements
+    ):
+        seeds = (1, 2, 3)
+        store = open_store(worlds["tiled-noisy"], "cim", init, seeds)
+        controls, depths, truths = measurements
+        batch = [step_item(seed, 0, measurements) for seed in seeds]
+        batch[1] = ("t2", controls[0], np.full_like(depths[0], np.nan), truths[0])
+        outcomes = store.step_batch(batch)
+        assert outcomes[1][0] == "error"
+        assert "no valid pixels" in outcomes[1][1]
+        streams = {1: [outcomes[0][1]], 2: [], 3: [outcomes[2][1]]}
+        for k in range(N_STEPS):
+            live = [seed for seed in seeds if k > 0 or seed == 2]
+            batch = payloads(
+                store.step_batch([step_item(seed, k, measurements) for seed in live])
+            )
+            for seed, payload in zip(live, batch):
+                streams[seed].append(payload)
+        for seed in seeds:
+            reference = oracle(fresh_sessions["tiled-noisy"], init, seed, measurements)
+            assert_matches_oracle(streams[seed], reference)
+
+    def test_unknown_track_fails_only_its_item(self, worlds, init, measurements):
+        store = open_store(worlds["tiled-noisy"], "cim", init, [1])
+        outcomes = store.step_batch(
+            [step_item(9, 0, measurements), step_item(1, 0, measurements)]
+        )
+        assert outcomes[0] == (
+            "track_error", ("unknown", "track 't9' is not open on this shard")
+        )
+        assert outcomes[1][0] == "ok"
+
+    def test_failed_update_keeps_next_step_scope(
+        self, worlds, init, measurements, monkeypatch
+    ):
+        """An update half that raises after its field read was metered:
+        the read stays in the track's cumulative ledgers (as a lone step
+        that raised there would leave it) but not in the next step's
+        per-step scope."""
+        store = open_store(worlds["tiled-noisy"], "cim", init, [1, 2])
+        pf = store._prototypes["cim"][0].localizer.filter
+
+        def glitch(*args, **kwargs):
+            raise RuntimeError("update glitch")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(pf, "update", glitch)
+            outcomes = store.step_batch([step_item(1, 0, measurements)])
+        assert outcomes[0][0] == "error"
+        failed, clean = payloads(
+            store.step_batch(
+                [step_item(1, 0, measurements), step_item(2, 0, measurements)]
+            )
+        )
+        assert failed["step_ops"] == clean["step_ops"]
+        assert failed["ops_executed"] == 2 * clean["ops_executed"]
+
+    def test_shared_pass_failure_retries_item_by_item(
+        self, worlds, fresh_sessions, init, measurements, monkeypatch
+    ):
+        """A one-shot raise in the shared tile pass: the wave rewinds the
+        generators and re-runs its items alone; all succeed, bit-exact."""
+        from repro.core.tiling import TiledInverterArrayMap
+
+        original = TiledInverterArrayMap.read_planned
+        calls = []
+
+        def flaky(self, plans):
+            calls.append(len(plans))
+            if len(calls) == 1:
+                raise RuntimeError("transient array fault")
+            return original(self, plans)
+
+        seeds = (4, 5, 6)
+        store = open_store(worlds["tiled-noisy"], "cim", init, seeds)
+        monkeypatch.setattr(TiledInverterArrayMap, "read_planned", flaky)
+        streams = {seed: [] for seed in seeds}
+        for k in range(N_STEPS):
+            batch = payloads(
+                store.step_batch([step_item(seed, k, measurements) for seed in seeds])
+            )
+            for seed, payload in zip(seeds, batch):
+                streams[seed].append(payload)
+        assert calls[:4] == [3, 1, 1, 1]
+        for seed in seeds:
+            reference = oracle(fresh_sessions["tiled-noisy"], init, seed, measurements)
+            assert_matches_oracle(streams[seed], reference)
+
+    def test_shared_pass_failure_fails_only_the_raising_item(
+        self, worlds, fresh_sessions, init, measurements, monkeypatch
+    ):
+        from repro.core.tiling import TiledInverterArrayMap
+
+        original = TiledInverterArrayMap.read_planned
+        bad = {}
+
+        def selective(self, plans):
+            if any(plan is bad.get("plan") for plan in plans):
+                raise RuntimeError("bad tile read")
+            return original(self, plans)
+
+        original_plan = TiledInverterArrayMap.plan_field_log
+        plans_made = []
+
+        def recording(self, points, rng=None):
+            plan = original_plan(self, points, rng)
+            plans_made.append(plan)
+            if len(plans_made) in (2, 5):  # the middle item, both tries
+                bad["plan"] = plan
+            return plan
+
+        seeds = (4, 5, 6)
+        store = open_store(worlds["tiled-noisy"], "cim", init, seeds)
+        monkeypatch.setattr(TiledInverterArrayMap, "read_planned", selective)
+        monkeypatch.setattr(TiledInverterArrayMap, "plan_field_log", recording)
+        outcomes = store.step_batch(
+            [step_item(seed, 0, measurements) for seed in seeds]
+        )
+        assert [status for status, _ in outcomes] == ["ok", "error", "ok"]
+        assert "bad tile read" in outcomes[1][1]
+        for seed, (_, payload) in zip((4, 6), (outcomes[0], outcomes[2])):
+            reference = oracle(
+                fresh_sessions["tiled-noisy"], init, seed,
+                tuple(part[:1] for part in measurements),
+            )
+            assert_matches_oracle([payload], reference)
+
+
+# -- log evidence -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        np.random.default_rng(0).normal(scale=30.0, size=48),
+        np.random.default_rng(1).normal(size=300) - 1e3,
+        np.array([0.5, 2.0, 2.0, -1.0, 2.0]),
+        np.zeros(48),
+        np.array([-3.25]),
+        np.array([1.0, np.inf, 2.0]),
+        np.array([np.inf, np.inf]),
+        np.array([-np.inf, -np.inf, -np.inf]),
+        np.array([-np.inf, 0.0, -np.inf]),
+        np.array([np.nan, 1.0]),
+        np.array([1e308, 1e308, -1e308]),
+    ],
+    ids=[
+        "random", "far-negative", "tied-max", "all-equal", "single",
+        "one-inf", "all-inf", "all-minus-inf", "minus-inf-mix", "nan",
+        "huge",
+    ],
+)
+def test_log_evidence_matches_scipy_bitwise(weights):
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    from repro.filtering.particles import ParticleSet
+
+    particles = ParticleSet(np.zeros((weights.size, 4)), weights)
+    with np.errstate(all="ignore"):
+        expected = float(scipy_logsumexp(weights) - np.log(weights.size))
+    got = particles.log_evidence()
+    assert np.array_equal(np.float64(got), np.float64(expected), equal_nan=True)
+    if np.isfinite(expected):
+        assert got.hex() == expected.hex()
+
+
+# -- in-process tracks keep no replay log ----------------------------------
+
+
+def test_in_process_tracks_keep_no_replay_log(worlds, init, measurements):
+    import asyncio
+
+    from repro.runtime import BatchPolicy
+    from repro.serve import InferenceService
+    from repro.serve.demo import demo_model
+
+    service = InferenceService(
+        demo_model(),
+        substrates=["digital"],
+        n_iterations=4,
+        batch=BatchPolicy(max_batch=8, max_wait_ms=5.0),
+        track_world=worlds["tiled-noisy"],
+        track_substrates=["cim"],
+    )
+    controls, depths, truths = measurements
+
+    async def drive():
+        async with service:
+            handle = await service.open_track(substrate="cim", init=init, seed=3)
+            for k in range(N_STEPS):
+                await handle.step(controls[k], depths[k], truth=truths[k])
+            record = service._track_manager._tracks[handle.track_id]
+            return record, service.stats_snapshot()["tracks"]
+
+    record, stats = asyncio.run(drive())
+    assert record.replayable is False
+    assert record.log == [] and record.log_bytes == 0
+    assert stats["log_bytes"] == 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_track_wave.py --write")
+    PINS_PATH.parent.mkdir(exist_ok=True)
+    PINS_PATH.write_text(json.dumps(capture_pins(), indent=1) + "\n")
+    print(f"wrote {PINS_PATH}")
