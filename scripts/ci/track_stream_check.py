@@ -7,13 +7,20 @@ equal to a one-shot ``LocalizationSession.run()`` over the same sequence
 contract.  Used by scripts/ci/smoke_serve.sh; works identically against
 single-process and sharded (--workers N) servers.
 
+Every POST goes over one persistent HTTP/1.1 connection, with a POST to
+an unknown path (body left unread, so the server closes) between two
+steps: the stream must carry on exactly, on one reused connection
+before and one after.
+
 Environment:
     SERVE_URL   base URL (default http://127.0.0.1:8731)
     N_STEPS     measurement steps to stream (default 3)
 """
 
+import http.client
 import json
 import os
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -23,20 +30,26 @@ from repro.serve import TrackInit, TrackStepResponse, reference_track_run
 from repro.serve.demo import demo_track_measurements, demo_track_world
 
 
-def post(base_url: str, path: str, payload: dict) -> dict:
-    raw = urllib.request.urlopen(
-        urllib.request.Request(
-            f"{base_url}{path}",
-            data=strict_dumps(payload).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-    ).read().decode()
+def post(conn: http.client.HTTPConnection, path: str, payload: dict) -> dict:
+    conn.request(
+        "POST",
+        path,
+        body=strict_dumps(payload).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    reply = conn.getresponse()
+    raw = reply.read().decode()
+    assert reply.status == 200, raw
     return strict_loads(raw)
 
 
 def main() -> None:
     base_url = os.environ.get("SERVE_URL", "http://127.0.0.1:8731")
     n_steps = int(os.environ.get("N_STEPS", "3"))
+    assert n_steps >= 2, "N_STEPS must be >= 2 (a 404 goes between steps)"
+    url = urllib.parse.urlsplit(base_url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=120)
+    sockets = []
 
     world = demo_track_world()
     controls, depths, truths = demo_track_measurements(n_steps=n_steps)
@@ -48,15 +61,23 @@ def main() -> None:
     )
 
     opened = post(
-        base_url,
+        conn,
         "/track/open",
         {"init": init.to_dict(), "substrate": "cim", "seed": 21},
     )
     track_id = opened["track_id"]
     responses = []
-    for control, depth, truth in zip(controls, depths, truths):
+    for index, (control, depth, truth) in enumerate(
+        zip(controls, depths, truths)
+    ):
+        if index == 1:
+            conn.request("POST", "/nope", body=b'{"track_id": "x"}')
+            rejected = conn.getresponse()
+            rejected.read()
+            assert rejected.status == 404, rejected.status
+            assert rejected.getheader("Connection") == "close"
         payload = post(
-            base_url,
+            conn,
             "/track/step",
             {
                 "track_id": track_id,
@@ -66,7 +87,14 @@ def main() -> None:
             },
         )
         responses.append(TrackStepResponse.from_dict(payload))
-    closed = post(base_url, "/track/close", {"track_id": track_id})
+        sockets.append(conn.sock)
+    closed = post(conn, "/track/close", {"track_id": track_id})
+    sockets.append(conn.sock)
+    conn.close()
+    assert sockets[0] is not sockets[1], "the 404 must end its connection"
+    assert all(sock is sockets[1] for sock in sockets[1:]), (
+        "steps after the 404 must reuse one persistent connection"
+    )
     assert closed["closed"] is True, closed
     assert closed["steps"] == n_steps, closed
 

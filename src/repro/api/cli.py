@@ -1737,7 +1737,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--max-wait-ms", type=float, default=5.0, metavar="MS",
-        help="longest an admitted request waits for batch company",
+        help="upper bound on how long an admitted request waits for "
+        "batch company (an idle server dispatches at once)",
     )
     serve_parser.add_argument(
         "--max-pending", type=int, default=64, metavar="N",

@@ -135,27 +135,78 @@ def restore_nonfinite(obj: Any) -> Any:
     return obj
 
 
+def _fast_default(obj: Any) -> Any:
+    """``default`` hook for the C encoder: :func:`to_jsonable` per object.
+
+    Raises ``TypeError`` for values :func:`to_jsonable` leaves in a form
+    ``json`` cannot write (arrays and numpy scalars that do not become
+    plain ``bool`` / ``int`` / ``float``), which sends the payload down
+    :func:`strict_dumps`'s walking path so it fails (or succeeds) exactly
+    as that path does.
+    """
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind not in "biuf" or obj.dtype.itemsize > 8:
+            raise TypeError(f"array of dtype {obj.dtype} takes the slow path")
+    elif isinstance(obj, np.generic) and not isinstance(
+        obj.item(), (bool, int, float)
+    ):
+        raise TypeError(f"{type(obj).__name__} takes the slow path")
+    return to_jsonable(obj)
+
+
+# Non-str keys the encoder spells differently from ``str(key)``
+# (``True`` -> "true", ``None`` -> "null"); a payload whose text holds
+# one of these keys is re-encoded by the walking path.  An escaped quote
+# inside a string value can never produce the pattern.
+_JSON_ONLY_KEYS = tuple(f'"{word}": ' for word in ("true", "false", "null"))
+
+
 def strict_dumps(obj: Any, indent: int | None = None) -> str:
     """Strictly valid JSON text for ``obj`` (wire format).
 
-    ``obj`` is passed through :func:`to_jsonable` then
-    :func:`sanitize_nonfinite`, so numpy arrays become tagged dicts and
-    non-finite floats become tagged sentinels; the result is guaranteed
-    parseable by any JSON implementation (``allow_nan=False`` enforces
-    it).
+    The text is what ``json.dumps(sanitize_nonfinite(to_jsonable(obj)),
+    allow_nan=False)`` gives: numpy arrays become tagged dicts and
+    non-finite floats become tagged sentinels, so the result is
+    parseable by any JSON implementation.  The C encoder writes the
+    whole tree in one pass (arrays converted by a ``default`` hook);
+    only a payload holding a non-finite float, or a dict key the encoder
+    would spell differently, takes the walking path.
     """
+    try:
+        text = json.dumps(
+            obj, indent=indent, allow_nan=False, default=_fast_default
+        )
+    except (ValueError, TypeError):
+        pass
+    else:
+        if not any(key in text for key in _JSON_ONLY_KEYS):
+            return text
     return json.dumps(
         sanitize_nonfinite(to_jsonable(obj)), indent=indent, allow_nan=False
     )
 
 
+def _restore_object(obj: dict) -> Any:
+    """``object_hook`` of :func:`strict_loads`: one dict at a time."""
+    if len(obj) == 1 and _NONFINITE_TAG in obj:
+        try:
+            return _NONFINITE_DECODE[obj[_NONFINITE_TAG]]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"unknown non-finite tag {obj[_NONFINITE_TAG]!r}"
+            ) from None
+    return obj
+
+
 def strict_loads(text: str) -> Any:
     """Parse :func:`strict_dumps` output, restoring non-finite floats.
 
-    Numpy-array tags are left in jsonable form for the caller's
-    ``from_dict`` / :func:`from_jsonable` to restore.
+    Equal to ``restore_nonfinite(json.loads(text))``; the sentinels are
+    restored by an ``object_hook`` as each dict is parsed, so lists are
+    never walked.  Numpy-array tags are left in jsonable form for the
+    caller's ``from_dict`` / :func:`from_jsonable` to restore.
     """
-    return restore_nonfinite(json.loads(text))
+    return json.loads(text, object_hook=_restore_object)
 
 
 def _optional_array(value: Any) -> np.ndarray | None:

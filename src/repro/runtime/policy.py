@@ -20,9 +20,12 @@ class BatchPolicy:
     Attributes:
         max_batch: largest micro-batch assembled before dispatch; 1
             disables coalescing (every item dispatches alone).
-        max_wait_ms: longest an admitted item waits for company before
-            its (possibly undersized) batch dispatches anyway.  0 means
-            dispatch whatever is immediately available.
+        max_wait_ms: upper bound on how long an admitted item waits for
+            company before its (possibly undersized) batch dispatches
+            anyway.  Batching is work-conserving: an idle batcher (no
+            batch in flight) dispatches at once, and a waiting batch
+            also dispatches as soon as an in-flight one completes.  0
+            means dispatch whatever is immediately available.
     """
 
     max_batch: int = 8

@@ -15,8 +15,9 @@ with results that stay bit-for-bit equal to a standalone pinned-mask
   shard runs (:class:`~repro.serve.execution.ShardState` op dispatch,
   one outcome codec); :func:`reference_run` is the determinism oracle.
 - :mod:`repro.serve.service` -- :class:`InferenceService` /
-  :class:`Batcher`: asyncio submission, ``(max_batch, max_wait_ms)``
-  coalescing, bounded-queue backpressure, per-request scoped metering.
+  :class:`Batcher`: asyncio submission, work-conserving
+  ``(max_batch, max_wait_ms)`` coalescing, bounded-queue backpressure,
+  per-request scoped metering.
 - :mod:`repro.serve.workers` -- the shard transports behind one
   surface: :class:`InProcessShard` (the default: one shard on one
   executor thread) or :class:`WorkerPool` (``ShardPolicy(workers=N)``:

@@ -33,6 +33,15 @@ Every 503 -- admission bound, shard crash, track admission -- carries a
 the JSON body, so clients back off on structure instead of
 string-matching error messages.
 
+Connections are persistent (HTTP/1.1 keep-alive) with ``TCP_NODELAY``
+set, so a client reuses one connection for many requests and a small
+reply is never held back by Nagle's algorithm waiting on a delayed ACK.
+A reply sent before the request body was read (unknown POST path, bad
+or missing ``Content-Length``) carries ``Connection: close`` -- the
+unread body must never be parsed as the next request.  An idle
+connection ends after :data:`IDLE_TIMEOUT_S`, and
+:meth:`ServingContext.close` ends every open one at once.
+
 Every body is emitted with :func:`repro.api.results.strict_dumps`, so
 the wire never carries bare ``NaN`` / ``Infinity`` tokens: non-finite
 floats arrive as tagged ``{"__nonfinite__": ...}`` sentinels that
@@ -42,7 +51,9 @@ floats arrive as tagged ``{"__nonfinite__": ...}`` sentinels that
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Coroutine
 
@@ -59,6 +70,9 @@ from repro.serve.types import (
 )
 
 REQUEST_TIMEOUT_S = 300.0
+# A keep-alive connection with no request for this long is closed, so an
+# idle client never pins a handler thread.
+IDLE_TIMEOUT_S = 30.0
 MAX_BODY_BYTES = 32 * 1024 * 1024
 RETRY_AFTER_S = 1
 
@@ -75,6 +89,11 @@ _TRACK_STATUS = {
 
 class _Handler(BaseHTTPRequestHandler):
     server: "ServiceHTTPServer"
+    protocol_version = "HTTP/1.1"
+    # Keep-alive without TCP_NODELAY stalls every reply on Nagle's
+    # algorithm meeting the client's delayed ACK (~40 ms per request).
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     # Quiet by default; the CLI enables logging via server attribute.
     def log_message(self, format: str, *args: Any) -> None:
@@ -86,13 +105,19 @@ class _Handler(BaseHTTPRequestHandler):
         status: int,
         payload: Any,
         headers: dict[str, str] | None = None,
+        close: bool = False,
     ) -> None:
+        """Send one JSON reply; ``close`` ends the connection after it
+        (required whenever the request body was left unread)."""
         body = strict_dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if close:
+            # Also sets self.close_connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -128,16 +153,29 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"unknown path {self.path!r}"})
 
     def _read_body(self) -> str | None:
+        """The request body, or None after replying with an error.
+
+        Every error reply that leaves body bytes unread closes the
+        connection, so they are never parsed as the next request.
+        """
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
-            self._reply(400, {"error": "bad Content-Length"})
+            self._reply(400, {"error": "bad Content-Length"}, close=True)
             return None
         if length <= 0 or length > MAX_BODY_BYTES:
-            self._reply(400, {"error": "missing or oversized request body"})
+            self._reply(
+                400, {"error": "missing or oversized request body"},
+                close=True,
+            )
+            return None
+        raw = self.rfile.read(length)
+        if len(raw) < length:
+            # The client went away mid-body: nothing left to answer.
+            self.close_connection = True
             return None
         try:
-            return self.rfile.read(length).decode("utf-8")
+            return raw.decode("utf-8")
         except UnicodeDecodeError as error:
             self._reply(400, {"error": f"bad request: {error}"})
             return None
@@ -145,7 +183,9 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         route = _ROUTES.get(self.path)
         if route is None:
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
+            self._reply(
+                404, {"error": f"unknown path {self.path!r}"}, close=True
+            )
             return
         body = self._read_body()
         if body is None:
@@ -202,7 +242,11 @@ _ROUTES: dict[str, Callable[[InferenceService, str], Coroutine]] = {
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer bound to a service and its event loop."""
+    """A ThreadingHTTPServer bound to a service and its event loop.
+
+    One daemon thread serves each (persistent) connection; the server
+    keeps them by socket so :meth:`close_connections` can end them all.
+    """
 
     daemon_threads = True
 
@@ -217,10 +261,46 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         self.service = service
         self.loop = loop
         self.verbose = verbose
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="repro-serve-conn",
+            daemon=self.daemon_threads,
+        )
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self, timeout: float) -> None:
+        """End every open connection and join its handler thread.
+
+        Shuts the read side only: a handler parked on an idle keep-alive
+        socket sees EOF and exits at once, while one mid-request still
+        writes its reply first.
+        """
+        with self._connections_lock:
+            connections = list(self._connections.items())
+        for sock, _ in connections:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:  # already closed by its handler
+                pass
+        deadline = time.monotonic() + timeout
+        for _, thread in connections:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 class ServingContext:
@@ -261,6 +341,7 @@ class ServingContext:
 
     def close(self) -> None:
         self.server.shutdown()
+        self.server.close_connections(timeout=10)
         self.server.server_close()
         self._http_thread.join(timeout=10)
         asyncio.run_coroutine_threadsafe(

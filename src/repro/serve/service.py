@@ -10,10 +10,12 @@ requests**:
   raises :class:`~repro.serve.types.ServiceOverloaded`
   instead of queueing without limit.
 - A :class:`Batcher` per pair coalesces concurrent ``submit`` calls into
-  ``session.run_batch`` micro-batches under the
-  :class:`~repro.runtime.BatchPolicy` ``(max_batch, max_wait_ms)``
-  window, amortising dropout-mask drawing and the O(T^2) ordering search
-  across every same-seed request in the batch.
+  ``session.run_batch`` micro-batches, amortising dropout-mask drawing
+  and the O(T^2) ordering search across every same-seed request in the
+  batch.  Batching is work-conserving: a batcher with no batch in flight
+  dispatches what is queued at once, and only waits for company -- at
+  most the :class:`~repro.runtime.BatchPolicy` ``max_wait_ms``, up to
+  ``max_batch`` requests -- while one of its batches is executing.
 - Execution always goes through shards running one op dispatch
   (:class:`~repro.serve.execution.ShardState`): by default a single
   in-process shard on one executor thread
@@ -117,13 +119,19 @@ _SHUTDOWN = object()
 class Batcher:
     """Coalesces one (substrate, model) pair's requests into micro-batches.
 
-    The collection loop takes the first waiting request, then keeps
-    accepting company until the batch hits ``policy.max_batch`` or the
-    first request has waited ``policy.max_wait_ms``; the assembled batch
-    is dispatched as a task so collection continues while ``execute``
-    runs it (the shard count bounds concurrency).  ``execute`` maps the
-    batch's wire items to one outcome per item -- a response, or the
-    exception that item failed with.
+    The collection loop is work-conserving.  It takes the first waiting
+    request and drains whatever else is already queued, up to
+    ``policy.max_batch``.  If none of this batcher's batches is in
+    flight, the batch dispatches at once -- a lone request on an idle
+    batcher never waits.  Only while a batch is in flight does it wait
+    for company, until the first of: the next request, an in-flight
+    batch completing, or the first request having waited
+    ``policy.max_wait_ms``.  Both policy fields are therefore upper
+    bounds.  The assembled batch is dispatched as a task so collection
+    continues while ``execute`` runs it (the shard count bounds
+    concurrency).  ``execute`` maps the batch's wire items to one
+    outcome per item -- a response, or the exception that item failed
+    with.
     """
 
     def __init__(
@@ -180,22 +188,22 @@ class Batcher:
                 break
             batch = [first]
             deadline = loop.time() + self.policy.max_wait_s
+            flush = False
             while len(batch) < self.policy.max_batch:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    # Zero-wait policies still drain whatever is already
-                    # queued, so bursts coalesce even at max_wait_ms=0.
-                    try:
-                        item = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
+                try:
+                    item = self._queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    # Work-conserving: an idle batcher never holds a
+                    # batch back, and one whose in-flight batch just
+                    # finished sends what it has.
+                    if flush or not self._dispatches:
                         break
-                else:
-                    try:
-                        item = await asyncio.wait_for(
-                            self._queue.get(), timeout
-                        )
-                    except asyncio.TimeoutError:
+                    timeout = deadline - loop.time()
+                    if timeout <= 0:
                         break
+                    item, flush = await self._next_or_completion(timeout)
+                    if item is None:
+                        continue
                 if item is _SHUTDOWN:
                     stopping = True
                     break
@@ -203,6 +211,26 @@ class Batcher:
             task = loop.create_task(self._dispatch(batch))
             self._dispatches.add(task)
             task.add_done_callback(self._dispatches.discard)
+
+    async def _next_or_completion(self, timeout: float) -> tuple[Any, bool]:
+        """Wait for the next queued item, an in-flight dispatch finishing,
+        or ``timeout`` -- whichever comes first.
+
+        Returns ``(item or None, whether a dispatch finished)``.
+        """
+        getter = asyncio.get_running_loop().create_task(self._queue.get())
+        done, _ = await asyncio.wait(
+            {getter, *self._dispatches},
+            timeout=timeout,
+            return_when=asyncio.FIRST_COMPLETED,
+        )
+        completed = bool(done - {getter})
+        if getter in done:
+            return getter.result(), completed
+        # A get() cancelled after put_nowait() woke it, but before it
+        # ran, leaves that item queued for the next get_nowait().
+        getter.cancel()
+        return None, completed
 
     async def _dispatch(self, batch: list[_Pending]) -> None:
         loop = asyncio.get_running_loop()

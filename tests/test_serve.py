@@ -1,7 +1,10 @@
 """repro.serve: request-level service, micro-batching, parity, HTTP."""
 
 import asyncio
+import http.client
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -25,7 +28,7 @@ from repro.serve import (
     reference_run,
 )
 from repro.serve.demo import demo_inputs, demo_model
-from repro.serve.http import serve_http
+from repro.serve.http import IDLE_TIMEOUT_S, MAX_BODY_BYTES, serve_http
 
 N_ITER = 6
 
@@ -518,6 +521,75 @@ class TestHTTP:
             self.post(server, "/infer", b"")
         assert excinfo.value.code == 400
 
+    def infer_over(self, conn, server, inputs, seed):
+        """One bit-exact /infer over ``conn``; returns the socket used."""
+        body = InferenceRequest(inputs, substrate="cim", seed=seed).to_json()
+        conn.request(
+            "POST", "/infer", body=body.encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        reply = conn.getresponse()
+        raw = reply.read()
+        assert reply.status == 200, raw
+        session = server.service.reference_session("cim")
+        assert_result_equal(
+            InferenceResponse.from_json(raw.decode()).result,
+            reference_run(session, inputs, seed),
+        )
+        return conn.sock
+
+    def test_keep_alive_reuses_one_connection(self, server, inputs):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        try:
+            sockets = [
+                self.infer_over(conn, server, inputs, seed) for seed in (1, 2, 3)
+            ]
+        finally:
+            conn.close()
+        assert sockets[0] is not None
+        assert all(sock is sockets[0] for sock in sockets)
+
+    @pytest.mark.parametrize(
+        "path, body, headers, status, closes",
+        [
+            ("/nope", b'{"x": 1}', {}, 404, True),
+            ("/infer", b'{"x": 1}', {"Content-Length": "abc"}, 400, True),
+            ("/infer", b'{"x": 1}', {"Content-Length": "-3"}, 400, True),
+            (
+                "/infer", b'{"x": 1}',
+                {"Content-Length": str(MAX_BODY_BYTES + 1)}, 400, True,
+            ),
+            ("/infer", b'{"x": 1}', None, 400, True),  # no Content-Length
+            ("/infer", b"\xff\xfe", {}, 400, False),  # read, then rejected
+            ("/infer", b"{not json", {}, 400, False),
+        ],
+        ids=[
+            "unknown-path", "bad-length", "negative-length", "oversized",
+            "missing-length", "undecodable", "malformed-json",
+        ],
+    )
+    def test_bad_request_never_garbles_the_next_one(
+        self, server, inputs, path, body, headers, status, closes
+    ):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        try:
+            if headers is None:
+                # A body with no Content-Length at all.
+                conn.putrequest("POST", path)
+                conn.endheaders()
+                conn.send(body)
+            else:
+                conn.request("POST", path, body=body, headers=headers)
+            reply = conn.getresponse()
+            error = json.loads(reply.read())
+            assert reply.status == status, error
+            assert (reply.getheader("Connection") == "close") is closes
+            # The next request on the same client must be served exactly,
+            # never parsed out of the previous request's leftover body.
+            self.infer_over(conn, server, inputs, seed=4)
+        finally:
+            conn.close()
+
     def test_execution_failure_is_500_not_400(self, model, inputs, monkeypatch):
         # Server-side faults must not masquerade as client errors.
         def boom(session, substrate, model_name, items):
@@ -531,6 +603,30 @@ class TestHTTP:
                 self.post(context, "/infer", body)
             assert excinfo.value.code == 500
             assert "engine exploded" in json.loads(excinfo.value.read())["error"]
+
+
+def test_close_ends_idle_keep_alive_connections(model):
+    def connection_threads():
+        return [t for t in threading.enumerate() if t.name == "repro-serve-conn"]
+
+    context = serve_http(make_service(model, ["digital"]), port=0)
+    conn = http.client.HTTPConnection("127.0.0.1", context.port, timeout=30)
+    try:
+        conn.request("GET", "/healthz")
+        reply = conn.getresponse()
+        reply.read()
+        assert reply.status == 200 and not reply.will_close
+        assert connection_threads()  # parked on the idle connection
+        started = time.monotonic()
+        context.close()
+        assert time.monotonic() - started < IDLE_TIMEOUT_S / 3
+        assert not connection_threads()
+        # The client sees the connection closed -- an error, not a hang.
+        with pytest.raises((ConnectionError, http.client.HTTPException)):
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+    finally:
+        conn.close()
 
 
 class TestDemoSeedStreams:
