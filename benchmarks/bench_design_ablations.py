@@ -1,4 +1,4 @@
-"""Design-choice ablations called out in DESIGN.md Sec. 5.
+"""Design-choice ablations.
 
 - ADC precision sweep for the likelihood array (extends E4);
 - MC iteration count vs uncertainty quality and energy (extends E7/E8);

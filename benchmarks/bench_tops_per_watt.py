@@ -10,7 +10,8 @@ def test_tops_per_watt_table(benchmark, table_printer):
     Shape criteria: 4-bit beats 6-bit by a factor in the paper's 1.3-1.8
     band, and reuse improves efficiency by > 2x over the reuse-free
     engine.  Absolute system-level numbers carry one documented
-    calibration factor (see EXPERIMENTS.md).
+    calibration factor (``SYSTEM_ENERGY_OVERHEAD_FACTOR`` in
+    :mod:`repro.experiments.tops_per_watt`).
     """
     data = benchmark.pedantic(
         efficiency_table,

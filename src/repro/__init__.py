@@ -14,11 +14,11 @@ top:
 - :mod:`repro.maps`      -- point clouds, Gaussian mixture maps and the
   hardware-native Harmonic-Mean-of-Gaussian (HMG) mixture maps.
 - :mod:`repro.filtering` -- particle filtering (SIR), motion/measurement
-  models, resampling schemes, and an EKF baseline.
+  models and resampling schemes.
 - :mod:`repro.scene`     -- SE(3) math, procedural tabletop scenes, pinhole
   depth camera, sphere-tracing renderer, synthetic RGB-D dataset.
 - :mod:`repro.nn`        -- a from-scratch numpy neural-network framework
-  (layers, backprop, optimizers, dropout with external masks, quantization).
+  (dense layers, backprop, Adam, dropout with external masks, quantization).
 - :mod:`repro.bayesian`  -- MC-Dropout inference, compute-reuse engine,
   sample-ordering optimisation, uncertainty metrics.
 - :mod:`repro.vo`        -- visual odometry pipeline (features, model,

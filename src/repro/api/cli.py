@@ -851,6 +851,63 @@ def _direct_steps_per_s(session, init, measurements, runs: int) -> float:
     return steps / elapsed
 
 
+async def _drive_track_fleet(tracks: list, substrate: str, n_steps: int):
+    """Open one track per ``(service, init, (controls, depths, truths))``
+    entry (track ``i`` gets seed ``i``), then advance every track one step
+    per ``gather`` for ``n_steps`` steps.  Returns the stepping wall time
+    and each track's responses.  The services must be started.
+    """
+    import asyncio
+
+    handles = await asyncio.gather(
+        *(
+            service.open_track(substrate=substrate, init=init, seed=i)
+            for i, (service, init, _) in enumerate(tracks)
+        )
+    )
+    responses = [[] for _ in handles]
+    start = time.perf_counter()
+    for k in range(n_steps):
+        step_responses = await asyncio.gather(
+            *(
+                handle.step(controls[k], depths[k], truth=truths[k])
+                for handle, (_, _, (controls, depths, truths)) in zip(
+                    handles, tracks
+                )
+            )
+        )
+        for bucket, response in zip(responses, step_responses):
+            bucket.append(response)
+    return time.perf_counter() - start, responses
+
+
+def _tracks_match_oracle(responses: list, substrate: str, sample: list) -> bool:
+    """Stream-determinism gate: each sampled ``(index, world, init,
+    measurements)`` track's streamed estimates and cumulative energy/ops
+    must equal its one-shot ``reference_track_run`` oracle bit-for-bit.
+    """
+    import numpy as np
+
+    from repro.serve import reference_track_run
+
+    for index, world, init, measurements in sample:
+        reference = reference_track_run(
+            world, substrate, init, index, measurements
+        )
+        streamed = responses[index]
+        final = streamed[-1]
+        if not (
+            np.array_equal(
+                np.array([r.estimate for r in streamed]), reference.mean
+            )
+            and final.energy_j == reference.energy_j
+            and final.ops_executed == reference.ops_executed
+            and final.energy_breakdown_j == reference.energy_breakdown_j
+        ):
+            return False
+    return True
+
+
 def _bench_tracking() -> dict:
     """Steps/sec across thousands of live tracks vs one-shot stepping."""
     import asyncio
@@ -858,7 +915,7 @@ def _bench_tracking() -> dict:
     import numpy as np
 
     from repro.runtime import BatchPolicy, TrackPolicy
-    from repro.serve import InferenceService, TrackInit, reference_track_run
+    from repro.serve import InferenceService, TrackInit
     from repro.serve.demo import (
         demo_model,
         demo_track_measurements,
@@ -867,9 +924,8 @@ def _bench_tracking() -> dict:
 
     cfg = _TRACKING_BENCH
     world = demo_track_world()
-    controls, depths, truths = demo_track_measurements(
-        n_steps=cfg["steps_per_track"]
-    )
+    measurements = demo_track_measurements(n_steps=cfg["steps_per_track"])
+    truths = measurements[2]
     init = TrackInit(
         mode="tracking",
         state=truths[0],
@@ -882,7 +938,7 @@ def _bench_tracking() -> dict:
     direct_steps_per_s = _direct_steps_per_s(
         world.build_session(cfg["substrate"]),
         init,
-        (controls, depths, truths),
+        measurements,
         cfg["direct_runs"],
     )
 
@@ -899,26 +955,11 @@ def _bench_tracking() -> dict:
 
     async def drive():
         async with service:
-            handles = await asyncio.gather(
-                *(
-                    service.open_track(
-                        substrate=cfg["substrate"], init=init, seed=i
-                    )
-                    for i in range(cfg["n_tracks"])
-                )
+            elapsed, responses = await _drive_track_fleet(
+                [(service, init, measurements)] * cfg["n_tracks"],
+                cfg["substrate"],
+                cfg["steps_per_track"],
             )
-            responses = [[] for _ in handles]
-            start = time.perf_counter()
-            for k in range(cfg["steps_per_track"]):
-                step_responses = await asyncio.gather(
-                    *(
-                        handle.step(controls[k], depths[k], truth=truths[k])
-                        for handle in handles
-                    )
-                )
-                for bucket, response in zip(responses, step_responses):
-                    bucket.append(response)
-            elapsed = time.perf_counter() - start
             stats = service.stats_snapshot()["tracks"]
             return elapsed, responses, stats
 
@@ -926,27 +967,14 @@ def _bench_tracking() -> dict:
     steps_total = cfg["n_tracks"] * cfg["steps_per_track"]
     steps_per_s = steps_total / elapsed
 
-    # Stream-determinism gate on a sample of tracks: estimates and
-    # cumulative energy/ops must equal the one-shot oracle bit-for-bit.
     sample = np.linspace(
         0, cfg["n_tracks"] - 1, cfg["parity_tracks"], dtype=int
     )
-    parity_exact = True
-    for index in sample:
-        reference = reference_track_run(
-            world, cfg["substrate"], init, int(index),
-            (controls, depths, truths),
-        )
-        streamed = responses[index]
-        final = streamed[-1]
-        parity_exact = parity_exact and (
-            np.array_equal(
-                np.array([r.estimate for r in streamed]), reference.mean
-            )
-            and final.energy_j == reference.energy_j
-            and final.ops_executed == reference.ops_executed
-            and final.energy_breakdown_j == reference.energy_breakdown_j
-        )
+    parity_exact = _tracks_match_oracle(
+        responses,
+        cfg["substrate"],
+        [(int(index), world, init, measurements) for index in sample],
+    )
     return {
         "case": "serve-tracking",
         **cfg,
@@ -988,8 +1016,6 @@ def _bench_scenario_mix() -> dict:
     """Steps/sec across live tracks of a weighted scenario mix."""
     import asyncio
 
-    import numpy as np
-
     from repro.runtime import BatchPolicy, TrackPolicy
     from repro.scenarios import (
         ScenarioMix,
@@ -997,7 +1023,7 @@ def _bench_scenario_mix() -> dict:
         scenario_track_setup,
         serving_profile,
     )
-    from repro.serve import InferenceService, reference_track_run
+    from repro.serve import InferenceService
     from repro.serve.demo import demo_model
 
     cfg = _SCENARIO_MIX_BENCH
@@ -1049,33 +1075,11 @@ def _bench_scenario_mix() -> dict:
         for service in services.values():
             await service.start()
         try:
-            handles = await asyncio.gather(
-                *(
-                    services[name].open_track(
-                        substrate=cfg["substrate"],
-                        init=setups[name][1],
-                        seed=i,
-                    )
-                    for i, name in enumerate(assignment)
-                )
+            return await _drive_track_fleet(
+                [(services[name], *setups[name][1:]) for name in assignment],
+                cfg["substrate"],
+                steps,
             )
-            responses = [[] for _ in handles]
-            start = time.perf_counter()
-            for k in range(steps):
-                step_responses = await asyncio.gather(
-                    *(
-                        handle.step(
-                            setups[name][2][0][k],
-                            setups[name][2][1][k],
-                            truth=setups[name][2][2][k],
-                        )
-                        for handle, name in zip(handles, assignment)
-                    )
-                )
-                for bucket, response in zip(responses, step_responses):
-                    bucket.append(response)
-            elapsed = time.perf_counter() - start
-            return elapsed, responses
         finally:
             for service in services.values():
                 await service.stop()
@@ -1083,26 +1087,12 @@ def _bench_scenario_mix() -> dict:
     elapsed, responses = asyncio.run(drive())
     steps_per_s = steps_total / elapsed
 
-    # Stream-determinism gate: one sampled track per scenario must equal
-    # its one-shot oracle bit-for-bit (estimates AND energy/ops), just
-    # like the single-world tracking case.
-    parity_exact = True
-    for name in counts:
-        index = assignment.index(name)
-        world, init, measurements = setups[name]
-        reference = reference_track_run(
-            world, cfg["substrate"], init, index, measurements
-        )
-        streamed = responses[index]
-        final = streamed[-1]
-        parity_exact = parity_exact and (
-            np.array_equal(
-                np.array([r.estimate for r in streamed]), reference.mean
-            )
-            and final.energy_j == reference.energy_j
-            and final.ops_executed == reference.ops_executed
-            and final.energy_breakdown_j == reference.energy_breakdown_j
-        )
+    # One sampled track per scenario: the first track assigned to it.
+    parity_exact = _tracks_match_oracle(
+        responses,
+        cfg["substrate"],
+        [(assignment.index(name), *setups[name]) for name in counts],
+    )
     return {
         "case": "serve-scenario-mix",
         "substrate": cfg["substrate"],

@@ -11,24 +11,17 @@ from repro.bayesian.masks import MaskStream
 from repro.bayesian.mc_dropout import MCDropoutPredictor, MCPrediction
 from repro.bayesian.reuse import DeltaReuseEngine, ReuseStats
 from repro.bayesian.ordering import (
-    greedy_mask_order,
     mask_hamming_path_length,
     optimal_mask_order,
 )
 from repro.bayesian.metrics import (
     area_under_sparsification_error,
     error_uncertainty_correlation,
-    interval_coverage,
 )
 from repro.bayesian.conformal import (
     AdaptiveConformalInference,
     SplitConformalRegressor,
     conformal_quantile,
-)
-from repro.bayesian.evidential import (
-    EvidentialLoss,
-    evidential_prediction,
-    split_evidential_outputs,
 )
 
 __all__ = [
@@ -37,16 +30,11 @@ __all__ = [
     "MCPrediction",
     "DeltaReuseEngine",
     "ReuseStats",
-    "greedy_mask_order",
     "optimal_mask_order",
     "mask_hamming_path_length",
     "error_uncertainty_correlation",
-    "interval_coverage",
     "area_under_sparsification_error",
     "conformal_quantile",
     "SplitConformalRegressor",
     "AdaptiveConformalInference",
-    "EvidentialLoss",
-    "evidential_prediction",
-    "split_evidential_outputs",
 ]

@@ -39,20 +39,6 @@ def error_uncertainty_correlation(
     }
 
 
-def interval_coverage(
-    errors: np.ndarray, stds: np.ndarray, k: float = 2.0
-) -> float:
-    """Fraction of samples whose |error| falls within k predicted stds.
-
-    For calibrated Gaussian uncertainty, k=2 should cover ~95%.
-    """
-    errors = np.abs(np.asarray(errors, dtype=float).reshape(-1))
-    stds = np.asarray(stds, dtype=float).reshape(-1)
-    if errors.size != stds.size:
-        raise ValueError("length mismatch")
-    return float(np.mean(errors <= k * stds))
-
-
 def area_under_sparsification_error(
     errors: np.ndarray, uncertainties: np.ndarray, n_fractions: int = 20
 ) -> float:

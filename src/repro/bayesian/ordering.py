@@ -47,16 +47,6 @@ def _greedy_path(neighbours: list[list[int]], start: int) -> list[int]:
     return order
 
 
-def greedy_mask_order(masks: np.ndarray, start: int = 0) -> np.ndarray:
-    """Greedy nearest-neighbour order over the mask Hamming graph."""
-    masks = np.asarray(masks)
-    n = masks.shape[0]
-    if not 0 <= start < n:
-        raise ValueError("start out of range")
-    order = _greedy_path(_neighbours(_hamming_matrix(masks)), start)
-    return np.asarray(order, dtype=np.int64)
-
-
 def _best_greedy(distances: np.ndarray) -> list[int]:
     """Shortest greedy path over a few start points, or the identity.
 

@@ -25,7 +25,7 @@ from repro.circuits.inverter_array import (
     InverterArray,
     VoltageEncoder,
 )
-from repro.circuits.adc import LinearADC, LogarithmicADC
+from repro.circuits.adc import LogarithmicADC
 from repro.circuits.dac import DAC
 from repro.circuits.noise import NoiseModel
 from repro.circuits.variability import MismatchSampler
@@ -45,7 +45,6 @@ __all__ = [
     "InverterArray",
     "VoltageEncoder",
     "LogarithmicADC",
-    "LinearADC",
     "DAC",
     "NoiseModel",
     "MismatchSampler",

@@ -2,9 +2,9 @@
 
 The likelihood array reads out its summed column current through a
 *logarithmic* ADC (the particle filter accumulates log-likelihoods, so the
-log conversion is free).  The SRAM macro uses a linear ADC per column.
-Both models quantise, clip, add input-referred noise, and report conversion
-energy from the technology table.
+log conversion is free).  The model quantises, clips, adds input-referred
+noise, and reports conversion energy from the technology table.  The SRAM
+macro's linear column ADC lives in :mod:`repro.sram.macro`.
 """
 
 from __future__ import annotations
@@ -96,61 +96,6 @@ class LogarithmicADC:
         """
         codes = np.asarray(codes, dtype=float)
         return codes / (self.levels - 1) * self._log_span + np.log(self.i_min)
-
-    def conversion_energy(self) -> float:
-        """Energy per conversion (J)."""
-        return self.node.adc_energy(self.bits)
-
-
-class LinearADC:
-    """Uniform-quantisation ADC over a [0, full_scale] input.
-
-    Args:
-        node: technology node (energy table).
-        bits: resolution.
-        full_scale: input value mapped to the top code.
-        noise_lsb: input-referred noise in LSBs (1-sigma).
-    """
-
-    def __init__(
-        self,
-        node: TechnologyNode,
-        bits: int = 4,
-        full_scale: float = 1.0,
-        noise_lsb: float = 0.0,
-    ):
-        if full_scale <= 0:
-            raise ValueError("full_scale must be positive")
-        if bits < 1:
-            raise ValueError("bits must be >= 1")
-        self.node = node
-        self.bits = int(bits)
-        self.full_scale = float(full_scale)
-        self.noise_lsb = float(noise_lsb)
-
-    @property
-    def levels(self) -> int:
-        return 2**self.bits
-
-    @property
-    def lsb(self) -> float:
-        return self.full_scale / (self.levels - 1)
-
-    def convert(
-        self, value: np.ndarray, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Quantise value(s) to integer codes."""
-        value = np.asarray(value, dtype=float)
-        codes = np.clip(value, 0.0, self.full_scale) / self.lsb
-        if self.noise_lsb > 0:
-            if rng is None:
-                raise ValueError("rng required when noise_lsb > 0")
-            codes = codes + rng.normal(scale=self.noise_lsb, size=codes.shape)
-        return np.clip(np.rint(codes), 0, self.levels - 1).astype(np.int64)
-
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Map codes back to input-referred values."""
-        return np.asarray(codes, dtype=float) * self.lsb
 
     def conversion_energy(self) -> float:
         """Energy per conversion (J)."""

@@ -3,8 +3,7 @@
 Absolute energies are behavioural calibration constants in the range of
 published numbers (Horowitz, ISSCC 2014 "Computing's energy problem" and
 follow-ups, scaled for near-threshold edge operation); the experiments only
-rely on their *ratios*, which follow from counted work.  Each figure in
-EXPERIMENTS.md records which constants it depends on.
+rely on their *ratios*, which follow from counted work.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ class CIMMCDropoutEngine:
 
     Args:
         model: trained :class:`~repro.nn.sequential.Sequential` made of
-            Dense / activation / Dropout layers (conv/LSTM models must be
+            Dense / activation / Dropout layers (any other layer must be
             run through the software predictor).
         config: macro configuration (node, weight/ADC precision).
         n_iterations: Monte-Carlo samples (paper: 30).

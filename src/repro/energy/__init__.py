@@ -1,28 +1,20 @@
-"""Analytic energy/efficiency models and report helpers.
+"""Analytic energy/efficiency models.
 
 The substrates meter their own energy at runtime (every backend carries an
 :class:`~repro.circuits.energy.EnergyLedger`); this package provides the
 closed-form counterparts used for design-space exploration -- predicting
-energy *before* building a backend -- plus comparison-report helpers.  The
-analytic models are validated against the metered ledgers in the test
-suite.
+energy *before* building a backend.  The analytic models are validated
+against the metered ledgers in the test suite.
 """
 
 from repro.energy.models import (
-    cim_likelihood_energy,
     cim_mc_dropout_energy,
-    digital_gmm_energy,
     digital_mc_dropout_energy,
     digital_nn_energy,
 )
-from repro.energy.report import comparison_table, EnergyComparison
 
 __all__ = [
-    "digital_gmm_energy",
-    "cim_likelihood_energy",
     "digital_nn_energy",
     "cim_mc_dropout_energy",
     "digital_mc_dropout_energy",
-    "EnergyComparison",
-    "comparison_table",
 ]

@@ -13,54 +13,6 @@ from repro.circuits.technology import TechnologyNode
 from repro.sram.macro import MacroConfig
 
 
-def digital_gmm_energy(
-    node: TechnologyNode,
-    n_components: int,
-    bits: int = 8,
-    n_queries: int = 1,
-) -> float:
-    """Energy (J) of digital GMM likelihood evaluation.
-
-    Per query and component: 4 MACs (3 for the squared z-scores, 1 for the
-    weight), 1 exponential LUT access, 1 accumulate, and 7 parameter words
-    fetched from local SRAM (mirrors
-    :class:`repro.filtering.measurement.DigitalGMMBackend`).
-    """
-    if n_components < 1 or n_queries < 1:
-        raise ValueError("counts must be positive")
-    per_component = (
-        4.0 * node.mac_energy(bits)
-        + node.lut_energy_j
-        + node.add_energy(bits)
-        + 7.0 * bits * node.sram_read_energy_per_bit_j
-    )
-    return n_queries * n_components * per_component
-
-
-def cim_likelihood_energy(
-    node: TechnologyNode,
-    adc_bits: int = 4,
-    n_axes: int = 3,
-    mean_array_current_a: float = 1.0e-5,
-    eval_time_s: float = 1.0e-8,
-    n_queries: int = 1,
-) -> float:
-    """Energy (J) of inverter-array likelihood evaluation.
-
-    Per query: one DAC conversion per input axis, one log-ADC conversion,
-    and the analog burn ``I_array * VDD * t_eval`` (mirrors
-    :class:`repro.circuits.inverter_array.InverterArray`).
-    """
-    if n_queries < 1 or n_axes < 1:
-        raise ValueError("counts must be positive")
-    per_query = (
-        n_axes * node.dac_energy_j
-        + node.adc_energy(adc_bits)
-        + mean_array_current_a * node.vdd * eval_time_s
-    )
-    return n_queries * per_query
-
-
 def digital_nn_energy(
     node: TechnologyNode,
     layer_sizes: tuple[int, ...],

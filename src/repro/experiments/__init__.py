@@ -1,29 +1,9 @@
-"""Experiment drivers: one per paper figure/table (see DESIGN.md index).
+"""Experiment drivers: one per paper figure/table (the README's
+"Experiment registry" table maps each to its id).
 
-Each driver is a plain function returning a dict of arrays/rows so the
-benchmark harness, the examples, and EXPERIMENTS.md all consume the same
-code path.  Shared world/model construction (with in-process caching) lives
-in :mod:`repro.experiments.common`.
+Each driver is a plain function returning a dict of arrays/rows, so the
+experiment registry, the benchmarks and the examples all consume the same
+code path.  Callers import the driver's submodule directly.  Shared
+world/model construction (with in-process caching) lives in
+:mod:`repro.experiments.common`.
 """
-
-from repro.experiments.fig2_inverter import inverter_transfer_data
-from repro.experiments.fig2_localization import localization_comparison
-from repro.experiments.fig2_energy import likelihood_energy_comparison
-from repro.experiments.fig3_rng import rng_statistics
-from repro.experiments.fig3_trajectory import vo_trajectory_experiment
-from repro.experiments.fig3_correlation import error_uncertainty_experiment
-from repro.experiments.tops_per_watt import efficiency_table
-from repro.experiments.reuse_ablation import reuse_ablation
-from repro.experiments.map_fidelity import map_fidelity
-
-__all__ = [
-    "inverter_transfer_data",
-    "localization_comparison",
-    "likelihood_energy_comparison",
-    "rng_statistics",
-    "vo_trajectory_experiment",
-    "error_uncertainty_experiment",
-    "efficiency_table",
-    "reuse_ablation",
-    "map_fidelity",
-]

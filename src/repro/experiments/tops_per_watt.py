@@ -4,8 +4,9 @@ The paper benchmarks 3.04 TOPS/W at 4-bit and ~2 TOPS/W at 6-bit for
 30-iteration MC-Dropout at 16 nm / 1 GHz / 0.85 V.  Our macro model is
 behavioural, so the absolute scale is set by the calibration constants in
 :class:`~repro.sram.macro.MacroConfig`; the experiment reports both the
-raw macro-level figure and a system-scaled figure (see EXPERIMENTS.md),
-and the *ratios* across precision / reuse configurations are mechanistic.
+raw macro-level figure and a system-scaled figure (see
+``SYSTEM_ENERGY_OVERHEAD_FACTOR``), and the *ratios* across precision /
+reuse configurations are mechanistic.
 """
 
 from __future__ import annotations

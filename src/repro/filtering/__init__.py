@@ -1,4 +1,4 @@
-"""Bayesian filtering: particle filters, motion/measurement models, EKF.
+"""Bayesian filtering: particle filters and motion/measurement models.
 
 Implements the recursive Bayes update of paper Eq. (1): a prediction step
 through a probabilistic motion model and a correction step weighting
@@ -12,7 +12,6 @@ from repro.filtering.particles import ParticleSet
 from repro.filtering.motion import (
     MotionModel,
     OdometryMotionModel,
-    RandomWalkMotionModel,
 )
 from repro.filtering.measurement import (
     CIMArrayBackend,
@@ -28,13 +27,11 @@ from repro.filtering.resampling import (
     systematic_resample,
 )
 from repro.filtering.particle_filter import ParticleFilter
-from repro.filtering.kalman import ExtendedKalmanFilter
 
 __all__ = [
     "ParticleSet",
     "MotionModel",
     "OdometryMotionModel",
-    "RandomWalkMotionModel",
     "MapFieldBackend",
     "DigitalGMMBackend",
     "CIMArrayBackend",
@@ -45,5 +42,4 @@ __all__ = [
     "stratified_resample",
     "residual_resample",
     "ParticleFilter",
-    "ExtendedKalmanFilter",
 ]

@@ -75,28 +75,3 @@ class OdometryMotionModel(MotionModel):
         states[:, 2] += noisy_body[:, 2]
         states[:, YAW_INDEX] = wrap_angle(yaw + noisy_dyaw)
         return ParticleSet(states, particles.log_weights.copy())
-
-
-class RandomWalkMotionModel(MotionModel):
-    """Pure diffusion (no control), for ablation and roughening.
-
-    Args:
-        translation_sigma: 1-sigma position diffusion per step (m).
-        yaw_sigma: 1-sigma heading diffusion per step (rad).
-    """
-
-    def __init__(self, translation_sigma: float = 0.05, yaw_sigma: float = 0.02):
-        if translation_sigma < 0 or yaw_sigma < 0:
-            raise ValueError("sigmas must be non-negative")
-        self.translation_sigma = float(translation_sigma)
-        self.yaw_sigma = float(yaw_sigma)
-
-    def propagate(
-        self, particles: ParticleSet, control: np.ndarray, rng: np.random.Generator
-    ) -> ParticleSet:
-        states = particles.states.copy()
-        states[:, :3] += rng.normal(size=(particles.n_particles, 3)) * self.translation_sigma
-        states[:, YAW_INDEX] = wrap_angle(
-            states[:, YAW_INDEX] + rng.normal(size=particles.n_particles) * self.yaw_sigma
-        )
-        return ParticleSet(states, particles.log_weights.copy())

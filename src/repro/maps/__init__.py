@@ -9,28 +9,22 @@ can actually program.
 """
 
 from repro.maps.pointcloud import PointCloud
-from repro.maps.gaussian import (
-    diag_gaussian_logpdf,
-    diag_gaussian_pdf,
-)
+from repro.maps.gaussian import diag_gaussian_logpdf
 from repro.maps.fitting import kmeans, kmeans_plus_plus_init
 from repro.maps.gmm import GaussianMixture
 from repro.maps.hmg import (
     HMG_UNIT_INTEGRAL_3D,
     hmg_kernel,
-    hmg_unit_integral,
 )
 from repro.maps.hmgm import HMGMixture
 
 __all__ = [
     "PointCloud",
     "diag_gaussian_logpdf",
-    "diag_gaussian_pdf",
     "kmeans",
     "kmeans_plus_plus_init",
     "GaussianMixture",
     "hmg_kernel",
-    "hmg_unit_integral",
     "HMG_UNIT_INTEGRAL_3D",
     "HMGMixture",
 ]

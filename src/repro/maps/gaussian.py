@@ -29,10 +29,3 @@ def diag_gaussian_logpdf(
     z = (points[:, None, :] - means[None, :, :]) / sigmas[None, :, :]
     log_norm = -0.5 * d * _LOG_2PI - np.log(sigmas).sum(axis=1)
     return log_norm[None, :] - 0.5 * np.sum(z**2, axis=2)
-
-
-def diag_gaussian_pdf(
-    points: np.ndarray, means: np.ndarray, sigmas: np.ndarray
-) -> np.ndarray:
-    """Density version of :func:`diag_gaussian_logpdf`, shape (N, K)."""
-    return np.exp(diag_gaussian_logpdf(points, means, sigmas))

@@ -23,8 +23,8 @@ from scipy.special import logsumexp
 
 # Integral of the unit (sigma = 1, peak-normalised) HMG kernel over R^D.
 # D=1 reduces to a Gaussian (sqrt(2*pi)); higher D carry extra tail mass.
-# Values computed by high-resolution trapezoidal quadrature (see
-# tests/maps/test_hmg.py which re-derives them to 4 decimal places).
+# Values computed by high-resolution trapezoidal quadrature
+# (tests/test_maps.py re-derives them from hmg_kernel).
 HMG_UNIT_INTEGRALS: dict[int, float] = {
     1: 2.5066282746,
     2: 10.202996,
@@ -63,35 +63,6 @@ def hmg_log_kernel(
 def hmg_kernel(points: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Peak-normalised HMG kernel values, shape (N, K)."""
     return np.exp(np.maximum(hmg_log_kernel(points, means, sigmas), -_EXP_CLIP))
-
-
-def hmg_unit_integral(d: int, n_grid: int = 241, limit: float = 12.0) -> float:
-    """Numerically integrate the unit HMG kernel over R^d (d in {1, 2, 3}).
-
-    Used to validate :data:`HMG_UNIT_INTEGRALS`; quadratic cost in
-    ``n_grid`` for d=2 and cubic for d=3.
-    """
-    u = np.linspace(-limit, limit, n_grid)
-    if d == 1:
-        f = np.exp(-np.minimum(u**2 / 2.0, _EXP_CLIP))
-        return float(np.trapezoid(f, u))
-    if d == 2:
-        u1, u2 = np.meshgrid(u, u, indexing="ij")
-        e = np.exp(np.minimum(u1**2 / 2, _EXP_CLIP)) + np.exp(
-            np.minimum(u2**2 / 2, _EXP_CLIP)
-        )
-        return float(np.trapezoid(np.trapezoid(2.0 / e, u, axis=1), u))
-    if d == 3:
-        u1, u2 = np.meshgrid(u, u, indexing="ij")
-        e12 = np.exp(np.minimum(u1**2 / 2, _EXP_CLIP)) + np.exp(
-            np.minimum(u2**2 / 2, _EXP_CLIP)
-        )
-        slices = np.empty(n_grid)
-        for i, u3 in enumerate(u):
-            f = 3.0 / (e12 + np.exp(min(u3**2 / 2, _EXP_CLIP)))
-            slices[i] = np.trapezoid(np.trapezoid(f, u, axis=1), u)
-        return float(np.trapezoid(slices, u))
-    raise ValueError(f"unsupported dimension {d}")
 
 
 def tail_rectilinearity(

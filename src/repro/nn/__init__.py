@@ -13,58 +13,38 @@ gradients are verified against finite differences in the test suite.
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import (
     Dense,
-    Flatten,
     LeakyReLU,
     ReLU,
     Sigmoid,
     Tanh,
 )
-from repro.nn.conv import Conv2d, MaxPool2d
-from repro.nn.recurrent import LSTM
 from repro.nn.dropout import Dropout
 from repro.nn.sequential import Sequential
-from repro.nn.losses import (
-    GaussianNLLLoss,
-    L1Loss,
-    MSELoss,
-    SoftmaxCrossEntropyLoss,
-)
-from repro.nn.optim import SGD, Adam
-from repro.nn.init import he_normal, xavier_uniform
+from repro.nn.losses import MSELoss
+from repro.nn.optim import Adam
+from repro.nn.init import xavier_uniform
 from repro.nn.quantization import (
     QuantizationSpec,
     dequantize,
     quantize,
     quantize_model_weights,
 )
-from repro.nn.serialization import load_state, save_state
 
 __all__ = [
     "Module",
     "Parameter",
     "Dense",
-    "Flatten",
     "ReLU",
     "LeakyReLU",
     "Tanh",
     "Sigmoid",
-    "Conv2d",
-    "MaxPool2d",
-    "LSTM",
     "Dropout",
     "Sequential",
     "MSELoss",
-    "L1Loss",
-    "GaussianNLLLoss",
-    "SoftmaxCrossEntropyLoss",
-    "SGD",
     "Adam",
     "xavier_uniform",
-    "he_normal",
     "QuantizationSpec",
     "quantize",
     "dequantize",
     "quantize_model_weights",
-    "save_state",
-    "load_state",
 ]

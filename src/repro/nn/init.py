@@ -14,19 +14,7 @@ def xavier_uniform(
     return rng.uniform(-limit, limit, size=shape)
 
 
-def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming normal init: N(0, sqrt(2 / fan_in)) (for ReLU nets)."""
-    fan_in, _ = _fans(shape)
-    return rng.normal(scale=np.sqrt(2.0 / fan_in), size=shape)
-
-
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
-    if len(shape) < 1:
-        raise ValueError("shape must have at least one dimension")
-    if len(shape) == 1:
-        return shape[0], shape[0]
-    if len(shape) == 2:
-        return shape[0], shape[1]
-    # Conv kernels (out, in, kh, kw): receptive field multiplies the fans.
-    receptive = int(np.prod(shape[2:]))
-    return shape[1] * receptive, shape[0] * receptive
+    if len(shape) not in (1, 2):
+        raise ValueError("shape must have one or two dimensions")
+    return shape[0], shape[-1]

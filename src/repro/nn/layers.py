@@ -136,21 +136,3 @@ class Sigmoid(Module):
         if self._output is None:
             raise RuntimeError("backward before forward")
         return grad_output * self._output * (1.0 - self._output)
-
-
-class Flatten(Module):
-    """Flatten all but the batch dimension."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward before forward")
-        return np.asarray(grad_output, dtype=float).reshape(self._shape)

@@ -19,76 +19,3 @@ class MSELoss:
         loss = float(np.mean(diff**2))
         grad = 2.0 * diff / diff.size
         return loss, grad
-
-
-class L1Loss:
-    """Mean absolute error over all elements."""
-
-    def __call__(
-        self, predictions: np.ndarray, targets: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        predictions = np.asarray(predictions, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        if predictions.shape != targets.shape:
-            raise ValueError("prediction / target shape mismatch")
-        diff = predictions - targets
-        loss = float(np.mean(np.abs(diff)))
-        grad = np.sign(diff) / diff.size
-        return loss, grad
-
-
-class GaussianNLLLoss:
-    """Heteroscedastic Gaussian negative log-likelihood.
-
-    Predictions are (B, 2D): the first D columns are means, the last D are
-    log-variances (the aleatoric-uncertainty head of Kendall-style models).
-    """
-
-    def __init__(self, min_log_var: float = -10.0, max_log_var: float = 10.0):
-        self.min_log_var = float(min_log_var)
-        self.max_log_var = float(max_log_var)
-
-    def __call__(
-        self, predictions: np.ndarray, targets: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        predictions = np.atleast_2d(np.asarray(predictions, dtype=float))
-        targets = np.atleast_2d(np.asarray(targets, dtype=float))
-        d = targets.shape[1]
-        if predictions.shape[1] != 2 * d:
-            raise ValueError("predictions must be (B, 2*D) for (B, D) targets")
-        mean = predictions[:, :d]
-        log_var = np.clip(predictions[:, d:], self.min_log_var, self.max_log_var)
-        inv_var = np.exp(-log_var)
-        diff = mean - targets
-        n = targets.size
-        loss = float(np.sum(0.5 * (diff**2 * inv_var + log_var)) / n)
-        grad = np.empty_like(predictions)
-        grad[:, :d] = diff * inv_var / n
-        grad[:, d:] = 0.5 * (1.0 - diff**2 * inv_var) / n
-        # Clipped entries receive no gradient.
-        clipped = (predictions[:, d:] <= self.min_log_var) | (
-            predictions[:, d:] >= self.max_log_var
-        )
-        grad[:, d:][clipped] = 0.0
-        return loss, grad
-
-
-class SoftmaxCrossEntropyLoss:
-    """Cross entropy with integrated softmax (targets are class indices)."""
-
-    def __call__(
-        self, logits: np.ndarray, targets: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        logits = np.atleast_2d(np.asarray(logits, dtype=float))
-        targets = np.asarray(targets, dtype=np.int64).reshape(-1)
-        if targets.shape[0] != logits.shape[0]:
-            raise ValueError("batch size mismatch")
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        batch = logits.shape[0]
-        eps = 1e-12
-        loss = float(-np.mean(np.log(probs[np.arange(batch), targets] + eps)))
-        grad = probs.copy()
-        grad[np.arange(batch), targets] -= 1.0
-        return loss, grad / batch

@@ -9,47 +9,6 @@ import numpy as np
 from repro.nn.module import Parameter
 
 
-class SGD:
-    """Stochastic gradient descent with optional momentum and weight decay.
-
-    Args:
-        parameters: the parameters to update.
-        lr: learning rate.
-        momentum: classical momentum coefficient.
-        weight_decay: L2 penalty coefficient.
-    """
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 1.0e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.parameters = list(parameters)
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
-
-    def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            grad = parameter.grad
-            if self.weight_decay > 0:
-                grad = grad + self.weight_decay * parameter.value
-            velocity *= self.momentum
-            velocity -= self.lr * grad
-            parameter.value += velocity
-
-    def zero_grad(self) -> None:
-        for parameter in self.parameters:
-            parameter.zero_grad()
-
-
 class Adam:
     """Adam optimizer (Kingma & Ba).
 

@@ -62,12 +62,6 @@ def dequantize(codes: np.ndarray, spec: QuantizationSpec) -> np.ndarray:
     return np.asarray(codes, dtype=float) * spec.scale
 
 
-def quantization_error(tensor: np.ndarray, spec: QuantizationSpec) -> float:
-    """RMS quantisation error of representing ``tensor`` under ``spec``."""
-    reconstructed = dequantize(quantize(tensor, spec), spec)
-    return float(np.sqrt(np.mean((tensor - reconstructed) ** 2)))
-
-
 def quantize_model_weights(model, bits: int) -> dict[str, QuantizationSpec]:
     """Quantise every parameter of a model in place (fake quantisation).
 

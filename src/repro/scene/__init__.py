@@ -10,8 +10,6 @@ from repro.scene.se3 import (
     Pose,
     euler_to_matrix,
     matrix_to_euler,
-    matrix_to_quaternion,
-    quaternion_to_matrix,
     rotation_angle,
     rotation_x,
     rotation_y,
@@ -29,7 +27,6 @@ from repro.scene.camera import PinholeCamera
 from repro.scene.render import DepthRenderer
 from repro.scene.trajectory import (
     Trajectory,
-    lissajous_trajectory,
     orbit_trajectory,
 )
 from repro.scene.dataset import RGBDFrame, SyntheticRGBDScenes
@@ -38,8 +35,6 @@ __all__ = [
     "Pose",
     "euler_to_matrix",
     "matrix_to_euler",
-    "matrix_to_quaternion",
-    "quaternion_to_matrix",
     "rotation_angle",
     "rotation_x",
     "rotation_y",
@@ -56,7 +51,6 @@ __all__ = [
     "DepthRenderer",
     "Trajectory",
     "orbit_trajectory",
-    "lissajous_trajectory",
     "RGBDFrame",
     "SyntheticRGBDScenes",
 ]

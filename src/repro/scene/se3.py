@@ -1,7 +1,7 @@
 """Rigid-body (SE(3)) pose math.
 
 All rotations are represented as 3x3 orthonormal matrices internally; helpers
-convert to/from XYZ Euler angles and unit quaternions.  A :class:`Pose` maps
+convert to/from XYZ Euler angles.  A :class:`Pose` maps
 points from its local frame to the world frame: ``p_world = R @ p_local + t``.
 """
 
@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_EPS = 1e-12
 
 
 def rotation_x(angle: float) -> np.ndarray:
@@ -57,60 +55,6 @@ def matrix_to_euler(rotation: np.ndarray) -> tuple[float, float, float]:
         roll = 0.0
         yaw = float(np.arctan2(-rotation[0, 1], rotation[1, 1]))
     return roll, pitch, yaw
-
-
-def quaternion_to_matrix(quaternion: np.ndarray) -> np.ndarray:
-    """Convert a (w, x, y, z) quaternion to a rotation matrix.
-
-    The quaternion is normalised first, so any non-zero 4-vector is valid.
-    """
-    q = np.asarray(quaternion, dtype=float)
-    norm = np.linalg.norm(q)
-    if norm < _EPS:
-        raise ValueError("zero-norm quaternion cannot be normalised")
-    w, x, y, z = q / norm
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def matrix_to_quaternion(rotation: np.ndarray) -> np.ndarray:
-    """Convert a rotation matrix to a (w, x, y, z) unit quaternion, w >= 0."""
-    m = np.asarray(rotation, dtype=float)
-    trace = m[0, 0] + m[1, 1] + m[2, 2]
-    if trace > 0.0:
-        s = 2.0 * np.sqrt(trace + 1.0)
-        w = 0.25 * s
-        x = (m[2, 1] - m[1, 2]) / s
-        y = (m[0, 2] - m[2, 0]) / s
-        z = (m[1, 0] - m[0, 1]) / s
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-        w = (m[2, 1] - m[1, 2]) / s
-        x = 0.25 * s
-        y = (m[0, 1] + m[1, 0]) / s
-        z = (m[0, 2] + m[2, 0]) / s
-    elif m[1, 1] >= m[2, 2]:
-        s = 2.0 * np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2])
-        w = (m[0, 2] - m[2, 0]) / s
-        x = (m[0, 1] + m[1, 0]) / s
-        y = 0.25 * s
-        z = (m[1, 2] + m[2, 1]) / s
-    else:
-        s = 2.0 * np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
-        w = (m[1, 0] - m[0, 1]) / s
-        x = (m[0, 2] + m[2, 0]) / s
-        y = (m[1, 2] + m[2, 1]) / s
-        z = 0.25 * s
-    quat = np.array([w, x, y, z])
-    quat /= np.linalg.norm(quat)
-    if quat[0] < 0:
-        quat = -quat
-    return quat
 
 
 def rotation_angle(rotation: np.ndarray) -> float:
@@ -222,10 +166,6 @@ class Pose:
     def euler(self) -> tuple[float, float, float]:
         """Return (roll, pitch, yaw) of the rotation part."""
         return matrix_to_euler(self.rotation)
-
-    def quaternion(self) -> np.ndarray:
-        """Return the (w, x, y, z) quaternion of the rotation part."""
-        return matrix_to_quaternion(self.rotation)
 
     def orthonormalized(self) -> "Pose":
         """Return a copy with the rotation re-projected onto SO(3).

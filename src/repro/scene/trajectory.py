@@ -1,9 +1,7 @@
 """Smooth camera trajectories for synthetic RGB-D sequences.
 
 The paper's dataset (RGB-D Scenes v2) consists of a handheld sensor orbiting
-tabletop scenes; :func:`orbit_trajectory` reproduces that flavour, while
-:func:`lissajous_trajectory` provides a richer 3D flight path for the drone
-experiments.
+tabletop scenes; :func:`orbit_trajectory` reproduces that flavour.
 """
 
 from __future__ import annotations
@@ -218,41 +216,3 @@ def states_to_controls(states: np.ndarray) -> np.ndarray:
         dyaw = states[t, 3] - states[t - 1, 3]
         controls[t - 1, 3] = np.mod(dyaw + np.pi, 2.0 * np.pi) - np.pi
     return controls
-
-
-def lissajous_trajectory(
-    center: np.ndarray,
-    amplitude: np.ndarray,
-    n_poses: int,
-    freq: tuple[float, float, float] = (1.0, 2.0, 3.0),
-    look_target: np.ndarray | None = None,
-    dt: float = 1.0 / 30.0,
-) -> Trajectory:
-    """A 3D Lissajous flight path, look-at a fixed target (drone flavour).
-
-    Args:
-        center: center of the Lissajous figure.
-        amplitude: per-axis amplitudes (3,).
-        n_poses: number of poses.
-        freq: per-axis angular frequency multipliers.
-        look_target: look-at point (default: ``center``).
-        dt: time between frames.
-    """
-    if n_poses < 1:
-        raise ValueError("n_poses must be >= 1")
-    center = np.asarray(center, dtype=float)
-    amplitude = np.asarray(amplitude, dtype=float)
-    if look_target is None:
-        look_target = center
-    look_target = np.asarray(look_target, dtype=float)
-    t = np.linspace(0.0, 2.0 * np.pi, n_poses)
-    poses = []
-    for tk in t:
-        eye = center + amplitude * np.array(
-            [np.sin(freq[0] * tk), np.sin(freq[1] * tk + np.pi / 3), np.sin(freq[2] * tk + np.pi / 5)]
-        )
-        if np.linalg.norm(eye - look_target) < 1e-9:
-            eye = eye + np.array([1e-6, 0.0, 0.0])
-        poses.append(look_at(eye, look_target))
-    timestamps = dt * np.arange(n_poses)
-    return Trajectory(poses, timestamps)

@@ -8,14 +8,12 @@ leakage noise to produce the dropout bitstreams without a dedicated RNG
 block.
 """
 
-from repro.sram.cell import EightTransistorCell
 from repro.sram.bitline import BitLineModel
 from repro.sram.macro import MacroConfig, SRAMCIMMacro
 from repro.sram.rng import CrossCoupledInverterRNG, RNGCalibration
 from repro.sram.dropout_gen import DropoutBitGenerator
 
 __all__ = [
-    "EightTransistorCell",
     "BitLineModel",
     "MacroConfig",
     "SRAMCIMMacro",

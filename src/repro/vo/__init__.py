@@ -9,7 +9,7 @@ CIM macro (via :mod:`repro.core.cim_mc_dropout`).
 """
 
 from repro.vo.features import FrameEncoder, TargetScaler
-from repro.vo.model import build_vo_mlp, build_vo_lstm
+from repro.vo.model import build_vo_mlp
 from repro.vo.trainer import VODataset, VOTrainer
 from repro.vo.odometry import integrate_increments, increments_from_predictions
 from repro.vo.evaluation import ate_rmse, relative_pose_errors, trajectory_report
@@ -18,7 +18,6 @@ __all__ = [
     "FrameEncoder",
     "TargetScaler",
     "build_vo_mlp",
-    "build_vo_lstm",
     "VODataset",
     "VOTrainer",
     "integrate_increments",

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.nn.dropout import Dropout
 from repro.nn.layers import Dense, ReLU
-from repro.nn.recurrent import LSTM
 from repro.nn.sequential import Sequential
 
 
@@ -42,25 +41,3 @@ def build_vo_mlp(
     layers.append(Dropout(dropout_p, rng=rng))
     layers.append(Dense(previous, output_dim, rng, name="head"))
     return Sequential(layers)
-
-
-def build_vo_lstm(
-    input_dim: int,
-    rng: np.random.Generator,
-    hidden_size: int = 64,
-    dropout_p: float = 0.5,
-    output_dim: int = 6,
-) -> Sequential:
-    """A PoseLSTM-flavoured sequence regressor.
-
-    Consumes (batch, time, features) windows of frame-pair features and
-    regresses the motion of the final step.  The Dense head carries the
-    MC-Dropout layer.
-    """
-    return Sequential(
-        [
-            LSTM(input_dim, hidden_size, rng, return_sequence=False),
-            Dropout(dropout_p, rng=rng),
-            Dense(hidden_size, output_dim, rng, name="head"),
-        ]
-    )

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from repro.api.cli import main
 
@@ -41,8 +42,9 @@ class TestRunCommand:
         assert payload["seed"] == 0
         assert "executed_fraction" in payload["metrics"]
 
-    def test_run_plain_prints_metrics(self, capsys):
-        assert main(["run", "E9", "--seed", "0", *FAST_E9]) == 0
+    @pytest.mark.parametrize("eid", ["E9", "e9"])
+    def test_run_plain_prints_metrics(self, eid, capsys):
+        assert main(["run", eid, "--seed", "0", *FAST_E9]) == 0
         out = capsys.readouterr().out
         assert "E9" in out and "executed_fraction" in out
 

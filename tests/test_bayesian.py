@@ -11,8 +11,6 @@ from repro.bayesian import (
     MCDropoutPredictor,
     area_under_sparsification_error,
     error_uncertainty_correlation,
-    greedy_mask_order,
-    interval_coverage,
     mask_hamming_path_length,
     optimal_mask_order,
 )
@@ -159,7 +157,7 @@ class TestOrdering:
     def test_greedy_reduces_path(self, rng):
         masks = (rng.random((25, 64)) < 0.5).astype(np.uint8)
         base = mask_hamming_path_length(masks)
-        order = greedy_mask_order(masks)
+        order = optimal_mask_order(masks, method="greedy")
         assert mask_hamming_path_length(masks, order) <= base
 
     @pytest.mark.parametrize("method", ["greedy", "greedy-2opt", "tsp"])
@@ -203,20 +201,38 @@ class TestMetrics:
         stats = error_uncertainty_correlation(errors, errors**2)
         assert stats["spearman"] == pytest.approx(1.0)
 
+    def test_correlation_anticorrelated(self):
+        errors = np.linspace(0, 1, 50)
+        stats = error_uncertainty_correlation(errors, 1.0 - errors)
+        assert stats["pearson"] == pytest.approx(-1.0)
+        assert stats["spearman"] == pytest.approx(-1.0)
+
+    def test_correlation_length_mismatch(self):
+        with pytest.raises(ValueError):
+            error_uncertainty_correlation(np.ones(5), np.ones(4))
+
     def test_correlation_requires_samples(self):
         with pytest.raises(ValueError):
             error_uncertainty_correlation([1.0], [1.0])
-
-    def test_interval_coverage_calibrated_gaussian(self, rng):
-        stds = np.full(5000, 1.0)
-        errors = rng.normal(size=5000)
-        assert interval_coverage(errors, stds, k=2.0) == pytest.approx(0.954, abs=0.02)
 
     def test_ause_perfect_ranking_near_zero(self):
         errors = np.linspace(0.1, 1.0, 100)
         assert area_under_sparsification_error(errors, errors) == pytest.approx(
             0.0, abs=1e-9
         )
+
+    def test_ause_requires_samples(self):
+        with pytest.raises(ValueError):
+            area_under_sparsification_error(np.ones(3), np.ones(3))
+
+    def test_ause_zero_errors_is_zero(self, rng):
+        assert area_under_sparsification_error(np.zeros(20), rng.uniform(size=20)) == 0.0
+
+    def test_ause_inverted_ranking_worse_than_random(self, rng):
+        errors = rng.uniform(size=200)
+        inverted = area_under_sparsification_error(errors, -errors)
+        random = area_under_sparsification_error(errors, rng.uniform(size=200))
+        assert inverted > random
 
     def test_ause_random_ranking_positive(self, rng):
         errors = rng.uniform(size=200)

@@ -15,7 +15,6 @@ from repro.circuits import (
     InverterArray,
     InverterColumn,
     LikelihoodInverter,
-    LinearADC,
     LogarithmicADC,
     MismatchSampler,
     NoiseModel,
@@ -41,6 +40,21 @@ class TestTechnology:
 
     def test_adc_energy_monotone(self):
         assert NODE_16NM.adc_energy(6) > NODE_16NM.adc_energy(4)
+
+    def test_thermal_voltage_scales_with_temperature(self):
+        from dataclasses import replace
+
+        hot = replace(NODE_45NM, temperature_k=2 * NODE_45NM.temperature_k)
+        assert hot.thermal_voltage == pytest.approx(2 * NODE_45NM.thermal_voltage)
+
+    def test_empty_energy_table_rejected(self):
+        from repro.circuits.technology import TechnologyNode
+
+        node = TechnologyNode(name="bare", vdd=1.0)
+        with pytest.raises(ValueError):
+            node.mac_energy(8)
+        with pytest.raises(ValueError):
+            node.adc_energy(4)
 
 
 class TestMOSFET:
@@ -177,22 +191,28 @@ class TestADCs:
         assert adc.convert(np.array([1e-12]))[0] == 0
         assert adc.convert(np.array([1.0]))[0] == adc.levels - 1
 
-    def test_linear_adc_round_trip(self):
-        adc = LinearADC(NODE_45NM, bits=6, full_scale=2.0)
-        values = np.linspace(0, 2, 10)
-        decoded = adc.decode(adc.convert(values))
-        assert np.max(np.abs(decoded - values)) <= adc.lsb / 2 + 1e-12
-
-    def test_noise_requires_rng(self):
-        adc = LinearADC(NODE_45NM, bits=4, noise_lsb=0.5)
-        with pytest.raises(ValueError):
-            adc.convert(np.array([0.5]))
-
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
             LogarithmicADC(NODE_45NM, i_min=1e-5, i_max=1e-9)
         with pytest.raises(ValueError):
-            LinearADC(NODE_45NM, full_scale=-1.0)
+            LogarithmicADC(NODE_45NM, bits=0)
+
+    def test_noise_requires_rng(self):
+        adc = LogarithmicADC(NODE_45NM, bits=4, noise_lsb=0.5)
+        with pytest.raises(ValueError):
+            adc.convert(np.array([1e-7]))
+
+    def test_convert_is_quantize_of_drawn_noise(self):
+        adc = LogarithmicADC(NODE_45NM, bits=6, i_min=1e-9, i_max=1e-5, noise_lsb=0.7)
+        currents = np.logspace(-9, -5, 40)
+        codes = adc.convert(currents, np.random.default_rng(4))
+        noise = adc.draw_noise(currents.shape, np.random.default_rng(4))
+        assert np.array_equal(codes, adc.quantize(currents, noise))
+        assert not np.array_equal(codes, adc.quantize(currents))
+
+    def test_conversion_energy_from_node_table(self):
+        adc = LogarithmicADC(NODE_45NM, bits=6)
+        assert adc.conversion_energy() == NODE_45NM.adc_energy_per_conversion_j[6]
 
 
 class TestDAC:
@@ -211,6 +231,18 @@ class TestDAC:
     def test_inl_requires_rng(self):
         with pytest.raises(ValueError):
             DAC(NODE_45NM, inl_lsb=0.5)
+
+    def test_defaults_to_node_supply_and_energy(self):
+        dac = DAC(NODE_16NM, bits=5)
+        assert dac.v_max == NODE_16NM.vdd
+        assert dac.lsb == pytest.approx(NODE_16NM.vdd / 31)
+        assert dac.conversion_energy() == NODE_16NM.dac_energy_j
+        with pytest.raises(ValueError):
+            DAC(NODE_16NM, bits=0)
+
+    def test_out_of_range_voltages_clip_to_rails(self):
+        dac = DAC(NODE_45NM, bits=4, v_max=0.8)
+        assert np.allclose(dac.convert(np.array([-1.0, 5.0])), [0.0, 0.8])
 
 
 class TestNoiseAndMismatch:

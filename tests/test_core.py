@@ -219,10 +219,9 @@ class TestCIMMCDropoutEngine:
         assert result.tops_per_watt() > 0
 
     def test_unmappable_model_rejected(self, rng):
-        from repro.nn import LSTM
-
-        model = Sequential([LSTM(4, 4, rng), Dropout(0.5), Dense(4, 2, rng)])
-        with pytest.raises(ValueError):
+        # An activation with no Dense layer before it has no macro stage.
+        model = Sequential([ReLU(), Dropout(0.5), Dense(4, 2, rng)])
+        with pytest.raises(ValueError, match="cannot be mapped"):
             CIMMCDropoutEngine(model, rng=rng)
 
     def test_model_without_dropout_rejected(self, rng):

@@ -3,63 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.circuits.technology import NODE_16NM, NODE_45NM
-from repro.energy import (
-    EnergyComparison,
-    cim_likelihood_energy,
-    cim_mc_dropout_energy,
-    comparison_table,
-    digital_gmm_energy,
-    digital_nn_energy,
-)
-from repro.energy.report import format_energy
-
-
-class TestDigitalGMMModel:
-    def test_matches_metered_backend(self, rng):
-        from repro.filtering.measurement import DigitalGMMBackend
-        from repro.maps.gmm import GaussianMixture
-
-        gmm = GaussianMixture(
-            np.ones(10) / 10, rng.normal(size=(10, 3)), np.full((10, 3), 0.5)
-        )
-        backend = DigitalGMMBackend(gmm, NODE_45NM, bits=8)
-        backend.field_log(rng.normal(size=(25, 3)))
-        metered = backend.ledger.total_energy_j()
-        analytic = digital_gmm_energy(NODE_45NM, n_components=10, bits=8, n_queries=25)
-        assert analytic == pytest.approx(metered, rel=1e-9)
-
-    def test_scales_linearly(self):
-        one = digital_gmm_energy(NODE_45NM, 50, n_queries=1)
-        many = digital_gmm_energy(NODE_45NM, 50, n_queries=17)
-        assert many == pytest.approx(17 * one)
-
-    def test_higher_precision_costs_more(self):
-        assert digital_gmm_energy(NODE_45NM, 50, bits=16) > digital_gmm_energy(
-            NODE_45NM, 50, bits=8
-        )
-
-
-class TestCIMLikelihoodModel:
-    def test_component_sum(self):
-        energy = cim_likelihood_energy(
-            NODE_45NM, adc_bits=4, n_axes=3, mean_array_current_a=1e-5
-        )
-        expected = (
-            3 * NODE_45NM.dac_energy_j
-            + NODE_45NM.adc_energy(4)
-            + 1e-5 * NODE_45NM.vdd * 1e-8
-        )
-        assert energy == pytest.approx(expected)
-
-    def test_matches_paper_band(self):
-        energy = cim_likelihood_energy(NODE_45NM)
-        assert 2e-13 < energy < 6e-13  # a few hundred fJ
-
-    def test_beats_digital_by_paper_factor(self):
-        digital = digital_gmm_energy(NODE_45NM, n_components=100, bits=8)
-        cim = cim_likelihood_energy(NODE_45NM)
-        assert 10 < digital / cim < 60
+from repro.circuits.technology import NODE_16NM
+from repro.energy import cim_mc_dropout_energy, digital_nn_energy
 
 
 class TestNNModels:
@@ -70,6 +15,52 @@ class TestNNModels:
             NODE_16NM.mac_energy(8) + 8 * NODE_16NM.sram_read_energy_per_bit_j
         )
         assert energy == pytest.approx(expected)
+
+    def test_digital_nn_scales_linearly(self):
+        one = digital_nn_energy(NODE_16NM, (12, 8, 3), n_inferences=1)
+        many = digital_nn_energy(NODE_16NM, (12, 8, 3), n_inferences=17)
+        assert many == pytest.approx(17 * one)
+
+    def test_digital_nn_higher_precision_costs_more(self):
+        sizes = (12, 8, 3)
+        assert digital_nn_energy(NODE_16NM, sizes, bits=16) > digital_nn_energy(
+            NODE_16NM, sizes, bits=8
+        )
+
+    def test_cim_mc_scales_linearly(self):
+        from repro.sram.macro import MacroConfig
+
+        config = MacroConfig(weight_bits=4)
+        one = cim_mc_dropout_energy(config, (32, 16, 4), n_inferences=1)
+        many = cim_mc_dropout_energy(config, (32, 16, 4), n_inferences=9)
+        assert many == pytest.approx(9 * one)
+
+    def test_cim_mc_refresh_every_iteration_equals_no_reuse(self):
+        from repro.sram.macro import MacroConfig
+
+        config = MacroConfig(weight_bits=4)
+        sizes = (32, 16, 4)
+        assert cim_mc_dropout_energy(
+            config, sizes, reuse=True, refresh_every=1
+        ) == pytest.approx(cim_mc_dropout_energy(config, sizes, reuse=False))
+
+    def test_cim_mc_single_refresh_cheapest(self):
+        from repro.sram.macro import MacroConfig
+
+        config = MacroConfig(weight_bits=4)
+        sizes = (32, 16, 4)
+        costs = [
+            cim_mc_dropout_energy(config, sizes, refresh_every=k) for k in (0, 8, 2)
+        ]
+        assert costs[0] < costs[1] < costs[2]
+
+    def test_cim_mc_higher_adc_precision_costs_more(self):
+        from repro.sram.macro import MacroConfig
+
+        sizes = (32, 16, 4)
+        assert cim_mc_dropout_energy(
+            MacroConfig(adc_bits=8), sizes
+        ) > cim_mc_dropout_energy(MacroConfig(adc_bits=4), sizes)
 
     def test_cim_mc_reuse_cheaper(self):
         from repro.sram.macro import MacroConfig
@@ -111,27 +102,6 @@ class TestNNModels:
             digital_nn_energy(NODE_16NM, (10,))
         with pytest.raises(ValueError):
             cim_mc_dropout_energy(MacroConfig(), (10, 5), keep_probability=0.0)
-
-
-class TestReport:
-    def test_ratio(self):
-        comparison = EnergyComparison("a vs b", baseline_j=1e-11, proposed_j=4e-13)
-        assert comparison.ratio == pytest.approx(25.0)
-
-    def test_table_contains_rows(self):
-        table = comparison_table(
-            [
-                EnergyComparison("likelihood", 1e-11, 4e-13),
-                EnergyComparison("inference", 3e-9, 1e-9),
-            ]
-        )
-        assert "likelihood" in table and "inference" in table
-
-    def test_empty_table(self):
-        assert "no comparisons" in comparison_table([])
-
-    def test_format_energy_roundtrip_units(self):
-        assert format_energy(374e-15).endswith("fJ")
 
 
 class TestDigitalMCDropoutModel:

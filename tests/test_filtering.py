@@ -1,4 +1,4 @@
-"""Tests for repro.filtering: particles, resampling, motion, PF, EKF."""
+"""Tests for repro.filtering: particles, resampling, motion, PF."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from repro.filtering import (
     DepthScanMeasurementModel,
     DigitalGMMBackend,
-    ExtendedKalmanFilter,
     OdometryMotionModel,
     ParticleFilter,
     ParticleSet,
-    RandomWalkMotionModel,
     effective_sample_size,
     multinomial_resample,
     residual_resample,
@@ -166,11 +164,39 @@ class TestMotionModels:
         large = model.propagate(particles, np.array([2.0, 0, 0, 0]), rng)
         assert large.states[:, 0].std() > small.states[:, 0].std()
 
-    def test_random_walk_diffuses(self, rng):
-        particles = ParticleSet(np.zeros((200, 4)))
-        model = RandomWalkMotionModel(translation_sigma=0.1)
+    def test_zero_control_diffuses_at_noise_floor(self, rng):
+        particles = ParticleSet(np.zeros((4000, 4)))
+        model = OdometryMotionModel(translation_noise=0.1, yaw_noise=0.05)
         moved = model.propagate(particles, np.zeros(4), rng)
-        assert moved.states[:, 0].std() == pytest.approx(0.1, rel=0.3)
+        assert moved.states[:, :3].std(axis=0) == pytest.approx([0.1] * 3, rel=0.1)
+        assert moved.states[:, 3].std() == pytest.approx(0.05, rel=0.1)
+        assert np.allclose(moved.states.mean(axis=0), 0.0, atol=0.01)
+
+    def test_noiseless_model_is_deterministic(self, rng):
+        states = np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 2.0, 0.5, np.pi / 2]])
+        model = OdometryMotionModel(0.0, 0.0, 0.0)
+        moved = model.propagate(ParticleSet(states), np.array([1.0, 0.5, 0.2, 0.3]), rng)
+        expected = np.array(
+            [[1.0, 0.5, 1.2, 0.3], [0.5, 3.0, 0.7, wrap_angle(np.pi / 2 + 0.3)]]
+        )
+        assert np.allclose(moved.states, expected)
+
+    def test_propagate_keeps_weights_and_input(self, rng):
+        log_weights = np.log(np.array([0.1, 0.2, 0.7]))
+        particles = ParticleSet(np.zeros((3, 4)), log_weights)
+        before = particles.states.copy()
+        moved = OdometryMotionModel().propagate(particles, np.ones(4), rng)
+        assert np.allclose(moved.log_weights, particles.log_weights)
+        assert np.array_equal(particles.states, before)
+
+    def test_negative_noise_rejected(self):
+        for kwargs in (
+            {"translation_noise": -0.1},
+            {"yaw_noise": -0.1},
+            {"proportional_noise": -0.1},
+        ):
+            with pytest.raises(ValueError):
+                OdometryMotionModel(**kwargs)
 
     def test_control_shape_validated(self, rng):
         model = OdometryMotionModel()
@@ -241,13 +267,31 @@ class TestMeasurementModel:
         with pytest.raises(ValueError):
             DepthScanMeasurementModel(backend, temperature=0.0)
 
+    def test_digital_backend_meters_per_component_ops(self, rng):
+        # Per query and component: 4 MACs, 1 exp LUT access, 1 accumulate
+        # and 7 parameter words read from SRAM.
+        gmm = GaussianMixture(
+            np.ones(10) / 10, rng.normal(size=(10, 3)), np.full((10, 3), 0.5)
+        )
+        backend = DigitalGMMBackend(gmm, NODE_45NM, bits=8)
+        backend.field_log(rng.normal(size=(25, 3)))
+        per_component = (
+            4.0 * NODE_45NM.mac_energy(8)
+            + NODE_45NM.lut_energy_j
+            + NODE_45NM.add_energy(8)
+            + 7.0 * 8 * NODE_45NM.sram_read_energy_per_bit_j
+        )
+        assert backend.ledger.total_energy_j() == pytest.approx(
+            25 * 10 * per_component, rel=1e-9
+        )
+
 
 class TestParticleFilter:
     def test_tracks_static_target(self, rng):
         backend, gmm = _simple_backend()
         model = DepthScanMeasurementModel(backend, temperature=2.0)
         model.calibrate_floor(gmm.sample(300, rng))
-        pf = ParticleFilter(RandomWalkMotionModel(0.02, 0.01), model)
+        pf = ParticleFilter(OdometryMotionModel(0.02, 0.01), model)
         pf.initialize(
             ParticleSet.gaussian([0, 0, 0, 0], [0.4, 0.4, 0.2, 0.2], 300, rng)
         )
@@ -260,7 +304,7 @@ class TestParticleFilter:
         backend, gmm = _simple_backend()
         model = DepthScanMeasurementModel(backend, temperature=2.0)
         model.calibrate_floor(gmm.sample(300, rng))
-        pf = ParticleFilter(RandomWalkMotionModel(0.02, 0.01), model)
+        pf = ParticleFilter(OdometryMotionModel(0.02, 0.01), model)
         pf.initialize(ParticleSet.gaussian([0, 0, 0, 0], [0.2] * 4, 100, rng))
         scan = gmm.sample(20, rng)
         for _ in range(3):
@@ -271,7 +315,7 @@ class TestParticleFilter:
     def test_requires_initialisation(self, rng):
         backend, _ = _simple_backend()
         model = DepthScanMeasurementModel(backend)
-        pf = ParticleFilter(RandomWalkMotionModel(), model)
+        pf = ParticleFilter(OdometryMotionModel(), model)
         with pytest.raises(RuntimeError):
             pf.step(np.zeros(4), np.zeros((3, 3)), rng)
 
@@ -279,64 +323,4 @@ class TestParticleFilter:
         backend, _ = _simple_backend()
         model = DepthScanMeasurementModel(backend)
         with pytest.raises(ValueError):
-            ParticleFilter(RandomWalkMotionModel(), model, resampler="bogus")
-
-
-class TestEKF:
-    def test_converges_on_linear_system(self, rng):
-        # 1D constant position observed with noise.
-        def f(x, u):
-            return x
-
-        def f_jac(x, u):
-            return np.eye(1)
-
-        def h(x):
-            return x
-
-        def h_jac(x):
-            return np.eye(1)
-
-        ekf = ExtendedKalmanFilter(
-            f, f_jac, h, h_jac, process_noise=np.eye(1) * 1e-6, measurement_noise=np.eye(1) * 0.1
-        )
-        ekf.initialize(np.array([5.0]), np.eye(1) * 10.0)
-        for _ in range(50):
-            ekf.predict(np.zeros(1))
-            ekf.update(np.array([1.0]) + rng.normal(scale=0.3, size=1) * 0)
-        assert ekf.state[0] == pytest.approx(1.0, abs=0.05)
-        assert ekf.covariance[0, 0] < 0.1
-
-    def test_covariance_stays_symmetric(self, rng):
-        def f(x, u):
-            return x + u
-
-        def f_jac(x, u):
-            return np.eye(2)
-
-        def h(x):
-            return x[:1]
-
-        def h_jac(x):
-            return np.array([[1.0, 0.0]])
-
-        ekf = ExtendedKalmanFilter(
-            f, f_jac, h, h_jac, np.eye(2) * 0.01, np.eye(1) * 0.1
-        )
-        ekf.initialize(np.zeros(2), np.eye(2))
-        for k in range(10):
-            ekf.predict(np.array([0.1, -0.05]))
-            ekf.update(np.array([0.1 * (k + 1)]))
-        assert np.allclose(ekf.covariance, ekf.covariance.T, atol=1e-12)
-
-    def test_requires_initialisation(self):
-        ekf = ExtendedKalmanFilter(
-            lambda x, u: x,
-            lambda x, u: np.eye(1),
-            lambda x: x,
-            lambda x: np.eye(1),
-            np.eye(1),
-            np.eye(1),
-        )
-        with pytest.raises(RuntimeError):
-            ekf.predict(np.zeros(1))
+            ParticleFilter(OdometryMotionModel(), model, resampler="bogus")

@@ -10,9 +10,7 @@ from repro.maps import (
     HMGMixture,
     PointCloud,
     diag_gaussian_logpdf,
-    diag_gaussian_pdf,
     hmg_kernel,
-    hmg_unit_integral,
     kmeans,
     kmeans_plus_plus_init,
 )
@@ -66,16 +64,27 @@ class TestDiagGaussian:
         ref = multivariate_normal(mean, np.diag(sigma**2)).logpdf(points)
         assert np.allclose(ours, ref)
 
-    def test_pdf_positive(self, rng):
-        values = diag_gaussian_pdf(
-            rng.normal(size=(5, 2)), np.zeros((3, 2)), np.ones((3, 2))
-        )
-        assert values.shape == (5, 3)
-        assert np.all(values > 0)
-
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             diag_gaussian_logpdf(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)))
+
+    def test_points_by_components_shape(self, rng):
+        out = diag_gaussian_logpdf(
+            rng.normal(size=(7, 3)), rng.normal(size=(4, 3)), np.ones((4, 3))
+        )
+        assert out.shape == (7, 4)
+
+    def test_single_point_broadcasts(self):
+        out = diag_gaussian_logpdf(np.zeros(2), np.zeros(2), np.ones(2))
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(-np.log(2 * np.pi))
+
+    def test_density_peaks_at_mean(self, rng):
+        mean = np.array([[0.3, -1.0]])
+        sigma = np.array([[0.4, 0.9]])
+        points = mean + rng.normal(scale=0.5, size=(50, 2))
+        at_mean = diag_gaussian_logpdf(mean, mean, sigma)[0, 0]
+        assert np.all(diag_gaussian_logpdf(points, mean, sigma)[:, 0] < at_mean)
 
 
 class TestKMeans:
@@ -175,16 +184,22 @@ class TestHMGKernel:
         gauss = np.exp(-0.5 * 18.0)
         assert hmg > gauss
 
-    def test_unit_integrals_match_table(self):
-        assert hmg_unit_integral(1, n_grid=4001) == pytest.approx(
-            HMG_UNIT_INTEGRALS[1], rel=1e-4
-        )
-        assert hmg_unit_integral(2, n_grid=801) == pytest.approx(
-            HMG_UNIT_INTEGRALS[2], rel=1e-3
-        )
-        assert hmg_unit_integral(3, n_grid=161) == pytest.approx(
-            HMG_UNIT_INTEGRALS[3], rel=5e-3
-        )
+    @pytest.mark.parametrize(
+        "d, n_grid, rel", [(1, 4001, 1e-4), (2, 801, 1e-3), (3, 161, 5e-3)]
+    )
+    def test_unit_integrals_match_table(self, d, n_grid, rel):
+        # Trapezoidal quadrature of the unit kernel over [-12, 12]^d, one
+        # slice of the grid at a time.
+        u = np.linspace(-12.0, 12.0, n_grid)
+        slices = []
+        for first in u:
+            grid = np.meshgrid([first], *[u] * (d - 1), indexing="ij")
+            points = np.stack(grid, axis=-1).reshape(-1, d)
+            slices.append(hmg_kernel(points, np.zeros((1, d)), np.ones((1, d))))
+        integral = np.reshape(slices, (n_grid,) * d)
+        for _ in range(d):
+            integral = np.trapezoid(integral, u, axis=-1)
+        assert integral == pytest.approx(HMG_UNIT_INTEGRALS[d], rel=rel)
 
     def test_log_kernel_stable_far_away(self):
         log_val = hmg_log_kernel(

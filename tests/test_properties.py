@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.bayesian.conformal import conformal_quantile
 from repro.bayesian.ordering import mask_hamming_path_length, optimal_mask_order
-from repro.circuits import DAC, LinearADC, LogarithmicADC, NODE_45NM
+from repro.circuits import DAC, LogarithmicADC, NODE_45NM
 from repro.circuits.energy import EnergyLedger
 from repro.maps.hmg import hmg_kernel
 from repro.nn.quantization import QuantizationSpec, dequantize, quantize
@@ -58,13 +58,20 @@ class TestConverterProperties:
         codes = adc.convert(currents)
         assert np.all(np.diff(codes) >= 0)
 
+    @given(st.integers(2, 10), st.floats(1e-10, 1e-4))
+    @settings(max_examples=30)
+    def test_log_adc_error_bounded_by_half_lsb_in_log_domain(self, bits, current):
+        adc = LogarithmicADC(NODE_45NM, bits=bits, i_min=1e-10, i_max=1e-4)
+        decoded = adc.decode(adc.convert(np.array([current])))[0]
+        log_lsb = np.log(adc.i_max / adc.i_min) / (adc.levels - 1)
+        assert abs(np.log(decoded / current)) <= log_lsb / 2 + 1e-9
+
     @given(st.integers(2, 10), st.floats(0.1, 10.0))
     @settings(max_examples=20)
-    def test_linear_adc_error_bounded_by_half_lsb(self, bits, full_scale):
-        adc = LinearADC(NODE_45NM, bits=bits, full_scale=full_scale)
-        values = np.linspace(0, full_scale, 57)
-        decoded = adc.decode(adc.convert(values))
-        assert np.max(np.abs(decoded - values)) <= adc.lsb / 2 + 1e-12
+    def test_dac_error_bounded_by_half_lsb(self, bits, v_max):
+        dac = DAC(NODE_45NM, bits=bits, v_max=v_max)
+        voltages = np.linspace(0, v_max, 57)
+        assert np.max(np.abs(dac.convert(voltages) - voltages)) <= dac.lsb / 2 + 1e-12
 
     @given(st.integers(2, 8))
     @settings(max_examples=15)

@@ -1,48 +1,8 @@
-"""Tests for the experiment registry plus assorted integration details."""
+"""Integration details: world caching, scaler clipping, macro recalibration,
+localization results, ledger edge cases and dataset defaults."""
 
 import numpy as np
 import pytest
-
-from repro.experiments.runner import EXPERIMENTS, run
-
-
-class TestRunnerRegistry:
-    def test_all_ids_have_descriptions(self):
-        for key, (description, fn) in EXPERIMENTS.items():
-            assert key.startswith("E")
-            assert description
-            assert callable(fn)
-
-    def test_unknown_id_rejected(self):
-        with pytest.raises(KeyError):
-            run("E99")
-
-    def test_fast_experiment_runs(self):
-        result = run("E9")
-        assert "executed_fraction" in result
-
-    def test_list_mode(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "E4" in out and "E9" in out
-
-    def test_main_unknown_id_friendly(self, capsys):
-        # Regression: main() used to index EXPERIMENTS directly and leak a
-        # raw KeyError instead of run()'s friendly message.
-        from repro.experiments.runner import main
-
-        assert main(["E99"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown experiment" in err and "E99" in err
-
-    def test_main_runs_lowercase_id(self, capsys):
-        from repro.experiments.runner import main
-
-        assert main(["e9"]) == 0
-        out = capsys.readouterr().out
-        assert "E9" in out and "executed_fraction" in out
 
 
 class TestWorldCaching:

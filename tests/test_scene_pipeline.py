@@ -11,7 +11,6 @@ from repro.scene.primitives import Plane, Sphere
 from repro.scene.trajectory import (
     Trajectory,
     drone_orbit_states,
-    lissajous_trajectory,
     look_at,
     orbit_trajectory,
     states_to_controls,
@@ -129,17 +128,34 @@ class TestTrajectories:
         step_jit = np.linalg.norm(np.diff(jittered.positions(), axis=0), axis=1)
         assert step_jit.std() > 3 * step_smooth.std()
 
+    def test_orbit_keeps_radius_and_height(self):
+        target = np.array([1.0, -2.0, 0.5])
+        traj = orbit_trajectory(target, radius=1.5, height=0.8, n_poses=16)
+        offsets = traj.positions() - target
+        assert np.allclose(np.linalg.norm(offsets[:, :2], axis=1), 1.5)
+        assert np.allclose(offsets[:, 2], 0.8)
+        assert np.allclose(traj.timestamps, np.arange(16) / 30.0)
+
+    def test_orbit_validation(self, rng):
+        with pytest.raises(ValueError):
+            orbit_trajectory([0, 0, 0], 1.0, 1.0, 0)
+        with pytest.raises(ValueError):
+            orbit_trajectory([0, 0, 0], 1.0, 1.0, 5, speed_jitter=0.2)
+
+    def test_drone_orbit_heading_tangent(self):
+        states = drone_orbit_states(np.zeros(3), 2.0, 1.0, 24, height_wobble=0.0)
+        velocity = np.diff(states[:, :2], axis=0)
+        heading = np.stack([np.cos(states[:-1, 3]), np.sin(states[:-1, 3])], axis=1)
+        cos_angle = np.sum(velocity * heading, axis=1) / np.linalg.norm(velocity, axis=1)
+        assert np.all(cos_angle > 0.95)
+        assert np.allclose(np.linalg.norm(states[:, :2], axis=1), 2.0)
+
     def test_relative_increments_recompose(self):
         traj = orbit_trajectory([0, 0, 0], 1.0, 0.8, 8)
         poses = [traj[0]]
         for inc in traj.relative_increments():
             poses.append(poses[-1].compose(inc))
         assert np.allclose(poses[-1].as_matrix(), traj[7].as_matrix(), atol=1e-9)
-
-    def test_lissajous_shape(self):
-        traj = lissajous_trajectory([0, 0, 1], [1, 1, 0.3], 15)
-        assert len(traj) == 15
-        assert traj.total_length() > 0
 
     def test_drone_states_controls_round_trip(self):
         states = drone_orbit_states([0, 0, 0], 1.2, 1.0, 10)

@@ -9,8 +9,6 @@ from repro.scene.se3 import (
     Pose,
     euler_to_matrix,
     matrix_to_euler,
-    matrix_to_quaternion,
-    quaternion_to_matrix,
     rotation_angle,
     rotation_x,
     rotation_y,
@@ -46,23 +44,25 @@ class TestRotations:
         recovered = euler_to_matrix(*matrix_to_euler(rotation))
         assert np.allclose(rotation, recovered, atol=1e-9)
 
+    @given(angles, angles, angles)
+    @settings(max_examples=50)
+    def test_euler_matrix_is_rotation(self, roll, pitch, yaw):
+        rotation = euler_to_matrix(roll, pitch, yaw)
+        assert np.allclose(rotation @ rotation.T, np.eye(3), atol=1e-12)
+        assert np.linalg.det(rotation) == pytest.approx(1.0)
+
+    @given(angles, small_angles, angles)
+    @settings(max_examples=30)
+    def test_rotation_angle_invariant_under_inverse(self, roll, pitch, yaw):
+        rotation = euler_to_matrix(roll, pitch, yaw)
+        assert rotation_angle(rotation.T) == pytest.approx(
+            rotation_angle(rotation), abs=1e-9
+        )
+
     def test_euler_gimbal_lock_is_valid_rotation(self):
         rotation = euler_to_matrix(0.3, np.pi / 2, -0.2)
         recovered = euler_to_matrix(*matrix_to_euler(rotation))
         assert np.allclose(rotation, recovered, atol=1e-6)
-
-    @given(angles, small_angles, angles)
-    @settings(max_examples=50)
-    def test_quaternion_round_trip(self, roll, pitch, yaw):
-        rotation = euler_to_matrix(roll, pitch, yaw)
-        quat = matrix_to_quaternion(rotation)
-        assert np.isclose(np.linalg.norm(quat), 1.0)
-        assert quat[0] >= 0
-        assert np.allclose(quaternion_to_matrix(quat), rotation, atol=1e-9)
-
-    def test_quaternion_rejects_zero(self):
-        with pytest.raises(ValueError):
-            quaternion_to_matrix([0, 0, 0, 0])
 
     def test_rotation_angle_identity_is_zero(self):
         assert rotation_angle(np.eye(3)) == pytest.approx(0.0)
@@ -136,9 +136,13 @@ class TestPose:
         pose = Pose.from_euler([5, 5, 5], yaw=np.pi / 2)
         assert np.allclose(pose.rotate_vectors([[1, 0, 0]]), [[0, 1, 0]], atol=1e-12)
 
-    def test_quaternion_euler_consistency(self):
+    @given(coords, coords, angles, angles)
+    @settings(max_examples=30)
+    def test_distance_to_is_symmetric(self, x, y, yaw1, yaw2):
+        a = Pose.from_euler([x, 0.5, -1.0], yaw=yaw1)
+        b = Pose.from_euler([1.0, y, 2.0], roll=0.2, yaw=yaw2)
+        assert np.allclose(a.distance_to(b), b.distance_to(a), atol=1e-9)
+
+    def test_from_euler_round_trip(self):
         pose = Pose.from_euler([0, 0, 0], roll=0.1, pitch=0.2, yaw=0.3)
-        assert np.allclose(
-            quaternion_to_matrix(pose.quaternion()), pose.rotation, atol=1e-10
-        )
         assert pose.euler() == pytest.approx((0.1, 0.2, 0.3))

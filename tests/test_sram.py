@@ -1,4 +1,4 @@
-"""Tests for repro.sram: cell, bit line, RNG, dropout generator, macro."""
+"""Tests for repro.sram: bit line, RNG, dropout generator, macro."""
 
 import numpy as np
 import pytest
@@ -8,37 +8,9 @@ from repro.sram import (
     BitLineModel,
     CrossCoupledInverterRNG,
     DropoutBitGenerator,
-    EightTransistorCell,
     MacroConfig,
     SRAMCIMMacro,
 )
-
-
-class TestCell:
-    def test_write_and_product(self):
-        cell = EightTransistorCell(NODE_16NM)
-        cell.write(1)
-        assert cell.product_current(1) == pytest.approx(cell.unit_current)
-        assert cell.product_current(0) == pytest.approx(cell.leakage)
-        cell.write(0)
-        assert cell.product_current(1) == pytest.approx(cell.leakage)
-
-    def test_row_gating(self):
-        cell = EightTransistorCell(NODE_16NM)
-        cell.write(1)
-        assert cell.product_current(1, row_active=False) == pytest.approx(cell.leakage)
-
-    def test_vt_offset_modulates_leakage(self):
-        lo = EightTransistorCell(NODE_16NM, vt_offset=0.05)
-        hi = EightTransistorCell(NODE_16NM, vt_offset=-0.05)
-        assert hi.leakage > lo.leakage
-
-    def test_validation(self):
-        cell = EightTransistorCell(NODE_16NM)
-        with pytest.raises(ValueError):
-            cell.write(2)
-        with pytest.raises(ValueError):
-            cell.product_current(3)
 
 
 class TestBitLine:
@@ -268,6 +240,19 @@ class TestMacro:
             out = macro.matvec(x, rng=rng)
             errors[bits] = np.abs(out - x @ weight).mean()
         assert errors[4] > errors[8]
+
+    def test_stored_weight_on_quantisation_grid(self, macro):
+        m, weight = macro
+        spec = m.weight_spec
+        assert spec.bits == 6
+        assert np.max(np.abs(m.stored_weight - weight)) <= spec.scale / 2 + 1e-12
+        assert np.allclose(m.stored_weight, m.weight_codes * spec.scale)
+        assert np.abs(m.weight_codes).max() <= spec.levels
+
+    def test_noisy_read_requires_rng(self, rng):
+        macro = SRAMCIMMacro(rng.normal(size=(8, 4)), MacroConfig(adc_noise_lsb=0.5), rng=rng)
+        with pytest.raises(ValueError):
+            macro.matvec(rng.normal(size=(1, 8)))
 
     def test_weight_shape_validation(self, rng):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.nn import Sequential
 from repro.scene.dataset import SyntheticRGBDScenes
 from repro.scene.se3 import Pose
 from repro.vo import (
@@ -12,7 +11,6 @@ from repro.vo import (
     VODataset,
     VOTrainer,
     ate_rmse,
-    build_vo_lstm,
     build_vo_mlp,
     increments_from_predictions,
     integrate_increments,
@@ -110,12 +108,14 @@ class TestDatasetAndTraining:
         model = build_vo_mlp(10, rng, hidden=(8, 8))
         assert len(model.dropout_layers()) == 2
 
-    def test_lstm_model_forward(self, rng):
-        model = build_vo_lstm(12, rng, hidden_size=8)
-        out = model.forward(rng.normal(size=(3, 5, 12)))
-        assert out.shape == (3, 6)
-        assert isinstance(model, Sequential)
-        assert len(model.dropout_layers()) == 1
+    def test_mlp_forward_shape(self, rng):
+        model = build_vo_mlp(10, rng, hidden=(8, 6), output_dim=6)
+        assert model.forward(rng.normal(size=(5, 10))).shape == (5, 6)
+        assert [layer.out_features for layer in model.dense_layers()] == [8, 6, 6]
+
+    def test_mlp_requires_hidden_layer(self, rng):
+        with pytest.raises(ValueError):
+            build_vo_mlp(10, rng, hidden=())
 
 
 class TestOdometry:
