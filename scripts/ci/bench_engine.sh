@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Engine benchmark gate: `repro bench` exits 1 when the engine fast path
-# times slower than the loop at the reference config.  With BENCH_CHECK=1
-# it also compares the fresh speedup ratios against the committed
-# BENCH_engine.json baseline (read before the fresh file overwrites it)
-# and fails on a >30% regression (BENCH_TOLERANCE overrides).
+# differs from the loop or times slower than it at the reference config.
+# With BENCH_CHECK=1 it also compares the fresh speedup ratios against
+# BENCH_engine.json -- the --engine-out path, read as the baseline
+# before the run -- and fails on a >30% regression (BENCH_TOLERANCE
+# overrides) or a missing ratio.  A failing run leaves the file as it was.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}

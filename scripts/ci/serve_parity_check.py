@@ -2,7 +2,8 @@
 
 POSTs one /infer per registered substrate and asserts every response is
 bit-for-bit equal to a direct pinned-mask session run with the same
-seed (values AND energy/ops metering).  Used by scripts/ci/smoke_serve.sh;
+seed (values AND energy/ops metering, every field
+``repro.serve.result_mismatches`` compares).  Used by scripts/ci/smoke_serve.sh;
 works identically against single-process and sharded (--workers N)
 servers, because the determinism contract does not depend on the
 deployment shape.
@@ -26,14 +27,13 @@ import os
 import urllib.parse
 import urllib.request
 
-import numpy as np
-
 from repro.api import available_substrates
 from repro.serve import (
     InferenceRequest,
     InferenceResponse,
     build_reference_session,
     reference_run,
+    result_mismatches,
 )
 from repro.serve.demo import demo_inputs, demo_model
 
@@ -73,10 +73,10 @@ def main() -> None:
         session = build_reference_session(
             substrate, model, n_iterations=n_iterations
         )
-        expected = reference_run(session, x, 3)
-        assert np.array_equal(response.result.mean, expected.mean), substrate
-        assert response.result.energy_j == expected.energy_j, substrate
-        assert response.result.ops_executed == expected.ops_executed, substrate
+        mismatches = result_mismatches(
+            response.result, reference_run(session, x, 3)
+        )
+        assert not mismatches, f"{substrate}: {mismatches} differ"
         print(
             f"{substrate}: bit-parity ok "
             f"(energy_j={response.result.energy_j:.3e})"

@@ -3,9 +3,10 @@
 Opens a track, feeds it the demo measurement sequence one step at a
 time, closes it, and asserts the streamed responses are bit-for-bit
 equal to a one-shot ``LocalizationSession.run()`` over the same sequence
-(estimates AND cumulative energy/ops metering) -- the stream determinism
-contract.  Used by scripts/ci/smoke_serve.sh; works identically against
-single-process and sharded (--workers N) servers.
+(estimates, step indices AND cumulative energy/ops metering, as
+``repro.serve.stream_mismatches`` compares them) -- the stream
+determinism contract.  Used by scripts/ci/smoke_serve.sh; works
+identically against single-process and sharded (--workers N) servers.
 
 Every POST goes over one persistent HTTP/1.1 connection, with a POST to
 an unknown path (body left unread, so the server closes) between two
@@ -26,7 +27,12 @@ import urllib.request
 import numpy as np
 
 from repro.api.results import strict_dumps, strict_loads
-from repro.serve import TrackInit, TrackStepResponse, reference_track_run
+from repro.serve import (
+    TrackInit,
+    TrackStepResponse,
+    reference_track_run,
+    stream_mismatches,
+)
 from repro.serve.demo import demo_track_measurements, demo_track_world
 
 
@@ -101,16 +107,10 @@ def main() -> None:
     reference = reference_track_run(
         world, "cim", init, 21, (controls, depths, truths)
     )
-    streamed = np.array([r.estimate for r in responses])
-    assert np.array_equal(streamed, reference.mean), "estimate mismatch"
-    final = responses[-1]
-    assert final.energy_j == reference.energy_j, "energy mismatch"
-    assert final.ops_executed == reference.ops_executed, "ops mismatch"
-    assert final.energy_breakdown_j == reference.energy_breakdown_j, (
-        "energy breakdown mismatch"
-    )
-    assert [r.step_index for r in responses] == list(range(1, n_steps + 1))
+    mismatches = stream_mismatches(responses, reference)
+    assert not mismatches, f"{mismatches} differ from reference_track_run"
     assert not any(r.state_lost for r in responses)
+    final = responses[-1]
 
     stats = json.loads(urllib.request.urlopen(f"{base_url}/stats").read())
     assert stats["tracks"]["opened"] >= 1, stats

@@ -209,6 +209,18 @@ def strict_loads(text: str) -> Any:
     return json.loads(text, object_hook=_restore_object)
 
 
+def emit_json(payload: Any, path: str | Path | None = None) -> None:
+    """Write a ``repro`` report as indented :func:`strict_dumps` text to
+    ``path`` (parent directories created), or to stdout without one."""
+    text = strict_dumps(payload, indent=2)
+    if path is None:
+        print(text)
+        return
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
+
+
 def _optional_array(value: Any) -> np.ndarray | None:
     if value is None:
         return None
@@ -434,4 +446,5 @@ __all__ = [
     "restore_nonfinite",
     "strict_dumps",
     "strict_loads",
+    "emit_json",
 ]

@@ -13,7 +13,8 @@ with results that stay bit-for-bit equal to a standalone pinned-mask
   calibrated sessions per (substrate, model) pair.
 - :mod:`repro.serve.execution` -- the one execution path: what every
   shard runs (:class:`~repro.serve.execution.ShardState` op dispatch,
-  one outcome codec); :func:`reference_run` is the determinism oracle.
+  one outcome codec); :func:`reference_run` is the determinism oracle
+  and :func:`result_mismatches` its comparator.
 - :mod:`repro.serve.service` -- :class:`InferenceService` /
   :class:`Batcher`: asyncio submission, work-conserving
   ``(max_batch, max_wait_ms)`` coalescing, bounded-queue backpressure,
@@ -29,7 +30,8 @@ with results that stay bit-for-bit equal to a standalone pinned-mask
   admission + idle-TTL eviction via
   :class:`~repro.runtime.policy.TrackPolicy`, crash recovery by
   measurement-log replay or explicit ``state_lost`` re-init), with
-  :func:`reference_track_run` as the stream-determinism oracle.
+  :func:`reference_track_run` as the stream-determinism oracle and
+  :func:`stream_mismatches` its comparator.
 - :mod:`repro.serve.http` -- stdlib HTTP endpoint (``/infer``,
   ``/track/open`` / ``/track/step`` / ``/track/close``, ``/healthz``,
   ``/stats``) behind ``repro serve [--workers N] [--tracks]``.
@@ -60,12 +62,14 @@ from repro.serve.service import (
     ServiceStats,
     reference_run,
 )
+from repro.serve.execution import result_mismatches
 from repro.serve.tracks import (
     TrackHandle,
     TrackManager,
     TrackStore,
     TrackWorld,
     reference_track_run,
+    stream_mismatches,
 )
 from repro.serve.types import (
     DEFAULT_MODEL,
@@ -113,4 +117,6 @@ __all__ = [
     "default_calibration_inputs",
     "reference_run",
     "reference_track_run",
+    "result_mismatches",
+    "stream_mismatches",
 ]

@@ -70,6 +70,27 @@ def reference_run(
     return session.run(inputs, rng=base, masks=plan)
 
 
+def result_mismatches(
+    actual: InferenceResult, expected: InferenceResult
+) -> list[str]:
+    """The fields where ``actual`` is not bit-for-bit ``expected``, the
+    per-request contract: values (``samples`` only when ``expected``
+    carries them) and metering.  Empty when every field matches."""
+    checks = {
+        "mean": np.array_equal(actual.mean, expected.mean),
+        "variance": np.array_equal(actual.variance, expected.variance),
+        "samples": expected.samples is None
+        or np.array_equal(actual.samples, expected.samples),
+        "ops_executed": actual.ops_executed == expected.ops_executed,
+        "ops_naive": actual.ops_naive == expected.ops_naive,
+        "energy_j": actual.energy_j == expected.energy_j,
+        "energy_breakdown_j": (
+            actual.energy_breakdown_j == expected.energy_breakdown_j
+        ),
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
 def post_draw_generators(
     session: MCDropoutSession, seed: int, count: int
 ) -> tuple[MaskPlan, list[np.random.Generator]]:
@@ -272,5 +293,6 @@ __all__ = [
     "encode_error",
     "post_draw_generators",
     "reference_run",
+    "result_mismatches",
     "run_grouped",
 ]

@@ -134,6 +134,29 @@ def reference_track_run(
     return session.run(measurements, rng=rng)
 
 
+def stream_mismatches(
+    responses: Sequence[TrackStepResponse], reference: InferenceResult
+) -> list[str]:
+    """The fields where one track's step responses, in order from its
+    open, break the stream contract against its
+    :func:`reference_track_run`: per-step estimates and indices, and the
+    cumulative metering after the last step.  Empty when they match."""
+    final = responses[-1]
+    checks = {
+        "estimates": np.array_equal(
+            np.array([r.estimate for r in responses]), reference.mean
+        ),
+        "step_index": [r.step_index for r in responses]
+        == list(range(1, len(responses) + 1)),
+        "energy_j": final.energy_j == reference.energy_j,
+        "ops_executed": final.ops_executed == reference.ops_executed,
+        "energy_breakdown_j": (
+            final.energy_breakdown_j == reference.energy_breakdown_j
+        ),
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
 def _ledger_cells(backend: Any) -> list[tuple[Any, str]]:
     """The attribute locations where a backend's ledgers live.
 
@@ -956,4 +979,5 @@ __all__ = [
     "TrackStore",
     "TrackWorld",
     "reference_track_run",
+    "stream_mismatches",
 ]

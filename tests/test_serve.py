@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import available_substrates
 from repro.api.results import (
+    InferenceResult,
     restore_nonfinite,
     sanitize_nonfinite,
     strict_dumps,
@@ -26,6 +27,7 @@ from repro.serve import (
     ServiceOverloaded,
     SessionPool,
     reference_run,
+    result_mismatches,
 )
 from repro.serve.demo import demo_inputs, demo_model
 from repro.serve.http import IDLE_TIMEOUT_S, MAX_BODY_BYTES, serve_http
@@ -47,19 +49,48 @@ def make_service(model, substrates, **kwargs):
     return InferenceService(model, substrates=substrates, **kwargs)
 
 
-def assert_result_equal(actual, expected):
-    """Bit-for-bit equality of two InferenceResults (values + metering)."""
-    assert np.array_equal(actual.mean, expected.mean)
-    if expected.variance is None:
-        assert actual.variance is None
-    else:
-        assert np.array_equal(actual.variance, expected.variance)
-    if expected.samples is not None:
-        assert np.array_equal(actual.samples, expected.samples)
-    assert actual.ops_executed == expected.ops_executed
-    assert actual.ops_naive == expected.ops_naive
-    assert actual.energy_j == expected.energy_j
-    assert actual.energy_breakdown_j == expected.energy_breakdown_j
+class TestResultMismatches:
+    """The per-request comparator names every field that differs."""
+
+    @staticmethod
+    def result(**fields):
+        base = dict(
+            substrate="cim",
+            workload="mc-dropout",
+            mean=np.zeros((2, 3)),
+            variance=np.ones((2, 3)),
+            samples=np.zeros((4, 2, 3)),
+            ops_executed=10,
+            ops_naive=12,
+            energy_j=1e-9,
+            energy_breakdown_j={"mac": 1e-9},
+        )
+        return InferenceResult(**{**base, **fields})
+
+    def test_equal_results_match(self):
+        assert result_mismatches(self.result(), self.result()) == []
+        no_variance = self.result(variance=None)
+        assert result_mismatches(no_variance, no_variance) == []
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mean", np.full((2, 3), 1e-300)),
+            ("variance", None),
+            ("samples", np.ones((4, 2, 3))),
+            ("ops_executed", 11),
+            ("ops_naive", None),
+            ("energy_j", 1.0000000000000002e-9),
+            ("energy_breakdown_j", {"mac": 1e-9, "adc": 0.0}),
+        ],
+    )
+    def test_each_field_is_compared(self, field, value):
+        actual = self.result(**{field: value})
+        assert result_mismatches(actual, self.result()) == [field]
+
+    def test_samples_compared_only_when_expected_has_them(self):
+        expected = self.result(samples=None)
+        assert result_mismatches(self.result(), expected) == []
 
 
 class TestPolicies:
@@ -159,7 +190,7 @@ class TestSessionPool:
         clone = original.clone()
         first = reference_run(original, inputs, 5)
         second = reference_run(clone, inputs, 5)
-        assert_result_equal(second, first)
+        assert not result_mismatches(second, first)
 
     def test_pool_prewarms_requested_size(self, model):
         pool = SessionPool("cim", model, n_iterations=N_ITER, size=3)
@@ -174,7 +205,7 @@ class TestSessionPool:
         pool = SessionPool("cim-reuse", model, n_iterations=N_ITER)
         member = asyncio.run(pool.acquire())
         reference = pool.reference_session()
-        assert_result_equal(
+        assert not result_mismatches(
             reference_run(member, inputs, 2), reference_run(reference, inputs, 2)
         )
 
@@ -207,7 +238,7 @@ class TestServiceParity:
             expected = reference_run(session, request.inputs, request.seed)
             assert response.substrate == request.substrate
             assert response.seed == request.seed
-            assert_result_equal(response.result, expected)
+            assert not result_mismatches(response.result, expected)
 
     def test_responses_arrive_in_request_order(self, service_and_responses):
         _, requests, responses = service_and_responses
@@ -288,7 +319,7 @@ class TestBatching:
         assert [r.group_size for r in responses] == [3, 3, 1, 3]
         for seed, response in zip((0, 0, 9, 0), responses):
             session = service.reference_session("cim")
-            assert_result_equal(
+            assert not result_mismatches(
                 response.result, reference_run(session, inputs, seed)
             )
 
@@ -394,7 +425,7 @@ class TestBackpressure:
         request = [InferenceRequest(inputs, substrate="cim", seed=4)]
         first = service.infer_many(request)
         second = service.infer_many(request)  # fresh event loop, warm pools
-        assert_result_equal(second[0].result, first[0].result)
+        assert not result_mismatches(second[0].result, first[0].result)
 
     def test_execution_failure_wrapped_as_execution_error(
         self, model, inputs, monkeypatch
@@ -488,7 +519,7 @@ class TestHTTP:
         json.loads(raw.decode(), parse_constant=reject)  # valid JSON only
         response = InferenceResponse.from_json(raw.decode())
         session = server.service.reference_session("cim")
-        assert_result_equal(
+        assert not result_mismatches(
             response.result, reference_run(session, inputs, 8)
         )
 
@@ -532,7 +563,7 @@ class TestHTTP:
         raw = reply.read()
         assert reply.status == 200, raw
         session = server.service.reference_session("cim")
-        assert_result_equal(
+        assert not result_mismatches(
             InferenceResponse.from_json(raw.decode()).result,
             reference_run(session, inputs, seed),
         )
