@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# CLI smoke: list + run paths that every PR must keep working.
+# CLI smoke: list + run paths that every PR must keep working, plus the
+# two fast examples (quickstart ~4 s, rng_calibration ~1 s). The other
+# examples take 15-27 s each and are run by hand.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -9,4 +11,6 @@ python -m repro run E1 --json --seed 0 > /dev/null
 python -m repro run E9 --json \
   --set n_inputs=32 --set n_outputs=16 \
   --set n_iterations=8 --set n_trials=1 > /dev/null
+python examples/quickstart.py > /dev/null
+python examples/rng_calibration.py > /dev/null
 echo "cli smoke: ok"

@@ -177,6 +177,11 @@ def run_e5(ctx: ExperimentContext) -> dict:
     )
 
 
+def _path_length(positions: np.ndarray) -> float:
+    """Length (m) of the polyline through ``positions`` (T, 3)."""
+    return float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
+
+
 @dataclass(frozen=True)
 class VOTrajectoryConfig:
     seed: int = 1
@@ -216,7 +221,8 @@ def run_e6(ctx: ExperimentContext) -> dict:
             "ate_rmse_m": {
                 mode: result["report"]["ate_rmse_m"]
                 for mode, result in data["modes"].items()
-            }
+            },
+            "path_length_m": _path_length(data["ground_truth"]),
         }
     # Substrate override: run the held-out scene through one uniform
     # MC-Dropout session and integrate the predicted increments.
@@ -244,6 +250,9 @@ def run_e6(ctx: ExperimentContext) -> dict:
     report = trajectory_report(estimated, gt_poses)
     return {
         "ate_rmse_m": {ctx.substrate.name: report["ate_rmse_m"]},
+        "path_length_m": _path_length(
+            np.stack([pose.translation for pose in gt_poses])
+        ),
         "report": report,
         "ops_executed": result.ops_executed,
         "ops_naive": result.ops_naive,
@@ -312,10 +321,22 @@ def run_e7(ctx: ExperimentContext) -> dict:
         hidden=cfg.hidden,
         predict_fn=predict_fn,
     )
+    severity = data["severity"]
+    rows = [
+        {
+            "occlusion": float(level),
+            "mean_error_m": float(data["errors"][severity == level].mean()),
+            "mean_variance": float(
+                data["uncertainties"][severity == level].mean()
+            ),
+        }
+        for level in sorted(set(severity))
+    ]
     return {
         "engine": engine,
         "correlation": data["correlation"],
         "ause": data["ause"],
+        "rows": rows,
     }
 
 

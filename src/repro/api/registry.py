@@ -140,9 +140,6 @@ class ExperimentSpec:
     substrates: tuple[str, ...] = ()
     description: str = ""
 
-    def default_config(self) -> Any:
-        return None if self.config_cls is None else self.config_cls()
-
     def make_config(
         self, overrides: dict[str, Any] | None = None, seed: int | None = None
     ) -> Any:

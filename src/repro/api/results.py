@@ -336,14 +336,6 @@ class BatchResult:
             + self.mask_generation_energy_j
         )
 
-    @property
-    def total_ops_executed(self) -> int:
-        return sum(result.ops_executed or 0 for result in self.results)
-
-    def stacked_means(self) -> np.ndarray:
-        """All item means concatenated along the row axis."""
-        return np.concatenate([result.mean for result in self.results], axis=0)
-
     def to_dict(self) -> dict:
         return {
             "substrate": self.substrate,

@@ -28,7 +28,7 @@ CLI via ``--substrate``.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
@@ -114,10 +114,6 @@ class SubstrateConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("digital", "cim"):
             raise ValueError(f"kind must be 'digital' or 'cim', got {self.kind!r}")
-
-    def with_macro(self, **changes: Any) -> "SubstrateConfig":
-        """A copy of this substrate with modified macro options."""
-        return replace(self, macro=replace(self.macro, **changes))
 
     def mc_dropout_session(
         self,

@@ -68,13 +68,6 @@ class MaskStream:
             raise ValueError("order must be a permutation of iterations")
         return MaskStream(self.masks[order], self.keep_probability)
 
-    def hamming_distances(self) -> np.ndarray:
-        """(T-1,) Hamming distances between consecutive masks."""
-        return (self.masks[1:] != self.masks[:-1]).sum(axis=1)
-
-    def empirical_keep_rate(self) -> float:
-        return float(self.masks.mean())
-
     def concatenate(self, other: "MaskStream") -> "MaskStream":
         """Concatenate along the width axis (multi-layer joint stream)."""
         if other.n_iterations != self.n_iterations:

@@ -34,10 +34,6 @@ class MCPrediction:
     def n_iterations(self) -> int:
         return self.samples.shape[0]
 
-    def total_uncertainty(self) -> np.ndarray:
-        """(B,) scalar uncertainty: mean variance across outputs."""
-        return self.variance.mean(axis=1)
-
 
 class MCDropoutPredictor:
     """MC-Dropout wrapper around a :class:`~repro.nn.sequential.Sequential`.

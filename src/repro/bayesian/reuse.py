@@ -38,20 +38,6 @@ class ReuseStats:
     ops_active_only: int
     columns_touched: int
 
-    @property
-    def savings_vs_naive(self) -> float:
-        """Fraction of naive work avoided."""
-        if self.ops_naive == 0:
-            return 0.0
-        return 1.0 - self.ops_executed / self.ops_naive
-
-    @property
-    def savings_vs_active(self) -> float:
-        """Fraction of mask-aware (but reuse-free) work avoided."""
-        if self.ops_active_only == 0:
-            return 0.0
-        return 1.0 - self.ops_executed / self.ops_active_only
-
 
 class DeltaReuseEngine:
     """Incremental matrix-vector products over an iteration sequence.

@@ -90,7 +90,3 @@ class FloatingGate:
         self._code = code
         self._vt = float(np.clip(vt, self.vt_min, self.vt_max))
         return self._vt
-
-    def programming_error(self, target_vt: float) -> float:
-        """Worst-case quantisation error for a target (ignoring noise)."""
-        return abs(self.code_to_vt(self.quantize(target_vt)) - np.clip(target_vt, self.vt_min, self.vt_max))

@@ -75,11 +75,6 @@ class SwitchingCurrentCell:
         # Shift both device thresholds so the crossover lands on the center.
         self._vt_shift = self.achieved_center - node.vdd / 2.0
 
-    @property
-    def center_code(self) -> int:
-        """The floating-gate code storing the bell center."""
-        return int(self._gate.code)
-
     def current(self, v: np.ndarray) -> np.ndarray:
         """Switching current (A) at gate voltage(s) ``v``."""
         v = np.asarray(v, dtype=float)

@@ -80,14 +80,6 @@ class VoltageEncoder:
         volts = np.atleast_2d(np.asarray(volts, dtype=float))
         return self.lo + (volts - self.v_lo) / self.scale()
 
-    def sigma_to_volts(self, sigma_world: np.ndarray) -> np.ndarray:
-        """Convert per-axis world-unit widths to voltage-domain widths."""
-        return np.asarray(sigma_world, dtype=float) * self.scale()
-
-    def volts_to_sigma(self, sigma_volts: np.ndarray) -> np.ndarray:
-        """Convert voltage-domain widths back to world units."""
-        return np.asarray(sigma_volts, dtype=float) / self.scale()
-
 
 # Rows per stacked array pass: past a few thousand queries the per-call
 # overhead is amortised, and larger passes only raise peak memory.

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuits.technology import TechnologyNode
-
 
 def ekv_current(
     v_gs: np.ndarray,
@@ -70,17 +68,6 @@ class MOSFET:
         if self.vt < 0:
             raise ValueError("vt is a magnitude and must be non-negative")
 
-    @staticmethod
-    def from_node(node: TechnologyNode, polarity: str, vt: float | None = None) -> "MOSFET":
-        """Build a device using a technology node's parameters."""
-        return MOSFET(
-            polarity=polarity,
-            vt=node.nominal_vt if vt is None else vt,
-            specific_current=node.specific_current,
-            slope_factor=node.subthreshold_slope_factor,
-            thermal_voltage=node.thermal_voltage,
-        )
-
     def current(self, v_gate: np.ndarray, vdd: float = 1.0) -> np.ndarray:
         """Saturation current for a gate voltage referenced to the rails.
 
@@ -94,10 +81,4 @@ class MOSFET:
             v_drive = vdd - v_gate
         return ekv_current(
             v_drive, self.vt, self.specific_current, self.slope_factor, self.thermal_voltage
-        )
-
-    def with_vt(self, vt: float) -> "MOSFET":
-        """Copy of this device with a different threshold voltage."""
-        return MOSFET(
-            self.polarity, vt, self.specific_current, self.slope_factor, self.thermal_voltage
         )

@@ -13,8 +13,7 @@ Monte-Carlo inference with the paper's three hardware hooks:
    minimises total mask-to-mask Hamming distance, maximising reuse.
 
 Because analog delta accumulation also accumulates read noise, the engine
-re-evaluates from scratch every ``refresh_every`` iterations -- a knob the
-ablation benchmarks sweep.
+re-evaluates from scratch every ``refresh_every`` iterations.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ from repro.filtering.measurement import (
     CIMArrayBackend,
     DepthScanMeasurementModel,
     DigitalGMMBackend,
-    state_to_pose,
 )
 from repro.filtering.motion import OdometryMotionModel
 from repro.filtering.particle_filter import ParticleFilter, StepDiagnostics
@@ -329,7 +328,3 @@ class CIMParticleFilterLocalizer:
             energy=self.field_backend.ledger.since(energy_mark),
             backend=self.backend_name,
         )
-
-    def camera_pose(self, state: np.ndarray) -> Pose:
-        """Camera pose corresponding to a drone state."""
-        return state_to_pose(state, self.camera_mount)

@@ -1,20 +1,17 @@
-"""Analytic energy/efficiency models.
+"""Analytic energy models of the digital baseline.
 
-The substrates meter their own energy at runtime (every backend carries an
-:class:`~repro.circuits.energy.EnergyLedger`); this package provides the
-closed-form counterparts used for design-space exploration -- predicting
-energy *before* building a backend.  The analytic models are validated
-against the metered ledgers in the test suite.
+The CIM substrates meter their own energy at runtime (every backend
+carries an :class:`~repro.circuits.energy.EnergyLedger`); the digital
+baseline has no hardware model, so its energy comes from the
+closed-form datapath counts here.
 """
 
 from repro.energy.models import (
-    cim_mc_dropout_energy,
     digital_mc_dropout_energy,
     digital_nn_energy,
 )
 
 __all__ = [
     "digital_nn_energy",
-    "cim_mc_dropout_energy",
     "digital_mc_dropout_energy",
 ]

@@ -2,8 +2,8 @@
 "Experiment registry" table maps each to its id).
 
 Each driver is a plain function returning a dict of arrays/rows, so the
-experiment registry, the benchmarks and the examples all consume the same
-code path.  Callers import the driver's submodule directly.  Shared
-world/model construction (with in-process caching) lives in
+experiment registry and the examples consume the same code path.
+Callers import the driver's submodule directly.  Shared world/model
+construction (with in-process caching) lives in
 :mod:`repro.experiments.common`.
 """

@@ -117,10 +117,6 @@ class ParticleSet:
             )
         return mean
 
-    def map_estimate(self) -> np.ndarray:
-        """The state of the highest-weight particle."""
-        return self.states[int(np.argmax(self.log_weights))].copy()
-
     def weighted_covariance(self) -> np.ndarray:
         """Weighted sample covariance of the states (D, D)."""
         weights = self.normalized_weights()

@@ -224,9 +224,3 @@ class HMGMixture:
                 break
             previous = mean_ll
         return model
-
-    def field_rmse(self, other_pdf: np.ndarray, points: np.ndarray) -> float:
-        """RMSE between this mixture's density and a reference density."""
-        mine = self.pdf(points)
-        other = np.asarray(other_pdf, dtype=float).reshape(-1)
-        return float(np.sqrt(np.mean((mine - other) ** 2)))

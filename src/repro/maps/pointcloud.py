@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.scene.camera import PinholeCamera
-from repro.scene.se3 import Pose
-
 
 class PointCloud:
     """An (N, 3) set of 3D points with simple geometry utilities."""
@@ -26,15 +23,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self._points.shape[0]
 
-    @staticmethod
-    def from_depth(depth: np.ndarray, camera: PinholeCamera, pose: Pose, stride: int = 1) -> "PointCloud":
-        """Backproject a depth image into a world-frame cloud."""
-        return PointCloud(camera.scan_to_world(depth, pose, stride=stride))
-
-    def transformed(self, pose: Pose) -> "PointCloud":
-        """The cloud moved by a rigid transform."""
-        return PointCloud(pose.transform_points(self._points))
-
     def subsampled(self, n: int, rng: np.random.Generator) -> "PointCloud":
         """A uniformly subsampled copy with at most ``n`` points."""
         if n <= 0:
@@ -52,15 +40,3 @@ class PointCloud:
 
     def centroid(self) -> np.ndarray:
         return self._points.mean(axis=0)
-
-    def voxel_downsampled(self, voxel_size: float) -> "PointCloud":
-        """One representative (mean) point per occupied voxel."""
-        if voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
-        keys = np.floor(self._points / voxel_size).astype(np.int64)
-        _, inverse, counts = np.unique(
-            keys, axis=0, return_inverse=True, return_counts=True
-        )
-        sums = np.zeros((counts.size, 3))
-        np.add.at(sums, inverse, self._points)
-        return PointCloud(sums / counts[:, None])

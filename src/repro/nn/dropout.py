@@ -81,7 +81,3 @@ class Dropout(Module):
         if self._mask is None:
             return np.asarray(grad_output, dtype=float)
         return grad_output * self._mask / self.keep_probability
-
-    def last_mask(self) -> np.ndarray | None:
-        """The mask used by the most recent forward pass (or None)."""
-        return self._mask

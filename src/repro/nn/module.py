@@ -76,7 +76,3 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
-
-    def n_parameters(self) -> int:
-        """Total scalar parameter count."""
-        return sum(int(np.prod(p.shape)) for p in self.parameters())

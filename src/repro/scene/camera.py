@@ -80,12 +80,6 @@ class PinholeCamera:
             cy=(height - 1) / 2.0,
         )
 
-    def intrinsic_matrix(self) -> np.ndarray:
-        """The 3x3 intrinsic matrix K."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
     def pixel_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid of pixel coordinates (u, v), each of shape (H, W).
 
@@ -165,7 +159,3 @@ class PinholeCamera:
             & (v <= self.height - 0.5)
         )
         return pixels, valid
-
-    def scan_to_world(self, depth: np.ndarray, pose: Pose, stride: int = 1) -> np.ndarray:
-        """Backproject a depth image and move the points to the world frame."""
-        return pose.transform_points(self.backproject(depth, stride=stride))

@@ -37,11 +37,6 @@ class RGBDFrame:
     timestamp: float
     index: int
 
-    @property
-    def valid_fraction(self) -> float:
-        """Fraction of pixels with a valid (finite) depth."""
-        return float(np.isfinite(self.depth).mean())
-
 
 class SyntheticRGBDScenes:
     """Procedural RGB-D scene dataset.
@@ -89,10 +84,10 @@ class SyntheticRGBDScenes:
 
     # Purposes of the per-scene generators (spawn-key components).  Keyed
     # derivation is collision-free across base seeds AND independent of
-    # the order the lazily-cached artefacts are first built in.
+    # the order the lazily-cached artefacts are first built in.  The
+    # values are part of the pinned streams, so none may be renumbered.
     _RNG_SCENE = 0
     _RNG_TRAJECTORY = 1
-    _RNG_POINT_CLOUD = 2
     _RNG_FRAMES = 3
 
     def _rng(self, scene_index: int, purpose: int) -> np.random.Generator:
@@ -132,14 +127,6 @@ class SyntheticRGBDScenes:
                 rng=rng,
             )
         return self._trajectories[scene_index]
-
-    def point_cloud(
-        self, scene_index: int, n_points: int = 4000, noise_std: float = 0.004
-    ) -> np.ndarray:
-        """A synthetic scanner point cloud of the scene (for map fitting)."""
-        scene = self.scene(scene_index)
-        rng = self._rng(scene_index, self._RNG_POINT_CLOUD)
-        return scene.sample_point_cloud(n_points, rng, noise_std=noise_std)
 
     def frames(self, scene_index: int) -> list[RGBDFrame]:
         """Render the full pose-annotated frame sequence for a scene."""

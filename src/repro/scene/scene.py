@@ -80,14 +80,6 @@ class Scene:
             cloud = cloud + rng.normal(scale=noise_std, size=cloud.shape)
         return cloud
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned bounds (lo, hi) containing all primitive centers+radii."""
-        centers = np.stack([p.center() for p in self._primitives], axis=0)
-        radii = np.array([p.bounding_radius() for p in self._primitives])
-        lo = (centers - radii[:, None]).min(axis=0)
-        hi = (centers + radii[:, None]).max(axis=0)
-        return lo, hi
-
     def centroid(self) -> np.ndarray:
         """Mean of primitive centers; a convenient camera look-at target."""
         centers = np.stack([p.center() for p in self._primitives], axis=0)

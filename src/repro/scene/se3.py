@@ -111,21 +111,6 @@ class Pose:
         """Build a pose from a position and XYZ Euler angles."""
         return Pose(euler_to_matrix(roll, pitch, yaw), np.asarray(position, dtype=float))
 
-    @staticmethod
-    def from_matrix(matrix: np.ndarray) -> "Pose":
-        """Build a pose from a 4x4 homogeneous transform matrix."""
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got {matrix.shape}")
-        return Pose(matrix[:3, :3], matrix[:3, 3])
-
-    def as_matrix(self) -> np.ndarray:
-        """Return the 4x4 homogeneous transform matrix."""
-        matrix = np.eye(4)
-        matrix[:3, :3] = self.rotation
-        matrix[:3, 3] = self.translation
-        return matrix
-
     def compose(self, other: "Pose") -> "Pose":
         """Compose with another pose: ``self @ other`` (apply other first)."""
         return Pose(
@@ -154,11 +139,6 @@ class Pose:
         points = np.asarray(points, dtype=float)
         return points @ self.rotation.T + self.translation
 
-    def inverse_transform_points(self, points: np.ndarray) -> np.ndarray:
-        """Map an (N, 3) array of world points into the local frame."""
-        points = np.asarray(points, dtype=float)
-        return (points - self.translation) @ self.rotation
-
     def rotate_vectors(self, vectors: np.ndarray) -> np.ndarray:
         """Rotate (N, 3) direction vectors into the world frame (no shift)."""
         return np.asarray(vectors, dtype=float) @ self.rotation.T
@@ -174,14 +154,3 @@ class Pose:
         drift accumulates.
         """
         return Pose(_project_to_so3(self.rotation), self.translation)
-
-    def distance_to(self, other: "Pose") -> tuple[float, float]:
-        """Return (translation distance, rotation angle) to another pose."""
-        delta = self.inverse().compose(other)
-        return float(np.linalg.norm(delta.translation)), rotation_angle(delta.rotation)
-
-    def is_valid(self, tolerance: float = 1e-6) -> bool:
-        """Check that the rotation part is orthonormal with determinant +1."""
-        should_be_identity = self.rotation @ self.rotation.T
-        orthonormal = bool(np.allclose(should_be_identity, np.eye(3), atol=tolerance))
-        return orthonormal and abs(float(np.linalg.det(self.rotation)) - 1.0) < tolerance

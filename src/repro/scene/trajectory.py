@@ -88,18 +88,6 @@ class Trajectory:
         """(N, 3) array of camera positions."""
         return np.stack([p.translation for p in self._poses], axis=0)
 
-    def relative_increments(self) -> list[Pose]:
-        """Frame-to-frame odometry increments ``T_{t-1}^{-1} @ T_t``."""
-        return [
-            self._poses[i].relative_to(self._poses[i - 1])
-            for i in range(1, len(self._poses))
-        ]
-
-    def total_length(self) -> float:
-        """Total path length of the positions polyline."""
-        positions = self.positions()
-        return float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
-
 
 def orbit_trajectory(
     target: np.ndarray,

@@ -911,9 +911,6 @@ class TrackManager:
 
     # -- introspection -----------------------------------------------------
 
-    def live_count(self) -> int:
-        return len(self._tracks)
-
     def describe(self) -> dict:
         return {
             "max_tracks": self.policy.max_tracks,

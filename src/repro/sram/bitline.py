@@ -1,10 +1,12 @@
-"""Bit-line aggregation: leakage summation and noise integration.
+"""Bit-line aggregation: leakage summation.
 
 When write word lines are deactivated, every write port on a column leaks
 into the bit line.  Summing many ports *filters* the (static, per-device)
 V_T mismatch -- the relative spread of the total falls as 1/sqrt(M) -- and
 *accumulates* the (temporal) shot noise of every port.  These are the two
-effects the SRAM-immersed RNG exploits (paper Fig. 3b).
+effects the SRAM-immersed RNG exploits (paper Fig. 3b); the RNG
+integrates both over its decision window
+(:meth:`repro.sram.rng.CrossCoupledInverterRNG.noise_sigma`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuits.technology import ELECTRON_CHARGE, TechnologyNode
+from repro.circuits.technology import TechnologyNode
 from repro.circuits.variability import MismatchSampler
 
 
@@ -26,14 +28,12 @@ class BitLineModel:
         n_ports: number of write ports hanging on the line.
         nominal_leakage: per-port nominal leakage current (A).
         static_leakages: per-port leakage currents with frozen mismatch (A).
-        capacitance: bit-line capacitance (F).
     """
 
     node: TechnologyNode
     n_ports: int
     nominal_leakage: float
     static_leakages: np.ndarray
-    capacitance: float = 20.0e-15
 
     @staticmethod
     def sample(
@@ -42,7 +42,6 @@ class BitLineModel:
         rng: np.random.Generator,
         nominal_leakage: float = 1.0e-10,
         mismatch: MismatchSampler | None = None,
-        capacitance: float = 20.0e-15,
     ) -> "BitLineModel":
         """Draw a bit line with per-port lognormal leakage mismatch."""
         if n_ports < 1:
@@ -56,34 +55,8 @@ class BitLineModel:
             n_ports=n_ports,
             nominal_leakage=float(nominal_leakage),
             static_leakages=leakages,
-            capacitance=float(capacitance),
         )
 
     def total_leakage(self) -> float:
         """Static total leakage current (A)."""
         return float(self.static_leakages.sum())
-
-    def relative_mismatch(self) -> float:
-        """|total - expected| / expected: shrinks as 1/sqrt(M)."""
-        expected = self.n_ports * self.nominal_leakage
-        return abs(self.total_leakage() - expected) / expected
-
-    def integrated_charge(
-        self, window_s: float, rng: np.random.Generator
-    ) -> float:
-        """Charge (C) drained in ``window_s``, with integrated shot noise.
-
-        Shot-noise charge variance over a window T is ``2 q I T`` summed
-        over ports (independent sources add in variance).
-        """
-        if window_s <= 0:
-            raise ValueError("window must be positive")
-        mean = self.total_leakage() * window_s
-        sigma = np.sqrt(
-            2.0 * ELECTRON_CHARGE * self.total_leakage() * window_s
-        )
-        return float(mean + rng.normal() * sigma)
-
-    def discharge_voltage(self, window_s: float, rng: np.random.Generator) -> float:
-        """Bit-line voltage droop (V) over a discharge window."""
-        return self.integrated_charge(window_s, rng) / self.capacitance

@@ -75,23 +75,6 @@ class DropoutBitGenerator:
             bits = (uniforms < self.keep_probability).astype(np.uint8)
         return bits.reshape(n_masks, width)
 
-    def iteration_masks(
-        self,
-        n_iterations: int,
-        n_inputs: int,
-        n_outputs: int,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Input and output masks for a full MC-Dropout run.
-
-        Returns:
-            (input_masks, output_masks) of shapes (T, n_inputs) and
-            (T, n_outputs), dtype uint8.
-        """
-        input_masks = self.masks(n_iterations, n_inputs, rng)
-        output_masks = self.masks(n_iterations, n_outputs, rng)
-        return input_masks, output_masks
-
     def generation_energy(
         self, energy_per_cycle_j: float = 5.0e-15, cycles: int | None = None
     ) -> float:

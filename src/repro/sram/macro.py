@@ -443,9 +443,5 @@ class SRAMCIMMacro:
         """Noise-free, unquantised-input product with stored weights."""
         return np.atleast_2d(np.asarray(x, dtype=float)) @ self.stored_weight
 
-    def ops_count(self) -> int:
-        """Total MACs executed so far."""
-        return self.ledger.count("cim_mac")
-
     def total_energy_j(self) -> float:
         return self.ledger.total_energy_j()

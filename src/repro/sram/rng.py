@@ -82,17 +82,13 @@ class CrossCoupledInverterRNG:
         n_ports = self.n_columns_per_side * self.rows_per_column
         mismatch = MismatchSampler(node)
         self.left = BitLineModel.sample(
-            node, n_ports, rng, nominal_leakage, mismatch, capacitance
+            node, n_ports, rng, nominal_leakage, mismatch
         )
         self.right = BitLineModel.sample(
-            node, n_ports, rng, nominal_leakage, mismatch, capacitance
+            node, n_ports, rng, nominal_leakage, mismatch
         )
         self.comparator_offset = float(rng.normal(scale=comparator_offset_sigma))
         self.trim_volts = 0.0
-
-    @property
-    def n_ports_per_side(self) -> int:
-        return self.n_columns_per_side * self.rows_per_column
 
     def static_differential(self) -> float:
         """Deterministic part of the decision voltage (V): mismatch + offset."""
@@ -112,12 +108,6 @@ class CrossCoupledInverterRNG:
             2.0 * ELECTRON_CHARGE * total_current * self.window_s
         )
         return float(charge_sigma / self.capacitance)
-
-    def ideal_ones_probability(self) -> float:
-        """Analytic P(1) = Phi(static / noise) of this instance."""
-        from scipy.stats import norm
-
-        return float(norm.cdf(self.static_differential() / self.noise_sigma()))
 
     def generate(self, n_bits: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n_bits`` raw bits (uint8 array)."""

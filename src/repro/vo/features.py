@@ -68,12 +68,6 @@ class FrameEncoder:
         self.max_range = float(max_range)
         self.include_intensity = bool(include_intensity)
 
-    @property
-    def feature_dim(self) -> int:
-        cells = self.grid[0] * self.grid[1]
-        per_frame = 2 if self.include_intensity else 1
-        return cells * (2 * per_frame + 1)
-
     def _grid_average(self, image: np.ndarray, fill: float) -> np.ndarray:
         image = np.asarray(image, dtype=float)
         filled = np.where(np.isfinite(image), image, fill)
@@ -158,10 +152,6 @@ class Standardizer:
 
     def inverse(self, scaled: np.ndarray) -> np.ndarray:
         return np.asarray(scaled, dtype=float) * self.std + self.mean
-
-    def inverse_variance(self, scaled_variance: np.ndarray) -> np.ndarray:
-        """Map predictive variances back to original units."""
-        return np.asarray(scaled_variance, dtype=float) * self.std**2
 
 
 # Regression targets use the same z-score machinery.

@@ -92,9 +92,15 @@ class TestRegistry:
     def test_protocol_conformance(self):
         assert isinstance(get_substrate("cim"), Substrate)
 
-    def test_with_macro(self):
-        six_bit = get_substrate("cim").with_macro(weight_bits=6)
-        assert six_bit.macro.weight_bits == 6
+    def test_macro_options_carry_into_macro_config(self):
+        options = MacroOptions(weight_bits=6, input_bits=5, adc_bits=7)
+        config = options.to_macro_config()
+        assert (config.weight_bits, config.input_bits, config.adc_bits) == (6, 5, 7)
+
+    def test_registry_configs_are_frozen(self):
+        config = get_substrate("cim")
+        with pytest.raises(AttributeError):
+            config.macro = MacroOptions(weight_bits=6)
         assert get_substrate("cim").macro.weight_bits == 4
 
 

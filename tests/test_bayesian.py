@@ -15,13 +15,15 @@ from repro.bayesian import (
     optimal_mask_order,
 )
 from repro.bayesian.reuse import masked_input_sequence
+from repro.circuits.technology import NODE_16NM
 from repro.nn import Dense, Dropout, ReLU, Sequential
+from repro.sram import CrossCoupledInverterRNG, DropoutBitGenerator
 
 
 class TestMaskStream:
     def test_bernoulli_rate(self, rng):
         stream = MaskStream.bernoulli(50, 200, 0.7, rng)
-        assert stream.empirical_keep_rate() == pytest.approx(0.7, abs=0.03)
+        assert stream.masks.mean() == pytest.approx(0.7, abs=0.03)
 
     def test_reorder_is_permutation(self, rng):
         stream = MaskStream.bernoulli(10, 5, 0.5, rng)
@@ -39,10 +41,21 @@ class TestMaskStream:
         b = MaskStream.bernoulli(5, 4, 0.5, rng)
         assert a.concatenate(b).width == 7
 
-    def test_hamming_distances(self):
-        masks = np.array([[0, 0], [1, 0], [1, 1]], dtype=np.uint8)
-        stream = MaskStream(masks, 0.5)
-        assert np.array_equal(stream.hamming_distances(), [1, 1])
+    def test_concatenate_rejects_iteration_mismatch(self, rng):
+        a = MaskStream.bernoulli(5, 3, 0.5, rng)
+        b = MaskStream.bernoulli(4, 3, 0.5, rng)
+        with pytest.raises(ValueError, match="iteration"):
+            a.concatenate(b)
+
+    def test_from_hardware_matches_generator_masks(self):
+        def generator():
+            cell = CrossCoupledInverterRNG(NODE_16NM, rng=np.random.default_rng(2))
+            return DropoutBitGenerator(cell, keep_probability=0.5)
+
+        stream = MaskStream.from_hardware(generator(), 6, 9, np.random.default_rng(3))
+        expected = generator().masks(6, 9, np.random.default_rng(3))
+        assert np.array_equal(stream.masks, expected)
+        assert stream.keep_probability == 0.5
 
     def test_binary_validation(self):
         with pytest.raises(ValueError):
@@ -121,7 +134,7 @@ class TestDeltaReuse:
         # reuse touches ~p(1-p)*2 = 0.5 of inputs per step; active-only
         # touches p = 0.5 -- they tie in expectation for p=0.5, but the
         # first full pass makes reuse strictly better than naive.
-        assert stats.savings_vs_naive > 0.3
+        assert stats.ops_executed < 0.7 * stats.ops_naive
 
     def test_identical_masks_cost_one_pass(self, rng):
         weight = rng.normal(size=(20, 8))
@@ -130,12 +143,16 @@ class TestDeltaReuse:
         _, stats = DeltaReuseEngine(weight).run(masked_input_sequence(x, masks))
         assert stats.columns_touched == 20  # only iteration 0
 
-    def test_stats_properties(self):
-        from repro.bayesian.reuse import ReuseStats
-
-        stats = ReuseStats(ops_executed=50, ops_naive=100, ops_active_only=80, columns_touched=5)
-        assert stats.savings_vs_naive == pytest.approx(0.5)
-        assert stats.savings_vs_active == pytest.approx(1 - 50 / 80)
+    def test_stats_count_each_kind_of_work(self):
+        weight = np.ones((4, 3))
+        masks = np.array([[1, 1, 0, 0], [1, 0, 0, 0], [1, 0, 1, 1]])
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        _, stats = DeltaReuseEngine(weight).run(masked_input_sequence(x, masks))
+        # iteration 0 drives 2 columns, then 1 change, then 2 changes
+        assert stats.columns_touched == 2 + 1 + 2
+        assert stats.ops_executed == 5 * 3
+        assert stats.ops_naive == 3 * 4 * 3
+        assert stats.ops_active_only == (2 + 1 + 3) * 3
 
     def test_tolerance_validation(self, rng):
         with pytest.raises(ValueError):

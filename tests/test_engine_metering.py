@@ -89,9 +89,9 @@ class TestPerCallMetering:
     def test_macro_ledgers_stay_cumulative(self, inputs):
         engine = make_engine()
         engine.predict(inputs, rng=np.random.default_rng(5))
-        after_one = sum(layer.macro.ops_count() for layer in engine.layers)
+        after_one = sum(layer.macro.ledger.count("cim_mac") for layer in engine.layers)
         engine.predict(inputs, rng=np.random.default_rng(5))
-        after_two = sum(layer.macro.ops_count() for layer in engine.layers)
+        after_two = sum(layer.macro.ledger.count("cim_mac") for layer in engine.layers)
         assert after_two == 2 * after_one  # odometer keeps running
 
     def test_mask_generation_energy_is_per_call(self, inputs):

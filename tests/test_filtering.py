@@ -52,12 +52,22 @@ class TestParticleSet:
         yaw = particles.mean_estimate()[3]
         assert abs(abs(yaw) - np.pi) < 0.05
 
-    def test_map_estimate_picks_heaviest(self, rng):
-        particles = ParticleSet.uniform([0, 0, 0, 0], [1, 1, 1, 1], 20, rng)
-        lw = np.zeros(20)
-        lw[7] = 5.0
+    def test_dominant_particle_collapses_estimate(self, rng):
+        particles = ParticleSet.uniform([0, 0, 0, -1], [1, 1, 1, 1], 20, rng)
+        lw = np.full(20, -1e9)
+        lw[7] = 0.0
         particles = ParticleSet(particles.states, lw)
-        assert np.allclose(particles.map_estimate(), particles.states[7])
+        assert np.allclose(particles.mean_estimate(), particles.states[7])
+        assert np.allclose(particles.weighted_covariance(), 0.0)
+        assert particles.position_spread() == pytest.approx(0.0, abs=1e-9)
+
+    def test_uniform_covariance_matches_numpy(self, rng):
+        particles = ParticleSet.uniform([0, 0, 0, -1], [1, 2, 3, 1], 200, rng)
+        expected = np.cov(particles.states.T, bias=True)
+        assert np.allclose(particles.weighted_covariance(), expected)
+        assert particles.position_spread() == pytest.approx(
+            np.sqrt(np.trace(expected[:3, :3]))
+        )
 
     def test_reweight_shifts_weights(self, rng):
         particles = ParticleSet.uniform([0], [1], 10, rng)

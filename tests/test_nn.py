@@ -99,9 +99,9 @@ class TestGradients:
         dropout = Dropout(0.5, rng=rng)
         x = rng.normal(size=(4, 6))
         out = dropout.forward(x)
-        mask = dropout.last_mask()
         grad_in = dropout.backward(np.ones_like(out))
-        assert np.allclose(grad_in, mask / dropout.keep_probability)
+        # forward scales kept units by 1/p, so d(out)/dx = out / x.
+        assert np.allclose(grad_in, out / x)
 
 
 class TestLayerBehaviour:

@@ -120,11 +120,9 @@ class TestScene:
         spread = np.abs(scene.distance(cloud))
         assert 0.001 < spread.mean() < 0.05
 
-    def test_bounding_box_contains_centroid(self, rng):
-        scene = make_room_scene(rng)
-        lo, hi = scene.bounding_box()
-        centroid = scene.centroid()
-        assert np.all(centroid >= lo) and np.all(centroid <= hi)
+    def test_centroid_is_mean_of_primitive_centers(self):
+        scene = Scene([Sphere([0, 0, 0], 1.0), Box([2, 4, 6], [1, 1, 1])])
+        assert np.allclose(scene.centroid(), [1, 2, 3])
 
     @given(st.integers(0, 6))
     @settings(max_examples=8, deadline=None)

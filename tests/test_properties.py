@@ -31,13 +31,16 @@ class TestPoseAlgebra:
         r = Pose.from_euler([0, 0, z], pitch=c)
         left = (p @ q) @ r
         right = p @ (q @ r)
-        assert np.allclose(left.as_matrix(), right.as_matrix(), atol=1e-9)
+        assert np.allclose(left.rotation, right.rotation, atol=1e-9)
+        assert np.allclose(left.translation, right.translation, atol=1e-9)
 
     @given(angles, coords, coords)
     @settings(max_examples=40)
     def test_double_inverse_is_identity(self, yaw, x, y):
         p = Pose.from_euler([x, y, 1.0], yaw=yaw)
-        assert np.allclose(p.inverse().inverse().as_matrix(), p.as_matrix(), atol=1e-10)
+        twice = p.inverse().inverse()
+        assert np.allclose(twice.rotation, p.rotation, atol=1e-10)
+        assert np.allclose(twice.translation, p.translation, atol=1e-10)
 
     @given(angles, angles)
     @settings(max_examples=40)

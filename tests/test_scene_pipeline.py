@@ -81,7 +81,7 @@ class TestRenderer:
         scene = make_room_scene(rng)
         pose = look_at([1.0, 1.0, 1.2], [-1.0, -1.0, 0.5])
         depth = DepthRenderer(scene, camera).render(pose)
-        pts = camera.scan_to_world(depth, pose)
+        pts = pose.transform_points(camera.backproject(depth))
         assert pts.shape[0] > 50
         assert np.percentile(np.abs(scene.distance(pts)), 95) < 5e-3
 
@@ -119,7 +119,9 @@ class TestTrajectories:
     def test_orbit_length_and_validity(self):
         traj = orbit_trajectory([0, 0, 0.5], radius=1.5, height=1.0, n_poses=12)
         assert len(traj) == 12
-        assert all(p.is_valid() for p in traj)
+        for pose in traj:
+            assert np.allclose(pose.rotation @ pose.rotation.T, np.eye(3), atol=1e-6)
+            assert np.linalg.det(pose.rotation) == pytest.approx(1.0)
 
     def test_orbit_speed_jitter_changes_steps(self, rng):
         smooth = orbit_trajectory([0, 0, 0], 1.0, 1.0, 20)
@@ -149,13 +151,6 @@ class TestTrajectories:
         cos_angle = np.sum(velocity * heading, axis=1) / np.linalg.norm(velocity, axis=1)
         assert np.all(cos_angle > 0.95)
         assert np.allclose(np.linalg.norm(states[:, :2], axis=1), 2.0)
-
-    def test_relative_increments_recompose(self):
-        traj = orbit_trajectory([0, 0, 0], 1.0, 0.8, 8)
-        poses = [traj[0]]
-        for inc in traj.relative_increments():
-            poses.append(poses[-1].compose(inc))
-        assert np.allclose(poses[-1].as_matrix(), traj[7].as_matrix(), atol=1e-9)
 
     def test_drone_states_controls_round_trip(self):
         states = drone_orbit_states([0, 0, 0], 1.2, 1.0, 10)
@@ -215,25 +210,18 @@ class TestDataset:
         frames = dataset.frames(0)
         assert len(frames) == 5
         assert frames[0].depth.shape == (dataset.camera.height, dataset.camera.width)
-        assert frames[2].valid_fraction > 0.3
+        assert np.isfinite(frames[2].depth).mean() > 0.3
 
     def test_frame_pairs_relative_pose(self, dataset):
         pairs = dataset.frame_pairs(0)
         previous, current, relative = pairs[0]
-        assert np.allclose(
-            previous.pose.compose(relative).as_matrix(),
-            current.pose.as_matrix(),
-            atol=1e-9,
-        )
-
-    def test_point_cloud_reproducible(self, dataset):
-        a = dataset.point_cloud(1, n_points=200)
-        b = dataset.point_cloud(1, n_points=200)
-        assert np.allclose(a, b)
+        recomposed = previous.pose.compose(relative)
+        assert np.allclose(recomposed.rotation, current.pose.rotation, atol=1e-9)
+        assert np.allclose(recomposed.translation, current.pose.translation, atol=1e-9)
 
     def test_scenes_differ(self, dataset):
-        a = dataset.point_cloud(0, n_points=300)
-        b = dataset.point_cloud(1, n_points=300)
+        a = dataset.trajectory(0).positions()
+        b = dataset.trajectory(1).positions()
         assert not np.allclose(a.mean(axis=0), b.mean(axis=0), atol=1e-3)
 
     def test_rng_streams_pinned(self):
@@ -241,12 +229,6 @@ class TestDataset:
         # changed (once) when the old ``seed + 1000 * scene_index``
         # offsets were replaced, and must never drift again.
         dataset = SyntheticRGBDScenes(n_scenes=2, frames_per_scene=5, seed=0)
-        cloud = dataset.point_cloud(0, n_points=8, noise_std=0.0)
-        assert np.allclose(
-            cloud[0],
-            [-2.077435247451518, -1.0640767589235995, 0.0],
-            atol=1e-12,
-        )
         assert np.allclose(
             dataset.trajectory(0).positions()[0],
             [0.1583543359664071, 1.7612363103859676, 1.7110248857060408],
@@ -258,15 +240,15 @@ class TestDataset:
         # (seed=1000, scene 0); keyed derivation must not.
         a = SyntheticRGBDScenes(n_scenes=2, frames_per_scene=5, seed=0)
         b = SyntheticRGBDScenes(n_scenes=2, frames_per_scene=5, seed=1000)
-        pa = a.point_cloud(1, n_points=64, noise_std=0.0)
-        pb = b.point_cloud(0, n_points=64, noise_std=0.0)
+        pa = a.trajectory(1).positions()
+        pb = b.trajectory(0).positions()
         assert not np.allclose(pa, pb)
 
     def test_rng_streams_order_independent(self):
         # Artefact streams are keyed by purpose, so the order lazily
         # cached artefacts are first built in cannot change them.
-        first = SyntheticRGBDScenes(n_scenes=1, frames_per_scene=4, seed=5)
-        cloud_first = first.point_cloud(0, n_points=50)
-        second = SyntheticRGBDScenes(n_scenes=1, frames_per_scene=4, seed=5)
-        second.trajectory(0)  # build another artefact before the cloud
-        assert np.allclose(cloud_first, second.point_cloud(0, n_points=50))
+        first = SyntheticRGBDScenes(n_scenes=2, frames_per_scene=4, seed=5)
+        positions_first = first.trajectory(0).positions()
+        second = SyntheticRGBDScenes(n_scenes=2, frames_per_scene=4, seed=5)
+        second.trajectory(1)  # build another scene's artefacts first
+        assert np.allclose(positions_first, second.trajectory(0).positions())

@@ -351,7 +351,7 @@ class TestAdmissionAndEviction:
                 assert excinfo.value.kind == "expired"
                 assert "TTL" in str(excinfo.value)
                 # The store-side state is gone too, not just the record.
-                assert manager.live_count() == 0
+                assert not manager._tracks
                 return service.stats_snapshot()["tracks"]
 
         tracks = asyncio.run(drive())

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from repro.circuits.technology import NODE_16NM
 from repro.sram import (
@@ -13,26 +14,32 @@ from repro.sram import (
 )
 
 
+def _relative_mismatch(line):
+    """|total - expected| / expected leakage of a bit line."""
+    expected = line.n_ports * line.nominal_leakage
+    return abs(line.total_leakage() - expected) / expected
+
+
 class TestBitLine:
     def test_mismatch_filtering_with_ports(self):
         few_list, many_list = [], []
         for inst in range(30):
             few = BitLineModel.sample(NODE_16NM, 16, np.random.default_rng(inst))
             many = BitLineModel.sample(NODE_16NM, 1024, np.random.default_rng(inst + 500))
-            few_list.append(few.relative_mismatch())
-            many_list.append(many.relative_mismatch())
+            few_list.append(_relative_mismatch(few))
+            many_list.append(_relative_mismatch(many))
         assert np.mean(many_list) < np.mean(few_list)
 
-    def test_integrated_charge_mean(self, rng):
-        line = BitLineModel.sample(NODE_16NM, 256, rng)
-        charges = [line.integrated_charge(1e-9, rng) for _ in range(200)]
-        expected = line.total_leakage() * 1e-9
-        assert np.mean(charges) == pytest.approx(expected, rel=0.05)
+    def test_total_leakage_sums_ports(self, rng):
+        line = BitLineModel.sample(NODE_16NM, 64, rng, nominal_leakage=2.0e-10)
+        assert line.static_leakages.shape == (64,)
+        assert np.all(line.static_leakages > 0)
+        assert line.total_leakage() == pytest.approx(line.static_leakages.sum())
+        assert line.nominal_leakage == 2.0e-10
 
-    def test_window_validation(self, rng):
-        line = BitLineModel.sample(NODE_16NM, 8, rng)
-        with pytest.raises(ValueError):
-            line.integrated_charge(0.0, rng)
+    def test_port_count_validation(self, rng):
+        with pytest.raises(ValueError, match="n_ports"):
+            BitLineModel.sample(NODE_16NM, 0, rng)
 
 
 class TestCCIRNG:
@@ -63,7 +70,8 @@ class TestCCIRNG:
         cell = CrossCoupledInverterRNG(NODE_16NM, rng=np.random.default_rng(3))
         run = np.random.default_rng(4)
         empirical = cell.generate(20000, run).mean()
-        assert empirical == pytest.approx(cell.ideal_ones_probability(), abs=0.02)
+        analytic = norm.cdf(cell.static_differential() / cell.noise_sigma())
+        assert empirical == pytest.approx(analytic, abs=0.02)
 
     def test_more_columns_more_noise(self):
         small = CrossCoupledInverterRNG(
@@ -109,12 +117,21 @@ class TestDropoutGenerator:
         assert generator.cycles_used == 100
         assert generator.generation_energy() > 0
 
-    def test_iteration_masks_shapes(self, generator):
-        input_masks, output_masks = generator.iteration_masks(
-            5, 16, 8, np.random.default_rng(1)
-        )
-        assert input_masks.shape == (5, 16)
-        assert output_masks.shape == (5, 8)
+    def test_mask_is_first_row_of_masks(self):
+        def generator():
+            cell = CrossCoupledInverterRNG(NODE_16NM, rng=np.random.default_rng(7))
+            return DropoutBitGenerator(cell, keep_probability=0.7)
+
+        single = generator().mask(12, np.random.default_rng(1))
+        batched = generator().masks(1, 12, np.random.default_rng(1))
+        assert np.array_equal(single, batched[0])
+
+    def test_generation_energy_of_cycle_delta(self, generator):
+        generator.cycles_used = 0
+        generator.raw_bits(40, np.random.default_rng(0))
+        assert generator.cycles_used == 40
+        assert generator.generation_energy(2.0e-15) == pytest.approx(80e-15)
+        assert generator.generation_energy(2.0e-15, cycles=10) == pytest.approx(20e-15)
 
     @pytest.mark.parametrize("keep", [0.5, 0.7])
     def test_batched_draw_matches_sequential_masks(self, keep):
@@ -142,14 +159,6 @@ class TestDropoutGenerator:
                 reference.append((uniforms < keep).astype(np.uint8))
         assert np.array_equal(batched, np.stack(reference))
         assert batched_gen.cycles_used == 32 * 16 * (1 if keep == 0.5 else 8)
-
-    def test_iteration_masks_draw_inputs_then_outputs(self, generator):
-        inputs, outputs = generator.iteration_masks(
-            4, 6, 3, np.random.default_rng(1)
-        )
-        rng = np.random.default_rng(1)
-        assert np.array_equal(inputs, generator.masks(4, 6, rng))
-        assert np.array_equal(outputs, generator.masks(4, 3, rng))
 
     def test_probability_validation(self):
         cell = CrossCoupledInverterRNG(NODE_16NM, rng=np.random.default_rng(0))
