@@ -609,9 +609,7 @@ class LocalizationSession:
         with ``rng.spawn(n)[i]`` would estimate -- the expensive map
         programming and array calibration are done once for the whole
         batch.  The localizer scopes the likelihood-backend ledger per
-        run, so each result's energy covers its own sequence only (this
-        also holds for tiled backends, whose merged ledger view the old
-        per-item ``reset()`` could not clear).
+        run, so each result's energy covers its own sequence only.
         """
         items = list(inputs)
         rng = rng if rng is not None else np.random.default_rng(0)

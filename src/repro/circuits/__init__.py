@@ -29,7 +29,7 @@ from repro.circuits.adc import LogarithmicADC
 from repro.circuits.dac import DAC
 from repro.circuits.noise import NoiseModel
 from repro.circuits.variability import MismatchSampler
-from repro.circuits.energy import EnergyLedger, LedgerSnapshot
+from repro.circuits.energy import EnergyLedger
 
 __all__ = [
     "TechnologyNode",
@@ -49,5 +49,4 @@ __all__ = [
     "NoiseModel",
     "MismatchSampler",
     "EnergyLedger",
-    "LedgerSnapshot",
 ]

@@ -6,38 +6,19 @@ ledgers and print comparison tables; nothing in the package computes energy
 as a side effect you cannot audit.
 
 Ledgers are *cumulative* by design (a macro's ledger is its lifetime
-odometer).  Callers that need strictly per-call figures scope a region,
-in one of two ways:
-
-- **Scoped child ledgers** -- :meth:`EnergyLedger.begin_scope` attaches a
-  fresh child that receives a copy of every entry recorded until
-  :meth:`EnergyLedger.end_scope`.  The child accumulates from zero, so
-  two identical scoped regions yield bit-identical energies (no
-  floating-point residue from differencing large cumulative totals).
-  This is what the CIM MC-Dropout engine uses per ``predict()``.
-- **Snapshot/diff** -- :meth:`EnergyLedger.snapshot` +
-  :meth:`EnergyLedger.since` work on plain data, so they also scope
-  ledger *views* that are rebuilt per access (e.g. the tiled array's
-  merged ledger), at the cost of float-subtraction rounding::
-
-      mark = backend.ledger.snapshot()
-      ...queries...
-      per_run = backend.ledger.since(mark)
-
-Either way nobody has to ``reset()`` shared state between calls.
+odometer).  Callers that need strictly per-call figures scope a region:
+:meth:`EnergyLedger.begin_scope` attaches a fresh child that receives a
+copy of every entry recorded until :meth:`EnergyLedger.end_scope`.  The
+child accumulates from zero, so two identical scoped regions yield
+bit-identical energies (no floating-point residue from differencing
+large cumulative totals), and nobody has to ``reset()`` shared state
+between calls.  The CIM MC-Dropout engine scopes each ``predict()`` this
+way, and the particle-filter localizer each ``run()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class LedgerSnapshot:
-    """Point-in-time copy of a ledger's tallies (see ``EnergyLedger.snapshot``)."""
-
-    counts: dict[str, int]
-    energies: dict[str, float]
 
 
 @dataclass
@@ -157,31 +138,6 @@ class EnergyLedger:
         for operation in self.operations:
             result._counts[operation] = int(round(self.count(operation) * factor))
             result._energies[operation] = self.energy(operation) * factor
-        return result
-
-    def snapshot(self) -> "LedgerSnapshot":
-        """An immutable point-in-time mark for :meth:`since` scoping."""
-        return LedgerSnapshot(
-            counts=dict(self._counts), energies=dict(self._energies)
-        )
-
-    def since(self, mark: "LedgerSnapshot") -> "EnergyLedger":
-        """A new ledger holding only the work recorded after ``mark``.
-
-        Differences are clamped at zero, so a ``reset()`` inside the
-        scoped region degrades to "whatever accumulated since the reset"
-        instead of going negative.
-        """
-        result = EnergyLedger(label=self.label)
-        for operation, count in self._counts.items():
-            delta_count = count - mark.counts.get(operation, 0)
-            delta_energy = self._energies.get(operation, 0.0) - mark.energies.get(
-                operation, 0.0
-            )
-            if delta_count <= 0 and delta_energy <= 0.0:
-                continue
-            result._counts[operation] = max(0, delta_count)
-            result._energies[operation] = max(0.0, delta_energy)
         return result
 
     def reset(self) -> None:

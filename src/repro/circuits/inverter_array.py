@@ -281,7 +281,7 @@ class InverterArray:
         [(log_lik, currents)] = self.read_planned(
             [self.plan_read(points, rng)], encoder
         )
-        self._account(currents.shape[0], currents)
+        self._account(currents.shape[0], currents, self.ledger)
         return log_lik
 
     def plan_read(
@@ -309,8 +309,9 @@ class InverterArray:
 
         Returns one ``(log-likelihoods, currents)`` pair per read, each
         bit-equal to that read evaluated alone; the caller meters every
-        read with :meth:`_account` on its ``currents``.  Consecutive reads
-        are stacked up to :data:`STACK_ROWS` rows per pass.  The
+        read with :meth:`_account` on its ``currents``, into a ledger of
+        its choice.  Consecutive reads are stacked up to
+        :data:`STACK_ROWS` rows per pass.  The
         column-current sum stays one matvec per read: a BLAS matvec rounds
         a row differently depending on the call's row count, so one
         matvec over the stack would not reproduce the per-read values.
@@ -352,13 +353,15 @@ class InverterArray:
             for start, stop in zip(bounds[:-1], bounds[1:])
         ]
 
-    def _account(self, n_queries: int, currents: np.ndarray) -> None:
-        self.ledger.add(
+    def _account(
+        self, n_queries: int, currents: np.ndarray, ledger: EnergyLedger
+    ) -> None:
+        ledger.add(
             "dac_conversion", n_queries * self.n_axes, self.node.dac_energy_j
         )
-        self.ledger.add("adc_conversion", n_queries, self.adc.conversion_energy())
+        ledger.add("adc_conversion", n_queries, self.adc.conversion_energy())
         analog = float(np.sum(currents) * self.node.vdd * self.eval_time_s)
-        self.ledger.add_energy("analog_evaluation", analog, count=n_queries)
+        ledger.add_energy("analog_evaluation", analog, count=n_queries)
 
     def energy_per_query(self) -> float:
         """Mean energy per likelihood query so far (J)."""

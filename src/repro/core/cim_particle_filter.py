@@ -315,16 +315,21 @@ class CIMParticleFilterLocalizer:
         controls = np.atleast_2d(np.asarray(controls, dtype=float))
         if controls.shape[0] != len(depths):
             raise ValueError("controls and depths length mismatch")
-        energy_mark = self.field_backend.ledger.snapshot()
-        diagnostics = []
-        for control, depth in zip(controls, depths):
-            diagnostics.append(self.step(control, depth, rng))
+        ledger = self.field_backend.ledger
+        scope = ledger.begin_scope()
+        try:
+            diagnostics = [
+                self.step(control, depth, rng)
+                for control, depth in zip(controls, depths)
+            ]
+        finally:
+            ledger.end_scope(scope)
         estimates = np.stack([d.estimate for d in diagnostics], axis=0)
         errors = self.filter.position_errors(np.asarray(ground_truth))
         return LocalizationResult(
             estimates=estimates,
             errors=errors,
             diagnostics=diagnostics,
-            energy=self.field_backend.ledger.since(energy_mark),
+            energy=scope,
             backend=self.backend_name,
         )

@@ -222,7 +222,7 @@ class TiledInverterArrayMap:
     ) -> np.ndarray:
         """(N,) log field values; queries are routed to their tile's array."""
         [reading] = self.read_planned([self.plan_field_log(points, rng)])
-        reading.account()
+        reading.account(self.ledger)
         return reading.values
 
     def plan_field_log(
@@ -260,7 +260,8 @@ class TiledInverterArrayMap:
         Every plan's reads of one tile are stacked into a single
         DAC -> array -> noise -> ADC pass; each plan gets its values and
         its deferred per-tile metering back, bit-equal to evaluating it
-        alone.  Nothing is metered until a reading's ``account()`` runs.
+        alone.  Nothing is metered until a reading's ``account(ledger)``
+        runs.
         """
         values = [np.full(plan.n_points, self._empty_tile_log) for plan in plans]
         charges: list[list] = [[None] * len(plan.reads) for plan in plans]
@@ -282,20 +283,12 @@ class TiledInverterArrayMap:
             FieldReading(value, charge) for value, charge in zip(values, charges)
         ]
 
-    def merged_ledger(self) -> EnergyLedger:
-        """Combined energy ledger across all tile arrays."""
-        merged = EnergyLedger(label=f"tiled-array{self.tiles}")
-        for array in self._arrays.values():
-            merged.merge(array.ledger)
-        return merged
-
     def energy_per_query(self) -> float:
         """Mean energy per likelihood query across tiles (J)."""
-        merged = self.merged_ledger()
-        queries = merged.count("adc_conversion")
+        queries = self.ledger.count("adc_conversion")
         if queries == 0:
             return 0.0
-        return merged.total_energy_j() / queries
+        return self.ledger.total_energy_j() / queries
 
 
 class TiledCIMBackend(MapFieldBackend):
@@ -306,7 +299,7 @@ class TiledCIMBackend(MapFieldBackend):
 
     @property
     def ledger(self) -> EnergyLedger:
-        return self.tiled_map.merged_ledger()
+        return self.tiled_map.ledger
 
     def plan_field_log(
         self, points: np.ndarray, rng: np.random.Generator | None = None

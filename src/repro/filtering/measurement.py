@@ -52,15 +52,15 @@ class FieldReading:
     Attributes:
         values: (Q,) log field values.
         charges: ledger entries still owed, applied by :meth:`account`
-            into whatever ledgers the backend holds at that moment.
+            into the ledger its caller passes.
     """
 
     values: np.ndarray
-    charges: list[Callable[[], None]]
+    charges: list[Callable[[EnergyLedger], None]]
 
-    def account(self) -> None:
+    def account(self, ledger: EnergyLedger) -> None:
         for charge in self.charges:
-            charge()
+            charge(ledger)
 
 
 class MapFieldBackend(abc.ABC):
@@ -71,8 +71,9 @@ class MapFieldBackend(abc.ABC):
     evaluation needs from the caller's generator, and
     :meth:`read_planned` evaluates many plans at once and returns each
     one's values plus its metering, deferred until
-    :meth:`FieldReading.account`.  :meth:`field_log` is the two halves
-    for a single caller.
+    :meth:`FieldReading.account` charges it into a ledger.
+    :meth:`field_log` is the two halves for a single caller, metered
+    into :attr:`ledger`.
     """
 
     def field_log(
@@ -80,7 +81,7 @@ class MapFieldBackend(abc.ABC):
     ) -> np.ndarray:
         """(Q,) log field values at (Q, 3) world points."""
         [reading] = self.read_planned([self.plan_field_log(points, rng)])
-        reading.account()
+        reading.account(self.ledger)
         return reading.values
 
     @abc.abstractmethod
@@ -162,15 +163,15 @@ class DigitalGMMBackend(MapFieldBackend):
         )
         return np.round((clipped - self._log_ceiling) / step) * step + self._log_ceiling
 
-    def _account(self, n_queries: int) -> None:
+    def _account(self, n_queries: int, ledger: EnergyLedger) -> None:
         """Per query: K * (3 MAC for z^2, 1 exp LUT, 1 weight MAC, 1 acc)."""
         k = self.gmm.n_components
         bits = self.bits if self.bits is not None else 32
-        self._ledger.add("mac", n_queries * 4 * k, self.node.mac_energy(bits))
-        self._ledger.add("exp_lut", n_queries * k, self.node.lut_energy_j)
-        self._ledger.add("accumulate", n_queries * k, self.node.add_energy(bits))
+        ledger.add("mac", n_queries * 4 * k, self.node.mac_energy(bits))
+        ledger.add("exp_lut", n_queries * k, self.node.lut_energy_j)
+        ledger.add("accumulate", n_queries * k, self.node.add_energy(bits))
         # Fetch component parameters (7 words of `bits` each) from local SRAM.
-        self._ledger.add(
+        ledger.add(
             "sram_read_bit",
             n_queries * 7 * k * bits,
             self.node.sram_read_energy_per_bit_j,

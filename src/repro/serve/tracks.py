@@ -11,13 +11,12 @@ first stateful layer on top of the stateless ``/infer`` path:
 - :class:`TrackStore` -- the per-process execution engine.  It does NOT
   build one session per track: it keeps one shared prototype
   :class:`~repro.api.substrates.LocalizationSession` per substrate and
-  carries each track's state -- particles, its private RNG, and private
-  copies of the backend's energy ledgers -- through the prototype's
-  filter halves, swapping the ledgers in only around the metering of
-  the track's field read.  A micro-batch executes as waves of at most
-  one step per track with one field pass per wave (one array pass per
-  tile on CIM).  Per-track state is O(n_particles), which is what makes
-  thousands of live tracks feasible in one process.
+  carries each track's state -- particles, its private RNG and its own
+  energy ledger -- through the prototype's filter halves, charging the
+  track's field reads into its ledger.  A micro-batch executes as waves
+  of at most one step per track with one field pass per wave (one array
+  pass per tile on CIM).  Per-track state is O(n_particles), which is
+  what makes thousands of live tracks feasible in one process.
 - :class:`TrackManager` -- lifecycle, placement, eviction and recovery:
   open/step/close with sticky routing of every track to one home shard,
   :class:`~repro.runtime.policy.TrackPolicy` admission (max live tracks,
@@ -38,19 +37,17 @@ sequence on an identically built session.  Two mechanisms carry it:
 1. Every source of randomness in a localization step flows through the
    caller-provided generator, so a per-track generator seeded once at
    open and carried across steps reproduces the one-shot run exactly.
-2. Each track owns deep copies of the backend's post-calibration
-   ledgers (the exact state a fresh session starts serving with).  A
-   step meters its field read with them swapped into the backend's
-   ledger attributes, so cumulative
-   metering is the same single ``since(open_mark)`` subtraction the
-   one-shot run performs -- never a sum of per-step float deltas, which
-   would not be bit-exact.
+2. Each track owns one ledger that starts at zero, and every step
+   charges its field read into it with ``reading.account(ledger)``.
+   The one-shot run scopes the backend ledger from zero around the same
+   sequence of charges, so the track ledger *is* the run's cumulative
+   metering -- the same float additions in the same order, never a sum
+   of per-step totals, which would not be bit-exact.
 """
 
 from __future__ import annotations
 
 import asyncio
-import copy
 import functools
 import time
 import uuid
@@ -63,8 +60,6 @@ import numpy as np
 from repro.api.results import InferenceResult
 from repro.api.substrates import LocalizationSession, get_substrate
 from repro.circuits.energy import EnergyLedger
-from repro.core.tiling import TiledCIMBackend
-from repro.filtering.measurement import CIMArrayBackend, DigitalGMMBackend
 from repro.runtime.policy import BatchPolicy, TrackPolicy
 from repro.serve.execution import Encoded, encode_error
 from repro.serve.types import (
@@ -157,66 +152,17 @@ def stream_mismatches(
     return [name for name, ok in checks.items() if not ok]
 
 
-def _ledger_cells(backend: Any) -> list[tuple[Any, str]]:
-    """The attribute locations where a backend's ledgers live.
-
-    Swapping these cells is how a track's private ledgers receive the
-    backend's metering during its step.  The cell order for tiled
-    backends matches ``TiledInverterArrayMap.merged_ledger()`` so the
-    merged view below reproduces the backend's own ledger view exactly.
-    """
-    if isinstance(backend, CIMArrayBackend):
-        return [(backend.array, "ledger")]
-    if isinstance(backend, DigitalGMMBackend):
-        return [(backend, "_ledger")]
-    if isinstance(backend, TiledCIMBackend):
-        return [
-            (array, "ledger")
-            for array in backend.tiled_map._arrays.values()
-        ]
-    raise TypeError(
-        f"no ledger cells known for backend {type(backend).__name__}"
-    )
-
-
-def _merged_view(ledgers: Sequence[EnergyLedger]) -> EnergyLedger:
-    """The ledger view a backend would expose over these cells.
-
-    A single cell is returned as-is (merging into a fresh ledger would
-    reorder operations to sorted insertion order and change the
-    summation order of ``total_energy_j`` -- a bit-parity break); tiled
-    cells merge exactly like the backend's own ``merged_ledger()``.
-    """
-    if len(ledgers) == 1:
-        return ledgers[0]
-    merged = EnergyLedger(label="track")
-    for ledger in ledgers:
-        merged.merge(ledger)
-    return merged
-
-
 class _StoredTrack:
-    """One track's swap-in state inside a :class:`TrackStore`."""
+    """One track's state inside a :class:`TrackStore`."""
 
-    __slots__ = (
-        "substrate",
-        "rng",
-        "particles",
-        "ledgers",
-        "open_mark",
-        "last_mark",
-        "steps",
-    )
+    __slots__ = ("substrate", "rng", "particles", "ledger", "steps")
 
     def __init__(self, substrate: str, rng: np.random.Generator):
         self.substrate = substrate
         self.rng = rng
         self.particles: Any = None
-        self.ledgers: list[EnergyLedger] = []
-        self.open_mark: Any = None
-        # Snapshot of the merged ledger view after the last step (None
-        # when a failed step metered after it was taken).
-        self.last_mark: Any = None
+        # Everything this track's steps metered since open.
+        self.ledger = EnergyLedger(label="track")
         self.steps = 0
 
 
@@ -239,9 +185,9 @@ class TrackStore:
     """Per-process track execution over shared prototype sessions.
 
     One prototype :class:`LocalizationSession` per substrate is built
-    (and calibrated) once; its post-calibration ledgers are deep-copied
-    as the baseline every new track starts from -- the exact ledger
-    state a fresh reference session begins serving with.  All methods
+    (and calibrated) once and shared by every track on that substrate;
+    each track meters its field reads into its own ledger, so the
+    prototype's ledgers never see a track's work.  All methods
     must be called from one thread at a time (the manager serializes
     through a single-thread executor in-process, and shard processes are
     serial by construction).
@@ -258,17 +204,11 @@ class TrackStore:
 
     def __init__(self, world: TrackWorld, substrates: Sequence[str]):
         self.world = world
-        self._prototypes: dict[str, tuple[LocalizationSession, list, list]] = {}
+        self._prototypes: dict[str, LocalizationSession] = {}
         for name in substrates:
             resolved = get_substrate(name).name
-            if resolved in self._prototypes:
-                continue
-            session = world.build_session(resolved)
-            cells = _ledger_cells(session.localizer.field_backend)
-            baseline = [
-                copy.deepcopy(getattr(owner, attr)) for owner, attr in cells
-            ]
-            self._prototypes[resolved] = (session, cells, baseline)
+            if resolved not in self._prototypes:
+                self._prototypes[resolved] = world.build_session(resolved)
         self._tracks: dict[str, _StoredTrack] = {}
 
     @property
@@ -286,13 +226,10 @@ class TrackStore:
                 f"no track prototype for substrate {resolved!r}; "
                 f"serving {self.substrates}"
             )
-        session, cells, baseline = self._prototypes[resolved]
+        session = self._prototypes[resolved]
         track = _StoredTrack(resolved, np.random.default_rng(int(seed)))
         init.apply(session, track.rng)
         track.particles = session.localizer.filter.particles
-        track.ledgers = [copy.deepcopy(ledger) for ledger in baseline]
-        track.open_mark = _merged_view(track.ledgers).snapshot()
-        track.last_mark = track.open_mark
         self._tracks[track_id] = track
         return {
             "track_id": track_id,
@@ -342,8 +279,7 @@ class TrackStore:
         self, substrate: str, members: list[_WaveItem], encoded: list[Any]
     ) -> None:
         """One wave's steps on one substrate prototype."""
-        session, cells, _ = self._prototypes[substrate]
-        localizer = session.localizer
+        localizer = self._prototypes[substrate].localizer
         staged = []
         for member in members:
             try:
@@ -377,7 +313,7 @@ class TrackStore:
             try:
                 encoded[member.index] = (
                     "ok",
-                    self._update(localizer, cells, member, reading),
+                    self._update(localizer, member, reading),
                 )
             except Exception as error:
                 encoded[member.index] = encode_error(error)
@@ -399,28 +335,16 @@ class TrackStore:
         )
 
     @staticmethod
-    def _update(
-        localizer: Any, cells: list, member: _WaveItem, reading: Any
-    ) -> dict:
+    def _update(localizer: Any, member: _WaveItem, reading: Any) -> dict:
         """A step's second half: meter the field read into the track's
-        ledgers, then reweight/resample and build the response."""
+        ledger, then reweight/resample and build the response."""
         track = member.track
-        step_mark = track.last_mark
-        if step_mark is None:
-            step_mark = _merged_view(track.ledgers).snapshot()
-        track.last_mark = None
-        # DET004 audit: the ledger-cell swap must restore the prototype
-        # ledgers on every exit path -- a raising step would otherwise
-        # leave this track's ledgers wired into the shared prototype,
-        # corrupting every other track's energy accounting on the shard.
-        saved = [getattr(owner, attr) for owner, attr in cells]
-        for (owner, attr), ledger in zip(cells, track.ledgers):
-            setattr(owner, attr, ledger)
+        ledger = track.ledger
+        step = ledger.begin_scope()
         try:
-            reading.account()
+            reading.account(ledger)
         finally:
-            for (owner, attr), ledger in zip(cells, saved):
-                setattr(owner, attr, ledger)
+            ledger.end_scope(step)
         log_lik = localizer.measurement_model.combine(
             reading.values.reshape(member.shape)
         )
@@ -428,10 +352,6 @@ class TrackStore:
             member.predicted, log_lik, track.rng
         )
         track.steps += 1
-        view = _merged_view(track.ledgers)
-        track.last_mark = view.snapshot()
-        cumulative = view.since(track.open_mark)
-        step_scope = view.since(step_mark)
         estimate = np.asarray(diagnostics.estimate, dtype=float)
         error_m = None
         truth = member.item[3]
@@ -447,13 +367,13 @@ class TrackStore:
             "log_evidence": float(diagnostics.log_evidence),
             "spread": float(diagnostics.spread),
             "error_m": error_m,
-            "energy_j": cumulative.total_energy_j(),
-            "ops_executed": cumulative.total_count(),
+            "energy_j": ledger.total_energy_j(),
+            "ops_executed": ledger.total_count(),
             "energy_breakdown_j": {
-                op: cumulative.energy(op) for op in cumulative.operations
+                op: ledger.energy(op) for op in ledger.operations
             },
-            "step_energy_j": step_scope.total_energy_j(),
-            "step_ops": step_scope.total_count(),
+            "step_energy_j": step.total_energy_j(),
+            "step_ops": step.total_count(),
             "substrate": track.substrate,
         }
 

@@ -505,7 +505,11 @@ class TrackStepResponse:
     total_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return to_jsonable(dataclasses.asdict(self))
+        # A shallow field dict: ``dataclasses.asdict`` would deep-copy
+        # the estimate and breakdown only for to_jsonable to copy again.
+        return to_jsonable(
+            {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        )
 
     def to_json(self, indent: int | None = None) -> str:
         return strict_dumps(self.to_dict(), indent=indent)

@@ -389,28 +389,6 @@ class TestEnergyLedger:
         with pytest.raises(ValueError, match="not active"):
             ledger.end_scope(EnergyLedger())
 
-    def test_snapshot_since_diffs(self):
-        ledger = EnergyLedger(label="m")
-        ledger.add("op", 2, 1.0)
-        mark = ledger.snapshot()
-        ledger.add("op", 3, 1.0)
-        ledger.add("new", 1, 0.25)
-        diff = ledger.since(mark)
-        assert diff.count("op") == 3
-        assert diff.energy("op") == pytest.approx(3.0)
-        assert diff.count("new") == 1
-        assert diff.label == "m"
-        assert "untouched" not in diff.operations
-
-    def test_since_clamps_after_reset(self):
-        ledger = EnergyLedger()
-        ledger.add("op", 5, 1.0)
-        mark = ledger.snapshot()
-        ledger.reset()
-        ledger.add("op", 2, 1.0)
-        diff = ledger.since(mark)
-        assert diff.count("op") == 0  # clamped, never negative
-
 
 class TestInverterArray:
     @pytest.fixture(scope="class")

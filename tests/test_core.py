@@ -126,7 +126,7 @@ class TestTiling:
         rng = np.random.default_rng(5)
         tiled.field_log(rng.uniform(lo, hi, size=(50, 3)), rng=rng)
         assert tiled.energy_per_query() > 0
-        assert tiled.merged_ledger().count("adc_conversion") == 50
+        assert tiled.ledger.count("adc_conversion") == 50
 
     def test_tile_of_clipping(self, simple_mixture):
         mixture, _, cloud, bounds = simple_mixture

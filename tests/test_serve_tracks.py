@@ -1,6 +1,7 @@
 """repro.serve.tracks: streaming tracks, eviction, crash recovery."""
 
 import asyncio
+import dataclasses
 import json
 import os
 import signal
@@ -13,7 +14,12 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.api.results import InferenceResult, strict_dumps, strict_loads
+from repro.api.results import (
+    InferenceResult,
+    strict_dumps,
+    strict_loads,
+    to_jsonable,
+)
 from repro.api.substrates import available_substrates
 from repro.runtime import BatchPolicy, ShardPolicy, TrackPolicy
 from repro.serve import (
@@ -196,6 +202,30 @@ class TestRequestSchemas:
         assert restored.step_index == 2
         assert np.array_equal(restored.estimate, response.estimate)
         assert restored.energy_j == response.energy_j
+
+    def test_step_response_encodes_like_asdict(self):
+        """The shallow field dict encodes to exactly the bytes the
+        ``dataclasses.asdict`` encoding gave, non-finite values and a
+        missing error included."""
+        response = TrackStepResponse(
+            track_id="t",
+            step_index=1,
+            estimate=np.array([np.nan, 1.0, -2.5, 0.25]),
+            ess=np.float64(7.5),
+            resampled=False,
+            log_evidence=-3.0,
+            spread=0.125,
+            energy_j=2e-9,
+            ops_executed=64,
+            energy_breakdown_j={"adc_conversion": np.inf, "mac": 1e-9},
+            step_energy_j=1e-9,
+            step_ops=32,
+            substrate="cim",
+            error_m=None,
+        )
+        assert strict_dumps(response.to_dict()) == strict_dumps(
+            to_jsonable(dataclasses.asdict(response))
+        )
 
 
 class TestStreamParityInProcess:
@@ -752,10 +782,9 @@ def _alive(pid):
 
 
 class TestStepExceptionSafety:
-    """DET004 contract: a raising step must restore the prototype ledger
-    cells (the swap-in/swap-out around a wave item's metering in
-    TrackStore), or one bad measurement would wire a dead track's ledgers
-    into every other track's energy accounting on the shard."""
+    """A raising step fails only its own item: the shared prototype's
+    ledger never sees a track's metering, and every other track's
+    stream stays bit-exact."""
 
     @staticmethod
     def _failing_store(world, init, seed, monkeypatch, measurements, seam):
@@ -766,8 +795,7 @@ class TestStepExceptionSafety:
 
         store = TrackStore(world, ("cim",))
         store.open("t1", "cim", init, seed)
-        session, cells, _ = store._prototypes["cim"]
-        before = [getattr(owner, attr) for owner, attr in cells]
+        session = store._prototypes["cim"]
         controls, depths, truths = measurements
         owner, attribute = seam(session)
 
@@ -779,31 +807,68 @@ class TestStepExceptionSafety:
             outcomes = store.step_batch(
                 [("t1", controls[0], depths[0], truths[0])]
             )
-        return store, cells, before, outcomes
+        return store, outcomes
 
-    def test_raising_step_restores_prototype_ledgers(
+    def test_raising_account_spares_prototype_and_other_tracks(
         self, world, measurements, init, monkeypatch
     ):
-        # The metering is the one part of a step that runs with the
-        # track's ledgers swapped into the prototype.
+        # Metering raises for t1's ledger only, on every step of a
+        # two-track wave.
         from repro.circuits.inverter_array import InverterArray
+        from repro.serve.tracks import TrackStore
 
-        store, cells, before, outcomes = self._failing_store(
-            world, init, 5, monkeypatch, measurements,
-            lambda session: (InverterArray, "_account"),
+        store = TrackStore(world, ("cim",))
+        store.open("t1", "cim", init, 5)
+        store.open("t2", "cim", init, 6)
+        prototype = store._prototypes["cim"].localizer.field_backend.ledger
+        before = {
+            op: (prototype.count(op), prototype.energy(op))
+            for op in prototype.operations
+        }
+        doomed = store._tracks["t1"].ledger
+        account = InverterArray._account
+
+        def glitch(self, n_queries, currents, ledger):
+            if ledger is doomed:
+                raise RuntimeError("sensor glitch")
+            account(self, n_queries, currents, ledger)
+
+        monkeypatch.setattr(InverterArray, "_account", glitch)
+        controls, depths, truths = measurements
+        streamed = []
+        for i in range(N_STEPS):
+            failed, (status, payload) = store.step_batch(
+                [
+                    (track, controls[i], depths[i], truths[i])
+                    for track in ("t1", "t2")
+                ]
+            )
+            assert failed[0] == "error"
+            assert "sensor glitch" in failed[1]
+            assert status == "ok", payload
+            streamed.append(payload)
+        monkeypatch.undo()
+        assert {
+            op: (prototype.count(op), prototype.energy(op))
+            for op in prototype.operations
+        } == before
+        assert prototype._scopes == []
+        assert doomed._scopes == []
+        reference = reference_track_run(world, "cim", init, 6, measurements)
+        assert np.array_equal(
+            np.array([r["estimate"] for r in streamed]), reference.mean
         )
-        status, payload = outcomes[0]
-        assert status == "error"
-        assert "sensor glitch" in payload
-        after = [getattr(owner, attr) for owner, attr in cells]
-        assert all(now is prev for now, prev in zip(after, before))
+        final = streamed[-1]
+        assert final["energy_j"] == reference.energy_j
+        assert final["ops_executed"] == reference.ops_executed
+        assert final["energy_breakdown_j"] == reference.energy_breakdown_j
 
     def test_steps_after_failure_stay_bit_exact(
         self, world, measurements, init, monkeypatch
     ):
         # The predict half is the wave's first call into a step, before
         # any draw from the track's generator.
-        store, _, _, outcomes = self._failing_store(
+        store, outcomes = self._failing_store(
             world, init, 7, monkeypatch, measurements,
             lambda session: (session.localizer.filter, "predict"),
         )

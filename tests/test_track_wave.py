@@ -13,6 +13,13 @@ breakdown, over the demo world with tiles (2, 2, 2) and noise on, a
 single array (tiles (1, 1, 1)), noise and mismatch off, and the
 ``digital`` substrate.
 
+The energy fields were re-captured when each track got one ledger of
+its own and the tiled map one ledger for all its tiles.  The metered
+charges are unchanged, but their float sums now run from zero in call
+order instead of being differenced from marks on per-tile ledgers
+merged per step, so some energies moved in their last bits (below
+1e-14 relative).  Every other field is unchanged.
+
 Regenerate the pins (only for a deliberate, reviewed change of the
 numerics) with::
 
@@ -249,12 +256,45 @@ class TestWaveParity:
             [wave_backend.plan_field_log(p, rng=r) for p, r in zip(points, wave_rngs)]
         )
         for reading in readings:
-            reading.account()
+            reading.account(wave_backend.ledger)
         for lone, reading in zip(lone_values, readings):
             assert np.array_equal(lone, reading.values)
         for lone_rng, wave_rng in zip(lone_rngs, wave_rngs):
             assert lone_rng.bit_generator.state == wave_rng.bit_generator.state
         assert _ledger_pin(lone_backend.ledger) == _ledger_pin(wave_backend.ledger)
+
+
+@pytest.mark.parametrize("config", WAVE_CONFIGS)
+def test_raising_run_detaches_its_ledger_scope(
+    config, fresh_sessions, init, measurements, monkeypatch
+):
+    """A step that raises mid-``run`` leaves no scope on the backend
+    ledger, so the session's next run meters like a fresh clone's."""
+    session = fresh_sessions[config].clone()
+    localizer = session.localizer
+    step = localizer.step
+    calls = []
+
+    def glitch(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("step glitch")
+        return step(*args, **kwargs)
+
+    init.apply(session, np.random.default_rng(4))
+    with monkeypatch.context() as patched:
+        patched.setattr(localizer, "step", glitch)
+        with pytest.raises(RuntimeError, match="step glitch"):
+            session.run(measurements, rng=np.random.default_rng(4))
+    assert localizer.field_backend.ledger._scopes == []
+    rng = np.random.default_rng(5)
+    init.apply(session, rng)
+    rerun = session.run(measurements, rng=rng)
+    reference = oracle(fresh_sessions[config], init, 5, measurements)
+    assert np.array_equal(rerun.mean, reference.mean)
+    assert rerun.energy_j == reference.energy_j
+    assert rerun.ops_executed == reference.ops_executed
+    assert rerun.energy_breakdown_j == reference.energy_breakdown_j
 
 
 @pytest.mark.parametrize("width", [1, 2, 8, 32])
@@ -353,7 +393,7 @@ class TestWaveShapes:
         that raised there would leave it) but not in the next step's
         per-step scope."""
         store = open_store(worlds["tiled-noisy"], "cim", init, [1, 2])
-        pf = store._prototypes["cim"][0].localizer.filter
+        pf = store._prototypes["cim"].localizer.filter
 
         def glitch(*args, **kwargs):
             raise RuntimeError("update glitch")
