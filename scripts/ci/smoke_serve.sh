@@ -29,6 +29,18 @@ for _ in $(seq 1 120); do
 done
 curl -sf "http://127.0.0.1:${SERVE_PORT}/healthz" > /dev/null
 
+# Keep-alive with a client that is not Python: one curl call fetches
+# both URLs, and must reuse one connection for them (connect counts sum
+# to 1).
+CONNECTS=$(curl -sf -o /dev/null -o /dev/null -w '%{num_connects}\n' \
+  "http://127.0.0.1:${SERVE_PORT}/healthz" \
+  "http://127.0.0.1:${SERVE_PORT}/stats" | awk '{ n += $1 } END { print n }')
+if [ "$CONNECTS" != "1" ]; then
+  echo "error: curl made $CONNECTS connections for two requests" \
+    "(keep-alive wants 1)" >&2
+  exit 1
+fi
+
 SERVE_URL="http://127.0.0.1:${SERVE_PORT}" N_ITERATIONS=8 WORKERS="$WORKERS" \
   python scripts/ci/serve_parity_check.py
 

@@ -1,8 +1,9 @@
 """Stdlib-only HTTP front end for :class:`~repro.serve.InferenceService`.
 
-No third-party web framework: a ``ThreadingHTTPServer`` whose handler
-threads bridge into the service's asyncio loop with
-``asyncio.run_coroutine_threadsafe``.  Endpoints:
+No third-party web framework: an HTTP/1.1 server built on
+``asyncio.start_server`` runs on the service's own event loop, so a
+request is parsed, served and answered on the one thread that also runs
+the batchers and reads the shard pipes.  Endpoints:
 
 - ``POST /infer``  -- body: an :class:`~repro.serve.InferenceRequest`
   JSON object (``inputs`` as nested lists or a tagged ndarray).  Returns
@@ -31,16 +32,18 @@ threads bridge into the service's asyncio loop with
 Every 503 -- admission bound, shard crash, track admission -- carries a
 ``Retry-After`` header and machine-readable ``"retryable": true`` in
 the JSON body, so clients back off on structure instead of
-string-matching error messages.
+string-matching error messages.  Any body that fails to decode into a
+request is a 400, never a dropped connection.
 
-Connections are persistent (HTTP/1.1 keep-alive) with ``TCP_NODELAY``
-set, so a client reuses one connection for many requests and a small
-reply is never held back by Nagle's algorithm waiting on a delayed ACK.
-A reply sent before the request body was read (unknown POST path, bad
-or missing ``Content-Length``) carries ``Connection: close`` -- the
-unread body must never be parsed as the next request.  An idle
-connection ends after :data:`IDLE_TIMEOUT_S`, and
-:meth:`ServingContext.close` ends every open one at once.
+Connections are persistent (HTTP/1.1 keep-alive, ``TCP_NODELAY``) and
+pipelined requests are answered in order.  Bodies are ``Content-Length``
+bodies of at most :data:`MAX_BODY_BYTES` (``Transfer-Encoding`` is
+refused with 411); ``Expect: 100-continue`` is answered.  A reply sent
+before the body was read, or to an HTTP/1.0 or ``Connection: close``
+request, closes the connection, so unread bytes are never parsed as the
+next request.  An idle connection ends after :data:`IDLE_TIMEOUT_S`; a
+request unanswered after :data:`REQUEST_TIMEOUT_S` is cancelled,
+releasing its admission slot, and answered 500.
 
 Every body is emitted with :func:`repro.api.results.strict_dumps`, so
 the wire never carries bare ``NaN`` / ``Infinity`` tokens: non-finite
@@ -52,9 +55,9 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import sys
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Any, Callable, Coroutine
 
 from repro.api.results import strict_dumps, strict_loads
@@ -71,9 +74,11 @@ from repro.serve.types import (
 
 REQUEST_TIMEOUT_S = 300.0
 # A keep-alive connection with no request for this long is closed, so an
-# idle client never pins a handler thread.
+# idle client never pins a connection.
 IDLE_TIMEOUT_S = 30.0
 MAX_BODY_BYTES = 32 * 1024 * 1024
+# Request line plus headers; a longer head is refused with 431.
+MAX_HEADER_BYTES = 64 * 1024
 RETRY_AFTER_S = 1
 
 # TrackError.kind -> HTTP status: unknown tracks (and track serving
@@ -86,141 +91,88 @@ _TRACK_STATUS = {
     "closed": 410,
 }
 
+# status, JSON payload, extra headers, whether the connection must close
+_Reply = tuple[int, Any, dict[str, str], bool]
 
-class _Handler(BaseHTTPRequestHandler):
-    server: "ServiceHTTPServer"
-    protocol_version = "HTTP/1.1"
-    # Keep-alive without TCP_NODELAY stalls every reply on Nagle's
-    # algorithm meeting the client's delayed ACK (~40 ms per request).
-    disable_nagle_algorithm = True
-    timeout = IDLE_TIMEOUT_S
 
-    # Quiet by default; the CLI enables logging via server attribute.
-    def log_message(self, format: str, *args: Any) -> None:
-        if self.server.verbose:
-            super().log_message(format, *args)
+class _Refused(Exception):
+    """A request answered before its body was read: the reply closes
+    the connection, so the unread bytes are never parsed as the next
+    request."""
 
-    def _reply(
-        self,
-        status: int,
-        payload: Any,
-        headers: dict[str, str] | None = None,
-        close: bool = False,
-    ) -> None:
-        """Send one JSON reply; ``close`` ends the connection after it
-        (required whenever the request body was left unread)."""
-        body = strict_dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        if close:
-            # Also sets self.close_connection.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
-    def _reply_overloaded(self, error: ServiceOverloaded) -> None:
-        """All 503s are structurally retryable: ``Retry-After`` header
-        plus ``retryable: true`` in the body, so clients back off
-        without string-matching."""
-        if isinstance(error, WorkerCrashed):
-            # Shard death, not an admission bound: report which shard
-            # died instead of a meaningless queue limit.
-            payload = {
-                "error": str(error),
-                "retryable": True,
-                "shard": error.shard,
-                "pending": error.pending,
-            }
-        else:
-            payload = {
-                "error": str(error),
-                "retryable": True,
-                "pending": error.pending,
-                "max_pending": error.max_pending,
-            }
-        self._reply(503, payload, headers={"Retry-After": str(RETRY_AFTER_S)})
 
-    def do_GET(self) -> None:
-        service = self.server.service
-        if self.path == "/healthz":
-            self._reply(200, {**service.health(), **service.describe()})
-        elif self.path == "/stats":
-            self._reply(200, service.stats_snapshot())
-        else:
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, str, dict[str, str]] | None:
+    """One request line and header section.
 
-    def _read_body(self) -> str | None:
-        """The request body, or None after replying with an error.
-
-        Every error reply that leaves body bytes unread closes the
-        connection, so they are never parsed as the next request.
-        """
+    Lines may end in CRLF or a bare LF, and blank lines before the
+    request line are skipped.  Returns ``(method, path, version,
+    headers)`` with lower-cased header names, or None when the client
+    closed the connection.
+    """
+    lines: list[str] = []
+    size = 0
+    while True:
         try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            self._reply(400, {"error": "bad Content-Length"}, close=True)
-            return None
-        if length <= 0 or length > MAX_BODY_BYTES:
-            self._reply(
-                400, {"error": "missing or oversized request body"},
-                close=True,
-            )
-            return None
-        raw = self.rfile.read(length)
-        if len(raw) < length:
-            # The client went away mid-body: nothing left to answer.
-            self.close_connection = True
-            return None
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as error:
-            self._reply(400, {"error": f"bad request: {error}"})
-            return None
+            line = await reader.readline()
+        except ValueError:  # one line longer than the reader's limit
+            raise _Refused(431, "request header section too large") from None
+        size += len(line)
+        if size > MAX_HEADER_BYTES:
+            raise _Refused(431, "request header section too large")
+        if not line:
+            return None  # the client went away, between requests or mid-head
+        text = line.decode("latin-1").rstrip("\r\n")
+        if text:
+            lines.append(text)
+        elif lines:  # the blank line that ends the head
+            break
+    request_line, *header_lines = lines
+    words = request_line.split()
+    if len(words) != 3 or not words[2].startswith("HTTP/1."):
+        raise _Refused(400, f"bad request line {request_line[:80]!r}")
+    headers: dict[str, str] = {}
+    for line in header_lines:
+        name, colon, value = line.partition(":")
+        if not colon or not name.strip():
+            raise _Refused(400, f"bad header line {line[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
+    method, path, version = words
+    return method, path, version, headers
 
-    def do_POST(self) -> None:
-        route = _ROUTES.get(self.path)
-        if route is None:
-            self._reply(
-                404, {"error": f"unknown path {self.path!r}"}, close=True
-            )
-            return
-        body = self._read_body()
-        if body is None:
-            return
-        try:
-            call = route(self.server.service, body)
-        except (ValueError, KeyError, TypeError) as error:
-            self._reply(400, {"error": f"bad request: {error}"})
-            return
-        try:
-            result = asyncio.run_coroutine_threadsafe(
-                call, self.server.loop
-            ).result(timeout=REQUEST_TIMEOUT_S)
-        except ServiceOverloaded as error:
-            self._reply_overloaded(error)
-        except TrackError as error:
-            self._reply(
-                _TRACK_STATUS.get(error.kind, 400),
-                {"error": str(error), "kind": error.kind, "retryable": False},
-            )
-        except RequestExecutionError as error:
-            # A failure while executing on a shard: a server-side fault,
-            # never the client's request.
-            self._reply(500, {"error": str(error)})
-        except (KeyError, ValueError) as error:
-            # Submission-time validation: unknown substrate/model, input
-            # width mismatch -- the request itself is at fault.
-            message = error.args[0] if error.args else str(error)
-            self._reply(400, {"error": str(message)})
-        except Exception as error:
-            self._reply(500, {"error": f"{type(error).__name__}: {error}"})
-        else:
-            self._reply(
-                200, result if isinstance(result, dict) else result.to_dict()
-            )
+
+def _encode_reply(
+    status: int, payload: Any, headers: dict[str, str], close: bool
+) -> bytes:
+    body = strict_dumps(payload).encode("utf-8")
+    lines = [
+        f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        *(f"{name}: {value}" for name, value in headers.items()),
+    ]
+    if close:
+        lines.append("Connection: close")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def _overloaded(error: ServiceOverloaded) -> _Reply:
+    """All 503s are structurally retryable: ``Retry-After`` header plus
+    ``retryable: true`` in the body, so clients back off without
+    string-matching."""
+    payload = {"error": str(error), "retryable": True, "pending": error.pending}
+    if isinstance(error, WorkerCrashed):
+        # Shard death, not an admission bound: report which shard died
+        # instead of a meaningless queue limit.
+        payload["shard"] = error.shard
+    else:
+        payload["max_pending"] = error.max_pending
+    return 503, payload, {"Retry-After": str(RETRY_AFTER_S)}, False
 
 
 # POST path -> (service, body) -> the service coroutine serving it.  A
@@ -241,74 +193,13 @@ _ROUTES: dict[str, Callable[[InferenceService, str], Coroutine]] = {
 }
 
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer bound to a service and its event loop.
-
-    One daemon thread serves each (persistent) connection; the server
-    keeps them by socket so :meth:`close_connections` can end them all.
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: InferenceService,
-        loop: asyncio.AbstractEventLoop,
-        verbose: bool = False,
-    ):
-        super().__init__(address, _Handler)
-        self.service = service
-        self.loop = loop
-        self.verbose = verbose
-        self._connections: dict[socket.socket, threading.Thread] = {}
-        self._connections_lock = threading.Lock()
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def process_request(self, request: Any, client_address: Any) -> None:
-        thread = threading.Thread(
-            target=self.process_request_thread,
-            args=(request, client_address),
-            name="repro-serve-conn",
-            daemon=self.daemon_threads,
-        )
-        with self._connections_lock:
-            self._connections[request] = thread
-        thread.start()
-
-    def shutdown_request(self, request: Any) -> None:
-        with self._connections_lock:
-            self._connections.pop(request, None)
-        super().shutdown_request(request)
-
-    def close_connections(self, timeout: float) -> None:
-        """End every open connection and join its handler thread.
-
-        Shuts the read side only: a handler parked on an idle keep-alive
-        socket sees EOF and exits at once, while one mid-request still
-        writes its reply first.
-        """
-        with self._connections_lock:
-            connections = list(self._connections.items())
-        for sock, _ in connections:
-            try:
-                sock.shutdown(socket.SHUT_RD)
-            except OSError:  # already closed by its handler
-                pass
-        deadline = time.monotonic() + timeout
-        for _, thread in connections:
-            thread.join(max(0.0, deadline - time.monotonic()))
-
-
 class ServingContext:
-    """A running service + HTTP server pair with owned background threads.
+    """A running service behind an HTTP server, both on one event loop.
 
-    The service's asyncio loop runs on one daemon thread and the HTTP
-    server on another, so tests (and the CLI, which then just blocks)
-    can stand up a full serving stack in-process::
+    The loop runs on one daemon thread, ``repro-serve-loop``; it serves
+    every connection, runs the batchers and reads the shard pipes.  So
+    tests (and the CLI, which then just blocks) can stand up a full
+    serving stack in-process::
 
         with serve_http(service, port=0) as ctx:
             urllib.request.urlopen(f"http://127.0.0.1:{ctx.port}/healthz")
@@ -317,39 +208,160 @@ class ServingContext:
     def __init__(self, service: InferenceService, host: str, port: int,
                  verbose: bool = False):
         self.service = service
+        self.verbose = verbose
+        # Live connection -> the task serving it; only the loop touches it.
+        self._connections: dict[asyncio.StreamWriter, Any] = {}
         self.loop = asyncio.new_event_loop()
         self._loop_thread = threading.Thread(
             target=self.loop.run_forever, name="repro-serve-loop", daemon=True
         )
         self._loop_thread.start()
-        asyncio.run_coroutine_threadsafe(
-            service.start(), self.loop
+        asyncio.run_coroutine_threadsafe(service.start(), self.loop).result()
+        self._server = asyncio.run_coroutine_threadsafe(
+            asyncio.start_server(
+                self._serve_connection, host, port, limit=MAX_HEADER_BYTES
+            ),
+            self.loop,
         ).result()
-        self.server = ServiceHTTPServer(
-            (host, port), service, self.loop, verbose=verbose
-        )
-        self._http_thread = threading.Thread(
-            target=self.server.serve_forever,
-            name="repro-serve-http",
-            daemon=True,
-        )
-        self._http_thread.start()
+        self.port: int = self._server.sockets[0].getsockname()[1]
 
-    @property
-    def port(self) -> int:
-        return self.server.port
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self._connections[writer] = asyncio.current_task()
+        try:
+            while await self._serve_one(reader, writer):
+                pass
+        except (ConnectionError, asyncio.TimeoutError):
+            pass  # the client went away or idled out: nothing to answer
+        finally:
+            del self._connections[writer]
+            writer.close()
+
+    async def _serve_one(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Read, serve and answer one request; False ends the connection."""
+        request_line = "-"
+        try:
+            head = await asyncio.wait_for(_read_head(reader), IDLE_TIMEOUT_S)
+            if head is None:
+                return False
+            method, path, version, headers = head
+            request_line = f"{method} {path} {version}"
+            reply = await self._respond(reader, writer, head)
+            if reply is None:
+                return False  # the client went away mid-body
+            status, payload, extra, close = reply
+            close = close or version == "HTTP/1.0" or (
+                "close" in headers.get("connection", "").lower()
+            )
+        except _Refused as refusal:
+            status, payload, extra, close = (
+                refusal.status, {"error": str(refusal)}, {}, True
+            )
+        writer.write(_encode_reply(status, payload, extra, close))
+        await writer.drain()
+        if self.verbose:
+            peer = writer.get_extra_info("peername")
+            print(f'{peer} "{request_line}" {status}', file=sys.stderr)
+        return not close
+
+    async def _respond(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        head: tuple[str, str, str, dict[str, str]],
+    ) -> _Reply | None:
+        """Serve one parsed request; None if the client left mid-body."""
+        method, path, version, headers = head
+        if "transfer-encoding" in headers:
+            raise _Refused(
+                411, "chunked bodies are not supported: send Content-Length"
+            )
+        if method == "GET":
+            # A GET's body is never read: close rather than parse it.
+            unread = headers.get("content-length", "0") != "0"
+            if path == "/healthz":
+                payload = {**self.service.health(), **self.service.describe()}
+                return 200, payload, {}, unread
+            if path == "/stats":
+                return 200, self.service.stats_snapshot(), {}, unread
+            return 404, {"error": f"unknown path {path!r}"}, {}, unread
+        if method != "POST":
+            raise _Refused(501, f"unsupported method {method!r}")
+        route = _ROUTES.get(path)
+        if route is None:
+            raise _Refused(404, f"unknown path {path!r}")
+        try:
+            length = int(headers.get("content-length", 0))
+        except ValueError:
+            raise _Refused(400, "bad Content-Length") from None
+        if length <= 0 or length > MAX_BODY_BYTES:
+            raise _Refused(400, "missing or oversized request body")
+        if version != "HTTP/1.0" and (
+            headers.get("expect", "").lower() == "100-continue"
+        ):
+            # The client holds the body back until told to send it.
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        try:
+            raw = await asyncio.wait_for(
+                reader.readexactly(length), IDLE_TIMEOUT_S
+            )
+        except asyncio.IncompleteReadError:
+            return None
+        try:
+            call = route(self.service, raw.decode("utf-8"))
+        except Exception as error:
+            return 400, {"error": f"bad request: {error}"}, {}, False
+        try:
+            result = await asyncio.wait_for(call, REQUEST_TIMEOUT_S)
+        except ServiceOverloaded as error:
+            return _overloaded(error)
+        except TrackError as error:
+            payload = {"error": str(error), "kind": error.kind, "retryable": False}
+            return _TRACK_STATUS.get(error.kind, 400), payload, {}, False
+        except RequestExecutionError as error:
+            # A failure while executing on a shard: a server-side fault,
+            # never the client's request.
+            return 500, {"error": str(error)}, {}, False
+        except (KeyError, ValueError) as error:
+            # Submission-time validation: unknown substrate/model, input
+            # width mismatch -- the request itself is at fault.
+            message = error.args[0] if error.args else str(error)
+            return 400, {"error": str(message)}, {}, False
+        except Exception as error:
+            return 500, {"error": f"{type(error).__name__}: {error}"}, {}, False
+        payload = result if isinstance(result, dict) else result.to_dict()
+        return 200, payload, {}, False
 
     def close(self) -> None:
-        self.server.shutdown()
-        self.server.close_connections(timeout=10)
-        self.server.server_close()
-        self._http_thread.join(timeout=10)
-        asyncio.run_coroutine_threadsafe(
-            self.service.stop(), self.loop
-        ).result(timeout=30)
+        asyncio.run_coroutine_threadsafe(self._shutdown(), self.loop).result()
         self.loop.call_soon_threadsafe(self.loop.stop)
         self._loop_thread.join(timeout=10)
         self.loop.close()
+
+    async def _shutdown(self) -> None:
+        """Stop accepting, end every connection, then stop the service.
+
+        Shuts each connection's read side only: one idle between
+        requests sees EOF and ends at once, while one mid-request still
+        writes its reply first (within 10 s, then it is cancelled).
+        """
+        self._server.close()
+        for writer in self._connections:
+            try:
+                writer.get_extra_info("socket").shutdown(socket.SHUT_RD)
+            except OSError:  # the peer already closed it
+                pass
+        if self._connections:
+            _, late = await asyncio.wait(
+                list(self._connections.values()), timeout=10
+            )
+            for task in late:
+                task.cancel()
+            await asyncio.gather(*late, return_exceptions=True)
+        await self.service.stop()
 
     def __enter__(self) -> "ServingContext":
         return self
@@ -371,4 +383,4 @@ def serve_http(
     return ServingContext(service, host, port, verbose=verbose)
 
 
-__all__ = ["ServiceHTTPServer", "ServingContext", "serve_http"]
+__all__ = ["ServingContext", "serve_http"]

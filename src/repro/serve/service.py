@@ -447,10 +447,13 @@ class InferenceService:
         for batcher in self._batchers.values():
             await batcher.close()
         self._batchers.clear()
-        # stop() joins threads or processes; keep the event loop responsive.
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._shards.stop
-        )
+        # Keep the loop responsive: the pool's stop joins in an executor.
+        if self._shards.mode == "sharded":
+            await self._shards.stop()
+        else:
+            await asyncio.get_running_loop().run_in_executor(
+                None, self._shards.stop
+            )
 
     async def __aenter__(self) -> "InferenceService":
         await self.start()

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any
 
 import numpy as np
@@ -43,6 +44,14 @@ def _require_finite(name: str, array: np.ndarray) -> None:
     confident-looking answer (or a mid-step failure), never a 400."""
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite (no NaN or inf)")
+
+
+def _seed(value: Any) -> int:
+    """A request seed: an integer >= 0 -- never a bool, and never a
+    float, which would otherwise be served truncated (2.7 as seed 2)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+        raise ValueError(f"'seed' must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 class RequestExecutionError(RuntimeError):
@@ -148,7 +157,7 @@ class InferenceRequest:
             )
         _require_finite("request inputs", array)
         object.__setattr__(self, "inputs", np.atleast_2d(array))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     def wire_item(self) -> tuple:
         """The plain picklable tuple this request contributes to a
@@ -178,7 +187,7 @@ class InferenceRequest:
             inputs=np.asarray(data["inputs"], dtype=float),
             substrate=str(data.get("substrate", "cim")),
             model=str(data.get("model", DEFAULT_MODEL)),
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
             request_id=(
                 None
                 if data.get("request_id") is None
@@ -352,7 +361,7 @@ class TrackOpenRequest:
     track_id: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     def to_dict(self) -> dict:
         return {
@@ -379,7 +388,7 @@ class TrackOpenRequest:
         return cls(
             init=TrackInit.from_dict(data["init"]),
             substrate=str(data.get("substrate", "cim")),
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
             track_id=(
                 None if data.get("track_id") is None else str(data["track_id"])
             ),

@@ -6,7 +6,7 @@ this module only moves ops to them and outcomes back.  Both transports
 expose one surface -- ``start`` / ``stop`` / ``execute`` /
 ``execute_track`` / ``ready_homes`` / ``respawning_shards`` /
 ``describe`` -- so the service and the track manager never branch on
-the shape:
+the shape (only ``stop`` differs: the pool's is a coroutine):
 
 - :class:`InProcessShard` (``ShardPolicy.workers == 0``) runs the one
   shard of in-process serving on a single executor thread: ops, whether
@@ -25,17 +25,28 @@ the shape:
     substrate (``ShardPolicy.affinity``) so calibration state stays
     warm; ops and outcomes cross stdlib pipes as plain picklable
     payloads.
-  - **Worker death is detected** (pipe EOF from a dedicated reader
-    thread per shard): every in-flight op on the dead shard fails with
+  - The parent's end of each shard pipe is an asyncio stream on the
+    event loop that started the pool: ops are written in
+    :class:`multiprocessing.connection.Connection` framing without
+    waiting for the shard to read them, and one reader task per shard
+    resolves the awaiting futures as replies arrive.  The loop never
+    waits on a shard in either direction, so a shard blocked sending a
+    large reply cannot deadlock against the loop sending it a large op.
+    Every handle mutation happens on that one thread, so the pool takes
+    no lock.
+  - **Worker death is detected** (pipe EOF in the reader task): every
+    in-flight op on the dead shard fails with
     :class:`~repro.serve.types.WorkerCrashed` -- a retryable 503, never
-    a hung future -- the shard is respawned, and subsequent requests
-    keep matching the reference bit-for-bit.
-  - Shutdown sends every shard a stop message, then joins with the
+    a hung future -- the dead process is reaped and its replacement
+    started in an executor, and subsequent requests keep matching the
+    reference bit-for-bit.
+  - Shutdown closes every pipe (each shard exits on the EOF) and fails
+    in-flight work on the loop, then joins in an executor with the
     ``ShardPolicy.join_timeout_s`` deadline, escalating terminate ->
-    kill; an ``atexit`` guard runs the same teardown if the owner never
-    calls :meth:`WorkerPool.stop`, so Ctrl-C cannot leak orphaned
-    children.  A shard that loses its parent pipe exits on its own
-    (EOF), covering even hard parent kills.
+    kill; an ``atexit`` guard terminates and kills the shards if the
+    owner never calls :meth:`WorkerPool.stop`, so Ctrl-C cannot leak
+    orphaned children.  A shard whose parent dies sees the same EOF,
+    covering even hard parent kills.
 
 Metering stays exact because the scoped ledgers live in the shard that
 executed the op; responses carry per-request energy/ops back like any
@@ -48,11 +59,15 @@ import asyncio
 import atexit
 import itertools
 import os
-import threading
+import pickle
+import socket
+import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Sequence
+from multiprocessing.connection import Connection
+from multiprocessing.reduction import ForkingPickler
+from typing import Any, Callable, Sequence
 
 from repro.runtime.policy import ShardPolicy
 from repro.serve.execution import (
@@ -74,32 +89,32 @@ _STARTUP_FAILURE_MESSAGE = (
 )
 
 
+def _frame(message: Any) -> bytes:
+    """``message`` in :class:`~multiprocessing.connection.Connection`
+    wire framing (length header, then the pickle; up to 2 GiB), so a
+    shard's blocking ``Connection`` reads what the parent writes."""
+    body = ForkingPickler.dumps(message)
+    return struct.pack("!i", len(body)) + body
+
+
 def _worker_main(spec: WorkerSpec, conn: Any) -> None:
-    """Shard process entry point: build the shard state, serve ops forever.
+    """Shard process entry point: build the shard state, serve ops until
+    the parent's end of the pipe closes.
 
     Protocol (parent -> shard): ``("run", job_id, op, payload)`` with an
-    op of :meth:`~repro.serve.execution.ShardState.run`, ``("stop",)``,
-    ``("exit", code)`` (chaos/test hook: die instantly).  Shard ->
+    op of :meth:`~repro.serve.execution.ShardState.run`.  Shard ->
     parent: ``("ready", pid)`` once warmed, then one ``("result",
     job_id, encoded_outcomes)`` per op, in the outcome codec of
-    :mod:`repro.serve.execution`.
+    :mod:`repro.serve.execution`.  EOF is the only stop signal: the pool
+    closes the pipe on stop, and a dead parent's pipe closes with it.
     """
     state = ShardState(spec)
     conn.send(("ready", os.getpid()))
     while True:
         try:
-            message = conn.recv()
+            _, job_id, op, payload = conn.recv()
         except (EOFError, OSError):
-            break  # parent died: exit rather than linger as an orphan
-        kind = message[0]
-        if kind == "stop":
-            break
-        if kind == "exit":  # chaos/test hook: die without cleanup
-            conn.close()
-            os._exit(int(message[1]))
-        if kind != "run":
-            continue
-        _, job_id, op, payload = message
+            break  # stopped, or the parent died: never linger as an orphan
         try:
             conn.send(("result", job_id, state.run(op, payload)))
         except (OSError, ValueError, BrokenPipeError):
@@ -191,7 +206,6 @@ class InProcessShard:
 class _Inflight:
     """One dispatched micro-batch awaiting its shard's result."""
 
-    loop: asyncio.AbstractEventLoop
     future: asyncio.Future
     n_requests: int
     sent_at: float
@@ -200,14 +214,15 @@ class _Inflight:
 class WorkerHandle:
     """Parent-side view of one shard: process, pipe, live counters."""
 
-    def __init__(self, index: int, process: Any, conn: Any, generation: int = 0):
+    def __init__(self, index: int, process: Any, writer: Any, generation: int = 0):
         self.index = index
         # Spawn-unique id: a respawned shard gets a new generation, so
         # state pinned to the dead one (live tracks) can never be
         # silently served by its fresh-state replacement.
         self.generation = generation
         self.process = process
-        self.conn = conn
+        self.writer = writer  # the parent's end of the shard pipe
+        self.replies: asyncio.Task | None = None  # its reader task
         self.ready = False
         self.alive = True
         self.inflight: dict[int, _Inflight] = {}
@@ -255,14 +270,41 @@ class WorkerHandle:
             "substrates": sorted(self.substrates),
         }
 
+    def fail_inflight(self, error_for: Callable[[_Inflight], Exception]) -> int:
+        """Fail every in-flight op with ``error_for(entry)``; returns how
+        many there were."""
+        inflight, self.inflight = self.inflight, {}
+        for entry in inflight.values():
+            if not entry.future.done():
+                entry.future.set_exception(error_for(entry))
+        return len(inflight)
+
+
+def _reap(processes: Sequence[Any], timeout_s: float) -> None:
+    """Join ``processes`` within ``timeout_s`` in total, escalating
+    terminate -> kill for any that outlive it.  Blocking: run it off
+    the event loop."""
+    deadline = time.monotonic() + timeout_s
+    for process in processes:
+        process.join(timeout=max(0.0, deadline - time.monotonic()))
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=1.0)
+        if process.is_alive():
+            process.kill()
+            process.join(timeout=1.0)
+
 
 class WorkerPool:
     """N spawned shard processes behind an asyncio ``execute`` call.
 
-    One pipe and one reader thread per shard; futures are created on the
-    dispatching event loop and resolved with ``call_soon_threadsafe``,
-    so the pool survives the service being driven from different event
-    loops over its lifetime (each ``infer_many`` call runs its own).
+    The pool belongs to the event loop that ran :meth:`start`.  Each
+    shard's pipe is an asyncio stream there: writes never wait for the
+    shard, and a reader task per shard resolves the awaiting futures and
+    handles shard death, all on that loop, so every handle mutation
+    happens on one thread.  :meth:`stop` must run on the same loop; a later
+    :meth:`start` may run on another (each ``infer_many`` call runs its
+    own loop).
     """
 
     mode = "sharded"
@@ -279,13 +321,12 @@ class WorkerPool:
 
         self._context = multiprocessing.get_context("spawn")
         self._handles: list[WorkerHandle] = []
-        self._lock = threading.Lock()
         self._job_ids = itertools.count()
         self._generations = itertools.count()
-        self._stopping = False
         self._started = False
         self._startup_failures = 0  # consecutive never-ready shard deaths
         self._failed_permanently = False
+        self._respawning: set[asyncio.Task] = set()
         self.respawns = 0
 
     # -- lifecycle ---------------------------------------------------------
@@ -294,105 +335,96 @@ class WorkerPool:
         """Spawn every shard and wait until each reports warmed-up."""
         if self._started:
             return
-        self._stopping = False
-        self._handles = [
-            self._spawn(index) for index in range(self.policy.workers)
-        ]
         self._started = True
         # Guard against owners that exit without stop(): never leak
         # orphaned children.  (Shards also self-exit on parent-pipe EOF.)
-        atexit.register(self.stop)
-        await self._wait_ready()
+        atexit.register(self._kill)
+        self._handles = []
+        for index in range(self.policy.workers):
+            self._handles.append(await self._spawn(index))
+        await self._poll(
+            lambda: all(h.ready for h in self._handles if h.alive)
+            and any(h.alive for h in self._handles),
+            "no worker shard became ready",
+        )
 
-    def _spawn(self, index: int) -> WorkerHandle:
-        parent_conn, child_conn = self._context.Pipe()
+    async def _spawn(self, index: int) -> WorkerHandle:
+        """Start shard ``index`` and attach its pipe to the running loop.
+
+        ``Process.start`` runs in an executor: it writes the pickled
+        spec into a pipe and, for a spec beyond the pipe buffer, blocks
+        until the child's interpreter has booted and read it.
+        """
+        parent_sock, child_sock = socket.socketpair()
+        child_conn = Connection(child_sock.detach())
         process = self._context.Process(
             target=_worker_main,
             args=(self.spec, child_conn),
             name=f"repro-serve-shard-{index}",
             daemon=True,
         )
-        process.start()
-        child_conn.close()  # parent keeps one end; EOF now propagates
+        try:
+            await asyncio.get_running_loop().run_in_executor(
+                None, process.start
+            )
+        finally:
+            child_conn.close()  # parent keeps one end; EOF now propagates
+        reader, writer = await asyncio.open_connection(sock=parent_sock)
         handle = WorkerHandle(
-            index, process, parent_conn, generation=next(self._generations)
+            index, process, writer, generation=next(self._generations)
         )
-        threading.Thread(
-            target=self._reader,
-            args=(handle,),
-            name=f"repro-serve-reader-{index}",
-            daemon=True,
-        ).start()
+        # No await between here and the caller installing the handle,
+        # so the handle is the pool's before its reader task first runs.
+        handle.replies = asyncio.create_task(self._read(handle, reader))
         return handle
 
-    async def _wait_ready(self) -> None:
+    async def _poll(self, probe: Callable[[], Any], what: str) -> Any:
+        """Await a truthy ``probe()`` while shards warm up, within
+        ``spawn_timeout_s``."""
         deadline = time.monotonic() + self.policy.spawn_timeout_s
-        while True:
-            with self._lock:
-                if self._failed_permanently:
-                    raise WorkerCrashed(
-                        -1,
-                        0,
-                        message=_STARTUP_FAILURE_MESSAGE,
-                    )
-                if all(h.ready for h in self._handles if h.alive) and any(
-                    h.alive for h in self._handles
-                ):
-                    return
+        while not (found := probe()):
+            if self._failed_permanently:
+                raise WorkerCrashed(-1, 0, message=_STARTUP_FAILURE_MESSAGE)
             if time.monotonic() >= deadline:
-                raise WorkerCrashed(
-                    -1,
-                    0,
-                    message=(
-                        "no worker shard became ready within "
-                        f"{self.policy.spawn_timeout_s:.0f}s"
-                    ),
-                )
+                raise WorkerCrashed(-1, 0, message=(
+                    f"{what} within {self.policy.spawn_timeout_s:.0f}s"
+                ))
             await asyncio.sleep(0.05)
+        return found
 
-    def stop(self) -> None:
+    async def stop(self) -> None:
         """Stop every shard within ``join_timeout_s``; escalate if needed.
 
-        Idempotent and atexit-safe: stop -> deadline join -> terminate ->
-        kill, then fail anything still in flight so no awaiter hangs.
+        Idempotent.  On the loop: close every pipe (a shard exits on its
+        EOF) and fail anything still in flight, so no awaiter hangs.
+        Then, in an executor: deadline join -> terminate -> kill.
         """
         if not self._started:
             return
-        self._stopping = True
         self._started = False
         handles, self._handles = self._handles, []
-        deadline = time.monotonic() + self.policy.join_timeout_s
         for handle in handles:
-            try:
-                handle.conn.send(("stop",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        for handle in handles:
-            handle.process.join(
-                timeout=max(0.0, deadline - time.monotonic())
-            )
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=1.0)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(timeout=1.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-        for handle in handles:
-            with self._lock:
-                inflight = dict(handle.inflight)
-                handle.inflight.clear()
-            for entry in inflight.values():
-                self._fail(
-                    entry,
-                    RequestExecutionError(
-                        "service stopped before execution"
-                    ),
-                )
-        atexit.unregister(self.stop)
+            if handle.alive:
+                self._close_pipe(handle)
+            handle.fail_inflight(lambda entry: RequestExecutionError(
+                "service stopped before execution"
+            ))
+        await asyncio.get_running_loop().run_in_executor(
+            None,
+            _reap,
+            [handle.process for handle in handles],
+            self.policy.join_timeout_s,
+        )
+        # Reader tasks end on their pipe's EOF; a respawn still starting
+        # a replacement sees the pool stopped and reaps it itself.
+        tasks = [*self._respawning, *(h.replies for h in handles if h.replies)]
+        await asyncio.gather(*tasks, return_exceptions=True)
+        atexit.unregister(self._kill)
+
+    def _kill(self) -> None:
+        """The ``atexit`` guard for an owner that never called
+        :meth:`stop`: terminate, then kill, every shard process."""
+        _reap([handle.process for handle in self._handles], 0.0)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -432,215 +464,153 @@ class WorkerPool:
         """
         if not self._started:
             raise RuntimeError("worker pool is not started")
-        with self._lock:
-            handle = (
-                self._handles[index]
-                if 0 <= index < len(self._handles)
-                else None
-            )
-            if (
-                handle is None
-                or handle.generation != generation
-                or not handle.ready
-            ):
-                raise WorkerCrashed(index, n_items)
+        handle = (
+            self._handles[index] if 0 <= index < len(self._handles) else None
+        )
+        if handle is None or handle.generation != generation or not handle.ready:
+            raise WorkerCrashed(index, n_items)
         return await self._submit(handle, op, payload, n_items)
 
     async def _submit(
         self, handle: WorkerHandle, op: str, payload: Any, n_items: int
     ) -> list[Any]:
         """Send one op to ``handle`` and await its decoded outcomes."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        with self._lock:
-            # Checked under the lock the death handler fails in-flight
-            # work under, so an op can never slip in after that sweep.
-            if not handle.alive:
-                raise WorkerCrashed(handle.index, n_items)
-            job_id = next(self._job_ids)
-            handle.inflight[job_id] = _Inflight(
-                loop=loop,
-                future=future,
-                n_requests=n_items,
-                sent_at=time.monotonic(),
-            )
-            handle.dispatched_batches += 1
-            handle.last_dispatch_at = time.monotonic()
-        try:
-            handle.conn.send(("run", job_id, op, payload))
-        except (OSError, ValueError, BrokenPipeError) as error:
-            with self._lock:
-                handle.inflight.pop(job_id, None)
-            raise WorkerCrashed(handle.index, n_items) from error
+        if not handle.alive:
+            raise WorkerCrashed(handle.index, n_items)
+        job_id = next(self._job_ids)
+        handle.writer.write(_frame(("run", job_id, op, payload)))
+        # Registered after the write: the reply is read on this thread,
+        # so it cannot arrive before this coroutine yields.  A shard
+        # that is gone fails the entry once its reader sees EOF.
+        future = asyncio.get_running_loop().create_future()
+        handle.inflight[job_id] = _Inflight(
+            future=future, n_requests=n_items, sent_at=time.monotonic()
+        )
+        handle.dispatched_batches += 1
+        handle.last_dispatch_at = time.monotonic()
         return await future
 
     def ready_homes(self) -> list[tuple[int, int]]:
         """Live placement targets as (shard index, generation) pairs."""
-        with self._lock:
-            return [
-                (handle.index, handle.generation)
-                for handle in self._handles
-                if handle.alive and handle.ready
-            ]
+        return [
+            (handle.index, handle.generation)
+            for handle in self._handles
+            if handle.alive and handle.ready
+        ]
 
     def respawning_shards(self) -> list[int]:
         """Shard indices currently dead or warming a replacement (the
         /healthz ``degraded`` signal)."""
-        with self._lock:
-            return sorted(
-                handle.index
-                for handle in self._handles
-                if not (handle.alive and handle.ready)
-            )
+        return sorted(
+            handle.index
+            for handle in self._handles
+            if not (handle.alive and handle.ready)
+        )
 
     async def _pick(self, substrate: str) -> WorkerHandle:
         """Least-loaded live shard, affinity-tie-broken; waits for warm-up."""
-        deadline = time.monotonic() + self.policy.spawn_timeout_s
-        while True:
-            with self._lock:
-                ready = [
-                    handle
-                    for handle in self._handles
-                    if handle.alive and handle.ready
-                ]
-                if ready:
-                    if self.policy.affinity:
-                        chosen = min(
-                            ready,
-                            key=lambda h: (
-                                h.inflight_requests,
-                                substrate not in h.substrates,
-                                h.index,
-                            ),
-                        )
-                    else:
-                        chosen = min(
-                            ready,
-                            key=lambda h: (h.inflight_requests, h.index),
-                        )
-                    chosen.substrates.add(substrate)
-                    return chosen
-            with self._lock:
-                if self._failed_permanently:
-                    raise WorkerCrashed(
-                        -1, 0, message=_STARTUP_FAILURE_MESSAGE
-                    )
-            if time.monotonic() >= deadline:
-                raise WorkerCrashed(
-                    -1,
-                    0,
-                    message=(
-                        "no live worker shard became ready within "
-                        f"{self.policy.spawn_timeout_s:.0f}s; retry"
-                    ),
-                )
-            await asyncio.sleep(0.05)
+        ready = await self._poll(
+            lambda: [h for h in self._handles if h.alive and h.ready],
+            "no live worker shard became ready",
+        )
+        if self.policy.affinity:
+            chosen = min(
+                ready,
+                key=lambda h: (
+                    h.inflight_requests, substrate not in h.substrates, h.index
+                ),
+            )
+        else:
+            chosen = min(ready, key=lambda h: (h.inflight_requests, h.index))
+        chosen.substrates.add(substrate)
+        return chosen
 
-    # -- reader thread -----------------------------------------------------
+    # -- loop-side reader --------------------------------------------------
 
-    def _reader(self, handle: WorkerHandle) -> None:
-        while True:
-            try:
-                message = handle.conn.recv()
-            except (EOFError, OSError):
-                break
-            kind = message[0]
-            if kind == "ready":
-                handle.ready = True
-            elif kind == "result":
-                self._resolve(handle, message[1], message[2])
-        self._on_worker_death(handle)
+    async def _read(self, handle: WorkerHandle, reader: asyncio.StreamReader) -> None:
+        """Resolve ``handle``'s replies as they arrive; EOF means the
+        shard died (unless the pool closed the pipe first)."""
+        try:
+            while True:
+                (size,) = struct.unpack("!i", await reader.readexactly(4))
+                if size == -1:  # a reply over 2 GiB: 64-bit length
+                    (size,) = struct.unpack("!Q", await reader.readexactly(8))
+                message = pickle.loads(await reader.readexactly(size))
+                if message[0] == "ready":
+                    handle.ready = True
+                else:  # ("result", job_id, encoded_outcomes)
+                    self._resolve(handle, *message[1:])
+        except (asyncio.IncompleteReadError, OSError):
+            if handle.alive:
+                self._on_worker_death(handle)
 
     def _resolve(
         self, handle: WorkerHandle, job_id: int, encoded: list
     ) -> None:
-        with self._lock:
-            entry = handle.inflight.pop(job_id, None)
-            handle.completed_batches += 1
-        if entry is None:
-            return
-        outcomes = decode_outcomes(encoded)
+        entry = handle.inflight.pop(job_id, None)
+        handle.completed_batches += 1
+        if entry is not None and not entry.future.done():
+            entry.future.set_result(decode_outcomes(encoded))
 
-        def apply() -> None:
-            if not entry.future.done():
-                entry.future.set_result(outcomes)
-
-        self._call_threadsafe(entry.loop, apply)
-
-    def _on_worker_death(self, handle: WorkerHandle) -> None:
-        """Pipe EOF: fail in-flight work with a 503 and respawn the shard."""
-        was_ready = handle.ready
+    def _close_pipe(self, handle: WorkerHandle) -> None:
+        """Take ``handle`` out of service and close its pipe."""
         handle.alive = False
         handle.ready = False
-        with self._lock:
-            inflight = dict(handle.inflight)
-            handle.inflight.clear()
-            handle.failed_batches += len(inflight)
-            if was_ready:
-                self._startup_failures = 0
-            else:
-                # A shard that died before finishing warm-up will very
-                # likely die again (bad spec, spawn-incompatible
-                # __main__): cap the respawn loop instead of thrashing.
-                self._startup_failures += 1
-                if self._startup_failures > 3 * self.policy.workers:
-                    self._failed_permanently = True
-        for entry in inflight.values():
-            self._fail(
-                entry, WorkerCrashed(handle.index, entry.n_requests)
-            )
+        handle.writer.close()
+
+    def _on_worker_death(self, handle: WorkerHandle) -> None:
+        """Pipe EOF: fail in-flight work with a 503, reap, then respawn."""
+        if handle.ready:
+            self._startup_failures = 0
+        else:
+            # A shard that died before finishing warm-up will very
+            # likely die again (bad spec, spawn-incompatible
+            # __main__): cap the respawn loop instead of thrashing.
+            self._startup_failures += 1
+            if self._startup_failures > 3 * self.policy.workers:
+                self._failed_permanently = True
+        self._close_pipe(handle)
+        handle.failed_batches += handle.fail_inflight(
+            lambda entry: WorkerCrashed(handle.index, entry.n_requests)
+        )
+        task = asyncio.get_running_loop().create_task(self._respawn(handle))
+        self._respawning.add(task)
+        task.add_done_callback(self._respawning.discard)
+
+    def _replaceable(self, handle: WorkerHandle) -> bool:
+        """Whether dead ``handle`` is still the pool's (the pool has not
+        stopped or restarted meanwhile) and respawning is on."""
+        index = handle.index
+        current = index < len(self._handles) and self._handles[index] is handle
+        return current and self.policy.respawn and not self._failed_permanently
+
+    async def _respawn(self, handle: WorkerHandle) -> None:
+        """Reap dead ``handle`` and start its replacement, both off the
+        loop; install the replacement if ``handle`` is still replaceable."""
+        loop = asyncio.get_running_loop()
         try:
-            handle.conn.close()
-        except OSError:
-            pass
-        handle.process.join(timeout=1.0)  # reap; the process is gone
-        if (
-            self._stopping
-            or not self.policy.respawn
-            or self._failed_permanently
-        ):
-            return
-        replacement: WorkerHandle | None = self._spawn(handle.index)
-        with self._lock:
-            self.respawns += 1
-            if (
-                replacement is not None
-                and self._started
-                and handle.index < len(self._handles)
-                and self._handles[handle.index] is handle
-            ):
-                self._handles[handle.index] = replacement
-                replacement = None  # installed
-        if replacement is not None:
-            # The pool stopped while we were respawning: don't leak it.
-            replacement.process.terminate()
-            replacement.process.join(timeout=1.0)
-
-    def _fail(self, entry: _Inflight, error: Exception) -> None:
-        def apply() -> None:
-            if not entry.future.done():
-                entry.future.set_exception(error)
-
-        self._call_threadsafe(entry.loop, apply)
-
-    @staticmethod
-    def _call_threadsafe(loop: asyncio.AbstractEventLoop, fn: Any) -> None:
-        try:
-            loop.call_soon_threadsafe(fn)
+            await loop.run_in_executor(None, handle.process.join, 1.0)
         except RuntimeError:
-            pass  # the dispatching loop is gone; nothing left to notify
+            return  # interpreter exit: the atexit guard killed the shard
+        if not self._replaceable(handle):
+            return
+        fresh = await self._spawn(handle.index)
+        if self._replaceable(handle):
+            self._handles[handle.index] = fresh
+            self.respawns += 1
+        else:  # the pool stopped while the replacement started
+            self._close_pipe(fresh)
+            await loop.run_in_executor(None, _reap, [fresh.process], 0.0)
 
     # -- introspection -----------------------------------------------------
 
     def describe(self) -> dict[str, Any]:
         """Pool-level stats: one row per shard (queue depth, ages, pids)."""
         now = time.monotonic()
-        with self._lock:
-            shards = [handle.describe(now) for handle in self._handles]
         return {
             "workers": self.policy.workers,
             "respawns": self.respawns,
-            "shards": shards,
+            "shards": [handle.describe(now) for handle in self._handles],
         }
 
 

@@ -3,6 +3,7 @@
 import asyncio
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -30,7 +31,12 @@ from repro.serve import (
     result_mismatches,
 )
 from repro.serve.demo import demo_inputs, demo_model
-from repro.serve.http import IDLE_TIMEOUT_S, MAX_BODY_BYTES, serve_http
+from repro.serve.http import (
+    IDLE_TIMEOUT_S,
+    MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
+    serve_http,
+)
 
 N_ITER = 6
 
@@ -593,10 +599,25 @@ class TestHTTP:
             ("/infer", b'{"x": 1}', None, 400, True),  # no Content-Length
             ("/infer", b"\xff\xfe", {}, 400, False),  # read, then rejected
             ("/infer", b"{not json", {}, 400, False),
+            ("/infer", b"{not json", {"Connection": "close"}, 400, True),
+            (
+                "/infer", b'8\r\n{"x": 1}\r\n0\r\n\r\n',
+                {"Transfer-Encoding": "chunked"}, 411, True,
+            ),
+            (
+                "/infer", b'{"x": 1}',
+                {"X-Pad": "a" * MAX_HEADER_BYTES}, 431, True,
+            ),
+            (
+                "/infer", b'{"x": 1}',
+                {f"X-Pad-{i}": "a" * 1000 for i in range(80)}, 431, True,
+            ),
         ],
         ids=[
             "unknown-path", "bad-length", "negative-length", "oversized",
             "missing-length", "undecodable", "malformed-json",
+            "client-close", "chunked", "oversized-header-line",
+            "oversized-header-section",
         ],
     )
     def test_bad_request_never_garbles_the_next_one(
@@ -621,6 +642,124 @@ class TestHTTP:
         finally:
             conn.close()
 
+    def exchange(self, server, data: bytes) -> list:
+        """Send ``data`` in one ``send``; parse every reply until the
+        server closes the connection."""
+        with socket.create_connection(("127.0.0.1", server.port), 30) as sock:
+            sock.sendall(data)
+            received = b"".join(iter(lambda: sock.recv(65536), b""))
+        replies = []
+        while received:
+            head, _, rest = received.partition(b"\r\n\r\n")
+            status_line, *header_lines = head.decode("latin-1").split("\r\n")
+            headers = {
+                name.strip().lower(): value.strip()
+                for name, _, value in (h.partition(":") for h in header_lines)
+            }
+            length = int(headers["content-length"])
+            replies.append(
+                (int(status_line.split()[1]), headers, json.loads(rest[:length]))
+            )
+            received = rest[length:]
+        return replies
+
+    def test_pipelined_requests_answered_in_order(self, server, inputs):
+        data = b""
+        for seed, last in ((5, False), (6, True)):
+            body = InferenceRequest(inputs, substrate="cim", seed=seed)
+            body = body.to_json().encode()
+            data += (
+                b"POST /infer HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: %d\r\n%s\r\n"
+                % (len(body), b"Connection: close\r\n" if last else b"")
+            ) + body
+        replies = self.exchange(server, data)
+        assert [status for status, _, _ in replies] == [200, 200]
+        assert "connection" not in replies[0][1]
+        assert replies[1][1]["connection"] == "close"
+        session = server.service.reference_session("cim")
+        for seed, (_, _, payload) in zip((5, 6), replies):
+            response = InferenceResponse.from_dict(payload)
+            assert response.seed == seed
+            assert not result_mismatches(
+                response.result, reference_run(session, inputs, seed)
+            )
+
+    def test_http_1_0_request_is_answered_then_closed(self, server):
+        [(status, headers, payload)] = self.exchange(
+            server, b"GET /healthz HTTP/1.0\r\n\r\n"
+        )
+        assert status == 200 and payload["status"] == "ok"
+        assert headers["connection"] == "close"
+
+    def test_bare_lf_head_after_a_blank_line_is_served(self, server):
+        [(status, headers, payload)] = self.exchange(
+            server, b"\r\nGET /healthz HTTP/1.1\nConnection: close\n\n"
+        )
+        assert status == 200 and payload["status"] == "ok"
+        assert headers["connection"] == "close"
+
+    def test_garbage_request_line_is_json_400_and_closes(self, server):
+        [(status, headers, payload)] = self.exchange(
+            server, b"NOT AN HTTP REQUEST LINE\r\n\r\n"
+        )
+        assert status == 400 and "bad request line" in payload["error"]
+        assert headers["connection"] == "close"
+
+    def test_idle_keep_alive_connection_times_out(self, server, monkeypatch):
+        monkeypatch.setattr("repro.serve.http.IDLE_TIMEOUT_S", 0.3)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.request("GET", "/healthz")
+            reply = conn.getresponse()
+            reply.read()
+            assert reply.status == 200 and not reply.will_close
+            started = time.monotonic()
+            # The server ends the idle connection: the client reads EOF.
+            assert conn.sock.recv(1) == b""
+            assert 0.2 < time.monotonic() - started < 10
+        finally:
+            conn.close()
+
+    def test_expect_100_continue_is_answered_before_the_body(
+        self, server, inputs
+    ):
+        body = InferenceRequest(inputs, substrate="cim", seed=4)
+        body = body.to_json().encode()
+        with socket.create_connection(("127.0.0.1", server.port), 30) as sock:
+            sock.sendall(
+                b"POST /infer HTTP/1.1\r\nHost: test\r\n"
+                b"Expect: 100-continue\r\nConnection: close\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            # The server must ask for the body; the client holds it back.
+            interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+            received = b""
+            while len(received) < len(interim):
+                chunk = sock.recv(len(interim) - len(received))
+                assert chunk, "connection closed before 100 Continue"
+                received += chunk
+            assert received == interim
+            sock.sendall(body)
+            final = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert final.startswith(b"HTTP/1.1 200 ")
+        payload = json.loads(final.partition(b"\r\n\r\n")[2])
+        assert InferenceResponse.from_dict(payload).seed == 4
+
+    @pytest.mark.parametrize("path", ["/infer", "/track/open"])
+    @pytest.mark.parametrize("seed", ["1e400", "-1", "2.7", "true", '"3"'])
+    def test_bad_seed_is_400(self, server, inputs, path, seed):
+        if path == "/infer":
+            payload = {"inputs": inputs.tolist(), "substrate": "cim"}
+        else:
+            payload = {"init": {"mode": "global"}, "substrate": "cim"}
+        body = strict_dumps({**payload, "seed": "SEED"})
+        body = body.replace('"SEED"', seed).encode()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self.post(server, path, body)
+        assert excinfo.value.code == 400
+        assert "seed" in json.loads(excinfo.value.read())["error"]
+
     def test_execution_failure_is_500_not_400(self, model, inputs, monkeypatch):
         # Server-side faults must not masquerade as client errors.
         def boom(session, substrate, model_name, items):
@@ -636,10 +775,12 @@ class TestHTTP:
             assert "engine exploded" in json.loads(excinfo.value.read())["error"]
 
 
-def test_close_ends_idle_keep_alive_connections(model):
-    def connection_threads():
-        return [t for t in threading.enumerate() if t.name == "repro-serve-conn"]
+def serve_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("repro-serve-")}
 
+
+def test_close_ends_idle_keep_alive_connections(model):
+    before = serve_threads()
     context = serve_http(make_service(model, ["digital"]), port=0)
     conn = http.client.HTTPConnection("127.0.0.1", context.port, timeout=30)
     try:
@@ -647,11 +788,10 @@ def test_close_ends_idle_keep_alive_connections(model):
         reply = conn.getresponse()
         reply.read()
         assert reply.status == 200 and not reply.will_close
-        assert connection_threads()  # parked on the idle connection
         started = time.monotonic()
         context.close()
         assert time.monotonic() - started < IDLE_TIMEOUT_S / 3
-        assert not connection_threads()
+        assert serve_threads() <= before  # nothing outlives close()
         # The client sees the connection closed -- an error, not a hang.
         with pytest.raises((ConnectionError, http.client.HTTPException)):
             conn.request("GET", "/healthz")

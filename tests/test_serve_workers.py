@@ -3,18 +3,23 @@
 import asyncio
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.runtime import BatchPolicy, ShardPolicy
 from repro.serve import (
     InferenceRequest,
+    InferenceResponse,
     InferenceService,
     ServiceOverloaded,
     WorkerCrashed,
@@ -293,6 +298,125 @@ class TestShardedHTTP:
             )
             assert stats["shards"]["workers"] == 1
             assert len(stats["shards"]["shards"]) == 1
+
+
+class TestShardedHTTPLoop:
+    """workers=2 over HTTP: everything runs on the one loop thread."""
+
+    @pytest.fixture(scope="class")
+    def server(self, model):
+        service = make_sharded(model, ["digital"], workers=2)
+        with serve_http(service, port=0) as context:
+            yield context
+
+    def infer(self, server, inputs, seed):
+        request = InferenceRequest(inputs, substrate="digital", seed=seed)
+        raw = urllib.request.urlopen(
+            urllib.request.Request(
+                f"http://127.0.0.1:{server.port}/infer",
+                data=request.to_json().encode(),
+                headers={"Content-Type": "application/json"},
+            ),
+            timeout=120,
+        ).read()
+        return InferenceResponse.from_json(raw.decode())
+
+    def test_only_the_loop_thread_serves(self, server, inputs):
+        def serve_thread_names():
+            return {
+                t.name
+                for t in threading.enumerate()
+                if t.name.startswith("repro-serve-")
+            }
+
+        samples = []
+        with ThreadPoolExecutor(max_workers=4) as clients:
+            replies = [
+                clients.submit(self.infer, server, inputs, seed)
+                for seed in range(16)
+            ]
+            while not all(reply.done() for reply in replies):
+                samples.append(serve_thread_names())
+                time.sleep(0.005)
+        for reply in replies:
+            reply.result()
+        assert samples, "no sample taken while requests were in flight"
+        assert all(names == {"repro-serve-loop"} for names in samples)
+
+    def test_large_reply_matches_reference(self, server):
+        # 5000 rows make the shard's pickled reply ~1.3 MB (about 256 B
+        # a row), well past one pipe buffer: the loop-side reader must
+        # reassemble it exactly.
+        inputs = np.random.default_rng(3).normal(size=(5000, 24))
+        response = self.infer(server, inputs, seed=9)
+        assert len(pickle.dumps(response.result)) > 1024 * 1024
+        session = build_reference_session(
+            "digital", server.service.models["default"], n_iterations=N_ITER
+        )
+        assert not result_mismatches(
+            response.result, reference_run(session, inputs, 9)
+        )
+
+
+def test_concurrent_large_ops_never_block_the_loop(model):
+    """Two >1 MB ops on one frozen shard stay queued off the loop.
+
+    Each request pickles to ~1.15 MB (6000 x 24 float64 inputs) and each
+    reply to ~1.5 MB, both far past one socket buffer.  With
+    ``max_batch=1`` they dispatch as two ops to the single shard.  While
+    the shard is stopped the loop must keep answering /healthz; once it
+    resumes, both replies must match the reference.
+    """
+    service = make_sharded(
+        model, ["digital"], workers=1,
+        batch=BatchPolicy(max_batch=1, max_wait_ms=0.0),
+    )
+    rows = [
+        np.random.default_rng(seed).normal(size=(6000, 24)) for seed in (1, 2)
+    ]
+    requests = [
+        InferenceRequest(inputs, substrate="digital", seed=seed)
+        for seed, inputs in zip((1, 2), rows)
+    ]
+    assert all(len(pickle.dumps(r)) > 1024 * 1024 for r in requests)
+    with serve_http(service, port=0) as server:
+        url = f"http://127.0.0.1:{server.port}"
+        shard = service._shards._handles[0]
+        os.kill(shard.process.pid, signal.SIGSTOP)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as clients:
+                replies = [
+                    clients.submit(
+                        lambda r: urllib.request.urlopen(
+                            urllib.request.Request(
+                                f"{url}/infer", data=r.to_json().encode()
+                            ),
+                            timeout=120,
+                        ).read(),
+                        request,
+                    )
+                    for request in requests
+                ]
+                deadline = time.monotonic() + 60
+                while len(shard.inflight) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert len(shard.inflight) == 2, "ops never reached the shard"
+                health = urllib.request.urlopen(f"{url}/healthz", timeout=10)
+                assert json.loads(health.read())["status"] == "ok"
+                os.kill(shard.process.pid, signal.SIGCONT)
+                responses = [
+                    InferenceResponse.from_json(reply.result(timeout=120))
+                    for reply in replies
+                ]
+        finally:
+            os.kill(shard.process.pid, signal.SIGCONT)
+    session = build_reference_session("digital", model, n_iterations=N_ITER)
+    for request, response in zip(requests, responses):
+        assert len(pickle.dumps(response.result)) > 1024 * 1024
+        assert not result_mismatches(
+            response.result,
+            reference_run(session, request.inputs, request.seed),
+        )
 
 
 class TestCLIShutdown:

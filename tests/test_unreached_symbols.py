@@ -7,7 +7,7 @@ src/repro (package ``__init__`` re-exports do not count), servebench/,
 examples/ or scripts/. A decorated top-level definition is exempt, since
 the decorator registers it (``@experiment`` runners, lint rules). So are
 abstract methods and methods that override a base-class method (the base
-class's caller reaches them, e.g. ``ServiceHTTPServer.process_request``).
+class's caller reaches them, e.g. ``BlockingInAsyncRule.check``).
 A symbol only tests name is dead code with a test attached; delete both
 rather than grow the exemption.
 """
