@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Serving smoke: start the HTTP service on the demo model with streaming
-# tracks enabled, assert per-substrate HTTP bit-parity
+# tracks enabled, assert that a malformed track init is a 400,
+# per-substrate HTTP bit-parity
 # (scripts/ci/serve_parity_check.py) and live-HTTP streaming-track
 # bit-parity vs a one-shot run (scripts/ci/track_stream_check.py), then
 # shut down with live tracks open and verify the server exits cleanly
@@ -40,6 +41,18 @@ if [ "$CONNECTS" != "1" ]; then
     "(keep-alive wants 1)" >&2
   exit 1
 fi
+
+# A malformed track init (3-element state) is refused at admission with
+# a 400, and the server keeps answering.
+STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
+  -H 'Content-Type: application/json' \
+  -d '{"init": {"mode": "tracking", "state": [0, 0, 1], "sigma": [0.1, 0.1, 0.1, 0.1]}, "substrate": "cim"}' \
+  "http://127.0.0.1:${SERVE_PORT}/track/open")
+if [ "$STATUS" != "400" ]; then
+  echo "error: malformed /track/open answered $STATUS (want 400)" >&2
+  exit 1
+fi
+curl -sf "http://127.0.0.1:${SERVE_PORT}/healthz" > /dev/null
 
 SERVE_URL="http://127.0.0.1:${SERVE_PORT}" N_ITERATIONS=8 WORKERS="$WORKERS" \
   python scripts/ci/serve_parity_check.py

@@ -40,7 +40,6 @@ from repro.api.registry import (
     list_experiments,
     result_stem,
     run_experiment,
-    sweep_experiment,
 )
 from repro.api.results import (
     BatchResult,
@@ -92,5 +91,4 @@ __all__ = [
     "list_experiments",
     "result_stem",
     "run_experiment",
-    "sweep_experiment",
 ]

@@ -315,53 +315,6 @@ def run_experiment(
     return result
 
 
-def sweep_experiment(
-    experiment_id: str,
-    substrates: list[str] | None = None,
-    seeds: list[int] | None = None,
-    overrides: dict[str, Any] | None = None,
-    out_dir: str | Path | None = None,
-    workers: int = 1,
-    store: "Any | None" = None,
-) -> list[ExperimentResult]:
-    """Run one experiment over a substrate x seed grid.
-
-    ``substrates`` / ``seeds`` default to a single entry meaning "the
-    experiment's built-in default"; the cross product is compiled into a
-    :class:`~repro.runtime.Plan` and executed by the batch runtime --
-    serially by default, or across ``workers`` processes (the runtime
-    guarantees identical results either way because every job's seed is
-    explicit in its :class:`~repro.runtime.JobSpec`).
-
-    Args:
-        experiment_id: registry id.
-        substrates: substrate axis (None entries mean built-in default).
-        seeds: seed axis.
-        overrides: config field overrides applied to every cell.
-        out_dir: write one JSON file per result (config-hashed stems).
-        workers: process count; ``1`` runs in-process.
-        store: a :class:`~repro.runtime.RunStore` (or path) capturing the
-            manifest and one JSONL record per job.
-
-    Returns:
-        The successful results in grid order.  A failing cell raises the
-        captured error -- but only after the rest of the grid has
-        completed and every successful result has been written to
-        ``out_dir``/``store``, so partial work is never lost.
-    """
-    from repro.runtime import ParallelExecutor, Plan
-
-    plan = Plan.compile(
-        experiment_id, substrates=substrates, seeds=seeds, overrides=overrides
-    )
-    report = ParallelExecutor(workers=workers).execute(plan, store=store)
-    results = report.results
-    if out_dir is not None:
-        save_results(results, out_dir, overrides)
-    report.raise_on_error()
-    return results
-
-
 __all__ = [
     "ExperimentContext",
     "ExperimentSpec",
@@ -372,5 +325,4 @@ __all__ = [
     "result_stem",
     "run_experiment",
     "save_results",
-    "sweep_experiment",
 ]

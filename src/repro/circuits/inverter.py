@@ -84,10 +84,6 @@ class SwitchingCurrentCell:
         i_p = self._pmos.current(v_eff, vdd=self.node.vdd)
         return i_n * i_p / (i_n + i_p + 1e-300)
 
-    def peak_current(self) -> float:
-        """Current at the bell center (A)."""
-        return float(self.current(np.array([self.achieved_center]))[0])
-
 
 class LikelihoodInverter:
     """The 6T cell: three stacked pairs, one per input axis.
@@ -150,11 +146,6 @@ class LikelihoodInverter:
         for axis, cell in enumerate(self.cells):
             inverse_sum += 1.0 / (cell.current(voltages[:, axis]) + 1e-300)
         return 1.0 / inverse_sum
-
-    def peak_current(self) -> float:
-        """Current with every axis at its bell center (A)."""
-        centers = np.array([[cell.achieved_center for cell in self.cells]])
-        return float(self.current(centers)[0])
 
 
 def gaussian_equivalent_sigma(

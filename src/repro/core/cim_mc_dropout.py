@@ -323,8 +323,7 @@ class CIMMCDropoutEngine:
 
         The returned ops/energy cover **this call only** -- scoped child
         ledgers collect the call's work exactly, so repeated calls on one
-        engine report identical per-call figures without any
-        ``reset_energy()`` bookkeeping by the caller.
+        engine report identical per-call figures.
 
         Args:
             x: (B, in) inputs.
@@ -602,15 +601,3 @@ class CIMMCDropoutEngine:
                 activation = self._finish_layer(layer, products)
             samples[t] = activation
         return samples
-
-    def reset_energy(self) -> None:
-        """Clear all macro ledgers and the RNG cycle counter.
-
-        Per-call results no longer require this (predict scopes the
-        ledgers itself); it remains for callers that inspect the
-        cumulative macro ledgers and want to re-baseline them.
-        """
-        for layer in self.layers:
-            layer.macro.ledger.reset()
-        if self.bit_generator is not None:
-            self.bit_generator.cycles_used = 0

@@ -50,6 +50,19 @@ from repro.scene.se3 import Pose
 BACKENDS = ("cim", "digital", "digital-float")
 
 
+def converged_step(errors: np.ndarray, threshold: float = 0.5) -> int | None:
+    """First step whose error drops (and stays) below ``threshold``.
+
+    Vectorised suffix check: the run has converged from one past the
+    last above-threshold step, provided anything follows it.
+    """
+    below = np.asarray(errors) < threshold
+    if below.size == 0 or not below[-1]:
+        return None
+    above = np.flatnonzero(~below)
+    return 0 if above.size == 0 else int(above[-1]) + 1
+
+
 @dataclass
 class LocalizationResult:
     """Outcome of a localization run.
@@ -74,18 +87,6 @@ class LocalizationResult:
         if self.errors.size == 0:
             return float("nan")
         return float(self.errors[-1])
-
-    def converged_step(self, threshold: float = 0.5) -> int | None:
-        """First step whose error drops (and stays) below ``threshold``.
-
-        Vectorised suffix check: the run has converged from one past the
-        last above-threshold step, provided anything follows it.
-        """
-        below = np.asarray(self.errors) < threshold
-        if below.size == 0 or not below[-1]:
-            return None
-        above = np.flatnonzero(~below)
-        return 0 if above.size == 0 else int(above[-1]) + 1
 
     def summary_row(self) -> dict:
         """Flat report row: accuracy figures plus per-query energy."""

@@ -6,10 +6,8 @@ configuration key for the lifetime of the process.
 
 A second, optional tier persists built worlds to disk (pickle files keyed
 by a hash of the configuration) so *repeated CLI invocations* skip the
-expensive scene render / VO training too.  Enable it either by exporting
-``REPRO_WORLD_CACHE_DIR=/some/dir`` or by calling
-:func:`enable_disk_cache`; :func:`clear_world_caches` and
-:func:`world_cache_stats` bound and inspect both tiers.
+expensive scene render / VO training too.  Enable it by exporting
+``REPRO_WORLD_CACHE_DIR=/some/dir``.
 """
 
 from __future__ import annotations
@@ -37,37 +35,14 @@ _ROOM_CACHE: dict = {}
 _VO_CACHE: dict = {}
 
 _ENV_CACHE_DIR = "REPRO_WORLD_CACHE_DIR"
-_ENV_FALLBACK = object()  # sentinel: no programmatic override, consult env
-_disk_cache_override: object = _ENV_FALLBACK
-_STATS = {"disk_hits": 0, "disk_misses": 0, "disk_writes": 0}
-
-
-def enable_disk_cache(directory: str | os.PathLike | None) -> Path | None:
-    """Point the on-disk world cache at ``directory`` (None disables it).
-
-    Takes precedence over the ``REPRO_WORLD_CACHE_DIR`` environment
-    variable -- including ``None``, which disables the disk tier even when
-    the variable is set.  Returns the resolved path (created on first
-    write), or None when disabled.
-    """
-    global _disk_cache_override
-    _disk_cache_override = None if directory is None else Path(directory)
-    return _disk_cache_override
-
-
-def _disk_cache_dir() -> Path | None:
-    if _disk_cache_override is not _ENV_FALLBACK:
-        return _disk_cache_override
-    env = os.environ.get(_ENV_CACHE_DIR)
-    return Path(env) if env else None
 
 
 def _cache_path(kind: str, key: tuple) -> Path | None:
-    directory = _disk_cache_dir()
-    if directory is None:
+    directory = os.environ.get(_ENV_CACHE_DIR)
+    if not directory:
         return None
     digest = hashlib.sha256(repr((kind, key)).encode()).hexdigest()[:16]
-    return directory / f"{kind}-{digest}.pkl"
+    return Path(directory) / f"{kind}-{digest}.pkl"
 
 
 def _disk_load(kind: str, key: tuple):
@@ -77,11 +52,8 @@ def _disk_load(kind: str, key: tuple):
         return None
     try:
         with open(path, "rb") as handle:
-            world = pickle.load(handle)
-        _STATS["disk_hits"] += 1
-        return world
+            return pickle.load(handle)
     except (OSError, pickle.PickleError, EOFError, AttributeError):
-        _STATS["disk_misses"] += 1
         return None
 
 
@@ -96,50 +68,8 @@ def _disk_store(kind: str, key: tuple, world) -> None:
         with open(tmp, "wb") as handle:
             pickle.dump(world, handle, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
-        _STATS["disk_writes"] += 1
     except (OSError, pickle.PickleError):
         pass
-
-
-def clear_world_caches(disk: bool = False) -> dict:
-    """Drop cached worlds so long-lived processes can bound memory.
-
-    Args:
-        disk: also delete the on-disk cache files (when a cache dir is
-            configured).
-
-    Returns:
-        Counts of evicted entries: ``{"room": n, "vo": n, "disk_files": m}``.
-    """
-    evicted = {"room": len(_ROOM_CACHE), "vo": len(_VO_CACHE), "disk_files": 0}
-    _ROOM_CACHE.clear()
-    _VO_CACHE.clear()
-    if disk:
-        directory = _disk_cache_dir()
-        if directory is not None and directory.exists():
-            for path in directory.glob("*.pkl"):
-                try:
-                    path.unlink()
-                    evicted["disk_files"] += 1
-                except OSError:
-                    pass
-    return evicted
-
-
-def world_cache_stats() -> dict:
-    """Cache occupancy and disk-tier statistics (for tests / monitoring)."""
-    directory = _disk_cache_dir()
-    disk_files = []
-    if directory is not None and directory.exists():
-        disk_files = list(directory.glob("*.pkl"))
-    return {
-        "room_entries": len(_ROOM_CACHE),
-        "vo_entries": len(_VO_CACHE),
-        "disk_dir": None if directory is None else str(directory),
-        "disk_files": len(disk_files),
-        "disk_bytes": sum(path.stat().st_size for path in disk_files),
-        **_STATS,
-    }
 
 
 @dataclass

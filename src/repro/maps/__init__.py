@@ -1,4 +1,4 @@
-"""Map models: point clouds, Gaussian mixtures, and hardware-native HMG mixtures.
+"""Map models: Gaussian mixtures and hardware-native HMG mixtures.
 
 The flying domain's 3D map is learned from scanner point clouds.  The
 conventional representation is a Gaussian Mixture Model (GMM) evaluated
@@ -8,7 +8,6 @@ inverter -- with centers, widths and weights quantised to what the hardware
 can actually program.
 """
 
-from repro.maps.pointcloud import PointCloud
 from repro.maps.gaussian import diag_gaussian_logpdf
 from repro.maps.fitting import kmeans, kmeans_plus_plus_init
 from repro.maps.gmm import GaussianMixture
@@ -19,7 +18,6 @@ from repro.maps.hmg import (
 from repro.maps.hmgm import HMGMixture
 
 __all__ = [
-    "PointCloud",
     "diag_gaussian_logpdf",
     "kmeans",
     "kmeans_plus_plus_init",

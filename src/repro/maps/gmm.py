@@ -62,12 +62,6 @@ class GaussianMixture:
         """(N,) mixture density."""
         return np.exp(self.logpdf(points))
 
-    def responsibilities(self, points: np.ndarray) -> np.ndarray:
-        """(N, K) posterior component responsibilities."""
-        log_comp = self.component_logpdf(points) + np.log(self.weights)[None, :]
-        log_norm = logsumexp(log_comp, axis=1, keepdims=True)
-        return np.exp(log_comp - log_norm)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n points from the mixture."""
         counts = rng.multinomial(n, self.weights)

@@ -29,17 +29,12 @@ Quick start::
     plan = Plan.compile("E3", substrates=["digital", "cim"], seeds=[0, 1])
     store = RunStore.create("runs/demo", plan=plan)
     report = ParallelExecutor(workers=4).execute(plan, store=store)
-    report.raise_on_error()
+    report.errors                       # failed jobs, with tracebacks
 
     RunStore.load("runs/demo").query(substrate="cim")
 """
 
-from repro.runtime.executor import (
-    ExecutionReport,
-    JobRecord,
-    ParallelExecutor,
-    run_plan,
-)
+from repro.runtime.executor import ExecutionReport, JobRecord, ParallelExecutor
 from repro.runtime.plan import JobSpec, Plan
 from repro.runtime.policy import (
     BatchPolicy,
@@ -60,5 +55,4 @@ __all__ = [
     "RunStore",
     "ShardPolicy",
     "TrackPolicy",
-    "run_plan",
 ]

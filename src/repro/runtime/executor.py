@@ -147,14 +147,6 @@ class ExecutionReport:
     def n_failed(self) -> int:
         return len(self.records) - self.n_ok
 
-    def raise_on_error(self) -> None:
-        """Re-raise the first failure (with its worker traceback)."""
-        for record in self.records:
-            if not record.ok:
-                raise RuntimeError(
-                    f"job {record.job.job_id} failed:\n{record.error}"
-                )
-
     def summary(self) -> dict:
         return {
             "n_jobs": len(self.records),
@@ -269,22 +261,9 @@ class ParallelExecutor:
         return report
 
 
-def run_plan(
-    plan: Plan,
-    workers: int = 1,
-    store: Any | None = None,
-    start_method: str | None = None,
-) -> ExecutionReport:
-    """Convenience wrapper: execute ``plan`` with a fresh executor."""
-    return ParallelExecutor(workers=workers, start_method=start_method).execute(
-        plan, store=store
-    )
-
-
 __all__ = [
     "ExecutionReport",
     "JobRecord",
     "ParallelExecutor",
     "run_job_payload",
-    "run_plan",
 ]

@@ -1,8 +1,8 @@
 """Sweep plans: compile an experiment grid into an explicit job list.
 
-A :class:`Plan` is the unit of work the batch runtime executes.  Where
-``sweep_experiment`` used to iterate a hidden cross product, a plan makes
-every cell explicit and inspectable *before* anything runs: each
+A :class:`Plan` is the unit of work the batch runtime executes.  Instead
+of a hidden cross product, a plan makes every cell explicit and
+inspectable *before* anything runs: each
 :class:`JobSpec` carries the experiment id, substrate, seed and config
 overrides of exactly one run, plus a stable ``job_id`` that doubles as
 the result filename stem.

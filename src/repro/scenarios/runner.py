@@ -24,6 +24,7 @@ import difflib
 import numpy as np
 
 from repro.api.registry import ExperimentContext, experiment
+from repro.core.cim_particle_filter import converged_step
 from repro.runtime.plan import JobSpec, Plan
 from repro.scenarios.library import get_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -44,11 +45,6 @@ _SCENARIO_SUBSTRATES = (
     "cim-reuse",
     "cim-ordered",
 )
-
-# Error threshold (m) for the converged_step metric -- matches
-# LocalizationResult.converged_step's default.
-_CONVERGENCE_THRESHOLD = 0.5
-
 
 @dataclass(frozen=True)
 class ScenarioRunConfig:
@@ -80,11 +76,6 @@ def run_scenario(
     errors = np.asarray(result.extras["errors"], dtype=float)
     summary = dict(result.extras["summary"])
     n_steps = int(world.states.shape[0])
-    below = errors < _CONVERGENCE_THRESHOLD
-    converged = None
-    if below.size and below[-1]:
-        above = np.flatnonzero(~below)
-        converged = 0 if above.size == 0 else int(above[-1]) + 1
     return {
         "scenario": spec.name,
         "tags": list(spec.tags),
@@ -96,7 +87,7 @@ def run_scenario(
         "final_error_m": summary["final_error_m"],
         "mean_error_m": float(errors.mean()) if errors.size else float("nan"),
         "steady_state_error_m": summary["steady_state_error_m"],
-        "converged_step": converged,
+        "converged_step": converged_step(errors),
         "energy_j": float(result.energy_j),
         "energy_per_step_j": float(result.energy_j) / max(n_steps, 1),
         "ops_executed": int(result.ops_executed),

@@ -143,10 +143,6 @@ class Pose:
         """Rotate (N, 3) direction vectors into the world frame (no shift)."""
         return np.asarray(vectors, dtype=float) @ self.rotation.T
 
-    def euler(self) -> tuple[float, float, float]:
-        """Return (roll, pitch, yaw) of the rotation part."""
-        return matrix_to_euler(self.rotation)
-
     def orthonormalized(self) -> "Pose":
         """Return a copy with the rotation re-projected onto SO(3).
 

@@ -40,13 +40,20 @@ with results that stay bit-for-bit equal to a standalone pinned-mask
 
 Quick start::
 
+    import asyncio
+
     from repro.serve import InferenceRequest, InferenceService
     from repro.serve.demo import demo_model
 
     service = InferenceService(demo_model(), substrates=["cim-ordered"])
-    [response] = service.infer_many(
-        [InferenceRequest(x, substrate="cim-ordered", seed=7)]
-    )
+
+    async def main():
+        async with service:
+            return await service.submit(
+                InferenceRequest(x, substrate="cim-ordered", seed=7)
+            )
+
+    response = asyncio.run(main())
     response.result.mean, response.result.energy_j
 """
 

@@ -20,8 +20,8 @@ Determinism requires the warm-up to be reproducible, so a pool always
   no representative inputs, deterministic standard-normal ones are
   synthesized from ``session_seed``.
 
-:meth:`SessionPool.reference_session` rebuilds the same session from
-scratch -- the object the parity tests and the CI smoke step compare
+:func:`build_reference_session` builds the same session from scratch
+-- the object the parity tests and the CI smoke step compare
 service responses against.
 """
 
@@ -108,30 +108,19 @@ class SessionPool:
             else np.atleast_2d(np.asarray(calibration_inputs, dtype=float))
         )
         self.in_features = model.dense_layers()[0].weight.value.shape[0]
-        primary = self._build_session()
+        primary = build_reference_session(
+            self.substrate,
+            model,
+            n_iterations=self.n_iterations,
+            calibration_inputs=self.calibration_inputs,
+            session_seed=self.session_seed,
+        )
         self._sessions = [primary] + [
             primary.clone() for _ in range(self.size - 1)
         ]
         self._idle: asyncio.Queue[MCDropoutSession] = asyncio.Queue()
         for session in self._sessions:
             self._idle.put_nowait(session)
-
-    def _build_session(self) -> MCDropoutSession:
-        return build_reference_session(
-            self.substrate,
-            self.model,
-            n_iterations=self.n_iterations,
-            calibration_inputs=self.calibration_inputs,
-            session_seed=self.session_seed,
-        )
-
-    def reference_session(self) -> MCDropoutSession:
-        """A fresh session identical to every pool member.
-
-        This is the parity oracle: a pinned-mask ``run()`` on it must
-        reproduce a service response for the same request bit-for-bit.
-        """
-        return self._build_session()
 
     async def acquire(self) -> MCDropoutSession:
         """Borrow an idle session (waits if every member is busy)."""

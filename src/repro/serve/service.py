@@ -39,11 +39,9 @@ Use it in-process (async)::
     async with service:
         response = await service.submit(InferenceRequest(x, substrate="cim-ordered"))
 
-or synchronously::
-
-    responses = service.infer_many(requests)
-
-or over HTTP via :mod:`repro.serve.http` / ``repro serve``.
+or from synchronous code by wrapping that block in a coroutine for
+``asyncio.run``, or over HTTP via :mod:`repro.serve.http` /
+``repro serve``.
 """
 
 from __future__ import annotations
@@ -51,11 +49,11 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Iterable, Mapping, Sequence
+from typing import Any, Awaitable, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.api.substrates import MCDropoutSession, available_substrates
+from repro.api.substrates import available_substrates
 from repro.nn.sequential import Sequential
 from repro.runtime.policy import (
     BatchPolicy,
@@ -64,7 +62,6 @@ from repro.runtime.policy import (
     TrackPolicy,
 )
 from repro.serve.execution import PairKey, WorkerSpec, reference_run
-from repro.serve.pool import build_reference_session
 from repro.serve.types import (
     DEFAULT_MODEL,
     InferenceRequest,
@@ -292,8 +289,8 @@ class InferenceService:
         calibration_inputs: representative activations for session
             calibration (default: deterministic synthetic ones).
         session_seed: hardware-instantiation seed shared by every pool
-            session and by :meth:`reference_session` -- part of the
-            determinism contract.
+            session and by :func:`~repro.serve.pool.build_reference_session`
+            -- part of the determinism contract.
         track_world: optional :class:`~repro.serve.tracks.TrackWorld`;
             when given, the service also serves stateful streaming
             tracks (``/track/open`` / ``/track/step`` / ``/track/close``
@@ -447,13 +444,7 @@ class InferenceService:
         for batcher in self._batchers.values():
             await batcher.close()
         self._batchers.clear()
-        # Keep the loop responsive: the pool's stop joins in an executor.
-        if self._shards.mode == "sharded":
-            await self._shards.stop()
-        else:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._shards.stop
-            )
+        await self._shards.stop()
 
     async def __aenter__(self) -> "InferenceService":
         await self.start()
@@ -570,62 +561,7 @@ class InferenceService:
             self._manager(), result["track_id"], result["substrate"]
         )
 
-    def infer_many(
-        self, requests: Iterable[InferenceRequest]
-    ) -> list[InferenceResponse]:
-        """Synchronous convenience wrapper: serve ``requests`` concurrently.
-
-        Owns the whole lifecycle (start, concurrent submission, stop) on
-        a private event loop, applying client-side flow control at the
-        queue policy's ``max_pending`` so the call never rejects itself.
-        Responses come back in request order.  Must not be called while
-        the service is already running on another loop.
-        """
-        if self._started:
-            raise RuntimeError(
-                "infer_many owns the service lifecycle; the service is "
-                "already started -- use 'await service.submit(...)' instead"
-            )
-        request_list = list(requests)
-
-        async def _drive() -> list[InferenceResponse]:
-            semaphore = asyncio.Semaphore(self.queue_policy.max_pending)
-
-            async def one(request: InferenceRequest) -> InferenceResponse:
-                async with semaphore:
-                    return await self.submit(request)
-
-            async with self:
-                return list(
-                    await asyncio.gather(*(one(r) for r in request_list))
-                )
-
-        return asyncio.run(_drive())
-
     # -- introspection -----------------------------------------------------
-
-    def reference_session(
-        self, substrate: str, model: str = DEFAULT_MODEL
-    ) -> MCDropoutSession:
-        """A fresh session identical to the ones serving ``substrate``.
-
-        ``reference_run(service.reference_session(s), x, seed)`` is the
-        oracle every response must match bit-for-bit.
-        """
-        from repro.api.substrates import get_substrate
-
-        substrate = get_substrate(substrate).name
-        if substrate not in self.substrates or model not in self.models:
-            raise KeyError(
-                f"not serving substrate {substrate!r} / model {model!r}"
-            )
-        return build_reference_session(
-            substrate,
-            self.models[model],
-            n_iterations=self.n_iterations,
-            calibration_inputs=self.calibration_inputs,
-            session_seed=self.session_seed,
-        )
 
     def health(self) -> dict[str, Any]:
         """Liveness summary for ``/healthz``.

@@ -46,6 +46,15 @@ def _require_finite(name: str, array: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite (no NaN or inf)")
 
 
+def _state_vector(name: str, value: Any) -> np.ndarray:
+    """Admission check for a (4,) state-shaped vector: x, y, z, yaw."""
+    vector = np.asarray(value, dtype=float).reshape(-1)
+    if vector.size != 4:
+        raise ValueError(f"{name} must have 4 elements, got {vector.size}")
+    _require_finite(name, vector)
+    return vector
+
+
 def _seed(value: Any) -> int:
     """A request seed: an integer >= 0 -- never a bool, and never a
     float, which would otherwise be served truncated (2.7 as seed 2)."""
@@ -273,10 +282,10 @@ class TrackInit:
     """How a track's particle filter is initialized on open (and again
     on crash recovery, whether replaying or re-initializing).
 
-    ``mode="tracking"`` needs a prior ``state`` (4,) and ``sigma`` (4,);
-    ``mode="global"`` spreads particles over the map (``z_range``
-    optional).  The init crosses the wire and the shard pipe, so it only
-    holds plain arrays.
+    ``mode="tracking"`` needs a finite prior ``state`` (4,) and a finite
+    ``sigma`` (4,) >= 0; ``mode="global"`` spreads particles over the
+    map (``z_range`` optional: finite, low <= high).  The init crosses
+    the wire and the shard pipe, so it only holds plain arrays.
     """
 
     mode: str = "tracking"
@@ -295,14 +304,21 @@ class TrackInit:
                     "init mode 'tracking' needs 'state' and 'sigma'"
                 )
             object.__setattr__(
-                self, "state", np.asarray(self.state, dtype=float).reshape(-1)
+                self, "state", _state_vector("init state", self.state)
             )
             object.__setattr__(
-                self, "sigma", np.asarray(self.sigma, dtype=float).reshape(-1)
+                self, "sigma", _state_vector("init sigma", self.sigma)
             )
+            if (self.sigma < 0).any():
+                raise ValueError("init sigma must be >= 0")
         if self.z_range is not None:
-            low, high = self.z_range
-            object.__setattr__(self, "z_range", (float(low), float(high)))
+            low, high = (float(bound) for bound in self.z_range)
+            _require_finite("init z_range", np.array([low, high]))
+            if low > high:
+                raise ValueError(
+                    f"init z_range needs low <= high, got {self.z_range}"
+                )
+            object.__setattr__(self, "z_range", (low, high))
 
     def apply(self, session: Any, rng: np.random.Generator) -> None:
         """Initialize ``session`` (a LocalizationSession) with ``rng``."""
@@ -420,17 +436,15 @@ class TrackStepRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "control", np.asarray(self.control, dtype=float).reshape(-1)
+            self, "control", _state_vector("track-step control", self.control)
         )
-        _require_finite("track-step control", self.control)
         object.__setattr__(
             self, "depth", np.asarray(self.depth, dtype=float)
         )
         if self.truth is not None:
             object.__setattr__(
-                self, "truth", np.asarray(self.truth, dtype=float).reshape(-1)
+                self, "truth", _state_vector("track-step truth", self.truth)
             )
-            _require_finite("track-step truth", self.truth)
 
     def wire_item(self) -> tuple:
         """The picklable per-step tuple batched across tracks:

@@ -6,7 +6,7 @@ this module only moves ops to them and outcomes back.  Both transports
 expose one surface -- ``start`` / ``stop`` / ``execute`` /
 ``execute_track`` / ``ready_homes`` / ``respawning_shards`` /
 ``describe`` -- so the service and the track manager never branch on
-the shape (only ``stop`` differs: the pool's is a coroutine):
+the shape:
 
 - :class:`InProcessShard` (``ShardPolicy.workers == 0``) runs the one
   shard of in-process serving on a single executor thread: ops, whether
@@ -156,10 +156,13 @@ class InProcessShard:
             max_workers=1, thread_name_prefix="repro-serve-shard"
         )
 
-    def stop(self) -> None:
+    async def stop(self) -> None:
         if self._executor is None:
             return
-        self._executor.shutdown(wait=True)
+        # Join the shard thread off the loop, keeping it responsive.
+        await asyncio.get_running_loop().run_in_executor(
+            None, self._executor.shutdown
+        )
         self._executor = None
         if self._state is not None and self._state.tracks is not None:
             self._state.tracks.clear()
@@ -303,8 +306,8 @@ class WorkerPool:
     shard, and a reader task per shard resolves the awaiting futures and
     handles shard death, all on that loop, so every handle mutation
     happens on one thread.  :meth:`stop` must run on the same loop; a later
-    :meth:`start` may run on another (each ``infer_many`` call runs its
-    own loop).
+    :meth:`start` may run on another (each ``asyncio.run`` of an
+    ``async with service`` block runs its own loop).
     """
 
     mode = "sharded"

@@ -330,116 +330,101 @@ class TestBenchCommand:
 
 
 class TestWorldCaches:
-    def test_clear_world_caches_empties_memory(self):
-        from repro.experiments.common import (
-            _ROOM_CACHE,
-            build_room_world,
-            clear_world_caches,
-            world_cache_stats,
-        )
+    """The REPRO_WORLD_CACHE_DIR disk tier under the in-process memo."""
 
-        build_room_world(seed=3, n_steps=3, n_cloud_points=500, image=(16, 12))
-        assert world_cache_stats()["room_entries"] >= 1
-        evicted = clear_world_caches()
-        assert evicted["room"] >= 1
-        assert len(_ROOM_CACHE) == 0
-        assert world_cache_stats()["room_entries"] == 0
-
-    def test_disk_cache_round_trip(self, tmp_path):
-        from repro.experiments.common import (
-            build_room_world,
-            clear_world_caches,
-            enable_disk_cache,
-            world_cache_stats,
-        )
-
-        enable_disk_cache(tmp_path)
-        try:
-            clear_world_caches()
-            first = build_room_world(
-                seed=13, n_steps=2, n_cloud_points=200, image=(8, 6)
-            )
-            stats = world_cache_stats()
-            assert stats["disk_files"] == 1
-            assert stats["disk_bytes"] > 0
-
-            clear_world_caches()  # drop memory tier; disk survives
-            hits_before = world_cache_stats()["disk_hits"]
-            second = build_room_world(
-                seed=13, n_steps=2, n_cloud_points=200, image=(8, 6)
-            )
-            assert world_cache_stats()["disk_hits"] == hits_before + 1
-            assert second is not first
-            assert np.array_equal(first.states, second.states)
-            assert np.array_equal(first.cloud, second.cloud)
-            assert np.array_equal(
-                first.depths[0], second.depths[0], equal_nan=True
-            )
-
-            evicted = clear_world_caches(disk=True)
-            assert evicted["disk_files"] == 1
-            assert world_cache_stats()["disk_files"] == 0
-        finally:
-            enable_disk_cache(None)
-            clear_world_caches()
-
-    def test_vo_world_disk_cache(self, tmp_path):
-        from repro.experiments.common import (
-            build_vo_world,
-            clear_world_caches,
-            enable_disk_cache,
-            world_cache_stats,
-        )
-
-        enable_disk_cache(tmp_path)
-        try:
-            clear_world_caches()
-            first = build_vo_world(
-                seed=19, n_scenes=2, frames_per_scene=6, hidden=(8,), epochs=2
-            )
-            clear_world_caches()
-            second = build_vo_world(
-                seed=19, n_scenes=2, frames_per_scene=6, hidden=(8,), epochs=2
-            )
-            assert world_cache_stats()["disk_hits"] >= 1
-            assert np.array_equal(first.train.features, second.train.features)
-            # the restored model predicts identically
-            x = first.val.features
-            first.model.eval()
-            second.model.eval()
-            assert np.array_equal(first.model.forward(x), second.model.forward(x))
-        finally:
-            clear_world_caches(disk=True)
-            enable_disk_cache(None)
-
-    def test_disabled_disk_cache_writes_nothing(self, tmp_path):
-        from repro.experiments.common import (
-            build_room_world,
-            clear_world_caches,
-            enable_disk_cache,
-        )
-
-        enable_disk_cache(None)
-        clear_world_caches()
-        build_room_world(seed=17, n_steps=2, n_cloud_points=200, image=(8, 6))
-        assert list(tmp_path.glob("*.pkl")) == []
-
-    def test_enable_none_overrides_env_var(self, tmp_path, monkeypatch):
-        # Regression: enable_disk_cache(None) must disable the disk tier
-        # even when REPRO_WORLD_CACHE_DIR is exported.
+    @pytest.fixture
+    def common(self):
         import repro.experiments.common as common
 
+        common._ROOM_CACHE.clear()
+        common._VO_CACHE.clear()
+        yield common
+        common._ROOM_CACHE.clear()
+        common._VO_CACHE.clear()
+
+    @staticmethod
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("world rebuilt instead of read from disk")
+
+    def test_disk_cache_round_trip(self, common, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WORLD_CACHE_DIR", str(tmp_path))
-        common._disk_cache_override = common._ENV_FALLBACK
-        try:
-            assert common._disk_cache_dir() == tmp_path
-            common.enable_disk_cache(None)
-            assert common._disk_cache_dir() is None
-            common.clear_world_caches()
-            common.build_room_world(
-                seed=23, n_steps=2, n_cloud_points=200, image=(8, 6)
-            )
-            assert list(tmp_path.glob("*.pkl")) == []
-        finally:
-            common._disk_cache_override = common._ENV_FALLBACK
-            common.clear_world_caches()
+        first = common.build_room_world(
+            seed=13, n_steps=2, n_cloud_points=200, image=(8, 6)
+        )
+        [path] = tmp_path.glob("*.pkl")
+        assert path.stat().st_size > 0
+
+        common._ROOM_CACHE.clear()  # drop memory tier; disk survives
+
+        monkeypatch.setattr(common, "make_room_scene", self.no_rebuild)
+        second = common.build_room_world(
+            seed=13, n_steps=2, n_cloud_points=200, image=(8, 6)
+        )
+        assert second is not first
+        assert np.array_equal(first.states, second.states)
+        assert np.array_equal(first.cloud, second.cloud)
+        assert np.array_equal(first.depths[0], second.depths[0], equal_nan=True)
+
+    def test_vo_world_disk_cache(self, common, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_WORLD_CACHE_DIR", str(tmp_path))
+        first = common.build_vo_world(
+            seed=19, n_scenes=2, frames_per_scene=6, hidden=(8,), epochs=2
+        )
+        common._VO_CACHE.clear()
+
+        monkeypatch.setattr(common, "VOTrainer", self.no_rebuild)
+        second = common.build_vo_world(
+            seed=19, n_scenes=2, frames_per_scene=6, hidden=(8,), epochs=2
+        )
+        assert np.array_equal(first.train.features, second.train.features)
+        # the restored model predicts identically
+        x = first.val.features
+        first.model.eval()
+        second.model.eval()
+        assert np.array_equal(first.model.forward(x), second.model.forward(x))
+
+    def test_disk_cache_keys_by_configuration(
+        self, common, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_WORLD_CACHE_DIR", str(tmp_path))
+        kwargs = dict(n_steps=2, n_cloud_points=200, image=(8, 6))
+        first = common.build_room_world(seed=13, **kwargs)
+        other = common.build_room_world(seed=14, **kwargs)
+        assert len(list(tmp_path.glob("room-*.pkl"))) == 2
+        common._ROOM_CACHE.clear()
+
+        monkeypatch.setattr(common, "make_room_scene", self.no_rebuild)
+        assert np.array_equal(
+            common.build_room_world(seed=14, **kwargs).states, other.states
+        )
+        assert np.array_equal(
+            common.build_room_world(seed=13, **kwargs).states, first.states
+        )
+
+    def test_unreadable_cache_file_is_rebuilt(
+        self, common, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_WORLD_CACHE_DIR", str(tmp_path))
+        kwargs = dict(seed=13, n_steps=2, n_cloud_points=200, image=(8, 6))
+        first = common.build_room_world(**kwargs)
+        [path] = tmp_path.glob("*.pkl")
+        intact = path.read_bytes()
+        path.write_bytes(intact[: len(intact) // 2])  # a torn write
+        common._ROOM_CACHE.clear()
+
+        rebuilt = common.build_room_world(**kwargs)
+
+        assert np.array_equal(rebuilt.states, first.states)
+        assert np.array_equal(rebuilt.cloud, first.cloud)
+        assert path.read_bytes() == intact  # the rebuild rewrote the file
+
+    def test_disabled_disk_cache_writes_nothing(
+        self, common, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_WORLD_CACHE_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        common.build_room_world(
+            seed=17, n_steps=2, n_cloud_points=200, image=(8, 6)
+        )
+        assert list(tmp_path.rglob("*.pkl")) == []
+

@@ -1,4 +1,4 @@
-"""Experiment registry: resolution, typed configs, results, sweeps."""
+"""Experiment registry: resolution, typed configs, results."""
 
 import dataclasses
 
@@ -12,7 +12,6 @@ from repro.api import (
     get_experiment,
     list_experiments,
     run_experiment,
-    sweep_experiment,
 )
 
 FAST_E9 = {"n_inputs": 32, "n_outputs": 16, "n_iterations": 8, "n_trials": 1}
@@ -199,18 +198,6 @@ class TestSubstrateOverride:
         )
         assert reused.metrics["ops_executed"] < plain.metrics["ops_executed"]
         assert reused.metrics["reuse_savings"] > 0
-
-
-class TestSweep:
-    def test_seed_sweep(self):
-        results = sweep_experiment("E9", seeds=[0, 1], overrides=FAST_E9)
-        assert [r.seed for r in results] == [0, 1]
-        assert all(r.experiment_id == "E9" for r in results)
-
-    def test_sweep_writes_distinct_files(self, tmp_path):
-        sweep_experiment("E9", seeds=[0, 1], overrides=FAST_E9, out_dir=tmp_path)
-        assert len(list(tmp_path.glob("E9-seed0-cfg*.json"))) == 1
-        assert len(list(tmp_path.glob("E9-seed1-cfg*.json"))) == 1
 
 
 class TestContext:

@@ -203,7 +203,7 @@ class TestMCDropoutParity:
 
     def test_raw_engine_needs_no_reset_between_calls(self, inputs):
         # Regression for the double-count bug: raw engine users (no
-        # session, no reset_energy) get per-call figures too.
+        # session) get per-call figures too.
         engine = CIMMCDropoutEngine(
             make_model(), MacroConfig(), n_iterations=8,
             rng=np.random.default_rng(5),

@@ -136,7 +136,7 @@ class TestSwitchingCell:
 
     def test_bell_decays_at_rails(self):
         cell = SwitchingCurrentCell(NODE_45NM, v_center=0.5, width_code=0)
-        peak = cell.peak_current()
+        peak = cell.current(np.array([cell.achieved_center]))[0]
         assert cell.current(np.array([0.0]))[0] < 1e-3 * peak
         assert cell.current(np.array([1.0]))[0] < 1e-3 * peak
 
@@ -168,8 +168,10 @@ class TestLikelihoodInverter:
 
     def test_peak_is_lower_than_single_axis(self):
         inv = LikelihoodInverter.from_centers(NODE_45NM, [0.5, 0.5, 0.5])
-        single = inv.cells[0].peak_current()
-        assert inv.peak_current() == pytest.approx(single / 3, rel=0.05)
+        cell = inv.cells[0]
+        single = cell.current(np.array([cell.achieved_center]))[0]
+        centers = np.array([[c.achieved_center for c in inv.cells]])
+        assert inv.current(centers)[0] == pytest.approx(single / 3, rel=0.05)
 
     def test_axis_count_enforced(self):
         inv = LikelihoodInverter.from_centers(NODE_45NM, [0.5, 0.5])

@@ -11,7 +11,7 @@ import pytest
 
 from repro.circuits.energy import EnergyLedger
 from repro.core.cim_mc_dropout import CIMMCDropoutEngine
-from repro.core.cim_particle_filter import LocalizationResult
+from repro.core.cim_particle_filter import LocalizationResult, converged_step
 from repro.nn import Dense, Dropout, ReLU, Sequential
 from repro.sram.macro import MacroConfig
 
@@ -75,8 +75,8 @@ class TestPerCallMetering:
         assert 0.0 <= second.reuse_savings <= 1.0
 
     def test_second_call_matches_fresh_engine(self, inputs):
-        # What a session got via reset_energy() before: per-call figures
-        # equal to a fresh engine's single call.
+        # A warm engine's per-call figures equal a fresh engine's single
+        # call.
         fresh = make_engine().predict(inputs, rng=np.random.default_rng(5))
         warm_engine = make_engine()
         warm_engine.predict(inputs, rng=np.random.default_rng(9))
@@ -203,26 +203,33 @@ def _localization_result(errors) -> LocalizationResult:
 
 class TestLocalizationResultEdgeCases:
     def test_never_converged(self):
-        result = _localization_result([2.0, 1.5, 0.9, 0.8])
-        assert result.converged_step(threshold=0.5) is None
+        assert converged_step([2.0, 1.5, 0.9, 0.8], threshold=0.5) is None
 
     def test_immediately_converged(self):
-        result = _localization_result([0.1, 0.2, 0.3])
-        assert result.converged_step(threshold=0.5) == 0
+        assert converged_step([0.1, 0.2, 0.3], threshold=0.5) == 0
 
     def test_late_convergence_ignores_transient_dip(self):
         # Early below-threshold blip must not count: the error must stay
         # below the threshold for the remainder of the run.
-        result = _localization_result([2.0, 0.4, 1.2, 0.3, 0.2, 0.1])
-        assert result.converged_step(threshold=0.5) == 3
+        errors = [2.0, 0.4, 1.2, 0.3, 0.2, 0.1]
+        assert converged_step(errors, threshold=0.5) == 3
 
     def test_convergence_on_last_step_only(self):
-        result = _localization_result([2.0, 1.0, 0.4])
-        assert result.converged_step(threshold=0.5) == 2
+        assert converged_step([2.0, 1.0, 0.4], threshold=0.5) == 2
+
+    def test_error_at_threshold_is_not_converged(self):
+        # Convergence needs the error strictly below the threshold.
+        assert converged_step([1.0, 0.5, 0.5], threshold=0.5) is None
+        assert converged_step([1.0, 0.5, 0.25], threshold=0.25) is None
+
+    def test_default_threshold_is_half_a_metre(self):
+        # Scenario rows report converged_step at this default.
+        assert converged_step([0.6, 0.49, 0.3]) == 1
+        assert converged_step([0.6, 0.51, 0.3]) == 2
 
     def test_empty_trajectory(self):
         result = _localization_result([])
-        assert result.converged_step() is None
+        assert converged_step(result.errors) is None
         assert np.isnan(result.final_error)
         row = result.summary_row()
         assert np.isnan(row["initial_error_m"])
@@ -233,14 +240,13 @@ class TestLocalizationResultEdgeCases:
         rng = np.random.default_rng(0)
         for _ in range(25):
             errors = rng.uniform(0.0, 1.0, size=rng.integers(1, 12))
-            result = _localization_result(errors)
             below = errors < 0.5
             expected = None
             for t in range(len(below)):
                 if below[t:].all():
                     expected = t
                     break
-            assert result.converged_step(threshold=0.5) == expected
+            assert converged_step(errors, threshold=0.5) == expected
 
 
 class TestScopeExceptionSafety:

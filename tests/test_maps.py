@@ -1,4 +1,4 @@
-"""Tests for repro.maps: point clouds, GMM, HMG kernels, HMGM co-design."""
+"""Tests for repro.maps: GMM, HMG kernels, HMGM co-design."""
 
 import numpy as np
 import pytest
@@ -8,50 +8,12 @@ from hypothesis import strategies as st
 from repro.maps import (
     GaussianMixture,
     HMGMixture,
-    PointCloud,
     diag_gaussian_logpdf,
     hmg_kernel,
     kmeans,
     kmeans_plus_plus_init,
 )
 from repro.maps.hmg import HMG_UNIT_INTEGRALS, hmg_log_kernel, tail_rectilinearity
-
-
-class TestPointCloud:
-    def test_rejects_empty_and_bad_shape(self):
-        with pytest.raises(ValueError):
-            PointCloud(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            PointCloud(np.zeros((5, 2)))
-
-    def test_subsample(self, rng):
-        cloud = PointCloud(rng.normal(size=(100, 3)))
-        sub = cloud.subsampled(10, rng)
-        assert len(sub) == 10
-
-    def test_subsample_noop_when_small(self, rng):
-        cloud = PointCloud(rng.normal(size=(5, 3)))
-        assert len(cloud.subsampled(10, rng)) == 5
-
-    def test_bounds_contain_points(self, rng):
-        cloud = PointCloud(rng.normal(size=(50, 3)))
-        lo, hi = cloud.bounds()
-        assert np.all(cloud.points >= lo) and np.all(cloud.points <= hi)
-
-    def test_subsample_draws_distinct_original_points(self, rng):
-        points = rng.normal(size=(100, 3))
-        sub = PointCloud(points).subsampled(40, rng).points
-        assert len(np.unique(sub, axis=0)) == 40
-        assert all(np.any(np.all(points == row, axis=1)) for row in sub)
-        with pytest.raises(ValueError):
-            PointCloud(points).subsampled(0, rng)
-
-    def test_padded_bounds_and_centroid(self, rng):
-        cloud = PointCloud(rng.normal(size=(30, 3)))
-        lo, hi = cloud.bounds()
-        padded_lo, padded_hi = cloud.bounds(padding=0.5)
-        assert np.allclose(padded_lo, lo - 0.5) and np.allclose(padded_hi, hi + 0.5)
-        assert np.allclose(cloud.centroid(), cloud.points.mean(axis=0))
 
 
 class TestDiagGaussian:
@@ -145,10 +107,23 @@ class TestGMM:
         model50 = GaussianMixture.fit(data, 3, np.random.default_rng(1), max_iters=50)
         assert model50.mean_loglik(data) >= model1.mean_loglik(data) - 1e-9
 
-    def test_responsibilities_sum_to_one(self, fitted, rng):
-        _, model, _ = fitted
-        resp = model.responsibilities(rng.normal(size=(10, 3)))
-        assert np.allclose(resp.sum(axis=1), 1.0)
+    def test_logpdf_is_weighted_sum_of_component_densities(self, rng):
+        from scipy.stats import norm
+
+        model = GaussianMixture(
+            [0.2, 0.5, 0.3],
+            rng.normal(size=(3, 2)),
+            rng.uniform(0.3, 1.5, size=(3, 2)),
+        )
+        points = rng.normal(size=(20, 2))
+        expected = sum(
+            weight * norm.pdf(points, mean, sigma).prod(axis=1)
+            for weight, mean, sigma in zip(
+                model.weights, model.means, model.sigmas
+            )
+        )
+        assert np.allclose(model.pdf(points), expected, rtol=1e-12)
+        assert np.allclose(model.logpdf(points), np.log(expected), rtol=1e-12)
 
     def test_pdf_integrates_on_grid(self):
         model = GaussianMixture([1.0], [[0.0]], [[1.0]])

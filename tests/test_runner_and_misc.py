@@ -64,7 +64,10 @@ class TestMacroRecalibration:
 
 class TestLocalizationResult:
     def test_converged_step(self):
-        from repro.core.cim_particle_filter import LocalizationResult
+        from repro.core.cim_particle_filter import (
+            LocalizationResult,
+            converged_step,
+        )
         from repro.circuits.energy import EnergyLedger
 
         errors = np.array([2.0, 1.0, 0.4, 0.3, 0.2])
@@ -75,8 +78,8 @@ class TestLocalizationResult:
             energy=EnergyLedger(),
             backend="cim",
         )
-        assert result.converged_step(threshold=0.5) == 2
-        assert result.converged_step(threshold=0.1) is None
+        assert converged_step(result.errors, threshold=0.5) == 2
+        assert converged_step(result.errors, threshold=0.1) is None
         assert result.final_error == pytest.approx(0.2)
 
 

@@ -11,7 +11,6 @@ from repro.api import (
     get_substrate,
     result_stem,
     run_experiment,
-    sweep_experiment,
 )
 from repro.nn import Dense, Dropout, ReLU, Sequential
 from repro.runtime import JobSpec, ParallelExecutor, Plan, RunStore
@@ -98,8 +97,6 @@ class TestExecutor:
         assert report.n_failed == 1 and report.n_ok == 2
         assert "keep_probability" in report.errors[0].error
         assert [record.job.index for record in report.records] == [0, 1, 2]
-        with pytest.raises(RuntimeError, match="E9-seed0"):
-            report.raise_on_error()
 
     def test_failing_job_captured_in_parallel_too(self):
         plan = Plan(
@@ -211,59 +208,21 @@ class TestRunStore:
             RunStore.load(results.parent)
 
 
-class TestSweepExperimentRebased:
-    def test_sweep_keeps_serial_contract(self):
-        results = sweep_experiment("E9", seeds=[0, 1], overrides=FAST_E9)
+class TestExecutorThroughRegistry:
+    def test_executor_keeps_serial_contract(self):
+        plan = Plan.compile("E9", seeds=[0, 1], overrides=FAST_E9)
+        results = ParallelExecutor(workers=1).execute(plan).results
         assert [result.seed for result in results] == [0, 1]
         direct = run_experiment("E9", seed=0, overrides=FAST_E9)
         assert results[0].metrics == direct.metrics
 
-    def test_sweep_workers_match_serial(self):
-        serial = sweep_experiment("E9", seeds=[0, 1], overrides=FAST_E9)
-        parallel = sweep_experiment(
-            "E9", seeds=[0, 1], overrides=FAST_E9, workers=2
-        )
-        for a, b in zip(serial, parallel):
-            assert a.to_dict()["metrics"] == b.to_dict()["metrics"]
-
-    def test_sweep_failure_raises_but_store_keeps_grid(self, tmp_path):
-        with pytest.raises(RuntimeError, match="failed"):
-            sweep_experiment(
-                "E9",
-                seeds=[0, 1],
-                overrides=BROKEN_E9,
-                store=tmp_path / "run",
-            )
-        loaded = RunStore.load(tmp_path / "run")
+    def test_failing_grid_still_fills_store(self, tmp_path):
+        plan = Plan.compile("E9", seeds=[0, 1], overrides=BROKEN_E9)
+        store = tmp_path / "run"
+        report = ParallelExecutor(workers=1).execute(plan, store=store)
+        assert report.n_failed == 2
+        loaded = RunStore.load(store)
         assert len(loaded.records()) == 2  # both cells ran and were recorded
-
-    def test_out_dir_uses_hashed_stems(self, tmp_path):
-        sweep_experiment("E9", seeds=[1], overrides=FAST_E9, out_dir=tmp_path)
-        expected = tmp_path / f"E9-seed1-cfg{config_hash(FAST_E9)}.json"
-        assert expected.exists()
-
-    def test_failing_cell_still_persists_successful_results(self, tmp_path, monkeypatch):
-        # Successful cells must reach out_dir before the failure raises.
-        import repro.runtime.executor as executor_mod
-
-        original = executor_mod.run_job_payload
-
-        def fail_seed_1(payload):
-            if payload["seed"] == 1:
-                return {
-                    "status": "error",
-                    "result": None,
-                    "error": "boom",
-                    "duration_s": 0.0,
-                }
-            return original(payload)
-
-        monkeypatch.setattr(executor_mod, "run_job_payload", fail_seed_1)
-        with pytest.raises(RuntimeError, match="boom"):
-            sweep_experiment(
-                "E9", seeds=[0, 1], overrides=FAST_E9, out_dir=tmp_path
-            )
-        assert len(list(tmp_path.glob("E9-seed0-cfg*.json"))) == 1
 
 
 class TestFilenameCollisions:

@@ -133,4 +133,4 @@ class TestPose:
 
     def test_from_euler_round_trip(self):
         pose = Pose.from_euler([0, 0, 0], roll=0.1, pitch=0.2, yaw=0.3)
-        assert pose.euler() == pytest.approx((0.1, 0.2, 0.3))
+        assert matrix_to_euler(pose.rotation) == pytest.approx((0.1, 0.2, 0.3))

@@ -27,6 +27,7 @@ from repro.serve import (
     InferenceService,
     ServiceOverloaded,
     SessionPool,
+    build_reference_session,
     reference_run,
     result_mismatches,
 )
@@ -53,6 +54,21 @@ def inputs():
 def make_service(model, substrates, **kwargs):
     kwargs.setdefault("n_iterations", N_ITER)
     return InferenceService(model, substrates=substrates, **kwargs)
+
+
+def reference_session(substrate):
+    """The parity oracle for ``substrate`` on a ``make_service`` service."""
+    return build_reference_session(substrate, demo_model(), n_iterations=N_ITER)
+
+
+def serve_all(service, requests):
+    """Start ``service``, serve ``requests`` concurrently, stop it."""
+
+    async def drive():
+        async with service:
+            return await asyncio.gather(*map(service.submit, requests))
+
+    return asyncio.run(drive())
 
 
 class TestResultMismatches:
@@ -190,9 +206,8 @@ class TestStrictEncoding:
 
 
 class TestSessionPool:
-    def test_clone_is_bit_identical(self, model, inputs):
-        pool = SessionPool("cim-ordered", model, n_iterations=N_ITER)
-        original = pool.reference_session()
+    def test_clone_is_bit_identical(self, inputs):
+        original = reference_session("cim-ordered")
         clone = original.clone()
         first = reference_run(original, inputs, 5)
         second = reference_run(clone, inputs, 5)
@@ -210,7 +225,7 @@ class TestSessionPool:
     def test_reference_session_matches_pool_member(self, model, inputs):
         pool = SessionPool("cim-reuse", model, n_iterations=N_ITER)
         member = asyncio.run(pool.acquire())
-        reference = pool.reference_session()
+        reference = reference_session("cim-reuse")
         assert not result_mismatches(
             reference_run(member, inputs, 2), reference_run(reference, inputs, 2)
         )
@@ -232,7 +247,7 @@ class TestServiceParity:
             for name in substrates
             for seed in (0, 11)
         ]
-        responses = service.infer_many(requests)
+        responses = serve_all(service, requests)
         return service, requests, responses
 
     def test_every_substrate_every_seed_bit_for_bit(
@@ -240,7 +255,7 @@ class TestServiceParity:
     ):
         service, requests, responses = service_and_responses
         for request, response in zip(requests, responses):
-            session = service.reference_session(request.substrate)
+            session = reference_session(request.substrate)
             expected = reference_run(session, request.inputs, request.seed)
             assert response.substrate == request.substrate
             assert response.seed == request.seed
@@ -263,7 +278,7 @@ class TestServiceParity:
             InferenceRequest(inputs, substrate="cim-reuse", seed=3)
             for _ in range(2)
         ]
-        first, second = service.infer_many(requests)
+        first, second = serve_all(service, requests)
         assert first.batch_size == 2  # actually coalesced
         assert first.result.energy_j == second.result.energy_j
         assert first.result.ops_executed == second.result.ops_executed
@@ -324,7 +339,7 @@ class TestBatching:
         assert [r.batch_size for r in responses] == [4] * 4
         assert [r.group_size for r in responses] == [3, 3, 1, 3]
         for seed, response in zip((0, 0, 9, 0), responses):
-            session = service.reference_session("cim")
+            session = reference_session("cim")
             assert not result_mismatches(
                 response.result, reference_run(session, inputs, seed)
             )
@@ -333,16 +348,18 @@ class TestBatching:
         service = make_service(
             model, ["cim"], batch=BatchPolicy(max_batch=1, max_wait_ms=0)
         )
-        responses = service.infer_many(
-            [InferenceRequest(inputs, substrate="cim") for _ in range(3)]
+        responses = serve_all(
+            service,
+            [InferenceRequest(inputs, substrate="cim") for _ in range(3)],
         )
         assert [r.batch_size for r in responses] == [1, 1, 1]
         assert service.stats.batches == 3
 
     def test_stats_snapshot_counts(self, model, inputs):
         service = make_service(model, ["cim"])
-        service.infer_many(
-            [InferenceRequest(inputs, substrate="cim") for _ in range(2)]
+        serve_all(
+            service,
+            [InferenceRequest(inputs, substrate="cim") for _ in range(2)],
         )
         snapshot = service.stats_snapshot()
         assert snapshot["received"] == 2
@@ -414,23 +431,11 @@ class TestBackpressure:
                 service.submit(InferenceRequest(inputs, substrate="cim"))
             )
 
-    def test_infer_many_refuses_running_service(self, model, inputs):
-        service = make_service(model, ["cim"])
-
-        async def drive():
-            async with service:
-                with pytest.raises(RuntimeError, match="already started"):
-                    service.infer_many(
-                        [InferenceRequest(inputs, substrate="cim")]
-                    )
-
-        asyncio.run(drive())
-
-    def test_service_reusable_across_infer_many_calls(self, model, inputs):
+    def test_service_reusable_across_start_stop_cycles(self, model, inputs):
         service = make_service(model, ["cim"])
         request = [InferenceRequest(inputs, substrate="cim", seed=4)]
-        first = service.infer_many(request)
-        second = service.infer_many(request)  # fresh event loop, warm pools
+        first = serve_all(service, request)
+        second = serve_all(service, request)  # fresh event loop, warm pools
         assert not result_mismatches(second[0].result, first[0].result)
 
     def test_execution_failure_wrapped_as_execution_error(
@@ -524,7 +529,7 @@ class TestHTTP:
 
         json.loads(raw.decode(), parse_constant=reject)  # valid JSON only
         response = InferenceResponse.from_json(raw.decode())
-        session = server.service.reference_session("cim")
+        session = reference_session("cim")
         assert not result_mismatches(
             response.result, reference_run(session, inputs, 8)
         )
@@ -568,7 +573,7 @@ class TestHTTP:
         reply = conn.getresponse()
         raw = reply.read()
         assert reply.status == 200, raw
-        session = server.service.reference_session("cim")
+        session = reference_session("cim")
         assert not result_mismatches(
             InferenceResponse.from_json(raw.decode()).result,
             reference_run(session, inputs, seed),
@@ -677,7 +682,7 @@ class TestHTTP:
         assert [status for status, _, _ in replies] == [200, 200]
         assert "connection" not in replies[0][1]
         assert replies[1][1]["connection"] == "close"
-        session = server.service.reference_session("cim")
+        session = reference_session("cim")
         for seed, (_, _, payload) in zip((5, 6), replies):
             response = InferenceResponse.from_dict(payload)
             assert response.seed == seed

@@ -20,6 +20,7 @@ from repro.serve import (
     TrackOpenRequest,
     TrackStepRequest,
     TrackStepResponse,
+    build_reference_session,
     reference_run,
     reference_track_run,
     result_mismatches,
@@ -305,7 +306,11 @@ def test_restart_keeps_parity_and_drops_tracks(
     controls, depths, _ = measurements
     service = make_service(world, workers=workers)
     x = demo_inputs()
-    expected = reference_run(service.reference_session("digital"), x, 5)
+    expected = reference_run(
+        build_reference_session("digital", demo_model(), n_iterations=N_ITER),
+        x,
+        5,
+    )
     requests = [InferenceRequest(x, substrate="digital", seed=5)] * 2
 
     async def first_lifetime():
@@ -336,10 +341,14 @@ def test_restart_keeps_parity_and_drops_tracks(
             ]
             return excinfo.value, shard_side
 
-    for response in service.infer_many(requests):
+    async def infer():
+        async with service:
+            return await asyncio.gather(*map(service.submit, requests))
+
+    for response in asyncio.run(infer()):
         assert not result_mismatches(response.result, expected)
     track_id = asyncio.run(first_lifetime())
-    for response in service.infer_many(requests):
+    for response in asyncio.run(infer()):
         assert not result_mismatches(response.result, expected)
     error, shard_side = asyncio.run(second_lifetime(track_id))
     assert error.kind == "unknown"

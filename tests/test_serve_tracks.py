@@ -180,6 +180,29 @@ class TestRequestSchemas:
                 strict_dumps({"init": init.to_dict(), "bogus": 1})
             )
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"state": [1.0, 2.0, 0.5, 0.3], "sigma": [0.0] * 4},
+            {"mode": "global", "z_range": (1.0, 1.0)},
+        ],
+        ids=["zero-sigma", "flat-z-range"],
+    )
+    def test_init_admits_boundary_values(self, fields):
+        """A known pose (sigma = 0) and a fixed altitude (low == high)
+        sit on the admission bounds and are accepted as given."""
+        init = TrackInit(**fields)
+        restored = TrackInit.from_dict(init.to_dict())
+        assert restored.mode == init.mode
+        assert restored.z_range == init.z_range
+        for name in ("state", "sigma"):
+            expected = fields.get(name)
+            actual = getattr(restored, name)
+            if expected is None:
+                assert actual is None
+            else:
+                assert np.array_equal(actual, expected)
+
     def test_step_response_round_trip(self):
         response = TrackStepResponse(
             track_id="t",
@@ -610,6 +633,54 @@ class TestTrackHTTP:
         body = strict_loads(excinfo.value.read().decode())
         assert body["kind"] == "unknown"
         assert body["retryable"] is False
+
+    @pytest.mark.parametrize(
+        "path, bad, field",
+        [
+            ("/track/open", {"state": [0.0] * 3}, "state"),
+            ("/track/open", {"sigma": [0.1] * 3}, "sigma"),
+            ("/track/open", {"state": [float("nan"), 0, 0, 0]}, "state"),
+            ("/track/open", {"sigma": [float("inf"), 1, 1, 1]}, "sigma"),
+            ("/track/open", {"sigma": [-0.1, 1, 1, 1]}, "sigma"),
+            ("/track/open", {"z_range": [2.0, 1.0]}, "z_range"),
+            ("/track/open", {"z_range": [0.0, float("inf")]}, "z_range"),
+            ("/track/step", {"control": [0.0] * 3}, "control"),
+            ("/track/step", {"truth": [0.0] * 5}, "truth"),
+        ],
+    )
+    def test_malformed_track_input_is_400(
+        self, context, measurements, init, path, bad, field
+    ):
+        """A bad init, control or truth is refused at admission, not
+        served as NaN estimates or failed inside the shard."""
+        controls, depths, _ = measurements
+        if path == "/track/open":
+            body = {"init": {**init.to_dict(), **bad}, "substrate": "cim"}
+        else:
+            opened = post(
+                context.port,
+                "/track/open",
+                {"init": init.to_dict(), "substrate": "cim"},
+            )
+            body = {
+                "track_id": opened["track_id"],
+                "control": controls[0].tolist(),
+                "depth": depths[0].tolist(),
+                **bad,
+            }
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(context.port, path, body)
+            assert excinfo.value.code == 400
+            error = strict_loads(excinfo.value.read().decode())["error"]
+            assert field in error
+        finally:
+            if path == "/track/step":
+                post(
+                    context.port,
+                    "/track/close",
+                    {"track_id": opened["track_id"]},
+                )
 
     def test_admission_503_has_retry_after_and_retryable(
         self, context, init

@@ -74,6 +74,34 @@ def wait_dead(pids, timeout_s=10.0):
     return pending
 
 
+def test_in_process_stop_keeps_the_loop_responsive(model):
+    """Stopping the in-process shard joins its thread off the loop: a
+    busy shard thread must not freeze other coroutines meanwhile."""
+    from repro.serve.workers import InProcessShard
+
+    shard = InProcessShard(
+        WorkerSpec(models={"default": model}, substrates=("cim",)),
+        ShardPolicy(workers=0),
+    )
+
+    async def drive():
+        await shard.start()
+        busy = shard._executor.submit(time.sleep, 0.3)
+        stopping = asyncio.ensure_future(shard.stop())
+        ticks = 0
+        while not stopping.done():
+            ticks += 1
+            await asyncio.sleep(0.01)
+        await stopping
+        return busy, ticks
+
+    busy, ticks = asyncio.run(drive())
+    assert busy.done()  # stop waited for the running op
+    assert ticks >= 5
+    assert shard._executor is None
+    assert asyncio.run(shard.stop()) is None  # stopping twice is a no-op
+
+
 class TestShardPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="workers"):
@@ -159,13 +187,13 @@ class TestShardedParity:
         responses, snapshot = asyncio.run(drive())
         return service, requests, responses, snapshot
 
-    def test_every_response_matches_reference(self, sharded_run):
-        service, requests, responses, _ = sharded_run
+    def test_every_response_matches_reference(self, sharded_run, model):
+        _, requests, responses, _ = sharded_run
         sessions = {}
         for request, response in zip(requests, responses):
             if request.substrate not in sessions:
-                sessions[request.substrate] = service.reference_session(
-                    request.substrate
+                sessions[request.substrate] = build_reference_session(
+                    request.substrate, model, n_iterations=N_ITER
                 )
             expected = reference_run(
                 sessions[request.substrate], request.inputs, request.seed
@@ -287,7 +315,9 @@ class TestShardedHTTP:
             from repro.serve import InferenceResponse
 
             response = InferenceResponse.from_json(raw.decode())
-            session = service.reference_session("cim")
+            session = build_reference_session(
+                "cim", model, n_iterations=N_ITER
+            )
             assert not result_mismatches(
                 response.result, reference_run(session, inputs, 8)
             )

@@ -1,15 +1,24 @@
 """Ratchet: no public library code that nothing outside tests/ reaches.
 
 Every public top-level ``def``/``class`` in ``src/repro``, and every
-public method of a public class, must be named somewhere besides its own
-definition: elsewhere in its module, or in a Python or shell file under
-src/repro (package ``__init__`` re-exports do not count), servebench/,
-examples/ or scripts/. A decorated top-level definition is exempt, since
-the decorator registers it (``@experiment`` runners, lint rules). So are
-abstract methods and methods that override a base-class method (the base
-class's caller reaches them, e.g. ``BlockingInAsyncRule.check``).
-A symbol only tests name is dead code with a test attached; delete both
-rather than grow the exemption.
+public method of a public class, must have a caller. A caller is either
+
+- a code reference in a module of ``src/repro`` other than a package
+  ``__init__``: an ``ast.Name`` or ``ast.Attribute`` spelling the
+  symbol's name, or an import alias of it. The symbol's own module
+  counts. A string, a docstring, a comment or an ``__all__`` entry does
+  not, nor does a package ``__init__`` re-export; or
+- the name as a whole word anywhere in a Python or shell file under
+  servebench/, examples/ or scripts/ (servebench's tracer names its
+  targets in strings).
+
+A decorated top-level definition is exempt, since the decorator
+registers it (``@experiment`` runners, lint rules). So are abstract
+methods and methods that override a base-class method (the base class's
+caller reaches them, e.g. ``BlockingInAsyncRule.check``). Matching is by
+name: a reference to any attribute called ``step`` reaches every
+``step``. A symbol only tests name is dead code with a test attached;
+delete both rather than grow the exemption.
 """
 
 import ast
@@ -19,25 +28,39 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "repro"
-CALLER_ROOTS = ("servebench", "examples", "scripts")
+CALLER_ROOTS = tuple(
+    REPO_ROOT / root for root in ("servebench", "examples", "scripts")
+)
 
 
 def _read(path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def _modules() -> dict[Path, str]:
+def _modules(package: Path) -> dict[Path, ast.Module]:
     return {
-        path: _read(path)
-        for path in sorted(PACKAGE.rglob("*.py"))
+        path: ast.parse(_read(path))
+        for path in sorted(package.rglob("*.py"))
         if path.name != "__init__.py"
     }
 
 
-def _caller_texts() -> list[str]:
+def _code_references(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def _caller_texts(caller_roots) -> list[str]:
     texts = []
-    for root in CALLER_ROOTS:
-        for path in sorted((REPO_ROOT / root).rglob("*")):
+    for root in caller_roots:
+        for path in sorted(Path(root).rglob("*")):
             if path.is_file() and path.suffix in {".py", ".sh"}:
                 texts.append(_read(path))
     return texts
@@ -56,10 +79,11 @@ def _overrides(module: str, class_name: str, method: str) -> bool:
     return any(method in vars(base) for base in cls.__mro__[1:])
 
 
-def _public_undecorated(path: Path, source: str):
+def _public_undecorated(package: Path, path: Path, tree: ast.Module):
     """Yield (label, name) for each top-level symbol and method to check."""
-    module = "repro." + ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
-    for node in ast.parse(source).body:
+    parts = path.relative_to(package).with_suffix("").parts
+    module = ".".join((package.name, *parts))
+    for node in tree.body:
         is_def = isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         )
@@ -79,27 +103,67 @@ def _public_undecorated(path: Path, source: str):
                 yield f"{node.name}.{item.name}", item.name
 
 
-def unreached_symbols() -> list[str]:
-    modules = _modules()
-    callers = _caller_texts()
+def unreached_symbols(
+    package: Path = PACKAGE, caller_roots=CALLER_ROOTS
+) -> list[str]:
+    modules = _modules(package)
+    referenced = set()
+    for tree in modules.values():
+        referenced |= _code_references(tree)
+    callers = _caller_texts(caller_roots)
     offenders = []
-    for path, source in modules.items():
-        elsewhere = [text for other, text in modules.items() if other != path]
-        elsewhere += callers
-        for label, name in _public_undecorated(path, source):
+    for path, tree in modules.items():
+        for label, name in _public_undecorated(package, path, tree):
+            if name in referenced:
+                continue
             word = re.compile(rf"\b{re.escape(name)}\b")
-            if len(word.findall(source)) > 1:
+            if any(word.search(text) for text in callers):
                 continue
-            if any(word.search(text) for text in elsewhere):
-                continue
-            offenders.append(f"{path.relative_to(PACKAGE)}:{label}")
+            offenders.append(f"{path.relative_to(package)}:{label}")
     return offenders
 
 
 def test_every_public_library_symbol_is_reached():
     offenders = unreached_symbols()
     assert not offenders, (
-        "public symbols named only by their definition, package __init__ "
-        "re-exports or tests -- delete them with their tests:\n  "
+        "public symbols with no code reference in src/repro outside package "
+        "__init__ files, and no mention in servebench/, examples/ or "
+        "scripts/ -- delete them with their tests:\n  "
         + "\n  ".join(offenders)
     )
+
+
+def test_only_code_references_reach_a_library_symbol(tmp_path):
+    package = tmp_path / "fixturepkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from fixturepkg.lib import called, labelled, quoted\n"
+        '__all__ = ["called", "labelled", "quoted"]\n'
+    )
+    lib = (
+        '"""Helpers: labelled() is documented here, and nowhere used."""\n'
+        '__all__ = ["called", "labelled", "quoted"]\n'
+        "\n"
+        "def called():\n"
+        "    return 1\n"
+        "\n"
+        "def labelled():\n"
+        '    """labelled: named in __all__, this docstring and a comment."""\n'
+        "    return 2  # labelled\n"
+        "\n"
+        "def quoted():\n"
+        "    return 3\n"
+    )
+    (package / "lib.py").write_text(lib)
+    (package / "user.py").write_text(
+        "from fixturepkg import lib\n\n\ndef _use():\n    return lib.called()\n"
+    )
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    (scripts / "drive.py").write_text('TARGET = "fixturepkg.lib.quoted"\n')
+    # The old rule let ``labelled`` through: its name recurs in its module.
+    assert len(re.findall(r"\blabelled\b", lib)) > 1
+
+    offenders = unreached_symbols(package, (scripts,))
+
+    assert offenders == ["lib.py:labelled"]
