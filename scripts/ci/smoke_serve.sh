@@ -54,6 +54,18 @@ if [ "$STATUS" != "400" ]; then
 fi
 curl -sf "http://127.0.0.1:${SERVE_PORT}/healthz" > /dev/null
 
+# A /track/close without a string track id is a 400 too, not a lookup
+# of a track named "None".
+STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
+  -H 'Content-Type: application/json' \
+  -d '{"track_id": null}' \
+  "http://127.0.0.1:${SERVE_PORT}/track/close")
+if [ "$STATUS" != "400" ]; then
+  echo "error: malformed /track/close answered $STATUS (want 400)" >&2
+  exit 1
+fi
+curl -sf "http://127.0.0.1:${SERVE_PORT}/healthz" > /dev/null
+
 SERVE_URL="http://127.0.0.1:${SERVE_PORT}" N_ITERATIONS=8 WORKERS="$WORKERS" \
   python scripts/ci/serve_parity_check.py
 

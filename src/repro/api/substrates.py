@@ -27,7 +27,6 @@ CLI via ``--substrate``.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
@@ -343,20 +342,6 @@ class MCDropoutSession:
                 model, n_iterations=self.n_iterations, rng=self._rng
             )
 
-    def clone(self) -> "MCDropoutSession":
-        """A cheap, independent copy of this session for pooling.
-
-        Serving pools (:mod:`repro.serve`) hold several pre-warmed
-        sessions per (substrate, model) pair so micro-batches can run
-        concurrently.  Cloning copies the session state wholesale --
-        mapped macros, pinned DAC/ADC calibration, the instantiated (and
-        bias-trimmed) hardware RNG -- instead of re-running hardware
-        instantiation and calibration, and shares no mutable state with
-        the original, so clone and original produce bit-for-bit identical
-        results for identical ``run()`` arguments.
-        """
-        return copy.deepcopy(self)
-
     def draw_masks(self, rng: np.random.Generator | None = None) -> MaskPlan:
         """Draw (and order) one set of mask streams for later pinning.
 
@@ -549,12 +534,6 @@ class LocalizationSession:
             rng=rng,
             **localizer_kwargs,
         )
-
-    def clone(self) -> "LocalizationSession":
-        """An independent copy (programmed map arrays, filter state and
-        all) sharing no mutable state with the original; see
-        :meth:`MCDropoutSession.clone`."""
-        return copy.deepcopy(self)
 
     def initialize_tracking(
         self, state: np.ndarray, sigma: np.ndarray, rng: np.random.Generator

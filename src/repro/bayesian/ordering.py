@@ -4,8 +4,8 @@ MC-Dropout iterations are exchangeable, so the engine may visit the T
 pre-generated masks in any order.  Compute reuse pays per *changed* neuron
 between consecutive iterations, so the best order minimises the total
 Hamming path length through the mask set -- an open traveling-salesman
-path.  A greedy nearest-neighbour pass (optionally polished by 2-opt, or
-networkx's TSP approximation) recovers most of the available savings.
+path.  A greedy nearest-neighbour pass polished by 2-opt recovers most
+of the available savings.
 """
 
 from __future__ import annotations
@@ -97,16 +97,14 @@ def _two_opt(
     return order
 
 
-def optimal_mask_order(
-    masks: np.ndarray,
-    method: str = "greedy-2opt",
-) -> np.ndarray:
+def optimal_mask_order(masks: np.ndarray) -> np.ndarray:
     """Order the masks to (approximately) minimise the Hamming path.
+
+    The shortest of a few greedy nearest-neighbour paths, polished by
+    first-improvement 2-opt.
 
     Args:
         masks: (T, width) joint mask matrix (concatenate layers first).
-        method: "greedy", "greedy-2opt" (default), or "tsp" (networkx
-            threshold-accepting TSP approximation).
 
     Returns:
         A permutation of range(T).
@@ -115,32 +113,9 @@ def optimal_mask_order(
     n = masks.shape[0]
     if n <= 2:
         return np.arange(n, dtype=np.int64)
-    if method in ("greedy", "greedy-2opt"):
-        # One Hamming matrix for every search; the greedy walks and 2-opt
-        # run over plain int lists, since scalar indexing into numpy
-        # arrays would dominate their O(T^2) inner loops.
-        distances = _hamming_matrix(masks)
-        order = _best_greedy(distances)
-        if method == "greedy-2opt":
-            order = _two_opt(order, distances.tolist())
-        return np.asarray(order, dtype=np.int64)
-    if method == "tsp":
-        import networkx as nx
-
-        distances = _hamming_matrix(masks)
-        graph = nx.Graph()
-        for i in range(n):
-            for j in range(i + 1, n):
-                graph.add_edge(i, j, weight=int(distances[i, j]))
-        cycle = nx.approximation.traveling_salesman_problem(
-            graph, weight="weight", cycle=True
-        )
-        cycle = cycle[:-1]  # drop the repeated endpoint
-        # Cut the cycle at its heaviest edge to form the best open path.
-        edge_weights = [
-            distances[cycle[k], cycle[(k + 1) % n]] for k in range(n)
-        ]
-        cut = int(np.argmax(edge_weights))
-        path = cycle[cut + 1 :] + cycle[: cut + 1]
-        return np.asarray(path, dtype=np.int64)
-    raise ValueError(f"unknown method {method!r}")
+    # One Hamming matrix for every search; the greedy walks and 2-opt run
+    # over plain int lists, since scalar indexing into numpy arrays would
+    # dominate their O(T^2) inner loops.
+    distances = _hamming_matrix(masks)
+    order = _two_opt(_best_greedy(distances), distances.tolist())
+    return np.asarray(order, dtype=np.int64)

@@ -2,8 +2,9 @@
 
 The likelihood array reads out its summed column current through a
 *logarithmic* ADC (the particle filter accumulates log-likelihoods, so the
-log conversion is free).  The model quantises, clips, adds input-referred
-noise, and reports conversion energy from the technology table.  The SRAM
+log conversion is free).  The model quantises, clips and reports
+conversion energy from the technology table; analog read noise enters
+before the ADC, through the array's noise model.  The SRAM
 macro's linear column ADC lives in :mod:`repro.sram.macro`.
 """
 
@@ -24,7 +25,6 @@ class LogarithmicADC:
         bits: resolution.
         i_min: current mapped to code 0 (A).
         i_max: current mapped to full scale (A).
-        noise_lsb: input-referred noise in LSBs (1-sigma).
     """
 
     def __init__(
@@ -33,7 +33,6 @@ class LogarithmicADC:
         bits: int = 4,
         i_min: float = 1.0e-10,
         i_max: float = 1.0e-4,
-        noise_lsb: float = 0.0,
     ):
         if i_min <= 0 or i_max <= i_min:
             raise ValueError("require 0 < i_min < i_max")
@@ -43,42 +42,18 @@ class LogarithmicADC:
         self.bits = int(bits)
         self.i_min = float(i_min)
         self.i_max = float(i_max)
-        self.noise_lsb = float(noise_lsb)
         self._log_span = np.log(self.i_max / self.i_min)
 
     @property
     def levels(self) -> int:
         return 2**self.bits
 
-    def convert(
-        self, current: np.ndarray, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
+    def convert(self, current: np.ndarray) -> np.ndarray:
         """Quantise current(s) to integer codes."""
-        current = np.asarray(current, dtype=float)
-        return self.quantize(current, self.draw_noise(current.shape, rng))
-
-    def draw_noise(
-        self, shape: tuple[int, ...], rng: np.random.Generator | None
-    ) -> np.ndarray | None:
-        """The input-referred noise (in LSBs) one :meth:`convert` of
-        ``shape`` draws from ``rng``; ``None`` for a noiseless ADC."""
-        if self.noise_lsb <= 0:
-            return None
-        if rng is None:
-            raise ValueError("rng required when noise_lsb > 0")
-        return rng.normal(scale=self.noise_lsb, size=shape)
-
-    def quantize(
-        self, current: np.ndarray, noise: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Quantise current(s) to integer codes with pre-drawn input noise
-        (see :meth:`draw_noise`)."""
         current = np.asarray(current, dtype=float)
         clipped = np.clip(current, self.i_min, self.i_max)
         fraction = np.log(clipped / self.i_min) / self._log_span
         codes = fraction * (self.levels - 1)
-        if noise is not None:
-            codes = codes + noise
         return np.clip(np.rint(codes), 0, self.levels - 1).astype(np.int64)
 
     def decode(self, codes: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Digital-to-analog converter for the likelihood array inputs.
 
 Projected measurement coordinates arrive as digital words; the DAC turns
-them into the analog gate voltages V_X / V_Y / V_Z.  The model captures the
-two effects that matter: finite resolution and static nonlinearity (INL).
+them into the analog gate voltages V_X / V_Y / V_Z.  The model captures
+the effect that matters: finite resolution.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ class DAC:
         node: technology node (energy table).
         bits: resolution.
         v_max: full-scale output voltage (defaults to the node's VDD).
-        inl_lsb: 1-sigma integral nonlinearity in LSBs; a fixed per-code
-            error pattern drawn once at construction.
-        rng: generator for the INL pattern (required if inl_lsb > 0).
     """
 
     def __init__(
@@ -29,21 +26,12 @@ class DAC:
         node: TechnologyNode,
         bits: int = 6,
         v_max: float | None = None,
-        inl_lsb: float = 0.0,
-        rng: np.random.Generator | None = None,
     ):
         if bits < 1:
             raise ValueError("bits must be >= 1")
         self.node = node
         self.bits = int(bits)
         self.v_max = float(v_max if v_max is not None else node.vdd)
-        self.inl_lsb = float(inl_lsb)
-        if self.inl_lsb > 0:
-            if rng is None:
-                raise ValueError("rng required when inl_lsb > 0")
-            self._inl = rng.normal(scale=self.inl_lsb * self.lsb, size=self.levels)
-        else:
-            self._inl = np.zeros(self.levels)
 
     @property
     def levels(self) -> int:
@@ -60,9 +48,8 @@ class DAC:
         return np.clip(np.rint(codes), 0, self.levels - 1).astype(np.int64)
 
     def output(self, codes: np.ndarray) -> np.ndarray:
-        """Analog output voltage(s) for integer code(s), including INL."""
-        codes = np.asarray(codes)
-        return codes.astype(float) * self.lsb + self._inl[codes]
+        """Analog output voltage(s) for integer code(s)."""
+        return np.asarray(codes).astype(float) * self.lsb
 
     def convert(self, voltage: np.ndarray) -> np.ndarray:
         """Requested voltage(s) -> achieved analog voltage(s)."""

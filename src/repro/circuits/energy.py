@@ -11,8 +11,8 @@ odometer).  Callers that need strictly per-call figures scope a region:
 copy of every entry recorded until :meth:`EnergyLedger.end_scope`.  The
 child accumulates from zero, so two identical scoped regions yield
 bit-identical energies (no floating-point residue from differencing
-large cumulative totals), and nobody has to ``reset()`` shared state
-between calls.  The CIM MC-Dropout engine scopes each ``predict()`` this
+large cumulative totals), and shared ledgers are never cleared between
+calls.  The CIM MC-Dropout engine scopes each ``predict()`` this
 way, and the particle-filter localizer each ``run()``.
 """
 
@@ -139,10 +139,6 @@ class EnergyLedger:
             result._counts[operation] = int(round(self.count(operation) * factor))
             result._energies[operation] = self.energy(operation) * factor
         return result
-
-    def reset(self) -> None:
-        self._counts.clear()
-        self._energies.clear()
 
     def table(self) -> str:
         """A fixed-width text table of the ledger contents."""

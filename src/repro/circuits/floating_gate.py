@@ -4,7 +4,7 @@ The likelihood inverter programs the *center* of its Gaussian-like
 switching-current bell by shifting device thresholds through trapped charge
 (Gu et al., charge-trap transistors).  Programming resolution is finite: the
 stored charge is quantised to ``bits`` levels across the programmable
-window, and each write lands with a small programming error.
+window.
 """
 
 from __future__ import annotations
@@ -19,31 +19,16 @@ class FloatingGate:
         vt_min: lower edge of the programmable threshold window (V).
         vt_max: upper edge of the programmable threshold window (V).
         bits: programming resolution (levels = 2**bits).
-        program_noise_std: 1-sigma programming error as a fraction of one
-            LSB (charge-injection inaccuracy).
-        rng: generator for programming noise (optional; noiseless if absent
-            and ``program_noise_std`` is 0).
     """
 
-    def __init__(
-        self,
-        vt_min: float,
-        vt_max: float,
-        bits: int = 4,
-        program_noise_std: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, vt_min: float, vt_max: float, bits: int = 4):
         if vt_max <= vt_min:
             raise ValueError("vt_max must exceed vt_min")
         if bits < 1:
             raise ValueError("bits must be >= 1")
-        if program_noise_std > 0 and rng is None:
-            raise ValueError("rng required when program_noise_std > 0")
         self.vt_min = float(vt_min)
         self.vt_max = float(vt_max)
         self.bits = int(bits)
-        self.program_noise_std = float(program_noise_std)
-        self._rng = rng
         self._code: int | None = None
         self._vt: float = float(vt_min)
 
@@ -63,7 +48,7 @@ class FloatingGate:
 
     @property
     def vt(self) -> float:
-        """The current (possibly noisy) threshold voltage (V)."""
+        """The current threshold voltage (V)."""
         return self._vt
 
     def quantize(self, target_vt: float) -> int:
@@ -81,12 +66,10 @@ class FloatingGate:
         """Program the gate as close to ``target_vt`` as the hardware allows.
 
         Returns:
-            The achieved threshold voltage (quantised + programming noise).
+            The achieved (quantised) threshold voltage.
         """
         code = self.quantize(target_vt)
         vt = self.code_to_vt(code)
-        if self.program_noise_std > 0:
-            vt += float(self._rng.normal(scale=self.program_noise_std * self.lsb))
         self._code = code
         self._vt = float(np.clip(vt, self.vt_min, self.vt_max))
         return self._vt

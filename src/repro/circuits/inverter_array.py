@@ -94,25 +94,20 @@ class PlannedRead:
         points: (N, A) world points.
         current_noise: (N,) standard normals for the output-line current
             noise, or ``None`` without a noise model.
-        adc_noise: (N,) ADC input noise in LSBs, or ``None`` for a
-            noiseless ADC.
     """
 
     points: np.ndarray
     current_noise: np.ndarray | None
-    adc_noise: np.ndarray | None
 
     @staticmethod
     def stack(reads: list["PlannedRead"]) -> "PlannedRead":
         """Reads of one array concatenated in order (one noise config)."""
 
-        def cat(parts: list[np.ndarray | None]) -> np.ndarray | None:
-            return None if parts[0] is None else np.concatenate(parts)
-
         return PlannedRead(
             np.concatenate([read.points for read in reads]),
-            cat([read.current_noise for read in reads]),
-            cat([read.adc_noise for read in reads]),
+            None
+            if reads[0].current_noise is None
+            else np.concatenate([read.current_noise for read in reads]),
         )
 
 
@@ -289,9 +284,8 @@ class InverterArray:
     ) -> PlannedRead:
         """Draw everything one read of ``points`` takes from ``rng``.
 
-        The draws are exactly those of :meth:`read_log_likelihood`, in its
-        order: the current noise (``total_current``), then the ADC input
-        noise.
+        The draws are exactly those of :meth:`read_log_likelihood`: the
+        current noise (``total_current``).
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         current_noise = None
@@ -299,8 +293,7 @@ class InverterArray:
             if rng is None:
                 raise ValueError("rng required when a noise model is attached")
             current_noise = rng.normal(size=(points.shape[0],))
-        adc_noise = self.adc.draw_noise((points.shape[0],), rng)
-        return PlannedRead(points, current_noise, adc_noise)
+        return PlannedRead(points, current_noise)
 
     def read_planned(
         self, reads: list[PlannedRead], encoder: VoltageEncoder
@@ -345,9 +338,7 @@ class InverterArray:
             currents = np.maximum(
                 self.noise.apply(currents, stacked.current_noise), 0.0
             )
-        log_lik = self.adc.log_likelihood(
-            self.adc.quantize(currents, stacked.adc_noise)
-        )
+        log_lik = self.adc.log_likelihood(self.adc.convert(currents))
         return [
             (log_lik[start:stop], currents[start:stop])
             for start, stop in zip(bounds[:-1], bounds[1:])

@@ -88,7 +88,7 @@ class _MappedLayer:
     """One network stage mapped onto hardware."""
 
     macro: SRAMCIMMacro
-    bias: np.ndarray | None
+    bias: np.ndarray
     activation: object | None
     pre_dropout_p: float
 
@@ -199,7 +199,7 @@ class CIMMCDropoutEngine:
                 mapped.append(
                     _MappedLayer(
                         macro=macro,
-                        bias=None if layer.bias is None else layer.bias.value.copy(),
+                        bias=layer.bias.value.copy(),
                         activation=activation,
                         pre_dropout_p=pending_dropout,
                     )
@@ -227,9 +227,7 @@ class CIMMCDropoutEngine:
                 1.0 / self.keep_probability if layer.pre_dropout_p > 0 else 1.0
             )
             layer.macro.recalibrate(current, input_headroom=headroom)
-            pre = layer.macro.ideal_matvec(current)
-            if layer.bias is not None:
-                pre = pre + layer.bias
+            pre = layer.macro.ideal_matvec(current) + layer.bias
             current = layer.activation.forward(pre) if layer.activation else pre
 
     def draw_mask_streams(
@@ -488,7 +486,7 @@ class CIMMCDropoutEngine:
     @staticmethod
     def _finish_layer(layer: _MappedLayer, products: np.ndarray) -> np.ndarray:
         """Bias and activation applied to a layer's macro products."""
-        pre = products if layer.bias is None else products + layer.bias
+        pre = products + layer.bias
         return layer.activation.forward(pre) if layer.activation else pre
 
     def _forward_reuse(

@@ -19,13 +19,7 @@ from repro.filtering.measurement import (
     DigitalGMMBackend,
     MapFieldBackend,
 )
-from repro.filtering.resampling import (
-    effective_sample_size,
-    multinomial_resample,
-    residual_resample,
-    stratified_resample,
-    systematic_resample,
-)
+from repro.filtering.resampling import systematic_resample
 from repro.filtering.particle_filter import ParticleFilter
 
 __all__ = [
@@ -36,10 +30,6 @@ __all__ = [
     "DigitalGMMBackend",
     "CIMArrayBackend",
     "DepthScanMeasurementModel",
-    "effective_sample_size",
     "systematic_resample",
-    "multinomial_resample",
-    "stratified_resample",
-    "residual_resample",
     "ParticleFilter",
 ]

@@ -14,7 +14,10 @@ import numpy as np
 from repro.filtering.measurement import DepthScanMeasurementModel
 from repro.filtering.motion import MotionModel
 from repro.filtering.particles import ParticleSet
-from repro.filtering.resampling import RESAMPLERS
+from repro.filtering.resampling import systematic_resample
+
+# Resample (systematically) when the ESS falls below this share of N.
+RESAMPLE_THRESHOLD = 0.5
 
 
 @dataclass
@@ -42,9 +45,6 @@ class ParticleFilter:
     Args:
         motion_model: the prediction-step model.
         measurement_model: the correction-step model.
-        resampler: one of "systematic", "multinomial", "stratified",
-            "residual".
-        resample_threshold: resample when ESS / N falls below this.
         roughening: per-axis post-resampling jitter sigmas (D,), fighting
             sample impoverishment (None disables).
     """
@@ -53,20 +53,10 @@ class ParticleFilter:
         self,
         motion_model: MotionModel,
         measurement_model: DepthScanMeasurementModel,
-        resampler: str = "systematic",
-        resample_threshold: float = 0.5,
         roughening: np.ndarray | None = None,
     ):
-        if resampler not in RESAMPLERS:
-            raise ValueError(
-                f"unknown resampler {resampler!r}; options: {sorted(RESAMPLERS)}"
-            )
-        if not 0.0 < resample_threshold <= 1.0:
-            raise ValueError("resample_threshold must be in (0, 1]")
         self.motion_model = motion_model
         self.measurement_model = measurement_model
-        self.resample = RESAMPLERS[resampler]
-        self.resample_threshold = float(resample_threshold)
         self.roughening = (
             None if roughening is None else np.asarray(roughening, dtype=float)
         )
@@ -128,10 +118,10 @@ class ParticleFilter:
         filter's own state is untouched."""
         updated = predicted.reweighted(log_lik - log_lik.max())
         ess = updated.effective_sample_size()
-        resampled = ess < self.resample_threshold * updated.n_particles
+        resampled = ess < RESAMPLE_THRESHOLD * updated.n_particles
         log_evidence = updated.log_evidence()
         if resampled:
-            indices = self.resample(updated.normalized_weights(), rng)
+            indices = systematic_resample(updated.normalized_weights(), rng)
             updated = updated.resampled(indices)
             if self.roughening is not None:
                 jitter = rng.normal(size=updated.states.shape) * self.roughening

@@ -1,8 +1,9 @@
-"""Resampling schemes for sequential importance resampling.
+"""Systematic resampling for sequential importance resampling.
 
-All functions take normalised weights and return parent indices of the new
-particle set.  Systematic resampling is the default (lowest variance at
-O(N) cost); multinomial / stratified / residual are provided for ablation.
+The filter resamples with one uniform offset and N evenly spaced
+pointers into the cumulative weights: the lowest-variance scheme at
+O(N) cost.  It takes normalised weights and returns the parent indices
+of the new particle set.
 """
 
 from __future__ import annotations
@@ -22,66 +23,11 @@ def _check_weights(weights: np.ndarray) -> np.ndarray:
     return weights / total
 
 
-def effective_sample_size(weights: np.ndarray) -> float:
-    """ESS = 1 / sum(w^2) for normalised weights."""
-    weights = _check_weights(weights)
-    return float(1.0 / np.sum(weights**2))
-
-
-def multinomial_resample(
-    weights: np.ndarray, rng: np.random.Generator, n_out: int | None = None
-) -> np.ndarray:
-    """Independent draws from the categorical weight distribution."""
-    weights = _check_weights(weights)
-    n_out = n_out or weights.size
-    return rng.choice(weights.size, size=n_out, replace=True, p=weights)
-
-
 def systematic_resample(
-    weights: np.ndarray, rng: np.random.Generator, n_out: int | None = None
+    weights: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """One uniform offset, N evenly spaced pointers (lowest variance)."""
     weights = _check_weights(weights)
-    n_out = n_out or weights.size
-    positions = (rng.uniform() + np.arange(n_out)) / n_out
-    return np.searchsorted(np.cumsum(weights), positions).clip(0, weights.size - 1)
-
-
-def stratified_resample(
-    weights: np.ndarray, rng: np.random.Generator, n_out: int | None = None
-) -> np.ndarray:
-    """One uniform draw per stratum of width 1/N."""
-    weights = _check_weights(weights)
-    n_out = n_out or weights.size
-    positions = (rng.uniform(size=n_out) + np.arange(n_out)) / n_out
-    return np.searchsorted(np.cumsum(weights), positions).clip(0, weights.size - 1)
-
-
-def residual_resample(
-    weights: np.ndarray, rng: np.random.Generator, n_out: int | None = None
-) -> np.ndarray:
-    """Deterministic copies of floor(N w), multinomial on the residual."""
-    weights = _check_weights(weights)
-    n_out = n_out or weights.size
-    counts = np.floor(n_out * weights).astype(np.int64)
-    deterministic = np.repeat(np.arange(weights.size), counts)
-    n_rest = n_out - deterministic.size
-    if n_rest > 0:
-        residual = n_out * weights - counts
-        total = residual.sum()
-        if total <= 0:
-            rest = rng.choice(weights.size, size=n_rest, replace=True)
-        else:
-            rest = rng.choice(weights.size, size=n_rest, replace=True, p=residual / total)
-        indices = np.concatenate([deterministic, rest])
-    else:
-        indices = deterministic[:n_out]
-    return rng.permutation(indices)
-
-
-RESAMPLERS = {
-    "systematic": systematic_resample,
-    "multinomial": multinomial_resample,
-    "stratified": stratified_resample,
-    "residual": residual_resample,
-}
+    n = weights.size
+    positions = (rng.uniform() + np.arange(n)) / n
+    return np.searchsorted(np.cumsum(weights), positions).clip(0, n - 1)

@@ -15,7 +15,6 @@ class Dense(Module):
         in_features: input width.
         out_features: output width.
         rng: generator for Xavier initialisation.
-        bias: include a bias vector.
         name: diagnostic name.
     """
 
@@ -24,7 +23,6 @@ class Dense(Module):
         in_features: int,
         out_features: int,
         rng: np.random.Generator,
-        bias: bool = True,
         name: str = "",
     ):
         super().__init__()
@@ -35,32 +33,25 @@ class Dense(Module):
         self.weight = Parameter(
             xavier_uniform((in_features, out_features), rng), name=f"{name}.W"
         )
-        self.bias = Parameter(np.zeros(out_features), name=f"{name}.b") if bias else None
+        self.bias = Parameter(np.zeros(out_features), name=f"{name}.b")
         self._input: np.ndarray | None = None
 
     def parameters(self) -> list[Parameter]:
-        params = [self.weight]
-        if self.bias is not None:
-            params.append(self.bias)
-        return params
+        return [self.weight, self.bias]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.in_features:
             raise ValueError(f"expected {self.in_features} features, got {x.shape[1]}")
         self._input = x
-        y = x @ self.weight.value
-        if self.bias is not None:
-            y = y + self.bias.value
-        return y
+        return x @ self.weight.value + self.bias.value
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward before forward")
         grad_output = np.atleast_2d(np.asarray(grad_output, dtype=float))
         self.weight.grad += self._input.T @ grad_output
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
+        self.bias.grad += grad_output.sum(axis=0)
         return grad_output @ self.weight.value.T
 
 

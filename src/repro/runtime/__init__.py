@@ -11,8 +11,8 @@ instead of hidden for-loops:
   parallel and serial execution are bit-identical because every job's
   seed lives in its spec.
 - :mod:`repro.runtime.store` -- :class:`RunStore`: a structured run
-  directory (``manifest.json`` + ``results.jsonl``) with load/query
-  helpers, streamed to as jobs finish.
+  directory (``manifest.json`` + ``results.jsonl``) with load and
+  summary helpers, streamed to as jobs finish.
 - :mod:`repro.runtime.policy` -- :class:`BatchPolicy` /
   :class:`QueuePolicy` / :class:`ShardPolicy` / :class:`TrackPolicy`:
   the shared coalescing / bounded-admission / scale-out / track-
@@ -31,7 +31,7 @@ Quick start::
     report = ParallelExecutor(workers=4).execute(plan, store=store)
     report.errors                       # failed jobs, with tracebacks
 
-    RunStore.load("runs/demo").query(substrate="cim")
+    RunStore.load("runs/demo").results()
 """
 
 from repro.runtime.executor import ExecutionReport, JobRecord, ParallelExecutor

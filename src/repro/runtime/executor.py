@@ -21,12 +21,11 @@ the start method -- fork, spawn and forkserver all behave identically.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.api.results import ExperimentResult
 from repro.runtime.plan import JobSpec, Plan
@@ -164,23 +163,14 @@ class ParallelExecutor:
     Args:
         workers: process count.  ``1`` (default) executes in-process --
             same code path as the workers, minus the pool.
-        start_method: multiprocessing start method (``"fork"``,
-            ``"spawn"``, ``"forkserver"``); None uses the platform
-            default.
     """
 
-    def __init__(self, workers: int = 1, start_method: str | None = None):
+    def __init__(self, workers: int = 1):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = int(workers)
-        self.start_method = start_method
 
-    def execute(
-        self,
-        plan: Plan,
-        store: Any | None = None,
-        progress: Callable[[JobRecord], None] | None = None,
-    ) -> ExecutionReport:
+    def execute(self, plan: Plan, store: Any | None = None) -> ExecutionReport:
         """Execute every job; one record per job, failures captured.
 
         Args:
@@ -188,7 +178,6 @@ class ParallelExecutor:
             store: optional :class:`~repro.runtime.store.RunStore` (or a
                 path for one) -- records stream into it as jobs finish
                 and the manifest is finalised at the end.
-            progress: callback invoked with each finished record.
 
         Returns:
             The execution report, records in plan order.
@@ -216,20 +205,13 @@ class ParallelExecutor:
             records[job.index] = record
             if store is not None:
                 store.append(record)
-            if progress is not None:
-                progress(record)
 
         if self.workers == 1 or len(plan) == 1:
             for job in plan:
                 finish(job, run_job_payload(job.to_jsonable()))
         else:
-            context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method
-                else None
-            )
             with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(plan)), mp_context=context
+                max_workers=min(self.workers, len(plan))
             ) as pool:
                 pending = {
                     pool.submit(run_job_payload, job.to_jsonable()): job

@@ -75,9 +75,6 @@ class ShardPolicy:
     Attributes:
         workers: shard process count; 0 (default) keeps execution
             in-process (the single-process coalescing path).
-        affinity: prefer, among equally loaded shards, one that has
-            already served the batch's substrate, so per-substrate
-            calibration/cache state stays warm instead of ping-ponging.
         respawn: replace a dead shard with a fresh spawn (in-flight
             requests on the dead shard are failed with a retryable 503
             either way).
@@ -90,7 +87,6 @@ class ShardPolicy:
     """
 
     workers: int = 0
-    affinity: bool = True
     respawn: bool = True
     join_timeout_s: float = 5.0
     spawn_timeout_s: float = 120.0

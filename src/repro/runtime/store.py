@@ -18,7 +18,6 @@ Typical use::
 
     loaded = RunStore.load("runs/demo")
     loaded.results()                      # [ExperimentResult, ...]
-    loaded.query(substrate="cim", seed=1) # filtered records
     loaded.summary()                      # counts / status / timing
 """
 
@@ -64,7 +63,6 @@ class RunStore:
         path: str | Path,
         plan: Plan | None = None,
         command: str | None = None,
-        extra: dict[str, Any] | None = None,
     ) -> "RunStore":
         """Initialise a run directory with a manifest and empty results.
 
@@ -86,8 +84,6 @@ class RunStore:
             "n_jobs": None if plan is None else len(plan),
             "plan": None if plan is None else plan.to_jsonable(),
         }
-        if extra:
-            manifest.update(extra)
         store = cls(path, manifest)
         store._write_manifest()
         (path / RESULTS_NAME).touch()
@@ -99,7 +95,7 @@ class RunStore:
 
         A killed or crashed writer can leave ``results.jsonl`` with a
         truncated final line; by default that trailing fragment is
-        skipped with a warning so the completed records stay queryable.
+        skipped with a warning so the completed records stay readable.
         ``strict=True`` raises the ``json.JSONDecodeError`` instead.  A
         malformed line *before* the end is real corruption and always
         raises.
@@ -165,7 +161,7 @@ class RunStore:
             json.dumps(self.manifest, indent=2) + "\n"
         )
 
-    # -- querying ----------------------------------------------------------
+    # -- reading -----------------------------------------------------------
 
     @property
     def plan(self) -> Plan | None:
@@ -193,28 +189,6 @@ class RunStore:
     def errors(self) -> list[JobRecord]:
         """Failed records (traceback in ``record.error``)."""
         return [record for record in self.records() if not record.ok]
-
-    def query(
-        self,
-        experiment_id: str | None = None,
-        substrate: str | None = None,
-        seed: int | None = None,
-        status: str | None = None,
-    ) -> list[JobRecord]:
-        """Records matching every given filter (None = wildcard)."""
-        matches = []
-        for record in self.records():
-            job = record.job
-            if experiment_id is not None and job.experiment_id != experiment_id.upper():
-                continue
-            if substrate is not None and job.substrate != substrate:
-                continue
-            if seed is not None and job.seed != seed:
-                continue
-            if status is not None and record.status != status:
-                continue
-            matches.append(record)
-        return matches
 
     def summary(self) -> dict[str, Any]:
         """Run-level summary combining the manifest and stored records."""

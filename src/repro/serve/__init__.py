@@ -9,8 +9,8 @@ with results that stay bit-for-bit equal to a standalone pinned-mask
 - :mod:`repro.serve.types` -- :class:`InferenceRequest` /
   :class:`InferenceResponse` schemas (JSON round-trip, strict NaN-safe
   wire encoding) and :class:`ServiceOverloaded`.
-- :mod:`repro.serve.pool` -- :class:`SessionPool`: pre-warmed, cloned,
-  calibrated sessions per (substrate, model) pair.
+- :mod:`repro.serve.pool` -- :class:`SessionPool`: the one pre-warmed,
+  calibrated session a shard holds per (substrate, model) pair.
 - :mod:`repro.serve.execution` -- the one execution path: what every
   shard runs (:class:`~repro.serve.execution.ShardState` op dispatch,
   one outcome codec); :func:`reference_run` is the determinism oracle
@@ -22,7 +22,7 @@ with results that stay bit-for-bit equal to a standalone pinned-mask
 - :mod:`repro.serve.workers` -- the shard transports behind one
   surface: :class:`InProcessShard` (the default: one shard on one
   executor thread) or :class:`WorkerPool` (``ShardPolicy(workers=N)``:
-  N spawned shard processes, least-loaded + substrate-affinity routing,
+  N spawned shard processes, least-loaded routing,
   crash detection with 503 + respawn), both built from a
   :class:`WorkerSpec`.
 - :mod:`repro.serve.tracks` -- :class:`TrackManager` / :class:`TrackStore`:

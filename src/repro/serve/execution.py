@@ -217,11 +217,10 @@ class WorkerSpec:
 class ShardState:
     """One shard's warm execution state and the dispatch of its ops.
 
-    Holds one width-1 :class:`SessionPool` per (substrate, model) pair
-    -- a shard executes strictly one op at a time, so wider pools would
-    only warm clones that can never run; concurrency comes from the
-    number of shards -- and, when the spec carries a track world, one
-    :class:`~repro.serve.tracks.TrackStore`.
+    Holds one :class:`SessionPool` (one warm session) per (substrate,
+    model) pair -- a shard executes strictly one op at a time;
+    concurrency comes from the number of shards -- and, when the spec
+    carries a track world, one :class:`~repro.serve.tracks.TrackStore`.
     """
 
     def __init__(self, spec: WorkerSpec):
@@ -230,7 +229,6 @@ class ShardState:
                 key[0],
                 spec.models[key[1]],
                 n_iterations=spec.n_iterations,
-                size=1,
                 calibration_inputs=spec.calibration_inputs,
                 session_seed=spec.session_seed,
             )
@@ -262,14 +260,10 @@ class ShardState:
         try:
             if op == "batch":
                 key, items = payload
-                pool = self.pools[tuple(key)]
-                session = pool.acquire_nowait()
-                try:
-                    # Looked up as this module's global at call time, so
-                    # a wrapper installed on it sees every shard's calls.
-                    return run_grouped(session, key[0], key[1], items)
-                finally:
-                    pool.release(session)
+                session = self.pools[tuple(key)].acquire()
+                # Looked up as this module's global at call time, so a
+                # wrapper installed on it sees every shard's calls.
+                return run_grouped(session, key[0], key[1], items)
             if self.tracks is None:
                 raise RuntimeError("track serving is not enabled on this shard")
             if op == "open":

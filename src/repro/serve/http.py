@@ -25,9 +25,9 @@ the batchers and reads the shard pipes.  Endpoints:
   dead worker shard is being respawned, so load balancers can drain
   early; ``"ok"`` otherwise.
 - ``GET /stats``   -- live counters (requests, batches, rejections,
-  per-substrate tallies, pool idle states, track lifecycle tallies,
-  and -- when sharded -- one row per worker shard with queue depth and
-  dispatch ages).
+  per-substrate tallies, the warm (substrate, model) pairs, track
+  lifecycle tallies, and -- when sharded -- one row per worker shard
+  with queue depth and dispatch ages).
 
 Every 503 -- admission bound, shard crash, track admission -- carries a
 ``Retry-After`` header and machine-readable ``"retryable": true`` in
@@ -175,6 +175,18 @@ def _overloaded(error: ServiceOverloaded) -> _Reply:
     return 503, payload, {"Retry-After": str(RETRY_AFTER_S)}, False
 
 
+def _track_close_id(body: str) -> str:
+    """The ``track_id`` of a ``/track/close`` body: exactly one field,
+    a non-empty string."""
+    data = strict_loads(body)
+    if not isinstance(data, dict) or set(data) != {"track_id"}:
+        raise ValueError("track-close payload must hold exactly 'track_id'")
+    track_id = data["track_id"]
+    if not isinstance(track_id, str) or not track_id:
+        raise ValueError("track-close 'track_id' must be a non-empty string")
+    return track_id
+
+
 # POST path -> (service, body) -> the service coroutine serving it.  A
 # body that does not parse raises before any coroutine exists (400).
 _ROUTES: dict[str, Callable[[InferenceService, str], Coroutine]] = {
@@ -188,7 +200,7 @@ _ROUTES: dict[str, Callable[[InferenceService, str], Coroutine]] = {
         TrackStepRequest.from_json(body)
     ),
     "/track/close": lambda service, body: service.track_close(
-        str(strict_loads(body)["track_id"])
+        _track_close_id(body)
     ),
 }
 

@@ -1,16 +1,13 @@
-"""Pre-warmed session pools, one per (substrate, model) pair.
+"""One pre-warmed session per (substrate, model) pair.
 
 Building a CIM session is expensive -- weight programming with frozen
-mismatch, ADC/DAC calibration, hardware-RNG bias trimming -- so the
-service builds each session **once** at warm-up and fills the rest of
-the pool with :meth:`~repro.api.substrates.MCDropoutSession.clone`
-copies.  Clones share no mutable state, so micro-batches on different
-pool members can run concurrently, and every member produces bit-for-bit
-identical results for identical requests.
+mismatch, ADC/DAC calibration, hardware-RNG bias trimming -- so each
+shard builds its session for a pair **once** at warm-up and serves
+every micro-batch of that pair with it.
 
 Determinism requires the warm-up to be reproducible, so a pool always
 
-- constructs its primary session with ``np.random.default_rng(session_seed)``
+- constructs its session with ``np.random.default_rng(session_seed)``
   (fixing the hardware instance: mismatch draws, comparator offsets,
   RNG trim), and
 - **calibrates** it.  Without calibration a macro pins its input-DAC
@@ -27,7 +24,6 @@ service responses against.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Any
 
 import numpy as np
@@ -74,13 +70,16 @@ def build_reference_session(
 
 
 class SessionPool:
-    """``size`` interchangeable pre-warmed sessions for one pair.
+    """The one pre-warmed session a shard serves a pair with.
+
+    A shard executes strictly one op at a time, so one session per
+    (substrate, model) pair is all it can use; concurrency comes from
+    the number of shards.
 
     Args:
         substrate: registered substrate (name or config).
         model: the served network.
-        n_iterations: MC-Dropout depth of every session.
-        size: pool width (concurrent micro-batches for this pair).
+        n_iterations: MC-Dropout depth of the session.
         calibration_inputs: representative activations for ADC/DAC
             pinning; defaults to :func:`default_calibration_inputs`.
         session_seed: construction generator seed (hardware instance).
@@ -91,70 +90,29 @@ class SessionPool:
         substrate: str | SubstrateConfig,
         model: Sequential,
         n_iterations: int = 30,
-        size: int = 1,
         calibration_inputs: np.ndarray | None = None,
         session_seed: int = 0,
     ):
-        if size < 1:
-            raise ValueError(f"pool size must be >= 1, got {size}")
         self.substrate = get_substrate(substrate)
-        self.model = model
         self.n_iterations = int(n_iterations)
-        self.size = int(size)
-        self.session_seed = int(session_seed)
-        self.calibration_inputs = (
-            default_calibration_inputs(model, session_seed)
-            if calibration_inputs is None
-            else np.atleast_2d(np.asarray(calibration_inputs, dtype=float))
-        )
         self.in_features = model.dense_layers()[0].weight.value.shape[0]
-        primary = build_reference_session(
+        self._session = build_reference_session(
             self.substrate,
             model,
             n_iterations=self.n_iterations,
-            calibration_inputs=self.calibration_inputs,
-            session_seed=self.session_seed,
+            calibration_inputs=calibration_inputs,
+            session_seed=session_seed,
         )
-        self._sessions = [primary] + [
-            primary.clone() for _ in range(self.size - 1)
-        ]
-        self._idle: asyncio.Queue[MCDropoutSession] = asyncio.Queue()
-        for session in self._sessions:
-            self._idle.put_nowait(session)
 
-    async def acquire(self) -> MCDropoutSession:
-        """Borrow an idle session (waits if every member is busy)."""
-        return await self._idle.get()
-
-    def acquire_nowait(self) -> MCDropoutSession:
-        """Borrow an idle session without an event loop.
-
-        Shards (:class:`~repro.serve.execution.ShardState`) run one op
-        at a time off any event loop, so they borrow synchronously;
-        raises if every member is busy rather than blocking.
-        """
-        try:
-            return self._idle.get_nowait()
-        except asyncio.QueueEmpty:
-            raise RuntimeError(
-                f"no idle session in pool of {self.size} "
-                f"({self.substrate.name})"
-            ) from None
-
-    def release(self, session: MCDropoutSession) -> None:
-        """Return a borrowed session to the pool."""
-        self._idle.put_nowait(session)
-
-    @property
-    def idle(self) -> int:
-        return self._idle.qsize()
+    def acquire(self) -> MCDropoutSession:
+        """The pair's warm session (a shard runs one op at a time, so
+        it is never busy and is never handed back)."""
+        return self._session
 
     def describe(self) -> dict[str, Any]:
         return {
             "substrate": self.substrate.name,
             "n_iterations": self.n_iterations,
-            "size": self.size,
-            "idle": self.idle,
             "in_features": self.in_features,
         }
 

@@ -592,7 +592,6 @@ class InferenceService:
             "queue": {"max_pending": self.queue_policy.max_pending},
             "shard": {
                 "workers": self.shard_policy.workers,
-                "affinity": self.shard_policy.affinity,
                 "respawn": self.shard_policy.respawn,
             },
             "session_seed": self.session_seed,

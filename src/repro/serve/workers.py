@@ -22,9 +22,8 @@ the shape:
 
   - Micro-batches are routed to the **least-loaded live shard**,
     tie-broken toward a shard that has already served the batch's
-    substrate (``ShardPolicy.affinity``) so calibration state stays
-    warm; ops and outcomes cross stdlib pipes as plain picklable
-    payloads.
+    substrate, then by index; ops and outcomes cross stdlib pipes as
+    plain picklable payloads.
   - The parent's end of each shard pipe is an asyncio stream on the
     event loop that started the pool: ops are written in
     :class:`multiprocessing.connection.Connection` framing without
@@ -511,20 +510,18 @@ class WorkerPool:
         )
 
     async def _pick(self, substrate: str) -> WorkerHandle:
-        """Least-loaded live shard, affinity-tie-broken; waits for warm-up."""
+        """Least-loaded live shard, ties to one that has served
+        ``substrate``, then to the lowest index; waits for warm-up."""
         ready = await self._poll(
             lambda: [h for h in self._handles if h.alive and h.ready],
             "no live worker shard became ready",
         )
-        if self.policy.affinity:
-            chosen = min(
-                ready,
-                key=lambda h: (
-                    h.inflight_requests, substrate not in h.substrates, h.index
-                ),
-            )
-        else:
-            chosen = min(ready, key=lambda h: (h.inflight_requests, h.index))
+        chosen = min(
+            ready,
+            key=lambda h: (
+                h.inflight_requests, substrate not in h.substrates, h.index
+            ),
+        )
         chosen.substrates.add(substrate)
         return chosen
 

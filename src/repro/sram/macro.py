@@ -182,7 +182,6 @@ class SRAMCIMMacro:
         self,
         x: np.ndarray,
         input_mask: np.ndarray | None = None,
-        output_mask: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
         noise: np.ndarray | None = None,
     ) -> np.ndarray:
@@ -191,8 +190,6 @@ class SRAMCIMMacro:
         Args:
             x: input activations.
             input_mask: (in,) keep-mask ANDed onto the inputs (CL dropout).
-            output_mask: (out,) keep-mask gating row evaluation (RL
-                dropout); masked outputs read 0 and cost nothing.
             rng: generator for analog noise.
             noise: pre-drawn (B, out) standard-normal read noise.
         """
@@ -209,14 +206,7 @@ class SRAMCIMMacro:
             if input_mask is not None
             else self.in_features
         )
-        active_out = (
-            int(np.count_nonzero(output_mask))
-            if output_mask is not None
-            else self.out_features
-        )
-        if output_mask is not None:
-            out = out * np.asarray(output_mask, dtype=float)[None, :]
-        self._account(x.shape[0], active_in, active_out)
+        self._account(x.shape[0], active_in)
         return out
 
     def matvec_delta(
@@ -224,7 +214,6 @@ class SRAMCIMMacro:
         previous: np.ndarray,
         delta_x: np.ndarray,
         changed: np.ndarray,
-        output_mask: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
         noise: np.ndarray | None = None,
     ) -> np.ndarray:
@@ -239,7 +228,6 @@ class SRAMCIMMacro:
             delta_x: (B, in) input change; only entries where ``changed``
                 is True are driven.
             changed: (in,) boolean mask of driven input lines.
-            output_mask: (out,) keep-mask gating row evaluation.
             rng: generator for analog noise.
             noise: pre-drawn (B, out) standard-normal read noise.
 
@@ -252,21 +240,14 @@ class SRAMCIMMacro:
         if changed.size != self.in_features:
             raise ValueError("changed mask width mismatch")
         n_changed = int(changed.sum())
-        active_out = (
-            int(np.count_nonzero(output_mask))
-            if output_mask is not None
-            else self.out_features
-        )
         if n_changed == 0:
-            self._account(previous.shape[0], 0, active_out, adc_reads=0)
+            self._account(previous.shape[0], 0, adc_reads=0)
             return previous.copy()
         delta_q = self._quantize_inputs(delta_x[:, changed])
         analog = delta_q @ self.stored_weight[changed]
         delta_read = self._read_columns(analog, rng, noise=noise)
         out = previous + delta_read
-        if output_mask is not None:
-            out = out * np.asarray(output_mask, dtype=float)[None, :]
-        self._account(previous.shape[0], n_changed, active_out)
+        self._account(previous.shape[0], n_changed)
         return out
 
     def matvec_delta_many(
@@ -427,11 +408,11 @@ class SRAMCIMMacro:
         return dequantize(quantize(x, spec), spec)
 
     def _account(
-        self, batch: int, active_in: int, active_out: int, adc_reads: int | None = None
+        self, batch: int, active_in: int, adc_reads: int | None = None
     ) -> None:
-        macs = batch * active_in * active_out
+        macs = batch * active_in * self.out_features
         self.ledger.add("cim_mac", macs, self.config.mac_energy())
-        reads = batch * active_out if adc_reads is None else adc_reads
+        reads = batch * self.out_features if adc_reads is None else adc_reads
         self.ledger.add(
             "column_adc", reads, self.config.node.adc_energy(self.config.adc_bits)
         )

@@ -51,14 +51,12 @@ class FrameEncoder:
     Args:
         grid: (rows, cols) of the coarse grid.
         max_range: depth used for invalid pixels and normalisation.
-        include_intensity: also encode the shading channel.
     """
 
     def __init__(
         self,
         grid: tuple[int, int] = (9, 12),
         max_range: float = 6.0,
-        include_intensity: bool = False,
     ):
         if grid[0] < 1 or grid[1] < 1:
             raise ValueError("grid must be positive")
@@ -66,39 +64,25 @@ class FrameEncoder:
             raise ValueError("max_range must be positive")
         self.grid = (int(grid[0]), int(grid[1]))
         self.max_range = float(max_range)
-        self.include_intensity = bool(include_intensity)
 
-    def _grid_average(self, image: np.ndarray, fill: float) -> np.ndarray:
-        image = np.asarray(image, dtype=float)
-        filled = np.where(np.isfinite(image), image, fill)
+    def encode_depth(self, depth: np.ndarray) -> np.ndarray:
+        """One frame's normalised coarse-grid features, shape (cells,)."""
+        depth = np.asarray(depth, dtype=float)
+        filled = np.where(np.isfinite(depth), depth, self.max_range)
         rows, cols = self.grid
         h, w = filled.shape
         trim = filled[: (h // rows) * rows, : (w // cols) * cols]
         blocks = trim.reshape(rows, h // rows, cols, w // cols)
-        return blocks.mean(axis=(1, 3))
-
-    def encode_depth(self, depth: np.ndarray) -> np.ndarray:
-        """One frame's normalised coarse-grid features, shape (cells,)."""
-        grid = self._grid_average(depth, fill=self.max_range)
+        grid = blocks.mean(axis=(1, 3))
         return (np.clip(grid, 0.0, self.max_range) / self.max_range).reshape(-1)
 
     def encode_pair(
-        self,
-        depth_prev: np.ndarray,
-        depth_cur: np.ndarray,
-        intensity_prev: np.ndarray | None = None,
-        intensity_cur: np.ndarray | None = None,
+        self, depth_prev: np.ndarray, depth_cur: np.ndarray
     ) -> np.ndarray:
         """Feature vector for a consecutive frame pair."""
         f_prev = self.encode_depth(depth_prev)
         f_cur = self.encode_depth(depth_cur)
-        parts = [f_prev, f_cur, f_cur - f_prev]
-        if self.include_intensity:
-            if intensity_prev is None or intensity_cur is None:
-                raise ValueError("intensity frames required by this encoder")
-            parts.append(self._grid_average(intensity_prev, fill=0.0).reshape(-1))
-            parts.append(self._grid_average(intensity_cur, fill=0.0).reshape(-1))
-        return np.concatenate(parts)
+        return np.concatenate([f_prev, f_cur, f_cur - f_prev])
 
 
 def pose_to_target(relative: Pose) -> np.ndarray:

@@ -14,6 +14,7 @@ from repro.bayesian import (
     mask_hamming_path_length,
     optimal_mask_order,
 )
+from repro.bayesian.ordering import _best_greedy, _hamming_matrix
 from repro.bayesian.reuse import masked_input_sequence
 from repro.circuits.technology import NODE_16NM
 from repro.nn import Dense, Dropout, ReLU, Sequential
@@ -174,30 +175,26 @@ class TestOrdering:
     def test_greedy_reduces_path(self, rng):
         masks = (rng.random((25, 64)) < 0.5).astype(np.uint8)
         base = mask_hamming_path_length(masks)
-        order = optimal_mask_order(masks, method="greedy")
+        order = _best_greedy(_hamming_matrix(masks))
         assert mask_hamming_path_length(masks, order) <= base
 
-    @pytest.mark.parametrize("method", ["greedy", "greedy-2opt", "tsp"])
-    def test_methods_return_permutations(self, method, rng):
-        masks = (rng.random((12, 32)) < 0.5).astype(np.uint8)
-        order = optimal_mask_order(masks, method=method)
-        assert sorted(order.tolist()) == list(range(12))
+    @pytest.mark.parametrize("depth", [3, 12, 40])
+    def test_returns_permutation(self, depth, rng):
+        masks = (rng.random((depth, 32)) < 0.5).astype(np.uint8)
+        order = optimal_mask_order(masks)
+        assert sorted(order.tolist()) == list(range(depth))
 
     def test_two_opt_not_worse_than_greedy(self, rng):
         masks = (rng.random((20, 48)) < 0.5).astype(np.uint8)
-        greedy = mask_hamming_path_length(masks, optimal_mask_order(masks, "greedy"))
-        polished = mask_hamming_path_length(
-            masks, optimal_mask_order(masks, "greedy-2opt")
+        greedy = mask_hamming_path_length(
+            masks, _best_greedy(_hamming_matrix(masks))
         )
+        polished = mask_hamming_path_length(masks, optimal_mask_order(masks))
         assert polished <= greedy
 
     def test_trivial_sizes(self):
         assert np.array_equal(optimal_mask_order(np.zeros((1, 4))), [0])
         assert np.array_equal(optimal_mask_order(np.zeros((2, 4))), [0, 1])
-
-    def test_unknown_method(self, rng):
-        with pytest.raises(ValueError):
-            optimal_mask_order(np.zeros((5, 2)), method="magic")
 
     def test_clustered_masks_get_big_reduction(self, rng):
         # two tight clusters interleaved: optimal order should visit each

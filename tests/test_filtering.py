@@ -11,10 +11,6 @@ from repro.filtering import (
     OdometryMotionModel,
     ParticleFilter,
     ParticleSet,
-    effective_sample_size,
-    multinomial_resample,
-    residual_resample,
-    stratified_resample,
     systematic_resample,
 )
 from repro.circuits.technology import NODE_45NM
@@ -87,52 +83,57 @@ class TestParticleSet:
         assert particles.position_spread() > 0.1
 
 
-RESAMPLERS = [
-    systematic_resample,
-    multinomial_resample,
-    stratified_resample,
-    residual_resample,
-]
+def _weight_cases():
+    """Weight vectors the resampler must handle, as named inputs."""
+    rng = np.random.default_rng(0)
+    heavy = np.full(20, 1e-9)
+    heavy[5] = 1.0
+    two_point = np.zeros(10)
+    two_point[[2, 7]] = [0.7, 0.3]
+    return {
+        "random": rng.uniform(size=30),
+        "one-heavy": heavy,
+        "uniform": np.full(16, 1.0),
+        "two-point": two_point,
+        "three-way": np.array([0.5, 0.3, 0.2]),
+    }
+
+
+WEIGHT_CASES = _weight_cases()
 
 
 class TestResampling:
-    @pytest.mark.parametrize("resampler", RESAMPLERS)
-    def test_output_size_and_range(self, resampler, rng):
-        weights = rng.uniform(size=30)
-        indices = resampler(weights / weights.sum(), rng)
-        assert indices.shape == (30,)
-        assert indices.min() >= 0 and indices.max() < 30
+    @pytest.mark.parametrize("case", sorted(WEIGHT_CASES))
+    def test_output_size_and_range(self, case, rng):
+        weights = WEIGHT_CASES[case]
+        indices = systematic_resample(weights / weights.sum(), rng)
+        assert indices.shape == weights.shape
+        assert indices.min() >= 0 and indices.max() < weights.size
 
-    @pytest.mark.parametrize("resampler", RESAMPLERS)
-    def test_heavy_weight_dominates(self, resampler, rng):
-        weights = np.full(20, 1e-9)
-        weights[5] = 1.0
-        indices = resampler(weights / weights.sum(), rng)
+    def test_heavy_weight_dominates(self, rng):
+        weights = WEIGHT_CASES["one-heavy"]
+        indices = systematic_resample(weights / weights.sum(), rng)
         assert np.mean(indices == 5) > 0.9
 
-    @pytest.mark.parametrize("resampler", RESAMPLERS)
-    def test_unbiasedness(self, resampler):
+    @pytest.mark.parametrize("case", sorted(WEIGHT_CASES))
+    def test_unbiasedness(self, case):
         rng = np.random.default_rng(0)
-        weights = np.array([0.5, 0.3, 0.2])
-        counts = np.zeros(3)
+        weights = WEIGHT_CASES[case] / WEIGHT_CASES[case].sum()
+        counts = np.zeros(weights.size)
         for _ in range(400):
-            indices = resampler(weights, rng, n_out=30)
-            counts += np.bincount(indices, minlength=3)
+            indices = systematic_resample(weights, rng)
+            counts += np.bincount(indices, minlength=weights.size)
         frequencies = counts / counts.sum()
         assert np.allclose(frequencies, weights, atol=0.02)
 
-    def test_ess_function(self):
-        assert effective_sample_size(np.full(10, 0.1)) == pytest.approx(10.0)
-        weights = np.zeros(10)
-        weights[0] = 1.0
-        assert effective_sample_size(weights) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("resampler", RESAMPLERS)
-    def test_rejects_bad_weights(self, resampler, rng):
+    @pytest.mark.parametrize(
+        "weights",
+        [np.array([-0.1, 1.1]), np.zeros(5), np.array([]), np.array([np.nan, 1.0])],
+        ids=["negative", "zero-sum", "empty", "nan"],
+    )
+    def test_rejects_bad_weights(self, weights, rng):
         with pytest.raises(ValueError):
-            resampler(np.array([-0.1, 1.1]), rng)
-        with pytest.raises(ValueError):
-            resampler(np.zeros(5), rng)
+            systematic_resample(weights, rng)
 
     @given(st.integers(2, 50))
     @settings(max_examples=20)
@@ -329,8 +330,16 @@ class TestParticleFilter:
         with pytest.raises(RuntimeError):
             pf.step(np.zeros(4), np.zeros((3, 3)), rng)
 
-    def test_unknown_resampler_rejected(self):
+    @pytest.mark.parametrize("ess_share, resampled", [(0.49, True), (0.51, False)])
+    def test_resamples_below_half_ess(self, ess_share, resampled, rng):
+        """The update resamples exactly when ESS < N / 2."""
         backend, _ = _simple_backend()
-        model = DepthScanMeasurementModel(backend)
-        with pytest.raises(ValueError):
-            ParticleFilter(OdometryMotionModel(), model, resampler="bogus")
+        pf = ParticleFilter(OdometryMotionModel(), DepthScanMeasurementModel(backend))
+        n = 100
+        # k equal weights and n - k zero ones give an ESS of exactly k.
+        k = int(ess_share * n)
+        log_lik = np.where(np.arange(n) < k, 0.0, -np.inf)
+        predicted = ParticleSet(rng.normal(size=(n, 4)))
+        _, diagnostics = pf.update(predicted, log_lik, rng)
+        assert diagnostics.ess == pytest.approx(k)
+        assert diagnostics.resampled is resampled

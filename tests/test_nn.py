@@ -66,10 +66,10 @@ class TestGradients:
         net = Sequential([Dense(4, 6, rng), act(), Dense(6, 2, rng)])
         self._check(net, rng.normal(size=(3, 4)) + 0.05, rng.normal(size=(3, 2)))
 
-    def test_dense_without_bias(self, rng):
-        net = Sequential([Dense(4, 3, rng, bias=False)])
-        assert len(net.parameters()) == 1
-        self._check(net, rng.normal(size=(5, 4)), rng.normal(size=(5, 3)))
+    def test_dense_parameters_are_weight_and_bias(self, rng):
+        dense = Dense(4, 3, rng)
+        assert Sequential([dense]).parameters() == [dense.weight, dense.bias]
+        assert np.array_equal(dense.bias.value, np.zeros(3))
 
     def test_pinned_dropout_network(self, rng):
         dropout = Dropout(0.5, rng=rng)

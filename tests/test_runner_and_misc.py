@@ -84,14 +84,16 @@ class TestLocalizationResult:
 
 
 class TestEnergyLedgerEdgeCases:
-    def test_reset_clears(self):
+    def test_total_energy_sums_in_insertion_order(self):
+        """Per-track ledgers rely on this order for bit-exact totals."""
         from repro.circuits.energy import EnergyLedger
 
         ledger = EnergyLedger()
-        ledger.add("op", 5, 1e-12)
-        ledger.reset()
-        assert ledger.total_count() == 0
-        assert ledger.total_energy_j() == 0.0
+        for operation, energy in (("z", 1e16), ("a", 1.0), ("b", 1.0)):
+            ledger.add_energy(operation, energy)
+        # 1e16 + 1.0 rounds back to 1e16; summed by name (a, b, z) the
+        # two 1.0s would first make 2.0 and survive.
+        assert ledger.total_energy_j() == (1e16 + 1.0) + 1.0 == 1e16
 
     def test_scaled_rejects_negative(self):
         from repro.circuits.energy import EnergyLedger

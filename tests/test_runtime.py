@@ -156,15 +156,15 @@ class TestRunStore:
         assert "keep_probability" in loaded.errors()[0].error
         assert len(loaded.results()) == 1
 
-    def test_query_filters(self, tmp_path):
+    def test_records_come_back_in_plan_order(self, tmp_path):
         plan = Plan.compile("E9", seeds=[0, 1], overrides=FAST_E9)
-        ParallelExecutor(workers=1).execute(plan, store=tmp_path / "run")
+        report = ParallelExecutor(workers=1).execute(plan)
+        store = RunStore.create(tmp_path / "run", plan=plan)
+        for record in reversed(report.records):
+            store.append(record)
         loaded = RunStore.load(tmp_path / "run")
-        assert len(loaded.query(seed=1)) == 1
-        assert loaded.query(seed=1)[0].job.seed == 1
-        assert len(loaded.query(experiment_id="e9")) == 2
-        assert loaded.query(substrate="cim") == []
-        assert len(loaded.query(status="ok")) == 2
+        assert [record.job.index for record in loaded] == [0, 1]
+        assert [record.job.seed for record in loaded.records()] == [0, 1]
 
     def test_create_refuses_existing_store(self, tmp_path):
         RunStore.create(tmp_path / "run")
@@ -190,7 +190,7 @@ class TestRunStore:
             loaded = RunStore.load(path)
         assert len(loaded.records()) == 2
         assert len(loaded.results()) == 2
-        assert len(loaded.query(experiment_id="E9")) == 2
+        assert {record.job.experiment_id for record in loaded} == {"E9"}
 
     def test_load_strict_raises_on_truncated_tail(self, tmp_path):
         path = self._store_with_truncated_tail(tmp_path)

@@ -1,6 +1,7 @@
 """repro.serve: request-level service, micro-batching, parity, HTTP."""
 
 import asyncio
+import copy
 import http.client
 import json
 import socket
@@ -206,25 +207,30 @@ class TestStrictEncoding:
 
 
 class TestSessionPool:
-    def test_clone_is_bit_identical(self, inputs):
+    def test_deepcopy_is_bit_identical(self, inputs):
+        """The track-wave oracles copy sessions; a copy must serve the
+        same bits as its original."""
         original = reference_session("cim-ordered")
-        clone = original.clone()
+        copied = copy.deepcopy(original)
         first = reference_run(original, inputs, 5)
-        second = reference_run(clone, inputs, 5)
+        second = reference_run(copied, inputs, 5)
         assert not result_mismatches(second, first)
 
-    def test_pool_prewarms_requested_size(self, model):
-        pool = SessionPool("cim", model, n_iterations=N_ITER, size=3)
-        assert pool.idle == 3
-        assert pool.describe()["size"] == 3
+    def test_pool_describes_its_pair(self, model):
+        pool = SessionPool("cim", model, n_iterations=N_ITER)
+        assert pool.describe() == {
+            "substrate": "cim",
+            "n_iterations": N_ITER,
+            "in_features": model.dense_layers()[0].weight.value.shape[0],
+        }
 
-    def test_pool_rejects_bad_size(self, model):
-        with pytest.raises(ValueError, match="size"):
-            SessionPool("cim", model, size=0)
+    def test_acquire_returns_the_one_warm_session(self, model):
+        pool = SessionPool("cim", model, n_iterations=N_ITER)
+        assert pool.acquire() is pool.acquire()
 
     def test_reference_session_matches_pool_member(self, model, inputs):
         pool = SessionPool("cim-reuse", model, n_iterations=N_ITER)
-        member = asyncio.run(pool.acquire())
+        member = pool.acquire()
         reference = reference_session("cim-reuse")
         assert not result_mismatches(
             reference_run(member, inputs, 2), reference_run(reference, inputs, 2)
@@ -366,7 +372,7 @@ class TestBatching:
         assert snapshot["completed"] == 2
         assert snapshot["failed"] == 0
         assert snapshot["per_substrate"] == {"cim": 2}
-        assert snapshot["pools"]["cim/default"]["idle"] == 1
+        assert snapshot["pools"]["cim/default"]["substrate"] == "cim"
 
 
 class TestBackpressure:

