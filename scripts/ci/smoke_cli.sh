@@ -11,6 +11,13 @@ python -m repro run E1 --json --seed 0 > /dev/null
 python -m repro run E9 --json \
   --set n_inputs=32 --set n_outputs=16 \
   --set n_iterations=8 --set n_trials=1 > /dev/null
+# A misspelt --set field is a friendly exit-2 error naming the field.
+status=0
+err=$(python -m repro run E9 --set n_trails=1 2>&1 >/dev/null) || status=$?
+if [ "$status" -ne 2 ] || ! grep -q "did you mean 'n_trials'" <<<"$err"; then
+  echo "cli smoke: --set n_trails=1 exited $status: $err" >&2
+  exit 1
+fi
 python examples/quickstart.py > /dev/null
 python examples/rng_calibration.py > /dev/null
 echo "cli smoke: ok"

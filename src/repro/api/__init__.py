@@ -50,13 +50,11 @@ from repro.api.results import (
     to_jsonable,
 )
 from repro.api.substrates import (
-    InferenceSession,
     LocalizationSession,
     MacroOptions,
     MaskPlan,
     MCDropoutSession,
     ReusePolicy,
-    Substrate,
     SubstrateConfig,
     available_substrates,
     get_substrate,
@@ -65,11 +63,9 @@ from repro.api.substrates import (
 
 __all__ = [
     # substrates
-    "Substrate",
     "SubstrateConfig",
     "MacroOptions",
     "ReusePolicy",
-    "InferenceSession",
     "MaskPlan",
     "MCDropoutSession",
     "LocalizationSession",

@@ -19,11 +19,15 @@ substrate + config overrides into an
 Experiment functions receive an :class:`ExperimentContext` (seed, seeded
 RNG, resolved config, optional substrate override) and return a plain
 metrics dict; the registry handles timing, sanitisation and persistence.
+
+Config overrides are decoded by the same typed rule as scenario ``--set``
+paths and scenario spec JSON (:func:`repro.api.results.replace_fields`):
+a string is literal-parsed, then must fit the field's type, and an
+unknown field name gets a did-you-mean hint.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import time
 from dataclasses import dataclass
@@ -32,7 +36,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.api.results import ExperimentResult, config_hash, to_jsonable
+from repro.api.results import (
+    ExperimentResult,
+    config_hash,
+    parse_overrides,
+    replace_fields,
+    to_jsonable,
+)
 from repro.api.substrates import SubstrateConfig, get_substrate
 
 
@@ -143,7 +153,13 @@ class ExperimentSpec:
     def make_config(
         self, overrides: dict[str, Any] | None = None, seed: int | None = None
     ) -> Any:
-        """Resolve the typed config from defaults + overrides + seed."""
+        """Resolve the typed config from defaults + overrides + seed.
+
+        Overrides are ``--set`` values, decoded by
+        :func:`~repro.api.results.parse_overrides` and
+        :func:`~repro.api.results.replace_fields`: a string is
+        literal-parsed, then must fit the field's type.
+        """
         if self.config_cls is None:
             if overrides:
                 raise ValueError(
@@ -152,54 +168,12 @@ class ExperimentSpec:
             return None
         config = self.config_cls()
         if overrides:
-            config = dataclasses.replace(
-                config, **_coerce_overrides(self.config_cls, overrides)
-            )
+            config = replace_fields(config, parse_overrides(overrides), "config")
         if seed is not None and any(
             f.name == "seed" for f in dataclasses.fields(self.config_cls)
         ):
             config = dataclasses.replace(config, seed=int(seed))
         return config
-
-
-def _coerce_overrides(config_cls: type, overrides: dict[str, Any]) -> dict[str, Any]:
-    """Coerce CLI string overrides onto dataclass field types."""
-    fields = {f.name: f for f in dataclasses.fields(config_cls)}
-    coerced: dict[str, Any] = {}
-    for name, value in overrides.items():
-        if name not in fields:
-            raise ValueError(
-                f"unknown config field {name!r} for {config_cls.__name__}; "
-                f"options: {sorted(fields)}"
-            )
-        if isinstance(value, str):
-            try:
-                value = ast.literal_eval(value)
-            except (ValueError, SyntaxError):
-                pass  # keep as string (e.g. engine="software")
-        default = getattr(config_cls(), name)
-        if isinstance(default, tuple) and isinstance(value, list):
-            value = tuple(value)
-        if not _compatible(default, value):
-            raise ValueError(
-                f"config field {name!r} expects "
-                f"{type(default).__name__}, got {value!r}"
-            )
-        coerced[name] = value
-    return coerced
-
-
-def _compatible(default: Any, value: Any) -> bool:
-    """Does ``value`` fit the type the field's default implies?"""
-    if default is None:
-        return True
-    if isinstance(default, bool):
-        return isinstance(value, bool)
-    if isinstance(default, int):
-        return isinstance(value, int) and not isinstance(value, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    return isinstance(value, type(default))
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}

@@ -20,11 +20,19 @@ non-Python clients (the :mod:`repro.serve` HTTP endpoint) uses the
 non-finite float with a tagged ``{"__nonfinite__": "nan"|"inf"|"-inf"}``
 sentinel object and serialises with ``allow_nan=False``;
 :func:`strict_loads` restores the floats exactly.
+
+The way back into a typed config lives here too: :func:`replace_fields`
+sets fields of a frozen config dataclass (an experiment config or a
+scenario spec) from a mapping, coercing each value by
+:func:`_coerce_field`.  ``--set`` overrides reach it through
+:func:`parse_overrides`; spec JSON reaches it as parsed.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import difflib
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -90,6 +98,121 @@ def from_jsonable(obj: Any) -> Any:
     if isinstance(obj, list):
         return [from_jsonable(value) for value in obj]
     return obj
+
+
+def parse_overrides(overrides: Mapping[str, Any]) -> dict[str, Any]:
+    """``--set`` overrides as the nested mapping :func:`replace_fields`
+    takes.
+
+    A dotted key (``trajectory.n_steps``) becomes a nested section, and
+    a string value becomes the Python literal it spells (``"8"`` ->
+    ``8``, ``"(1, 0)"`` -> ``(1, 0)``) or stays a string when it spells
+    none (``software``).  Only ``--set`` values are literal-parsed: in
+    spec JSON, ``"300"`` given for a number is a type error.
+    """
+    nested: dict[str, Any] = {}
+    for path, value in overrides.items():
+        *sections, name = path.split(".")
+        node = nested
+        for section in sections:
+            node = node.setdefault(section, {})
+            if not isinstance(node, dict):
+                break
+        if not isinstance(node, dict) or name in node:
+            raise ValueError(f"override {path!r} overlaps another override")
+        if isinstance(value, str):
+            try:
+                value = ast.literal_eval(value)
+            except (ValueError, SyntaxError):
+                pass  # a bare word stays a string (engine=software)
+        node[name] = value
+    return nested
+
+
+def replace_fields(
+    base: Any, values: Mapping[str, Any], label: str, prefix: str = ""
+) -> Any:
+    """``base``, a frozen dataclass, with the fields ``values`` names set.
+
+    A section (a dataclass-valued field) takes a mapping of its own
+    fields, so one walk serves nested spec JSON and nested ``--set``
+    paths alike; the frozen dataclasses are rebuilt from the leaf out.
+    Each value is coerced by :func:`_coerce_field` against the field's
+    declared default.  ``label`` names the config in errors
+    (``"config"``, ``"scenario spec"``).
+
+    Raises:
+        ValueError: unknown field(s) (with a did-you-mean hint), a
+            section given a value, or a value of the wrong type.
+    """
+    options = [f.name for f in dataclasses.fields(base)]
+    unknown = [name for name in values if name not in options]
+    if unknown:
+        guesses = [
+            repr(match)
+            for name in unknown
+            for match in difflib.get_close_matches(name, options, n=1, cutoff=0.5)
+        ]
+        hint = f" (did you mean {', '.join(guesses)}?)" if guesses else ""
+        where = f" in {prefix!r}" if prefix else ""
+        raise ValueError(
+            f"unknown {label} field(s) {unknown}{where}{hint}; "
+            f"options: {sorted(options)}"
+        )
+    defaults = type(base)()
+    changes = {}
+    for name, value in values.items():
+        path = f"{prefix}.{name}" if prefix else name
+        current = getattr(base, name)
+        if not dataclasses.is_dataclass(current):
+            changes[name] = _coerce_field(
+                getattr(defaults, name), value, label, path
+            )
+        elif isinstance(value, Mapping):
+            changes[name] = replace_fields(current, value, label, path)
+        else:
+            raise ValueError(
+                f"{label} field {path!r} is a section, not a value; set "
+                f"one of its fields: "
+                f"{sorted(f.name for f in dataclasses.fields(current))}"
+            )
+    return dataclasses.replace(base, **changes)
+
+
+def _coerce_field(default: Any, value: Any, label: str, path: str) -> Any:
+    """``value`` as a field whose declared default is ``default``.
+
+    bool, int and str must match exactly (a bool is never an int); a
+    float field takes an int or a float and stores a float; a tuple
+    field takes a list or tuple and coerces each item against the
+    default's first item (str for an empty default); a ``None`` default
+    (``init.z_range``) takes None or a pair of floats.
+    """
+    if default is None:
+        if value is None:
+            return None
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ValueError(
+                f"{label} field {path!r} expects None or a 2-tuple, "
+                f"got {value!r}"
+            )
+        default = (0.0, 0.0)
+    if isinstance(default, tuple):
+        if isinstance(value, (list, tuple)):
+            item = default[0] if default else ""
+            return tuple(
+                _coerce_field(item, element, label, f"{path}[{index}]")
+                for index, element in enumerate(value)
+            )
+    elif isinstance(default, float):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif type(value) is type(default):
+        return value
+    raise ValueError(
+        f"{label} field {path!r} expects {type(default).__name__}, "
+        f"got {value!r}"
+    )
 
 
 _NONFINITE_TAG = "__nonfinite__"
@@ -434,6 +557,8 @@ __all__ = [
     "config_hash",
     "to_jsonable",
     "from_jsonable",
+    "parse_overrides",
+    "replace_fields",
     "sanitize_nonfinite",
     "restore_nonfinite",
     "strict_dumps",

@@ -28,7 +28,7 @@ CLI via ``--substrate``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 import numpy as np
 
@@ -141,49 +141,6 @@ class SubstrateConfig:
         return LocalizationSession(
             self, map_cloud, camera, rng=rng, **localizer_kwargs
         )
-
-
-@runtime_checkable
-class Substrate(Protocol):
-    """Anything that can open uniform inference sessions.
-
-    :class:`SubstrateConfig` is the canonical implementation; third-party
-    substrates only need to satisfy this protocol to be registrable.
-    """
-
-    name: str
-    kind: str
-
-    def mc_dropout_session(
-        self,
-        model: Sequential,
-        n_iterations: int = ...,
-        calibration_inputs: np.ndarray | None = ...,
-        rng: np.random.Generator | None = ...,
-    ) -> "InferenceSession":
-        ...
-
-    def localization_session(
-        self,
-        map_cloud: np.ndarray,
-        camera: Any,
-        rng: np.random.Generator | None = ...,
-        **localizer_kwargs: Any,
-    ) -> "InferenceSession":
-        ...
-
-
-@runtime_checkable
-class InferenceSession(Protocol):
-    """Uniform run interface shared by every workload session."""
-
-    def run(self, inputs: Any, rng: np.random.Generator | None = None) -> InferenceResult:
-        ...
-
-    def run_batch(
-        self, inputs: Any, rng: np.random.Generator | None = None
-    ) -> BatchResult:
-        ...
 
 
 @dataclass(frozen=True)
@@ -575,39 +532,6 @@ class LocalizationSession:
             },
         )
 
-    def run_batch(
-        self, inputs: Any, rng: np.random.Generator | None = None
-    ) -> BatchResult:
-        """Run a batch of sequences from a shared initial belief.
-
-        ``inputs`` is a sequence of ``(controls, depths, truth)`` tuples.
-        The filter state at batch entry (the initialised prior) is
-        snapshotted and restored before every item, and one child
-        generator is spawned per item, so each sequence is bit-for-bit
-        what a freshly initialised session running only that sequence
-        with ``rng.spawn(n)[i]`` would estimate -- the expensive map
-        programming and array calibration are done once for the whole
-        batch.  The localizer scopes the likelihood-backend ledger per
-        run, so each result's energy covers its own sequence only.
-        """
-        items = list(inputs)
-        rng = rng if rng is not None else np.random.default_rng(0)
-        item_rngs = rng.spawn(len(items))
-        pf = self.localizer.filter
-        initial_particles = pf.particles
-        initial_history = list(pf.history)
-        results = []
-        for item, item_rng in zip(items, item_rngs):
-            pf.particles = initial_particles
-            pf.history = list(initial_history)
-            results.append(self.run(item, rng=item_rng))
-        return BatchResult(
-            substrate=self.substrate.name,
-            workload=self.workload,
-            results=results,
-            extras={"n_items": len(items)},
-        )
-
 
 def _bernoulli_streams(
     model: Sequential, n_iterations: int, rng: np.random.Generator
@@ -642,8 +566,6 @@ __all__ = [
     "ReusePolicy",
     "MacroOptions",
     "SubstrateConfig",
-    "Substrate",
-    "InferenceSession",
     "MaskPlan",
     "MCDropoutSession",
     "LocalizationSession",

@@ -130,30 +130,6 @@ class EnergyLedger:
             self._apply(operation, other.count(operation), other.energy(operation))
         return self
 
-    def scaled(self, factor: float) -> "EnergyLedger":
-        """A copy with all counts/energies multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        result = EnergyLedger(label=self.label)
-        for operation in self.operations:
-            result._counts[operation] = int(round(self.count(operation) * factor))
-            result._energies[operation] = self.energy(operation) * factor
-        return result
-
-    def table(self) -> str:
-        """A fixed-width text table of the ledger contents."""
-        lines = [f"{self.label}", f"{'operation':<32}{'count':>12}{'energy':>14}"]
-        for operation in self.operations:
-            lines.append(
-                f"{operation:<32}{self.count(operation):>12}"
-                f"{format_energy(self.energy(operation)):>14}"
-            )
-        lines.append(
-            f"{'TOTAL':<32}{self.total_count():>12}"
-            f"{format_energy(self.total_energy_j()):>14}"
-        )
-        return "\n".join(lines)
-
 
 def format_energy(energy_j: float) -> str:
     """Human-readable energy string (fJ / pJ / nJ / uJ / mJ / J)."""

@@ -147,7 +147,6 @@ class InverterArray:
         fg_bits: floating-gate programming resolution.
         mismatch: process-variation sampler (optional).
         noise: analog noise model (optional).
-        adc: output log-ADC (default: 4-bit log ADC sized to the array).
         input_dac_bits: resolution of the three input DACs.
         eval_time_s: analog evaluation (integration) time per query.
         rng: generator for mismatch draws (required if ``mismatch``).
@@ -160,7 +159,6 @@ class InverterArray:
         fg_bits: int = 4,
         mismatch: MismatchSampler | None = None,
         noise: NoiseModel | None = None,
-        adc: LogarithmicADC | None = None,
         input_dac_bits: int = 6,
         eval_time_s: float = 1.0e-8,
         rng: np.random.Generator | None = None,
@@ -209,7 +207,7 @@ class InverterArray:
         self._vt = node.nominal_vt
         self._ut = node.thermal_voltage
         self.dacs = [DAC(node, bits=input_dac_bits) for _ in range(n_axes)]
-        self.adc = adc or LogarithmicADC(
+        self.adc = LogarithmicADC(
             node,
             bits=4,
             i_min=1e-2 * self._typical_column_peak(),

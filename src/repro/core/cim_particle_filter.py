@@ -278,7 +278,7 @@ class CIMParticleFilterLocalizer:
             ParticleSet.gaussian(state, sigma, self.n_particles, rng)
         )
 
-    def scan_points(self, depth: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def scan_points(self, depth: np.ndarray) -> np.ndarray:
         """Backproject a depth image into valid camera-frame scan points."""
         points = self.camera.backproject(depth)
         if points.shape[0] == 0:
@@ -289,7 +289,7 @@ class CIMParticleFilterLocalizer:
         self, control: np.ndarray, depth: np.ndarray, rng: np.random.Generator
     ) -> StepDiagnostics:
         """One localization cycle from an odometry control and a depth frame."""
-        scan = self.scan_points(depth, rng)
+        scan = self.scan_points(depth)
         return self.filter.step(control, scan, rng)
 
     def run(

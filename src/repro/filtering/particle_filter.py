@@ -46,20 +46,18 @@ class ParticleFilter:
         motion_model: the prediction-step model.
         measurement_model: the correction-step model.
         roughening: per-axis post-resampling jitter sigmas (D,), fighting
-            sample impoverishment (None disables).
+            sample impoverishment.
     """
 
     def __init__(
         self,
         motion_model: MotionModel,
         measurement_model: DepthScanMeasurementModel,
-        roughening: np.ndarray | None = None,
+        roughening: np.ndarray,
     ):
         self.motion_model = motion_model
         self.measurement_model = measurement_model
-        self.roughening = (
-            None if roughening is None else np.asarray(roughening, dtype=float)
-        )
+        self.roughening = np.asarray(roughening, dtype=float)
         self.particles: ParticleSet | None = None
         self.history: list[StepDiagnostics] = []
 
@@ -123,11 +121,10 @@ class ParticleFilter:
         if resampled:
             indices = systematic_resample(updated.normalized_weights(), rng)
             updated = updated.resampled(indices)
-            if self.roughening is not None:
-                jitter = rng.normal(size=updated.states.shape) * self.roughening
-                updated = ParticleSet(
-                    updated.states + jitter, updated.log_weights.copy()
-                )
+            jitter = rng.normal(size=updated.states.shape) * self.roughening
+            updated = ParticleSet(
+                updated.states + jitter, updated.log_weights.copy()
+            )
         diagnostics = StepDiagnostics(
             estimate=updated.mean_estimate(),
             ess=ess,

@@ -93,13 +93,6 @@ class Plan:
     def __getitem__(self, index: int) -> JobSpec:
         return self.jobs[index]
 
-    @property
-    def experiment_ids(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for job in self.jobs:
-            seen.setdefault(job.experiment_id, None)
-        return tuple(seen)
-
     @classmethod
     def compile(
         cls,

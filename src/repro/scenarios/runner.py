@@ -9,21 +9,22 @@ process; nothing about a job depends on executor state).
 
 :func:`compile_scenarios` is the seam later subsystems (codesign
 autotuner, loadtest) build on: names x substrates x seeds in, one
-validated concatenated plan out.
+validated concatenated plan out.  Its dotted ``--set`` overrides
+(:func:`apply_overrides`) are decoded by the typed rule experiment
+``--set`` values and spec JSON share, so an overridden spec's canonical
+JSON -- the text pinned into each job -- round-trips.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-import difflib
-
 import numpy as np
 
 from repro.api.registry import ExperimentContext, experiment
+from repro.api.results import parse_overrides, replace_fields
 from repro.core.cim_particle_filter import converged_step
 from repro.runtime.plan import JobSpec, Plan
 from repro.scenarios.library import get_scenario
@@ -117,87 +118,18 @@ def apply_overrides(
     """Apply dotted-path ``--set`` overrides to a scenario spec.
 
     Keys address nested fields (``trajectory.n_steps``,
-    ``noise.depth_noise_std``, top-level ``n_particles``); string values
-    are coerced like experiment config overrides.  Unknown paths raise
+    ``noise.depth_noise_std``, top-level ``n_particles``); values are
+    decoded exactly as experiment config overrides are
+    (:func:`~repro.api.results.parse_overrides`, then
+    :func:`~repro.api.results.replace_fields`).  Unknown paths raise
     ``ValueError`` with a did-you-mean suggestion; the result is
     re-validated.
     """
     if not overrides:
         return spec
-    for path, value in overrides.items():
-        parts = path.split(".")
-        target = spec
-        crumbs: list[tuple[Any, str]] = []
-        for depth, part in enumerate(parts):
-            options = [f.name for f in dataclasses.fields(target)]
-            if part not in options:
-                prefix = ".".join(parts[:depth])
-                close = difflib.get_close_matches(part, options, n=1, cutoff=0.5)
-                hint = f" (did you mean {close[0]!r}?)" if close else ""
-                where = f" in {prefix!r}" if prefix else ""
-                raise ValueError(
-                    f"unknown scenario field {part!r}{where}{hint}; "
-                    f"options: {sorted(options)}"
-                )
-            crumbs.append((target, part))
-            target = getattr(target, part)
-        if dataclasses.is_dataclass(target):
-            raise ValueError(
-                f"scenario field {path!r} is a section, not a value; "
-                f"set one of its fields: "
-                f"{sorted(f.name for f in dataclasses.fields(target))}"
-            )
-        coerced = _coerce_value(target, value, path)
-        # Rebuild the nested frozen dataclasses from the leaf outward;
-        # the final replacement target is the spec itself.
-        for owner, part in reversed(crumbs):
-            coerced = dataclasses.replace(owner, **{part: coerced})
-        spec = coerced
-    return spec.validate()
-
-
-def _coerce_value(current: Any, value: Any, path: str) -> Any:
-    if isinstance(value, str):
-        try:
-            value = ast.literal_eval(value)
-        except (ValueError, SyntaxError):
-            pass  # keep as string (e.g. profile="hover")
-    if isinstance(value, list):
-        value = tuple(value)
-    if current is None:
-        # Optional field (init.z_range): accept None or a 2-tuple.
-        if value is not None and not (
-            isinstance(value, tuple) and len(value) == 2
-        ):
-            raise ValueError(
-                f"scenario field {path!r} expects None or a 2-tuple, "
-                f"got {value!r}"
-            )
-        return value
-    if isinstance(current, bool):
-        if not isinstance(value, bool):
-            raise ValueError(
-                f"scenario field {path!r} expects bool, got {value!r}"
-            )
-        return value
-    if isinstance(current, int) and not isinstance(current, bool):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(
-                f"scenario field {path!r} expects int, got {value!r}"
-            )
-        return value
-    if isinstance(current, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(
-                f"scenario field {path!r} expects float, got {value!r}"
-            )
-        return float(value)
-    if not isinstance(value, type(current)):
-        raise ValueError(
-            f"scenario field {path!r} expects {type(current).__name__}, "
-            f"got {value!r}"
-        )
-    return value
+    return replace_fields(
+        spec, parse_overrides(overrides), "scenario spec"
+    ).validate()
 
 
 def compile_scenarios(

@@ -19,6 +19,11 @@ The JSON contract is strict both ways:
   round-trips canonical text bit-exactly:
   ``to_json(from_json(text)) == text`` and
   ``from_json(to_json(spec)) == spec``.
+
+Both directions are the shared config codec of
+:mod:`repro.api.results`: ``to_jsonable`` writes the payload, and
+``replace_fields`` decodes it with the typed check ``--set`` overrides
+use (minus their literal parsing, so a string is never a number).
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
+
+from repro.api.results import replace_fields, to_jsonable
 
 __all__ = [
     "InitSpec",
@@ -386,7 +393,7 @@ class ScenarioSpec:
 
     def to_jsonable(self) -> dict:
         """Nested plain-JSON payload (tuples as lists)."""
-        return _to_jsonable(self)
+        return to_jsonable(self)
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, compact separators."""
@@ -397,9 +404,18 @@ class ScenarioSpec:
 
     @classmethod
     def from_jsonable(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
-        """Strict parse: unknown fields and wrong types raise."""
-        spec = _from_payload(cls, payload, path="")
-        return spec.validate()
+        """Strict parse: unknown fields and wrong types raise.
+
+        The payload is walked from the ``ScenarioSpec()`` defaults by
+        :func:`~repro.api.results.replace_fields`, the decoder ``--set``
+        overrides share; no string is literal-parsed here, so ``"300"``
+        given for a number is a type error.
+        """
+        if not isinstance(payload, Mapping):
+            raise ValueError(
+                f"scenario spec must be an object, got {type(payload).__name__}"
+            )
+        return replace_fields(cls(), payload, "scenario spec").validate()
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
@@ -413,108 +429,3 @@ class ScenarioSpec:
 def _require(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise ValueError(f"scenario spec field {path!r} {message}")
-
-
-def _to_jsonable(value: Any) -> Any:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _to_jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, tuple):
-        return [_to_jsonable(item) for item in value]
-    return value
-
-
-def _from_payload(cls: type, payload: Any, path: str) -> Any:
-    """Build a spec dataclass from a JSON payload, strictly."""
-    label = path or cls.__name__
-    if not isinstance(payload, Mapping):
-        raise ValueError(
-            f"scenario spec section {label!r} must be an object, "
-            f"got {type(payload).__name__}"
-        )
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - set(fields))
-    if unknown:
-        raise ValueError(
-            f"unknown scenario spec field(s) {unknown} in {label!r}; "
-            f"options: {sorted(fields)}"
-        )
-    kwargs: dict[str, Any] = {}
-    for name, f in fields.items():
-        if name not in payload:
-            continue
-        sub = f"{path}.{name}" if path else name
-        kwargs[name] = _coerce_field(f, payload[name], sub)
-    return cls(**kwargs)
-
-
-def _field_default(f: dataclasses.Field) -> Any:
-    if f.default is not dataclasses.MISSING:
-        return f.default
-    return f.default_factory()  # type: ignore[misc]
-
-
-def _coerce_field(f: dataclasses.Field, value: Any, path: str) -> Any:
-    default = _field_default(f)
-    if dataclasses.is_dataclass(default):
-        return _from_payload(type(default), value, path)
-    # Optional 2-tuple (init.z_range is the only such field).
-    if default is None:
-        if value is None:
-            return None
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return (_as_float(value[0], path), _as_float(value[1], path))
-        raise ValueError(
-            f"scenario spec field {path!r} must be null or a 2-element "
-            f"array, got {value!r}"
-        )
-    if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(
-                f"scenario spec field {path!r} must be an array, got {value!r}"
-            )
-        element = default[0] if default else ""
-        if isinstance(element, bool):
-            raise ValueError(f"unsupported tuple field {path!r}")
-        if isinstance(element, int):
-            return tuple(_as_int(item, path) for item in value)
-        if isinstance(element, float):
-            return tuple(_as_float(item, path) for item in value)
-        return tuple(_as_str(item, path) for item in value)
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ValueError(
-                f"scenario spec field {path!r} must be a boolean, got {value!r}"
-            )
-        return value
-    if isinstance(default, int):
-        return _as_int(value, path)
-    if isinstance(default, float):
-        return _as_float(value, path)
-    return _as_str(value, path)
-
-
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(
-            f"scenario spec field {path!r} must be an integer, got {value!r}"
-        )
-    return value
-
-
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(
-            f"scenario spec field {path!r} must be a number, got {value!r}"
-        )
-    return float(value)
-
-
-def _as_str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(
-            f"scenario spec field {path!r} must be a string, got {value!r}"
-        )
-    return value

@@ -73,10 +73,6 @@ class Box(Primitive):
         if np.any(self._half <= 0):
             raise ValueError(f"extents must be positive, got {extents}")
 
-    @property
-    def extents(self) -> np.ndarray:
-        return 2.0 * self._half
-
     def distance(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         q = np.abs(points - self._center) - self._half

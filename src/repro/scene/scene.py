@@ -24,10 +24,6 @@ class Scene:
         self._primitives = list(primitives)
         self.name = name
 
-    @property
-    def primitives(self) -> list[Primitive]:
-        return list(self._primitives)
-
     def distance(self, points: np.ndarray) -> np.ndarray:
         """Scene SDF: minimum over primitive SDFs, shape (N,)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -84,10 +84,6 @@ class Trajectory:
     def timestamps(self) -> np.ndarray:
         return self._timestamps.copy()
 
-    def positions(self) -> np.ndarray:
-        """(N, 3) array of camera positions."""
-        return np.stack([p.translation for p in self._poses], axis=0)
-
 
 def orbit_trajectory(
     target: np.ndarray,

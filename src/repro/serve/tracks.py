@@ -324,7 +324,7 @@ class TrackStore:
         drawing from the track's generator exactly as a lone step does."""
         _, control, depth, _ = member.item
         rng = member.track.rng
-        scan = localizer.scan_points(np.asarray(depth, dtype=float), rng)
+        scan = localizer.scan_points(np.asarray(depth, dtype=float))
         member.predicted = localizer.filter.predict(
             member.track.particles, np.asarray(control, dtype=float), rng
         )

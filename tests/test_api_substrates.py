@@ -7,10 +7,8 @@ import pytest
 
 from repro.api import (
     InferenceResult,
-    InferenceSession,
     MacroOptions,
     ReusePolicy,
-    Substrate,
     SubstrateConfig,
     available_substrates,
     get_substrate,
@@ -89,9 +87,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="kind"):
             SubstrateConfig(name="bad", kind="quantum")
 
-    def test_protocol_conformance(self):
-        assert isinstance(get_substrate("cim"), Substrate)
-
     def test_macro_options_carry_into_macro_config(self):
         options = MacroOptions(weight_bits=6, input_bits=5, adc_bits=7)
         config = options.to_macro_config()
@@ -124,7 +119,6 @@ class TestMCDropoutParity:
         session = get_substrate(name).mc_dropout_session(
             model, n_iterations=8, rng=np.random.default_rng(5)
         )
-        assert isinstance(session, InferenceSession)
         via = session.run(inputs)
         assert np.array_equal(direct.mean, via.mean)
         assert np.array_equal(direct.variance, via.variance)
@@ -272,11 +266,14 @@ class TestLocalizationSession:
             rng=np.random.default_rng(9),
         )
         inputs = (world.controls, world.depths, world.states)
-        session.initialize_tracking(
-            world.states[0] + 0.2, np.full(4, 0.3), np.random.default_rng(21)
-        )
-        batch = session.run_batch([inputs, inputs], rng=np.random.default_rng(7))
-        first, second = batch[0], batch[1]
+
+        def run(seed):
+            session.initialize_tracking(
+                world.states[0] + 0.2, np.full(4, 0.3), np.random.default_rng(21)
+            )
+            return session.run(inputs, rng=np.random.default_rng(seed))
+
+        first, second = run(7), run(8)
         assert second.energy_j == pytest.approx(first.energy_j, rel=0.2)
         assert second.energy_j < 1.5 * first.energy_j
         cumulative = session.localizer.field_backend.ledger.total_energy_j()

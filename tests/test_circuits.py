@@ -300,14 +300,13 @@ class TestEnergyLedger:
         assert ledger.count("mac") == 15
         assert ledger.energy("mac") == pytest.approx(15e-15)
 
-    def test_merge_and_scale(self):
+    def test_merge(self):
         a = EnergyLedger()
         a.add("op", 2, 1.0)
         b = EnergyLedger()
         b.add("op", 3, 1.0)
         a.merge(b)
         assert a.count("op") == 5
-        assert a.scaled(2.0).count("op") == 10
 
     def test_rejects_negative(self):
         ledger = EnergyLedger()
@@ -320,11 +319,6 @@ class TestEnergyLedger:
         assert "fJ" in format_energy(2e-13)
         assert "pJ" in format_energy(5e-12)
         assert "nJ" in format_energy(3e-9)
-
-    def test_table_contains_total(self):
-        ledger = EnergyLedger(label="x")
-        ledger.add("op", 1, 1e-12)
-        assert "TOTAL" in ledger.table()
 
     def test_scope_collects_only_scoped_region(self):
         ledger = EnergyLedger()

@@ -302,7 +302,7 @@ class TestParticleFilter:
         backend, gmm = _simple_backend()
         model = DepthScanMeasurementModel(backend, temperature=2.0)
         model.calibrate_floor(gmm.sample(300, rng))
-        pf = ParticleFilter(OdometryMotionModel(0.02, 0.01), model)
+        pf = ParticleFilter(OdometryMotionModel(0.02, 0.01), model, np.zeros(4))
         pf.initialize(
             ParticleSet.gaussian([0, 0, 0, 0], [0.4, 0.4, 0.2, 0.2], 300, rng)
         )
@@ -315,7 +315,7 @@ class TestParticleFilter:
         backend, gmm = _simple_backend()
         model = DepthScanMeasurementModel(backend, temperature=2.0)
         model.calibrate_floor(gmm.sample(300, rng))
-        pf = ParticleFilter(OdometryMotionModel(0.02, 0.01), model)
+        pf = ParticleFilter(OdometryMotionModel(0.02, 0.01), model, np.zeros(4))
         pf.initialize(ParticleSet.gaussian([0, 0, 0, 0], [0.2] * 4, 100, rng))
         scan = gmm.sample(20, rng)
         for _ in range(3):
@@ -326,7 +326,7 @@ class TestParticleFilter:
     def test_requires_initialisation(self, rng):
         backend, _ = _simple_backend()
         model = DepthScanMeasurementModel(backend)
-        pf = ParticleFilter(OdometryMotionModel(), model)
+        pf = ParticleFilter(OdometryMotionModel(), model, np.zeros(4))
         with pytest.raises(RuntimeError):
             pf.step(np.zeros(4), np.zeros((3, 3)), rng)
 
@@ -334,7 +334,9 @@ class TestParticleFilter:
     def test_resamples_below_half_ess(self, ess_share, resampled, rng):
         """The update resamples exactly when ESS < N / 2."""
         backend, _ = _simple_backend()
-        pf = ParticleFilter(OdometryMotionModel(), DepthScanMeasurementModel(backend))
+        pf = ParticleFilter(
+            OdometryMotionModel(), DepthScanMeasurementModel(backend), np.zeros(4)
+        )
         n = 100
         # k equal weights and n - k zero ones give an ESS of exactly k.
         k = int(ess_share * n)

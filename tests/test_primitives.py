@@ -130,8 +130,8 @@ class TestScene:
         rng = np.random.default_rng(0)
         scene = make_tabletop_scene(rng, n_objects=n_objects, with_floor=False)
         # table top + pedestal + objects
-        assert len(scene.primitives) == 2 + n_objects
+        assert len(scene._primitives) == 2 + n_objects
 
     def test_room_scene_has_floor_and_walls(self, rng):
         scene = make_room_scene(rng, n_furniture=0)
-        assert len(scene.primitives) == 3
+        assert len(scene._primitives) == 3

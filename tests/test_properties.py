@@ -165,11 +165,3 @@ class TestLedgerProperties:
             ledger.add(f"op{index % 3}", count, energy)
             expected += count * energy
         assert ledger.total_energy_j() == pytest.approx(expected, rel=1e-9)
-
-    @given(st.floats(0.0, 10.0))
-    @settings(max_examples=20)
-    def test_scaling_linear(self, factor):
-        ledger = EnergyLedger()
-        ledger.add("op", 10, 1e-12)
-        scaled = ledger.scaled(factor)
-        assert scaled.total_energy_j() == pytest.approx(1e-11 * factor)

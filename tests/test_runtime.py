@@ -329,42 +329,6 @@ class TestBatchSessions:
         assert back.mask_generation_energy_j == batch.mask_generation_energy_j
         assert back.extras["n_items"] == 2
 
-    def test_localization_run_batch_matches_loop(self):
-        from repro.experiments.common import build_room_world
-
-        world = build_room_world(
-            seed=3, n_steps=3, n_cloud_points=500, image=(16, 12)
-        )
-        kwargs = dict(
-            camera_mount=world.mount, n_components=8, n_particles=40,
-            tiles=(1, 1, 1),
-        )
-        sequence = (world.controls, world.depths, world.states)
-
-        def fresh_session():
-            session = get_substrate("cim").localization_session(
-                world.cloud, world.camera, rng=np.random.default_rng(9), **kwargs
-            )
-            session.initialize_tracking(
-                world.states[0] + 0.2, np.full(4, 0.3), np.random.default_rng(21)
-            )
-            return session
-
-        batch = fresh_session().run_batch(
-            [sequence, sequence], rng=np.random.default_rng(33)
-        )
-        # Each item must match a freshly initialised session running only
-        # that sequence with the matching spawned generator.
-        item_rngs = np.random.default_rng(33).spawn(2)
-        for index, item_rng in enumerate(item_rngs):
-            expected = fresh_session().run(sequence, rng=item_rng)
-            assert np.array_equal(expected.mean, batch[index].mean)
-            assert np.array_equal(
-                expected.extras["errors"], batch[index].extras["errors"]
-            )
-        assert batch.workload == "localization"
-        assert batch.extras["n_items"] == 2
-
 
 class TestMaskStreamPinning:
     """Engine-level contract behind the session batch path."""

@@ -126,14 +126,18 @@ class TestTrajectories:
     def test_orbit_speed_jitter_changes_steps(self, rng):
         smooth = orbit_trajectory([0, 0, 0], 1.0, 1.0, 20)
         jittered = orbit_trajectory([0, 0, 0], 1.0, 1.0, 20, speed_jitter=0.4, rng=rng)
-        step_smooth = np.linalg.norm(np.diff(smooth.positions(), axis=0), axis=1)
-        step_jit = np.linalg.norm(np.diff(jittered.positions(), axis=0), axis=1)
+        step_smooth = np.linalg.norm(
+            np.diff([pose.translation for pose in smooth], axis=0), axis=1
+        )
+        step_jit = np.linalg.norm(
+            np.diff([pose.translation for pose in jittered], axis=0), axis=1
+        )
         assert step_jit.std() > 3 * step_smooth.std()
 
     def test_orbit_keeps_radius_and_height(self):
         target = np.array([1.0, -2.0, 0.5])
         traj = orbit_trajectory(target, radius=1.5, height=0.8, n_poses=16)
-        offsets = traj.positions() - target
+        offsets = np.stack([pose.translation for pose in traj]) - target
         assert np.allclose(np.linalg.norm(offsets[:, :2], axis=1), 1.5)
         assert np.allclose(offsets[:, 2], 0.8)
         assert np.allclose(traj.timestamps, np.arange(16) / 30.0)
@@ -220,8 +224,8 @@ class TestDataset:
         assert np.allclose(recomposed.translation, current.pose.translation, atol=1e-9)
 
     def test_scenes_differ(self, dataset):
-        a = dataset.trajectory(0).positions()
-        b = dataset.trajectory(1).positions()
+        a = np.stack([pose.translation for pose in dataset.trajectory(0)])
+        b = np.stack([pose.translation for pose in dataset.trajectory(1)])
         assert not np.allclose(a.mean(axis=0), b.mean(axis=0), atol=1e-3)
 
     def test_rng_streams_pinned(self):
@@ -230,7 +234,7 @@ class TestDataset:
         # offsets were replaced, and must never drift again.
         dataset = SyntheticRGBDScenes(n_scenes=2, frames_per_scene=5, seed=0)
         assert np.allclose(
-            dataset.trajectory(0).positions()[0],
+            dataset.trajectory(0)[0].translation,
             [0.1583543359664071, 1.7612363103859676, 1.7110248857060408],
             atol=1e-12,
         )
@@ -240,15 +244,16 @@ class TestDataset:
         # (seed=1000, scene 0); keyed derivation must not.
         a = SyntheticRGBDScenes(n_scenes=2, frames_per_scene=5, seed=0)
         b = SyntheticRGBDScenes(n_scenes=2, frames_per_scene=5, seed=1000)
-        pa = a.trajectory(1).positions()
-        pb = b.trajectory(0).positions()
+        pa = np.stack([pose.translation for pose in a.trajectory(1)])
+        pb = np.stack([pose.translation for pose in b.trajectory(0)])
         assert not np.allclose(pa, pb)
 
     def test_rng_streams_order_independent(self):
         # Artefact streams are keyed by purpose, so the order lazily
         # cached artefacts are first built in cannot change them.
         first = SyntheticRGBDScenes(n_scenes=2, frames_per_scene=4, seed=5)
-        positions_first = first.trajectory(0).positions()
+        positions_first = [pose.translation for pose in first.trajectory(0)]
         second = SyntheticRGBDScenes(n_scenes=2, frames_per_scene=4, seed=5)
         second.trajectory(1)  # build another scene's artefacts first
-        assert np.allclose(positions_first, second.trajectory(0).positions())
+        positions_second = [pose.translation for pose in second.trajectory(0)]
+        assert np.allclose(positions_first, positions_second)
