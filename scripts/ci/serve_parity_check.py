@@ -14,6 +14,12 @@ it 404 with ``Connection: close`` (its body was never read), and the
 requests after it must still be answered exactly over one reused
 connection.
 
+Then bursts of :data:`BURST` concurrent ``cim-ordered`` requests, each
+with its own seed and connection, check the served MC-Dropout wave:
+every response must be bit-exact, and at least one response over at
+most :data:`MAX_BURSTS` bursts must report ``batch_size > 1`` (it rode
+in a wave with other requests).
+
 Environment:
     SERVE_URL      base URL (default http://127.0.0.1:8731)
     N_ITERATIONS   MC depth the server was started with (default 8)
@@ -24,6 +30,7 @@ Environment:
 import http.client
 import json
 import os
+import threading
 import urllib.parse
 import urllib.request
 
@@ -37,6 +44,9 @@ from repro.serve import (
 )
 from repro.serve.demo import demo_inputs, demo_model
 
+BURST = 8
+MAX_BURSTS = 3
+
 
 def post(
     conn: http.client.HTTPConnection, path: str, body: bytes
@@ -45,6 +55,55 @@ def post(
         "POST", path, body=body, headers={"Content-Type": "application/json"}
     )
     return conn.getresponse()
+
+
+def burst(url: urllib.parse.SplitResult, seeds: list[int]) -> list:
+    """POST one ``cim-ordered`` /infer per seed, all at once, one
+    connection each; the decoded responses in seed order."""
+    ready = threading.Barrier(len(seeds))
+    responses: list = [None] * len(seeds)
+
+    def client(index: int) -> None:
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=120)
+        request = InferenceRequest(
+            demo_inputs(seeds[index]), substrate="cim-ordered", seed=seeds[index]
+        )
+        ready.wait()
+        reply = post(conn, "/infer", request.to_json().encode())
+        raw = reply.read().decode()
+        conn.close()
+        assert reply.status == 200, raw
+        responses[index] = InferenceResponse.from_json(raw)
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(len(seeds))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert all(response is not None for response in responses), "a client failed"
+    return responses
+
+
+def check_waves(url: urllib.parse.SplitResult, n_iterations: int) -> None:
+    session = build_reference_session(
+        "cim-ordered", demo_model(), n_iterations=n_iterations
+    )
+    widest = 0
+    for round_index in range(MAX_BURSTS):
+        seeds = [100 + round_index * BURST + i for i in range(BURST)]
+        for seed, response in zip(seeds, burst(url, seeds)):
+            mismatches = result_mismatches(
+                response.result, reference_run(session, demo_inputs(seed), seed)
+            )
+            assert not mismatches, f"seed {seed}: {mismatches} differ"
+            widest = max(widest, response.batch_size)
+        if widest > 1:
+            break
+    assert widest > 1, (
+        f"{MAX_BURSTS} bursts of {BURST} concurrent requests never shared "
+        "a micro-batch"
+    )
+    print(f"wave ok (bit-exact bursts, widest batch {widest})")
 
 
 def main() -> None:
@@ -97,6 +156,8 @@ def main() -> None:
         assert len(shards["shards"]) == workers, shards
         assert all(row["alive"] for row in shards["shards"]), shards
         print(f"shard stats ok ({workers} worker(s))")
+
+    check_waves(url, n_iterations)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ import dataclasses
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -63,10 +63,32 @@ def result_stem(
     if substrate:
         stem += f"-{substrate}"
     stem += f"-seed{seed}"
-    digest = config_hash(overrides)
+    digest = override_digest(experiment_id, overrides)
     if digest:
         stem += f"-cfg{digest}"
     return stem
+
+
+def override_digest(
+    experiment_id: str, overrides: Mapping[str, Any] | None
+) -> str:
+    """:func:`~repro.api.results.config_hash` of the values ``overrides``
+    decode to in the experiment's config (``""`` for none).
+
+    Digesting the stored values rather than the ``--set`` text makes two
+    spellings of one config (``keep_probability=0.5`` and ``=.5``) one
+    stem and one job id.
+    """
+    if not overrides:
+        return ""
+    config = get_experiment(experiment_id).make_config(overrides)
+    values = {}
+    for path in overrides:
+        value = config
+        for part in path.split("."):
+            value = getattr(value, part)
+        values[path] = value
+    return config_hash(values)
 
 
 def resolve_substrate(
@@ -168,7 +190,9 @@ class ExperimentSpec:
             return None
         config = self.config_cls()
         if overrides:
-            config = replace_fields(config, parse_overrides(overrides), "config")
+            config = replace_fields(
+                config, parse_overrides(overrides, config), "config"
+            )
         if seed is not None and any(
             f.name == "seed" for f in dataclasses.fields(self.config_cls)
         ):
@@ -296,6 +320,7 @@ __all__ = [
     "get_experiment",
     "list_experiments",
     "resolve_substrate",
+    "override_digest",
     "result_stem",
     "run_experiment",
     "save_results",

@@ -51,8 +51,11 @@ def config_hash(overrides: Mapping[str, Any] | None) -> str:
 
     Used to disambiguate result filenames and job ids: two runs of the
     same experiment/substrate/seed with different ``--set`` overrides get
-    different stems instead of silently overwriting each other.  Returns
-    ``""`` for no overrides so default filenames stay unchanged.
+    different stems instead of silently overwriting each other.  The
+    registry digests the *decoded* values
+    (:func:`~repro.api.registry.override_digest`), so two spellings of
+    one value (``0.5``, ``.5``) share a stem.  Returns ``""`` for no
+    overrides so default filenames stay unchanged.
     """
     if not overrides:
         return ""
@@ -100,31 +103,40 @@ def from_jsonable(obj: Any) -> Any:
     return obj
 
 
-def parse_overrides(overrides: Mapping[str, Any]) -> dict[str, Any]:
-    """``--set`` overrides as the nested mapping :func:`replace_fields`
-    takes.
+def parse_overrides(overrides: Mapping[str, Any], base: Any) -> dict[str, Any]:
+    """``--set`` overrides of the dataclass ``base`` as the nested mapping
+    :func:`replace_fields` takes.
 
     A dotted key (``trajectory.n_steps``) becomes a nested section, and
     a string value becomes the Python literal it spells (``"8"`` ->
     ``8``, ``"(1, 0)"`` -> ``(1, 0)``) or stays a string when it spells
-    none (``software``).  Only ``--set`` values are literal-parsed: in
-    spec JSON, ``"300"`` given for a number is a type error.
+    none (``software``).  A value for a str field is its raw text unless
+    the text spells a str literal, so JSON text (``spec={"name": ...}``)
+    reaches the field as written.  Only ``--set`` values are
+    literal-parsed: in spec JSON, ``"300"`` given for a number is a type
+    error.
     """
     nested: dict[str, Any] = {}
     for path, value in overrides.items():
         *sections, name = path.split(".")
-        node = nested
+        node, target = nested, base
         for section in sections:
             node = node.setdefault(section, {})
+            target = getattr(target, section, None)
             if not isinstance(node, dict):
                 break
         if not isinstance(node, dict) or name in node:
             raise ValueError(f"override {path!r} overlaps another override")
         if isinstance(value, str):
+            text = value
             try:
-                value = ast.literal_eval(value)
+                value = ast.literal_eval(text)
             except (ValueError, SyntaxError):
                 pass  # a bare word stays a string (engine=software)
+            if isinstance(getattr(target, name, None), str) and not isinstance(
+                value, str
+            ):
+                value = text
         node[name] = value
     return nested
 

@@ -28,14 +28,14 @@ CLI via ``--substrate``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.api.results import BatchResult, InferenceResult
 from repro.bayesian.masks import MaskStream
 from repro.bayesian.mc_dropout import MCDropoutPredictor
-from repro.core.cim_mc_dropout import CIMMCDropoutEngine
+from repro.core.cim_mc_dropout import CIMMCDropoutEngine, MCDropoutResult
 from repro.core.cim_particle_filter import CIMParticleFilterLocalizer
 from repro.energy.models import digital_mc_dropout_energy
 from repro.nn.dropout import Dropout
@@ -345,32 +345,13 @@ class MCDropoutSession:
         """
         x = np.atleast_2d(np.asarray(inputs, dtype=float))
         if isinstance(self.engine, CIMMCDropoutEngine):
-            # predict() scopes the macro ledgers itself, so the result is
-            # strictly per-call without resetting engine state here.
-            result = self.engine.predict(
-                x,
-                rng=rng,
-                mask_streams=None if masks is None else list(masks.streams),
-                mask_order=None if masks is None else masks.order,
-            )
-            ledger = result.energy
-            return InferenceResult(
-                substrate=self.substrate.name,
-                workload=self.workload,
-                mean=result.mean,
-                variance=result.variance,
-                samples=result.samples,
-                ops_executed=result.ops_executed,
-                ops_naive=result.ops_naive,
-                energy_j=ledger.total_energy_j(),
-                energy_breakdown_j={
-                    op: ledger.energy(op) for op in ledger.operations
-                },
-                extras={
-                    "mask_order": result.mask_order,
-                    "tops_per_watt": result.tops_per_watt(),
-                    "n_iterations": self.n_iterations,
-                },
+            return self._cim_result(
+                self.engine.predict(
+                    x,
+                    rng=rng,
+                    mask_streams=None if masks is None else list(masks.streams),
+                    mask_order=None if masks is None else masks.order,
+                )
             )
         # Honour a per-call rng on the digital path too: the software
         # predictor samples masks from the model's dropout layers, so an
@@ -403,33 +384,59 @@ class MCDropoutSession:
             extras={"n_iterations": self.n_iterations},
         )
 
+    def _cim_result(self, result: MCDropoutResult) -> InferenceResult:
+        """The session view of one engine call (metered per call)."""
+        ledger = result.energy
+        return InferenceResult(
+            substrate=self.substrate.name,
+            workload=self.workload,
+            mean=result.mean,
+            variance=result.variance,
+            samples=result.samples,
+            ops_executed=result.ops_executed,
+            ops_naive=result.ops_naive,
+            energy_j=ledger.total_energy_j(),
+            energy_breakdown_j={op: ledger.energy(op) for op in ledger.operations},
+            extras={
+                "mask_order": result.mask_order,
+                "tops_per_watt": result.tops_per_watt(),
+                "n_iterations": self.n_iterations,
+            },
+        )
+
     def run_batch(
         self,
         inputs: Any,
         rng: np.random.Generator | None = None,
-        masks: MaskPlan | None = None,
+        masks: MaskPlan | Sequence[MaskPlan] | None = None,
         item_rngs: list[np.random.Generator] | None = None,
     ) -> BatchResult:
-        """Batched MC-Dropout inference: shared masks, per-item noise.
+        """Batched MC-Dropout inference: pinned masks, per-item noise.
 
         The mask streams (and, for ordered CIM engines, the visit order)
-        are drawn **once** from ``rng`` and pinned into every item's
-        engine pass, so mask generation, the ordering search and the
-        session's macro mapping are amortised over the batch instead of
-        rebuilt per call.  One child generator is spawned per item for
-        analog read noise, which makes every cell independently
-        reproducible: item ``i`` is bit-for-bit equal to::
+        are drawn **once** from ``rng`` and pinned into every item, so
+        mask generation, the ordering search and the session's macro
+        mapping are amortised over the batch instead of rebuilt per call.
+        One child generator is spawned per item for analog read noise,
+        which makes every cell independently reproducible: item ``i`` is
+        bit-for-bit equal to::
 
             base = np.random.default_rng(seed)          # same seed
             plan = session.draw_masks(base)
             session.run(inputs[i], rng=base.spawn(n)[i], masks=plan)
+
+        On CIM substrates the whole batch runs as one engine wave
+        (:meth:`~repro.core.cim_mc_dropout.CIMMCDropoutEngine.predict_many`);
+        the digital predictor runs the items one by one.
 
         Args:
             inputs: sequence of ``run()`` payloads (each a (B_i, in)
                 feature batch).
             rng: base generator for the shared masks and the per-item
                 noise spawn; default is the session's own generator.
-            masks: pre-drawn mask plan; default draws one from ``rng``.
+            masks: a pre-drawn mask plan shared by every item, or one plan
+                per item (items of one plan share it); default draws one
+                from ``rng``.
             item_rngs: explicit per-item noise generators replacing the
                 ``rng.spawn`` default -- the hook serving layers use to
                 hand every coalesced request the exact generator state
@@ -437,11 +444,15 @@ class MCDropoutSession:
 
         Returns:
             A :class:`BatchResult` with one :class:`InferenceResult` per
-            item plus the shared mask-generation energy.
+            item plus the generation energy of every distinct plan.
         """
         items = list(inputs)
         rng = rng if rng is not None else self._rng
-        plan = masks if masks is not None else self.draw_masks(rng)
+        if masks is None:
+            masks = self.draw_masks(rng)
+        plans = [masks] * len(items) if isinstance(masks, MaskPlan) else list(masks)
+        if len(plans) != len(items):
+            raise ValueError(f"masks has {len(plans)} plans for {len(items)} items")
         if item_rngs is None:
             item_rngs = rng.spawn(len(items))
         elif len(item_rngs) != len(items):
@@ -449,15 +460,29 @@ class MCDropoutSession:
                 f"item_rngs has {len(item_rngs)} generators for "
                 f"{len(items)} items"
             )
-        results = [
-            self.run(item, rng=item_rng, masks=plan)
-            for item, item_rng in zip(items, item_rngs)
-        ]
+        if isinstance(self.engine, CIMMCDropoutEngine):
+            results = [
+                self._cim_result(result)
+                for result in self.engine.predict_many(
+                    [np.atleast_2d(np.asarray(item, dtype=float)) for item in items],
+                    item_rngs,
+                    [list(plan.streams) for plan in plans],
+                    [plan.order for plan in plans],
+                )
+            ]
+        else:
+            results = [
+                self.run(item, rng=item_rng, masks=plan)
+                for item, item_rng, plan in zip(items, item_rngs, plans)
+            ]
+        distinct = {id(plan): plan for plan in plans}
         return BatchResult(
             substrate=self.substrate.name,
             workload=self.workload,
             results=results,
-            mask_generation_energy_j=plan.generation_energy_j,
+            mask_generation_energy_j=sum(
+                plan.generation_energy_j for plan in distinct.values()
+            ),
             extras={
                 "n_items": len(items),
                 "n_iterations": self.n_iterations,

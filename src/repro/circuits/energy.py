@@ -12,8 +12,10 @@ copy of every entry recorded until :meth:`EnergyLedger.end_scope`.  The
 child accumulates from zero, so two identical scoped regions yield
 bit-identical energies (no floating-point residue from differencing
 large cumulative totals), and shared ledgers are never cleared between
-calls.  The CIM MC-Dropout engine scopes each ``predict()`` this
-way, and the particle-filter localizer each ``run()``.
+calls.  The particle-filter localizer scopes each ``run()`` this way.
+The CIM MC-Dropout engine evaluates a whole wave of requests at once,
+so it charges one :class:`EnergyTape` per request and layer instead and
+replays the tapes into the macros' odometers in request order.
 """
 
 from __future__ import annotations
@@ -129,6 +131,35 @@ class EnergyLedger:
         for operation in other.operations:
             self._apply(operation, other.count(operation), other.energy(operation))
         return self
+
+
+@dataclass
+class EnergyTape(EnergyLedger):
+    """A ledger that also keeps its entries, in order, for :meth:`replay`.
+
+    Batched paths that evaluate many calls' work out of call order charge
+    one tape per call, then replay the tapes into the shared ledger in
+    call order: the shared ledger (and its open scopes) then makes the
+    very float additions the calls would have made one by one, and each
+    tape holds exactly what a scope around its call would have.
+    """
+
+    _entries: list = field(default_factory=list, repr=False)
+
+    def _apply(self, operation: str, count: int, energy_j: float) -> None:
+        self._entries.append((operation, [count], [energy_j]))
+        super()._apply(operation, count, energy_j)
+
+    def _apply_many(
+        self, operation: str, counts: list[int], energies: list[float]
+    ) -> None:
+        self._entries.append((operation, counts, energies))
+        super()._apply_many(operation, counts, energies)
+
+    def replay(self, ledger: EnergyLedger) -> None:
+        """Apply every recorded entry to ``ledger``, in recording order."""
+        for operation, counts, energies in self._entries:
+            ledger._apply_many(operation, counts, energies)
 
 
 def format_energy(energy_j: float) -> str:

@@ -19,12 +19,13 @@ re-evaluates from scratch every ``refresh_every`` iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.bayesian.masks import MaskStream
 from repro.bayesian.ordering import optimal_mask_order
-from repro.circuits.energy import EnergyLedger
+from repro.circuits.energy import EnergyLedger, EnergyTape
 from repro.nn.dropout import Dropout
 from repro.nn.layers import Dense, LeakyReLU, ReLU, Sigmoid, Tanh
 from repro.nn.sequential import Sequential
@@ -115,10 +116,11 @@ class CIMMCDropoutEngine:
             weight-statistics heuristic sizes the ADC and the DAC range is
             pinned from the first driven input, either of which can clip
             hard on out-of-distribution activations.
-        fast_path: evaluate independent iterations sample-major through
+        fast_path: evaluate a call (or a whole :meth:`predict_many`
+            wave) layer-major: the independent iterations through
             :meth:`~repro.sram.macro.SRAMCIMMacro.matvec_many` (all of
             them when ``reuse`` is off, the refresh iterations otherwise)
-            and the delta iterations layer-major through
+            and the delta iterations through
             :meth:`~repro.sram.macro.SRAMCIMMacro.matvec_delta_many`.
             Results and ops are identical to the per-iteration loop;
             disable only to time or cross-check the loop path.
@@ -310,6 +312,12 @@ class CIMMCDropoutEngine:
                 )
         return streams
 
+    def _checked_order(self, mask_order: np.ndarray) -> np.ndarray:
+        order = np.asarray(mask_order, dtype=np.int64)
+        if sorted(order.tolist()) != list(range(self.n_iterations)):
+            raise ValueError("mask_order must be a permutation of iterations")
+        return order
+
     def predict(
         self,
         x: np.ndarray,
@@ -319,9 +327,10 @@ class CIMMCDropoutEngine:
     ) -> MCDropoutResult:
         """MC-Dropout inference of (B, in) inputs on the macro stack.
 
-        The returned ops/energy cover **this call only** -- scoped child
-        ledgers collect the call's work exactly, so repeated calls on one
-        engine report identical per-call figures.
+        A wave of one (:meth:`predict_many`), after drawing and ordering
+        the mask streams when they are not pinned.  The returned
+        ops/energy cover **this call only** (mask generation included),
+        so repeated calls on one engine report identical per-call figures.
 
         Args:
             x: (B, in) inputs.
@@ -332,7 +341,6 @@ class CIMMCDropoutEngine:
                 default applies the engine's ordering policy.
         """
         rng = rng or self._rng
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         cycles_mark = (
             self.bit_generator.cycles_used if self.bit_generator is not None else 0
         )
@@ -343,64 +351,123 @@ class CIMMCDropoutEngine:
         if mask_order is None:
             order = self.order_mask_streams(streams)
         else:
-            order = np.asarray(mask_order, dtype=np.int64)
-            if sorted(order.tolist()) != list(range(self.n_iterations)):
-                raise ValueError("mask_order must be a permutation of iterations")
-        ordered = [None if s is None else s.reordered(order) for s in streams]
-
-        # Scoped child ledgers collect exactly this call's macro work;
-        # the macros' cumulative ledgers keep running undisturbed.  The
-        # scopes open inside the try so a raise mid-open (or anywhere in
-        # the forward) still detaches every scope that did open, leaving
-        # the engine reusable after the exception (DET004 contract).
-        scopes = []
-        try:
-            for layer in self.layers:
-                scopes.append(layer.macro.ledger.begin_scope())
-            batch = x.shape[0]
-            noise_bank = self._draw_noise_bank(rng, batch)
-            refresh_steps = self._refresh_steps()
-            if not self.fast_path:
-                samples = self._forward_loop(
-                    x, ordered, refresh_steps, noise_bank, rng
-                )
-            elif len(refresh_steps) == self.n_iterations:
-                samples, _ = self._forward_stacked(
-                    x, ordered, refresh_steps, noise_bank, rng
-                )
-            else:
-                samples = self._forward_reuse(
-                    x, ordered, refresh_steps, noise_bank, rng
-                )
-        finally:
-            for layer, scope in zip(self.layers, scopes):
-                layer.macro.ledger.end_scope(scope)
-
-        ops_naive = 0
-        for layer in self.layers:
-            ops_naive += layer.macro.in_features * layer.macro.out_features
-        ops_naive *= self.n_iterations * batch
-
-        energy = EnergyLedger(label="cim-mc-dropout")
-        for scope in scopes:
-            energy.merge(scope)
-        ops_executed = energy.count("cim_mac")
-        if self.bit_generator is not None:
-            energy.add_energy(
-                "dropout_bit_generation",
-                self.bit_generator.generation_energy(
-                    cycles=self.bit_generator.cycles_used - cycles_mark
-                ),
-            )
-        return MCDropoutResult(
-            mean=samples.mean(axis=0),
-            variance=samples.var(axis=0),
-            samples=samples,
-            ops_executed=ops_executed,
-            ops_naive=ops_naive,
-            energy=energy,
-            mask_order=order,
+            order = self._checked_order(mask_order)
+        cycles = (
+            self.bit_generator.cycles_used - cycles_mark
+            if self.bit_generator is not None
+            else 0
         )
+        return self._wave([x], [rng], [streams], [order], cycles)[0]
+
+    def predict_many(
+        self,
+        inputs: Sequence[np.ndarray],
+        rngs: Sequence[np.random.Generator],
+        mask_streams: Sequence[list[MaskStream | None]],
+        mask_orders: Sequence[np.ndarray | None],
+    ) -> list[MCDropoutResult]:
+        """A wave: many pinned-mask inferences evaluated as one.
+
+        Item ``i`` is bit-for-bit ``predict(inputs[i], rng=rngs[i],
+        mask_streams=mask_streams[i], mask_order=mask_orders[i])`` --
+        values, ops and energy -- and the macros' odometers end exactly
+        as after those calls made one by one in item order.  Items may
+        differ in rows and in mask plan; they share every array pass:
+        per layer one refresh GEMM, one delta formation, one batched GEMM
+        per driven-line count and one ADC pass for the whole wave.
+
+        Each item's noise bank is drawn from its own generator, as a lone
+        call draws it, so items with distinct generators are independent
+        of the wave they ride in.  A None order applies the engine's
+        ordering policy, as :meth:`predict` does.
+        """
+        if not (len(inputs) == len(rngs) == len(mask_streams) == len(mask_orders)):
+            raise ValueError(
+                "need one generator, mask-stream set and order per item"
+            )
+        streams = [self._validate_streams(item) for item in mask_streams]
+        orders = [
+            self.order_mask_streams(item) if order is None
+            else self._checked_order(order)
+            for item, order in zip(streams, mask_orders)
+        ]
+        return self._wave(list(inputs), list(rngs), streams, orders, 0)
+
+    def _wave(
+        self,
+        inputs: list[np.ndarray],
+        rngs: list[np.random.Generator],
+        streams: list[list[MaskStream | None]],
+        orders: list[np.ndarray],
+        generation_cycles: int,
+    ) -> list[MCDropoutResult]:
+        """Evaluate validated items, then meter each as its own call.
+
+        Every item charges one :class:`EnergyTape` per layer; the tapes
+        are replayed into the macro odometers item by item only once the
+        whole wave has been evaluated, so a raise anywhere leaves the
+        engine's metering untouched.
+        """
+        if not inputs:
+            return []
+        n_inputs = self.layers[0].macro.in_features
+        xs = []
+        for x in inputs:
+            x = np.atleast_2d(np.asarray(x, dtype=float))
+            if x.ndim != 2 or x.shape[1] != n_inputs:
+                raise ValueError(
+                    f"expected (B, {n_inputs}) inputs, got shape {x.shape}"
+                )
+            xs.append(x)
+        ordered = [
+            [None if stream is None else stream.masks[order] for stream in item]
+            for item, order in zip(streams, orders)
+        ]
+        banks = [
+            self._draw_noise_bank(rng, x.shape[0]) for x, rng in zip(xs, rngs)
+        ]
+        tapes = [
+            [EnergyTape(label=layer.macro.ledger.label) for layer in self.layers]
+            for _ in xs
+        ]
+        if self.fast_path:
+            samples = self._forward_wave(xs, ordered, banks, tapes)
+        else:
+            refresh_steps = self._refresh_steps()
+            samples = [
+                self._forward_loop(*item, refresh_steps)
+                for item in zip(xs, ordered, banks, rngs, tapes)
+            ]
+        for item_tapes in tapes:
+            for layer, tape in zip(self.layers, item_tapes):
+                tape.replay(layer.macro.ledger)
+
+        ops_per_row = self.n_iterations * sum(
+            layer.macro.in_features * layer.macro.out_features
+            for layer in self.layers
+        )
+        results = []
+        for x, order, item_tapes, item_samples in zip(xs, orders, tapes, samples):
+            energy = EnergyLedger(label="cim-mc-dropout")
+            for tape in item_tapes:
+                energy.merge(tape)
+            if self.bit_generator is not None:
+                energy.add_energy(
+                    "dropout_bit_generation",
+                    self.bit_generator.generation_energy(cycles=generation_cycles),
+                )
+            results.append(
+                MCDropoutResult(
+                    mean=item_samples.mean(axis=0),
+                    variance=item_samples.var(axis=0),
+                    samples=item_samples,
+                    ops_executed=energy.count("cim_mac"),
+                    ops_naive=ops_per_row * x.shape[0],
+                    energy=energy,
+                    mask_order=order,
+                )
+            )
+        return results
 
     def _refresh_steps(self) -> np.ndarray:
         """Iteration positions evaluated from scratch (not via the delta port)."""
@@ -435,53 +502,11 @@ class CIMMCDropoutEngine:
         offset = 0
         for out in out_features:
             block = flat[:, offset : offset + batch * out]
-            bank.append(block.reshape(self.n_iterations, batch, out))
+            bank.append(
+                np.ascontiguousarray(block).reshape(self.n_iterations, batch, out)
+            )
             offset += batch * out
         return bank
-
-    def _forward_stacked(
-        self,
-        x: np.ndarray,
-        ordered: list[MaskStream | None],
-        steps: np.ndarray,
-        noise_bank: list[np.ndarray] | None,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Sample-major evaluation of independent iterations.
-
-        Every iteration in ``steps`` is a from-scratch forward pass, so
-        the whole subset runs through each macro as one stacked
-        :meth:`~repro.sram.macro.SRAMCIMMacro.matvec_many` call.
-
-        Returns:
-            (outputs, products): outputs is the final-layer activation
-            stack, products the per-layer list of (len(steps), B, out)
-            macro products (under reuse they anchor the delta chains).
-        """
-        activation = np.broadcast_to(
-            x, (len(steps), x.shape[0], x.shape[1])
-        )
-        products_stack: list[np.ndarray] = []
-        for index, layer in enumerate(self.layers):
-            stream = ordered[index]
-            if stream is not None:
-                input_masks = stream.masks[steps]
-                masked = self._apply_mask(activation, input_masks)
-            else:
-                masked = np.ascontiguousarray(activation)
-                input_masks = None
-            noise = None if noise_bank is None else noise_bank[index][steps]
-            products = layer.macro.matvec_many(
-                masked, input_masks=input_masks, rng=rng, noise=noise
-            )
-            products_stack.append(products)
-            activation = self._finish_layer(layer, products)
-        return activation, products_stack
-
-    def _apply_mask(self, activation: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        """Inverted dropout of a (T, B, in) stack under (T, in) masks."""
-        keep = masks.astype(float)
-        return activation * keep[:, None, :] / self.keep_probability
 
     @staticmethod
     def _finish_layer(layer: _MappedLayer, products: np.ndarray) -> np.ndarray:
@@ -489,73 +514,164 @@ class CIMMCDropoutEngine:
         pre = products + layer.bias
         return layer.activation.forward(pre) if layer.activation else pre
 
-    def _forward_reuse(
+    def _forward_wave(
         self,
-        x: np.ndarray,
-        ordered: list[MaskStream | None],
-        refresh_steps: np.ndarray,
-        noise_bank: list[np.ndarray] | None,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Layer-major evaluation of the reuse schedule.
+        xs: list[np.ndarray],
+        ordered: list[list[np.ndarray | None]],
+        banks: list[list[np.ndarray] | None],
+        tapes: list[list[EnergyTape]],
+    ) -> list[np.ndarray]:
+        """Layer-major evaluation of every item's iterations at once.
 
-        The refresh iterations run sample-major first; their products
-        anchor the delta chains.  Then each layer takes every iteration's
-        masked input at once, forms each delta iteration's change against
-        the iteration before it, and runs all of them as one
-        :meth:`~repro.sram.macro.SRAMCIMMacro.matvec_delta_many` chain,
-        before bias and activation over the whole stack feed the next
-        layer.  A delta read depends only on the inputs, never on the
-        products it updates, so this performs exactly the arithmetic of
-        the per-iteration loop; the pre-drawn noise bank hands every read
-        the variate the loop would.
+        The wave stacks all items' rows on one batch axis -- a (T, N, in)
+        activation per layer, item ``i`` owning rows ``bounds[i]:
+        bounds[i + 1]`` -- and each layer makes at most two macro calls
+        whose ledger segments are those row blocks:
+
+        - the refresh iterations, from scratch, through one
+          :meth:`~repro.sram.macro.SRAMCIMMacro.matvec_many`;
+        - the delta iterations, each against the iteration before it,
+          through one :meth:`~repro.sram.macro.SRAMCIMMacro.matvec_delta_many`
+          chain restarted at every refresh.
+
+        Bias and activation then run over the whole stack and feed the
+        next layer.  A delta read depends only on the inputs, never on
+        the products it updates, so this is the per-iteration loop's
+        arithmetic in another order of evaluation, and every read takes
+        its variate from its item's pre-drawn noise bank.
+
+        Until the first dropout stage, every iteration of a refresh chain
+        sees the same input, so such a layer drives no line at any delta
+        iteration: each chain carries its refresh products forward (the
+        loop's copies) and the delta call, which would only charge zero
+        counts to ledgers that already hold these operations, is skipped.
+
+        Returns:
+            one C-contiguous (T, B_i, out) sample stack per item.
         """
         n_iterations = self.n_iterations
-        _, refresh_products = self._forward_stacked(
-            x, ordered, refresh_steps, noise_bank, rng
-        )
+        refresh_steps = self._refresh_steps()
         is_refresh = np.zeros(n_iterations, dtype=bool)
         is_refresh[refresh_steps] = True
         delta_steps = np.flatnonzero(~is_refresh)
         # Delta iterations right after a refresh restart the chain there.
         restarts = [k for k, t in enumerate(delta_steps) if is_refresh[t - 1]]
-        activation = np.broadcast_to(x, (n_iterations,) + x.shape)
+        chain_starts = refresh_steps[
+            np.searchsorted(refresh_steps, delta_steps, side="right") - 1
+        ]
+        rows = [x.shape[0] for x in xs]
+        bounds = np.cumsum([0] + rows)
+        activation = np.broadcast_to(
+            np.concatenate(xs), (n_iterations, bounds[-1], xs[0].shape[1])
+        )
+        carried = True
         for index, layer in enumerate(self.layers):
-            stream = ordered[index]
-            masked = (
-                activation
-                if stream is None
-                else self._apply_mask(activation, stream.masks)
+            macro = layer.macro
+            masks = self._wave_masks([item[index] for item in ordered])
+            if masks is None:
+                masked = activation
+            else:
+                # A wave of one broadcasts its masks over its rows.
+                keep = masks if len(xs) == 1 else np.repeat(masks, rows, axis=1)
+                masked = activation * keep.astype(float) / self.keep_probability
+                del keep
+                carried = False
+            noise = (
+                None
+                if banks[0] is None
+                else _stack_rows([bank[index] for bank in banks])
             )
-            delta = masked[delta_steps] - masked[delta_steps - 1]
-            changed = np.any(np.abs(delta) > 0, axis=1)
-            products = np.empty(
-                (n_iterations, x.shape[0], layer.macro.out_features)
-            )
-            products[refresh_steps] = refresh_products[index]
-            products[delta_steps] = layer.macro.matvec_delta_many(
-                {k: products[delta_steps[k] - 1] for k in restarts},
-                delta,
-                changed,
-                rng=rng,
-                noise=None if noise_bank is None else noise_bank[index][delta_steps],
-            )
+            ledgers = [(item[index], n_rows) for item, n_rows in zip(tapes, rows)]
+            if not delta_steps.size:
+                products = macro.matvec_many(
+                    np.ascontiguousarray(masked),
+                    input_masks=masks,
+                    noise=noise,
+                    ledgers=ledgers,
+                )
+            else:
+                products = np.empty(
+                    (n_iterations, bounds[-1], macro.out_features)
+                )
+                products[refresh_steps] = macro.matvec_many(
+                    masked[refresh_steps],
+                    input_masks=None if masks is None else masks[refresh_steps],
+                    noise=None if noise is None else noise[refresh_steps],
+                    ledgers=ledgers,
+                )
+                if carried:
+                    products[delta_steps] = products[chain_starts]
+                else:
+                    products[delta_steps] = self._delta_reads(
+                        macro,
+                        masked,
+                        {k: products[delta_steps[k] - 1] for k in restarts},
+                        delta_steps,
+                        bounds,
+                        None if noise is None else noise[delta_steps],
+                        ledgers,
+                    )
+            # Drop this layer's temporaries before the next layer's exist.
+            del masked, noise
             activation = self._finish_layer(layer, products)
-        return activation
+            del products
+        return [
+            np.ascontiguousarray(activation[:, start:stop])
+            for start, stop in zip(bounds[:-1], bounds[1:])
+        ]
+
+    @staticmethod
+    def _delta_reads(
+        macro: SRAMCIMMacro,
+        masked: np.ndarray,
+        anchors: dict[int, np.ndarray],
+        delta_steps: np.ndarray,
+        bounds: np.ndarray,
+        noise: np.ndarray | None,
+        ledgers: list[tuple[EnergyTape, int]],
+    ) -> np.ndarray:
+        """The delta iterations' products: each iteration's change against
+        the one before it, read through the delta port as one chain."""
+        delta = masked[delta_steps] - masked[delta_steps - 1]
+        # Per item "any of its rows changed the line", from running counts
+        # over the row axis (an item may own zero rows).
+        counts = np.cumsum(np.abs(delta) > 0, axis=1)
+        counts = np.concatenate([np.zeros_like(counts[:, :1]), counts], axis=1)
+        return macro.matvec_delta_many(
+            anchors,
+            delta,
+            counts[:, bounds[1:]] > counts[:, bounds[:-1]],
+            noise=noise,
+            ledgers=ledgers,
+        )
+
+    @staticmethod
+    def _wave_masks(masks: list[np.ndarray | None]) -> np.ndarray | None:
+        """(T, items, in) ordered keep-masks of one layer, or None if it
+        has no dropout stream; every item must pin the same layers."""
+        if all(item is None for item in masks):
+            return None
+        if any(item is None for item in masks):
+            raise ValueError(
+                "every item of a wave must pin streams on the same layers"
+            )
+        return _stack_rows([item[:, None, :] for item in masks])
 
     def _forward_loop(
         self,
         x: np.ndarray,
-        ordered: list[MaskStream | None],
-        refresh_steps: np.ndarray,
+        ordered: list[np.ndarray | None],
         noise_bank: list[np.ndarray] | None,
         rng: np.random.Generator,
+        tapes: list[EnergyTape],
+        refresh_steps: np.ndarray,
     ) -> np.ndarray:
         """Per-iteration loop: the reference behind ``fast_path=False``.
 
         Every read goes through one :meth:`~repro.sram.macro.SRAMCIMMacro.
         matvec` or :meth:`~repro.sram.macro.SRAMCIMMacro.matvec_delta`
-        call, iteration by iteration in visit order.
+        call, iteration by iteration in visit order, charged to the
+        layer's tape.
         """
         batch = x.shape[0]
         samples = np.empty(
@@ -568,9 +684,9 @@ class CIMMCDropoutEngine:
             refresh = t in refresh_set
             activation = x
             for index, layer in enumerate(self.layers):
-                stream = ordered[index]
-                if stream is not None:
-                    keep = stream.masks[t].astype(float)
+                masks = ordered[index]
+                if masks is not None:
+                    keep = masks[t].astype(float)
                     masked = activation * keep[None, :] / self.keep_probability
                 else:
                     masked = activation
@@ -580,9 +696,10 @@ class CIMMCDropoutEngine:
                     # dropped column lines, as the CL AND gates do.
                     products = layer.macro.matvec(
                         masked,
-                        input_mask=None if stream is None else stream.masks[t],
+                        input_mask=None if masks is None else masks[t],
                         rng=rng,
                         noise=noise,
+                        ledger=tapes[index],
                     )
                 else:
                     delta = masked - previous_inputs[index]
@@ -593,9 +710,16 @@ class CIMMCDropoutEngine:
                         changed,
                         rng=rng,
                         noise=noise,
+                        ledger=tapes[index],
                     )
                 previous_products[index] = products
                 previous_inputs[index] = masked
                 activation = self._finish_layer(layer, products)
             samples[t] = activation
         return samples
+
+
+def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
+    """Items' arrays joined along the row axis (axis 1); a wave of one
+    uses its item's array as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)

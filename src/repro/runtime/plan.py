@@ -21,8 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
-from repro.api.registry import get_experiment, resolve_substrate, result_stem
-from repro.api.results import config_hash, to_jsonable
+from repro.api.registry import (
+    get_experiment,
+    override_digest,
+    resolve_substrate,
+    result_stem,
+)
+from repro.api.results import to_jsonable
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,8 @@ class JobSpec:
 
     @property
     def config_digest(self) -> str:
-        """Short hash of the overrides ('' when none)."""
-        return config_hash(self.overrides)
+        """Short hash of the decoded overrides ('' when none)."""
+        return override_digest(self.experiment_id, self.overrides)
 
     @property
     def job_id(self) -> str:

@@ -128,7 +128,7 @@ def apply_overrides(
     if not overrides:
         return spec
     return replace_fields(
-        spec, parse_overrides(overrides), "scenario spec"
+        spec, parse_overrides(overrides, spec), "scenario spec"
     ).validate()
 
 

@@ -18,9 +18,11 @@ and the per-request determinism contract cannot depend on it:
 - :func:`reference_run` -- the determinism oracle: what one standalone
   pinned-mask ``session.run`` produces for a request seed.
 - :func:`run_grouped` -- executes a micro-batch of wire-level request
-  items grouped by seed, handing every item a generator restored to the
-  exact post-draw state its standalone reference run would consume, so
-  coalescing (and sharding) changes throughput, never bits.
+  items as one MC-Dropout wave: one mask-plan draw per seed group, a
+  generator restored to the exact post-draw state its standalone
+  reference run would consume for every item, and one layer-major pass
+  over every item's iterations, so coalescing (and sharding) changes
+  throughput, never bits.
 
 Items travel as plain ``(inputs, seed, request_id)`` tuples rather than
 request objects so the same payload can cross a multiprocessing pipe
@@ -52,6 +54,10 @@ RequestItem = tuple[np.ndarray, int, Optional[str]]
 # One wire-encoded outcome: ("ok", payload), ("track_error", (kind,
 # message)) or ("error", message).
 Encoded = tuple[str, Any]
+
+# One seed group of a micro-batch, once drawn: (seed, item indexes, mask
+# plan, the generator that drew it, its post-draw state).
+_DrawnGroup = tuple[int, list[int], MaskPlan, np.random.Generator, dict]
 
 
 def reference_run(
@@ -91,21 +97,6 @@ def result_mismatches(
     return [name for name, ok in checks.items() if not ok]
 
 
-def post_draw_generators(
-    session: MCDropoutSession, seed: int, count: int
-) -> tuple[MaskPlan, list[np.random.Generator]]:
-    """One shared mask plan plus ``count`` identical post-draw generators."""
-    base = np.random.default_rng(seed)
-    plan = session.draw_masks(base)
-    state = base.bit_generator.state
-    generators = []
-    for _ in range(count):
-        generator = np.random.default_rng(0)
-        generator.bit_generator.state = state
-        generators.append(generator)
-    return plan, generators
-
-
 def encode_error(error: Exception) -> Encoded:
     """The wire outcome of a failed item: typed for :class:`TrackError`,
     otherwise an execution error carrying the exception's type and
@@ -123,46 +114,74 @@ def run_grouped(
 ) -> list[Encoded]:
     """Run one micro-batch of request items on a borrowed session.
 
-    Items are grouped by seed; each group shares one mask-plan draw and
-    every item gets a generator restored to the post-draw state, which
-    is exactly what :func:`reference_run` would hand a standalone run --
-    so neither batch composition nor the executing shard changes bits.
+    Items are grouped by seed; each group draws its mask plan once, from
+    a generator seeded like :func:`reference_run`'s, and every item gets
+    a generator restored to that post-draw state -- exactly what a
+    standalone reference run would hand it.  Then every group's items
+    run as **one wave** (one ``session.run_batch`` call with a plan per
+    item), so neither batch composition nor the executing shard changes
+    bits.  If the wave raises, each group re-runs alone from its drawn
+    plan (nothing is drawn twice) and only the groups that raise again
+    fail.
 
     Returns one encoded outcome per item, in item order: ``("ok",``
     :class:`InferenceResponse` ``)`` on success, or an ``("error",
-    message)`` for every item of a group whose execution raised.
+    message)`` for every item of a group whose draw or execution raised.
     """
     groups: dict[int, list[int]] = {}
     for index, (_, seed, _) in enumerate(items):
         groups.setdefault(int(seed), []).append(index)
     outcomes: list[Optional[Encoded]] = [None] * len(items)
+    drawn: list[_DrawnGroup] = []
     for seed, indexes in groups.items():
         try:
-            plan, generators = post_draw_generators(
-                session, seed, len(indexes)
-            )
-            result = session.run_batch(
-                [items[i][0] for i in indexes],
-                masks=plan,
-                item_rngs=generators,
-            )
-            for position, index in enumerate(indexes):
-                outcomes[index] = (
-                    "ok",
-                    InferenceResponse(
-                        result=result.results[position],
-                        substrate=substrate,
-                        model=model,
-                        seed=seed,
-                        request_id=items[index][2],
-                        batch_size=len(items),
-                        group_size=len(indexes),
-                    ),
-                )
+            base = np.random.default_rng(seed)
+            plan = session.draw_masks(base)
         except Exception as error:
-            failed = encode_error(error)
             for index in indexes:
-                outcomes[index] = failed
+                outcomes[index] = encode_error(error)
+            continue
+        drawn.append((seed, indexes, plan, base, base.bit_generator.state))
+
+    def run_wave(wave: list[_DrawnGroup]) -> None:
+        members, generators = [], []
+        for seed, indexes, plan, base, state in wave:
+            # The group's first item takes the drawing generator itself,
+            # rewound to the post-draw state; every other item a copy.
+            base.bit_generator.state = state
+            generators.append(base)
+            for _ in indexes[1:]:
+                generators.append(np.random.default_rng(0))
+                generators[-1].bit_generator.state = state
+            members += [(seed, index, plan) for index in indexes]
+        result = session.run_batch(
+            [items[index][0] for _, index, _ in members],
+            masks=[plan for _, _, plan in members],
+            item_rngs=generators,
+        )
+        for (seed, index, _), item_result in zip(members, result.results):
+            outcomes[index] = (
+                "ok",
+                InferenceResponse(
+                    result=item_result,
+                    substrate=substrate,
+                    model=model,
+                    seed=seed,
+                    request_id=items[index][2],
+                    batch_size=len(items),
+                    group_size=len(groups[seed]),
+                ),
+            )
+
+    try:
+        run_wave(drawn)
+    except Exception:
+        for group in drawn:
+            try:
+                run_wave([group])
+            except Exception as error:
+                for index in group[1]:
+                    outcomes[index] = encode_error(error)
     return [outcome for outcome in outcomes if outcome is not None]
 
 
@@ -285,7 +304,6 @@ __all__ = [
     "WorkerSpec",
     "decode_outcomes",
     "encode_error",
-    "post_draw_generators",
     "reference_run",
     "result_mismatches",
     "run_grouped",

@@ -29,9 +29,9 @@ requests**:
   what :func:`reference_run` produces on a fresh identically-built
   session with the same seed, no matter how the request was batched or
   which shard served it, and each response's ops/energy come from the
-  engine's scoped per-call ledgers (living in whichever process executed
-  the batch), so concurrent requests never bleed metering into each
-  other.
+  engine's per-request energy tapes (living in whichever process
+  executed the batch), so requests sharing a wave never bleed metering
+  into each other.
 
 Use it in-process (async)::
 

@@ -11,11 +11,18 @@ A delta port (:meth:`matvec_delta`) supports the compute-reuse schedule:
 given the previous accumulated products and the input *change* vector, only
 the changed columns are driven.  :meth:`matvec_delta_many` runs a whole
 chain of such reads for stacked iterations in one call.
+
+The stacked methods take the batch axis in *segments* -- consecutive row
+blocks that each belong to one caller (one request of an MC-Dropout
+wave) -- and charge every segment to the ledger its caller passes,
+exactly as a call over that segment alone would charge the macro's own
+ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -60,6 +67,12 @@ class MacroConfig:
             self.mac_energy_j, key=lambda b: (abs(b - self.weight_bits), b)
         )
         return self.mac_energy_j[nearest] * (self.weight_bits / nearest)
+
+
+# Driven reads sharing a line count (and segment rows) are stacked into
+# one batched GEMM from this many on; fewer take one 2-D GEMM each, which
+# is cheaper below it.  Both are the same GEMM per read, bit for bit.
+_STACKED_READS = 4
 
 
 class SRAMCIMMacro:
@@ -184,6 +197,7 @@ class SRAMCIMMacro:
         input_mask: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
         noise: np.ndarray | None = None,
+        ledger: EnergyLedger | None = None,
     ) -> np.ndarray:
         """Full macro evaluation: (B, in) -> (B, out).
 
@@ -192,6 +206,7 @@ class SRAMCIMMacro:
             input_mask: (in,) keep-mask ANDed onto the inputs (CL dropout).
             rng: generator for analog noise.
             noise: pre-drawn (B, out) standard-normal read noise.
+            ledger: ledger charged for the read (default: the macro's).
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.in_features:
@@ -206,7 +221,7 @@ class SRAMCIMMacro:
             if input_mask is not None
             else self.in_features
         )
-        self._account(x.shape[0], active_in)
+        self._account(x.shape[0], active_in, ledger=ledger)
         return out
 
     def matvec_delta(
@@ -216,6 +231,7 @@ class SRAMCIMMacro:
         changed: np.ndarray,
         rng: np.random.Generator | None = None,
         noise: np.ndarray | None = None,
+        ledger: EnergyLedger | None = None,
     ) -> np.ndarray:
         """Compute-reuse read: update products through changed columns only.
 
@@ -230,6 +246,7 @@ class SRAMCIMMacro:
             changed: (in,) boolean mask of driven input lines.
             rng: generator for analog noise.
             noise: pre-drawn (B, out) standard-normal read noise.
+            ledger: ledger charged for the read (default: the macro's).
 
         Returns:
             (B, out) updated products.
@@ -241,14 +258,43 @@ class SRAMCIMMacro:
             raise ValueError("changed mask width mismatch")
         n_changed = int(changed.sum())
         if n_changed == 0:
-            self._account(previous.shape[0], 0, adc_reads=0)
+            self._account(previous.shape[0], 0, adc_reads=0, ledger=ledger)
             return previous.copy()
         delta_q = self._quantize_inputs(delta_x[:, changed])
         analog = delta_q @ self.stored_weight[changed]
         delta_read = self._read_columns(analog, rng, noise=noise)
         out = previous + delta_read
-        self._account(previous.shape[0], n_changed)
+        self._account(previous.shape[0], n_changed, ledger=ledger)
         return out
+
+    def _segments(
+        self, ledgers: Sequence[tuple[EnergyLedger, int]] | None, batch: int
+    ) -> tuple[list[EnergyLedger], np.ndarray]:
+        """The per-segment ledgers and row counts of a stacked call."""
+        if ledgers is None:
+            return [self.ledger], np.array([batch], dtype=np.int64)
+        targets = [ledger for ledger, _ in ledgers]
+        rows = [int(n_rows) for _, n_rows in ledgers]
+        if not rows or min(rows) < 0 or sum(rows) != batch:
+            raise ValueError(
+                f"ledger segments cover {rows} rows, batch has {batch}"
+            )
+        return targets, np.array(rows, dtype=np.int64)
+
+    @staticmethod
+    def _per_segment(
+        masks: np.ndarray, n_steps: int, n_segments: int, width: int, what: str
+    ) -> np.ndarray:
+        """(T, in) masks shared by every segment, or (T, S, in) ones per
+        segment, as a (T, S, in) array."""
+        if masks.ndim == 2 and masks.shape == (n_steps, width):
+            return np.broadcast_to(masks[:, None, :], (n_steps, n_segments, width))
+        if masks.shape != (n_steps, n_segments, width):
+            raise ValueError(
+                f"expected ({n_steps}, {width}) or ({n_steps}, {n_segments}, "
+                f"{width}) {what}, got {masks.shape}"
+            )
+        return masks
 
     def matvec_delta_many(
         self,
@@ -257,35 +303,52 @@ class SRAMCIMMacro:
         changed: np.ndarray,
         rng: np.random.Generator | None = None,
         noise: np.ndarray | None = None,
+        ledgers: Sequence[tuple[EnergyLedger, int]] | None = None,
     ) -> np.ndarray:
         """Chained delta reads of T stacked steps: (T, B, in) -> (T, B, out).
 
-        The delta-port counterpart of :meth:`matvec_many`.  Equivalent to
-        T :meth:`matvec_delta` calls in which step ``k`` updates
-        ``anchors[k]`` when given and step ``k - 1``'s output otherwise --
-        the same outputs bit for bit and the same per-call ledger entries
-        in the same order -- with one quantise, one ADC pass and one
-        batched ledger replay (:meth:`EnergyLedger.add_many`).  Two
-        details keep it exact:
+        The delta-port counterpart of :meth:`matvec_many`.  For every
+        segment of the batch axis (see ``ledgers``) it is equivalent to T
+        :meth:`matvec_delta` calls over that segment's rows, in which
+        step ``k`` updates ``anchors[k]`` when given and step ``k - 1``'s
+        output otherwise -- the same outputs bit for bit and the same
+        per-call ledger entries in the same order -- with one ADC pass and
+        one batched ledger replay (:meth:`EnergyLedger.add_many`) per
+        segment.  Three details keep it exact:
 
-        - every step that drives a line keeps its own GEMM over exactly
-          its changed lines; zero-padding deltas to a full-width GEMM, or
-          stacking steps with different line sets into one, may change
-          the BLAS summation order (it depends on the BLAS kernel);
-        - a step that drives no line carries its predecessor forward by
-          copy, since adding a zero read would turn -0.0 into +0.0.
+        - every read's GEMM runs over exactly its k driven lines.  Reads
+          are grouped by k (and segment rows); a group of at least
+          ``_STACKED_READS`` reads is one batched ``np.matmul`` of an
+          (S, rows, k) stack of driven input columns by the (S, k, out)
+          stack of their weight rows, whose every slice is the very GEMM
+          the read makes alone, both operands C-contiguous (a strided
+          operand makes BLAS round differently).  Zero-padding deltas to
+          a full-width GEMM is *not* exact: on numpy 2.4 / OpenBLAS 0.3.31
+          it changed the GEMM result of 2,523 of the 2,795 driven steps of
+          100 demo ``reference_run`` calls (the 6-bit ADC then rounds
+          almost all of that away, which is why only a read model that
+          keeps the GEMM's bits can test it);
+        - a step that drives no line reads ``-0.0``, the one exact
+          identity addend (a ``+0.0`` read would turn a ``-0.0`` product
+          into ``+0.0``), so every step is ``out = base + read``;
+        - the running sum is ``np.add.accumulate`` along the step axis
+          from each anchor, which adds in step order like the loop.
 
         Args:
             anchors: step index -> (B, out) products that step updates;
                 must contain step 0.
             delta_x: (T, B, in) input changes; only entries where
                 ``changed`` is True are driven.
-            changed: (T, in) boolean masks of driven input lines.
-            rng: generator for analog noise; the driven steps' variates
-                are drawn in one C-order block, which matches sequential
-                per-step draws.
+            changed: (T, in) boolean masks of driven input lines shared by
+                every segment, or (T, S, in) with one per segment.
+            rng: generator for analog noise; the driven reads' variates
+                are drawn in one C-order block (step-major), which for one
+                segment matches sequential per-step draws.
             noise: pre-drawn (T, B, out) standard-normal read noise (rows
-                of steps that drive no line are not used).
+                of reads that drive no line are not used).
+            ledgers: one ``(ledger, rows)`` pair per consecutive block of
+                the batch axis; each block's reads are charged to its
+                ledger.  Default: one block, charged to the macro's ledger.
         """
         delta_x = np.asarray(delta_x, dtype=float)
         if delta_x.ndim != 3 or delta_x.shape[2] != self.in_features:
@@ -293,53 +356,94 @@ class SRAMCIMMacro:
                 f"expected (T, B, {self.in_features}) deltas, got {delta_x.shape}"
             )
         n_steps, batch = delta_x.shape[0], delta_x.shape[1]
-        changed = np.asarray(changed, dtype=bool)
-        if changed.shape != (n_steps, self.in_features):
-            raise ValueError("changed mask width mismatch")
+        targets, rows = self._segments(ledgers, batch)
+        changed = self._per_segment(
+            np.asarray(changed, dtype=bool),
+            n_steps,
+            len(targets),
+            self.in_features,
+            "changed masks",
+        )
         if n_steps and 0 not in anchors:
             raise ValueError("anchors must give the products step 0 updates")
-        n_changed = changed.sum(axis=1).tolist()
-        driven = [k for k in range(n_steps) if n_changed[k]]
-        if driven:
-            first = driven[0]
-            # Pin the DAC grid exactly as the first driving call would.
-            self._ensure_input_spec(delta_x[first][:, changed[first]])
-            delta_q = self._quantize_inputs(delta_x[driven])
-            analog = np.empty((len(driven), batch, self.out_features))
-            for read, k in enumerate(driven):
-                lines = changed[k]
-                np.matmul(
-                    delta_q[read].compress(lines, axis=1),
-                    self.stored_weight.compress(lines, axis=0),
-                    out=analog[read],
+        starts = np.cumsum(rows) - rows
+        n_changed = changed.sum(axis=2)
+        reads = np.full((n_steps, batch, self.out_features), -0.0)
+        steps, segments = np.nonzero(n_changed)
+        if steps.size:
+            if self.input_spec is None:
+                # Pin the DAC grid exactly as the first driving call would.
+                first = np.lexsort((steps, segments))[0]
+                k, s = steps[first], segments[first]
+                self._ensure_input_spec(
+                    delta_x[k, starts[s] : starts[s] + rows[s]][:, changed[k, s]]
                 )
-            reads = self._read_columns(
-                analog, rng, noise=None if noise is None else noise[driven]
+            delta_q = self._quantize_inputs(delta_x)
+            analog = np.zeros_like(reads)
+            # One batched GEMM per (line count, segment rows) group.
+            counts = n_changed[steps, segments]
+            key = counts * (batch + 1) + rows[segments]
+            order = np.argsort(key, kind="stable")
+            steps, segments = steps[order], segments[order]
+            counts, key = counts[order], key[order]
+            all_lines = np.nonzero(changed[steps, segments])[1]
+            line_edges = np.concatenate(([0], np.cumsum(counts)))
+            edges = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), key.size]
+            for start, stop in zip(edges[:-1], edges[1:]):
+                count, n_rows = divmod(int(key[start]), batch + 1)
+                if stop - start < _STACKED_READS:
+                    # Too few reads to pay for stacking: one GEMM each.
+                    for k, segment in zip(
+                        steps[start:stop].tolist(), segments[start:stop].tolist()
+                    ):
+                        block = slice(starts[segment], starts[segment] + n_rows)
+                        lines = changed[k, segment]
+                        analog[k, block] = delta_q[k, block].compress(
+                            lines, axis=1
+                        ) @ self.stored_weight.compress(lines, axis=0)
+                    continue
+                group_steps, group_segments = steps[start:stop], segments[start:stop]
+                lines = all_lines[line_edges[start] : line_edges[stop]]
+                lines = lines.reshape(-1, count)
+                row_index = starts[group_segments][:, None] + np.arange(n_rows)
+                driven = delta_q[
+                    group_steps[:, None, None], row_index[:, :, None], lines[:, None, :]
+                ]
+                weights = self.stored_weight[lines]
+                assert driven.flags.c_contiguous and weights.flags.c_contiguous
+                analog[group_steps[:, None], row_index] = np.matmul(
+                    driven, weights
+                )
+            driven_rows = np.repeat(n_changed > 0, rows, axis=1)
+            if noise is None and self.config.adc_noise_lsb > 0:
+                if rng is None:
+                    raise ValueError("rng required for noisy macro reads")
+                noise = np.zeros_like(reads)
+                noise[driven_rows] = rng.normal(
+                    size=(int(driven_rows.sum()), self.out_features)
+                )
+            values = self._read_columns(analog, rng, noise=noise)
+            np.copyto(reads, values, where=driven_rows[:, :, None])
+        out = np.empty_like(reads)
+        bounds = sorted(k for k in anchors if k < n_steps) + [n_steps]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            reads[start] += anchors[start]
+            np.add.accumulate(reads[start:stop], axis=0, out=out[start:stop])
+        dacs = rows[:, None] * n_changed.T
+        charges = zip(
+            targets,
+            (dacs * self.out_features).tolist(),
+            (rows[:, None] * (n_changed.T > 0) * self.out_features).tolist(),
+            dacs.tolist(),
+        )
+        for ledger, macs, adc_reads, dac_reads in charges:
+            ledger.add_many("cim_mac", macs, self.config.mac_energy())
+            ledger.add_many(
+                "column_adc",
+                adc_reads,
+                self.config.node.adc_energy(self.config.adc_bits),
             )
-        out = np.empty((n_steps, batch, self.out_features))
-        next_read = 0
-        for k in range(n_steps):
-            base = anchors[k] if k in anchors else out[k - 1]
-            if n_changed[k]:
-                np.add(base, reads[next_read], out=out[k])
-                next_read += 1
-            else:
-                out[k] = base
-        self.ledger.add_many(
-            "cim_mac",
-            [batch * n * self.out_features for n in n_changed],
-            self.config.mac_energy(),
-        )
-        self.ledger.add_many(
-            "column_adc",
-            [batch * self.out_features if n else 0 for n in n_changed],
-            self.config.node.adc_energy(self.config.adc_bits),
-        )
-        self.ledger.add_many(
-            "input_dac",
-            [batch * n for n in n_changed],
-            self.config.node.dac_energy_j,
-        )
+            ledger.add_many("input_dac", dac_reads, self.config.node.dac_energy_j)
         return out
 
     def matvec_many(
@@ -348,22 +452,28 @@ class SRAMCIMMacro:
         input_masks: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
         noise: np.ndarray | None = None,
+        ledgers: Sequence[tuple[EnergyLedger, int]] | None = None,
     ) -> np.ndarray:
         """Fused evaluation of T stacked input batches: (T, B, in) -> (T, B, out).
 
-        Equivalent to T :meth:`matvec` calls (one per leading slice) --
-        same quantisation grid, same read model, same energy accounting --
-        but with one quantise, one GEMM and one ADC pass over the whole
-        stack.  This is the sample-major fast path the MC-Dropout engine
-        drives when iterations are independent.
+        For every segment of the batch axis (see ``ledgers``) it is
+        equivalent to T :meth:`matvec` calls (one per leading slice) over
+        that segment's rows -- same quantisation grid, same read model,
+        same energy accounting -- but with one quantise, one GEMM and one
+        ADC pass over the whole stack.  This is the sample-major fast path
+        the MC-Dropout engine drives when iterations are independent.
 
         Args:
             x: (T, B, in) stacked input activations.
-            input_masks: (T, in) per-slice keep-masks (CL dropout), or
-                None to drive every line.
+            input_masks: (T, in) per-slice keep-masks (CL dropout) shared
+                by every segment, (T, S, in) with one per segment, or None
+                to drive every line.
             rng: generator for analog noise; variates are drawn in one
                 C-order block, which matches T sequential per-slice draws.
             noise: pre-drawn (T, B, out) standard-normal read noise.
+            ledgers: one ``(ledger, rows)`` pair per consecutive block of
+                the batch axis; each block's reads are charged to its
+                ledger.  Default: one block, charged to the macro's ledger.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 3 or x.shape[2] != self.in_features:
@@ -371,36 +481,43 @@ class SRAMCIMMacro:
                 f"expected (T, B, {self.in_features}) inputs, got {x.shape}"
             )
         n_stacked, batch = x.shape[0], x.shape[1]
+        targets, rows = self._segments(ledgers, batch)
         if input_masks is not None:
-            input_masks = np.asarray(input_masks)
-            if input_masks.shape != (n_stacked, self.in_features):
-                raise ValueError(
-                    f"expected ({n_stacked}, {self.in_features}) input masks, "
-                    f"got {input_masks.shape}"
-                )
-            x = x * input_masks.astype(float)[:, None, :]
-        # Pin the DAC grid exactly as the first per-slice matvec would.
-        self._ensure_input_spec(x[0])
+            masks = self._per_segment(
+                np.asarray(input_masks),
+                n_stacked,
+                len(targets),
+                self.in_features,
+                "input masks",
+            )
+            if rows.size == 1:
+                # One segment broadcasts its masks over its rows as they are.
+                x = x * masks.astype(float)
+                active_in = np.count_nonzero(masks) * rows
+            else:
+                x = x * np.repeat(masks, rows, axis=1).astype(float)
+                active_in = masks.sum(axis=(0, 2), dtype=np.int64) * rows
+        else:
+            active_in = n_stacked * self.in_features * rows
+        # Pin the DAC grid exactly as the first segment's first matvec would.
+        self._ensure_input_spec(x[0, : rows[0]])
         x_q = self._quantize_inputs(x)
         analog = (
             x_q.reshape(n_stacked * batch, self.in_features) @ self.stored_weight
         ).reshape(n_stacked, batch, self.out_features)
         out = self._read_columns(analog, rng, noise=noise)
-        if input_masks is not None:
-            active_in_total = int(np.count_nonzero(input_masks)) * batch
-        else:
-            active_in_total = n_stacked * batch * self.in_features
-        self.ledger.add(
-            "cim_mac", active_in_total * self.out_features, self.config.mac_energy()
-        )
-        self.ledger.add(
-            "column_adc",
-            n_stacked * batch * self.out_features,
-            self.config.node.adc_energy(self.config.adc_bits),
-        )
-        self.ledger.add(
-            "input_dac", active_in_total, self.config.node.dac_energy_j
-        )
+        for ledger, n_rows, n_active in zip(
+            targets, rows.tolist(), active_in.tolist()
+        ):
+            ledger.add(
+                "cim_mac", n_active * self.out_features, self.config.mac_energy()
+            )
+            ledger.add(
+                "column_adc",
+                n_stacked * n_rows * self.out_features,
+                self.config.node.adc_energy(self.config.adc_bits),
+            )
+            ledger.add("input_dac", n_active, self.config.node.dac_energy_j)
         return out
 
     def _quantize_inputs(self, x: np.ndarray) -> np.ndarray:
@@ -408,17 +525,20 @@ class SRAMCIMMacro:
         return dequantize(quantize(x, spec), spec)
 
     def _account(
-        self, batch: int, active_in: int, adc_reads: int | None = None
+        self,
+        batch: int,
+        active_in: int,
+        adc_reads: int | None = None,
+        ledger: EnergyLedger | None = None,
     ) -> None:
+        ledger = self.ledger if ledger is None else ledger
         macs = batch * active_in * self.out_features
-        self.ledger.add("cim_mac", macs, self.config.mac_energy())
+        ledger.add("cim_mac", macs, self.config.mac_energy())
         reads = batch * self.out_features if adc_reads is None else adc_reads
-        self.ledger.add(
+        ledger.add(
             "column_adc", reads, self.config.node.adc_energy(self.config.adc_bits)
         )
-        self.ledger.add(
-            "input_dac", batch * active_in, self.config.node.dac_energy_j
-        )
+        ledger.add("input_dac", batch * active_in, self.config.node.dac_energy_j)
 
     def ideal_matvec(self, x: np.ndarray) -> np.ndarray:
         """Noise-free, unquantised-input product with stored weights."""

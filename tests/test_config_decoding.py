@@ -119,3 +119,21 @@ def test_a_field_and_a_field_inside_it_cannot_both_be_set():
             get_scenario("room-baseline"),
             {"trajectory.n_steps": "8", "trajectory": "8"},
         )
+
+
+def test_set_text_for_a_str_field_is_kept_unless_it_spells_a_str():
+    scn = get_experiment("SCN")
+    json_text = '{"name": "t", "description": "d"}'
+    assert scn.make_config({"spec": json_text}).spec == json_text
+    assert scn.make_config({"spec": "[1, 2]"}).spec == "[1, 2]"
+    # A bare word and a quoted string decode as they always did.
+    assert scn.make_config({"scenario": "room-baseline"}).scenario == (
+        "room-baseline"
+    )
+    assert scn.make_config({"scenario": '"room-baseline"'}).scenario == (
+        "room-baseline"
+    )
+    spec = apply_overrides(get_scenario("room-baseline"), {"description": "(1, 2)"})
+    assert spec.description == "(1, 2)"
+    # Non-str fields still literal-parse.
+    assert scn.make_config({"seed": "3"}).seed == 3

@@ -250,43 +250,56 @@ class TestLocalizationResultEdgeCases:
 
 
 class TestScopeExceptionSafety:
-    """DET004 contract: a raising forward must detach every scope.
+    """A raising forward must leave the engine's metering untouched.
 
-    Leaked scopes would double-charge every subsequent predict on the
-    same engine (the child keeps accumulating inside the cumulative
-    ledger), so the engine must stay metering-exact after an exception.
+    Reads charge per-call tapes that reach the macros' cumulative
+    odometers only after the whole forward has finished, so a raise
+    anywhere in it charges nothing and the engine stays metering-exact.
     """
 
-    def test_raising_forward_detaches_all_scopes(self, inputs, monkeypatch):
+    @staticmethod
+    def _odometers(engine):
+        return [
+            {op: (ledger.count(op), ledger.energy(op)) for op in ledger.operations}
+            for ledger in (layer.macro.ledger for layer in engine.layers)
+        ]
+
+    def test_raising_forward_leaves_odometers_untouched(
+        self, inputs, monkeypatch
+    ):
         engine = make_engine()
+        engine.predict(inputs, rng=np.random.default_rng(1))
+        before = self._odometers(engine)
 
         def boom(*args, **kwargs):
             raise RuntimeError("forward exploded")
 
-        monkeypatch.setattr(engine, "_forward_stacked", boom)
+        monkeypatch.setattr(engine, "_forward_wave", boom)
         monkeypatch.setattr(engine, "_forward_loop", boom)
         with pytest.raises(RuntimeError, match="forward exploded"):
             engine.predict(inputs, rng=np.random.default_rng(5))
+        assert self._odometers(engine) == before
         for layer in engine.layers:
             assert layer.macro.ledger._scopes == []
 
-    def test_raising_scope_open_detaches_partial_scopes(self, inputs):
-        # begin_scope failing on layer k must still close the scopes
-        # layers 0..k-1 already opened.
-        engine = make_engine()
-        victim = engine.layers[-1].macro.ledger
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_raise_in_last_layer_charges_no_odometer(
+        self, inputs, monkeypatch, fast_path
+    ):
+        # Earlier layers have already charged their tapes when the last
+        # layer's read raises; none of it may reach an odometer.
+        engine = make_engine(fast_path=fast_path)
+        before = self._odometers(engine)
+        victim = engine.layers[-1].macro
 
-        def refuse(label=None):
-            raise RuntimeError("scope open refused")
+        def refuse(*args, **kwargs):
+            raise RuntimeError("read refused")
 
-        victim.begin_scope = refuse
-        try:
-            with pytest.raises(RuntimeError, match="scope open refused"):
-                engine.predict(inputs, rng=np.random.default_rng(5))
-        finally:
-            del victim.begin_scope
-        for layer in engine.layers:
-            assert layer.macro.ledger._scopes == []
+        for name in ("matvec_many", "matvec"):
+            monkeypatch.setattr(victim, name, refuse)
+        with pytest.raises(RuntimeError, match="read refused"):
+            engine.predict(inputs, rng=np.random.default_rng(5))
+        assert self._odometers(engine) == before
 
     def test_predict_after_exception_matches_fresh_engine(
         self, inputs, monkeypatch
@@ -297,7 +310,7 @@ class TestScopeExceptionSafety:
             raise RuntimeError("forward exploded")
 
         with monkeypatch.context() as patched:
-            patched.setattr(engine, "_forward_stacked", boom)
+            patched.setattr(engine, "_forward_wave", boom)
             patched.setattr(engine, "_forward_loop", boom)
             with pytest.raises(RuntimeError):
                 engine.predict(inputs, rng=np.random.default_rng(5))

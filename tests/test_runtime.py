@@ -250,6 +250,18 @@ class TestFilenameCollisions:
         assert hashed.startswith("E3-cim-seed1-cfg")
         assert hashed != result_stem("E3", "cim", 1, {"n_steps": 6})
 
+    def test_spellings_of_one_config_share_a_stem_and_job_id(self):
+        # The digest covers the decoded values, not the --set text.
+        half = result_stem("E9", None, 1, {"keep_probability": "0.5"})
+        assert half == result_stem("E9", None, 1, {"keep_probability": ".5"})
+        assert half == result_stem("E9", None, 1, {"keep_probability": 0.5})
+        assert half != result_stem("E9", None, 1, {"keep_probability": "0.4"})
+        jobs = [
+            Plan.compile("E9", seeds=[1], overrides={"keep_probability": text})[0]
+            for text in ("0.5", ".5", "5e-1")
+        ]
+        assert {job.job_id for job in jobs} == {half}
+
 
 class TestBatchSessions:
     """run_batch must equal a run() loop bit-for-bit, per item."""

@@ -1,9 +1,12 @@
 """Tests for repro.sram: bit line, RNG, dropout generator, macro."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from repro.circuits.energy import EnergyLedger
 from repro.circuits.technology import NODE_16NM
 from repro.sram import (
     BitLineModel,
@@ -459,4 +462,110 @@ class TestMatvecMany:
                 rng.normal(size=(3, 2, 8)),
                 input_masks=np.ones((2, 8), dtype=np.uint8),
                 rng=rng,
+            )
+
+    @pytest.mark.parametrize("predrawn", [True, False], ids=["noise", "rng"])
+    def test_delta_many_segments_match_per_segment_chains(
+        self, predrawn, monkeypatch
+    ):
+        # Three segments of 1, 3 and 2 rows, each its own ledger; the
+        # driven-line counts include k = 1 and k = in_features, so the
+        # grouped GEMMs meet both edge widths, and steps 6-11 drive the
+        # same three lines in segments 0 and 1, so reads of one count and
+        # row count are stacked into one batched GEMM as well as read
+        # one by one.
+        # With the ADC read made the identity, the outputs are the GEMMs'
+        # own bits, so any change of GEMM rounding shows (the 6-bit ADC
+        # rounds almost all of it away).  Noise still has to be drawn.
+        monkeypatch.setattr(
+            SRAMCIMMacro,
+            "_read_columns",
+            lambda self, analog, rng, noise=None: analog
+            + (rng.normal(size=analog.shape) if noise is None else noise),
+        )
+        width, out_features, rows = 10, 6, (1, 3, 2)
+        weight = np.random.default_rng(0).normal(size=(width, out_features))
+        fused = SRAMCIMMacro(weight, rng=np.random.default_rng(1))
+        looped = SRAMCIMMacro(weight, rng=np.random.default_rng(1))
+        for macro in (fused, looped):
+            macro.pin_input_range(3.0)
+        rng = np.random.default_rng(4)
+        n_steps, batch = 12, sum(rows)
+        delta = rng.normal(size=(n_steps, batch, width))
+        changed = rng.random((n_steps, len(rows), width)) < 0.5
+        changed[6:, :2] = False
+        changed[6:, :2, [0, 4, 9]] = True
+        changed[0, 0] = False
+        changed[0, 0, 7] = True  # k = 1
+        changed[1, 1] = True  # k = in_features
+        changed[2, 2] = True
+        changed[3, 0] = False  # undriven: carries its base
+        changed[4, 2] = False
+        changed[4, 2, 3] = True
+        anchors = {0: rng.normal(size=(batch, out_features))}
+        anchors[3] = rng.normal(size=(batch, out_features))
+        anchors[3][0, 0] = -0.0
+        noise = rng.normal(size=(n_steps, batch, out_features))
+        counts = changed.sum(axis=2)
+        assert {1, width} <= set(counts.ravel().tolist())
+        groups = Counter(
+            (int(counts[k, s]), rows[s])
+            for k in range(n_steps)
+            for s in range(len(rows))
+            if counts[k, s]
+        )
+        assert max(groups.values()) >= 6 and min(groups.values()) == 1
+
+        ledgers = [EnergyLedger() for _ in rows]
+        out = fused.matvec_delta_many(
+            anchors,
+            delta,
+            changed,
+            rng=np.random.default_rng(3),
+            noise=noise if predrawn else None,
+            ledgers=list(zip(ledgers, rows)),
+        )
+        # The rng case draws the driven reads' variates step-major over
+        # the whole batch axis; hand the loop those same variates.
+        if not predrawn:
+            driven = np.repeat(counts > 0, rows, axis=1)
+            noise = np.zeros_like(noise)
+            noise[driven] = np.random.default_rng(3).normal(
+                size=(int(driven.sum()), out_features)
+            )
+        starts = np.cumsum((0,) + rows)
+        for segment, ledger in enumerate(ledgers):
+            block = slice(starts[segment], starts[segment + 1])
+            scope = looped.ledger.begin_scope()
+            expected = []
+            for k in range(n_steps):
+                base = anchors[k][block] if k in anchors else expected[-1]
+                expected.append(
+                    looped.matvec_delta(
+                        base,
+                        delta[k, block],
+                        changed[k, segment],
+                        noise=noise[k, block],
+                    )
+                )
+            looped.ledger.end_scope(scope)
+            expected = np.stack(expected)
+            assert np.array_equal(out[:, block], expected)
+            assert np.array_equal(np.signbit(out[:, block]), np.signbit(expected))
+            assert ledger.operations == scope.operations
+            for operation in scope.operations:
+                assert ledger.count(operation) == scope.count(operation)
+                assert ledger.energy(operation).hex() == scope.energy(
+                    operation
+                ).hex()
+        assert np.signbit(out[3, 0, 0])
+        assert fused.ledger.operations == []
+
+    def test_many_segments_must_cover_the_batch(self, rng):
+        macro = SRAMCIMMacro(rng.normal(size=(8, 4)), rng=rng)
+        with pytest.raises(ValueError, match="ledger segments"):
+            macro.matvec_many(
+                rng.normal(size=(3, 4, 8)),
+                rng=rng,
+                ledgers=[(EnergyLedger(), 1), (EnergyLedger(), 2)],
             )
