@@ -51,6 +51,7 @@ def result_stem(
     substrate: str | None,
     seed: int,
     overrides: dict[str, Any] | None = None,
+    digest: str | None = None,
 ) -> str:
     """Filename stem for one run: ``E3-cim-seed1[-cfg<hash>]``.
 
@@ -58,12 +59,15 @@ def result_stem(
     runs of the same id/substrate/seed with different ``--set`` values
     land in different files instead of overwriting each other (and
     default filenames stay byte-identical to the historical scheme).
+    ``digest`` is the overrides' :func:`override_digest` when already
+    known; otherwise it is computed, which decodes the overrides.
     """
     stem = experiment_id
     if substrate:
         stem += f"-{substrate}"
     stem += f"-seed{seed}"
-    digest = override_digest(experiment_id, overrides)
+    if digest is None:
+        digest = override_digest(experiment_id, overrides)
     if digest:
         stem += f"-cfg{digest}"
     return stem

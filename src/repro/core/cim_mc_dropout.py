@@ -502,9 +502,7 @@ class CIMMCDropoutEngine:
         offset = 0
         for out in out_features:
             block = flat[:, offset : offset + batch * out]
-            bank.append(
-                np.ascontiguousarray(block).reshape(self.n_iterations, batch, out)
-            )
+            bank.append(block.reshape(self.n_iterations, batch, out))
             offset += batch * out
         return bank
 
@@ -571,15 +569,14 @@ class CIMMCDropoutEngine:
             if masks is None:
                 masked = activation
             else:
-                # A wave of one broadcasts its masks over its rows.
-                keep = masks if len(xs) == 1 else np.repeat(masks, rows, axis=1)
+                keep = np.repeat(masks, rows, axis=1)
                 masked = activation * keep.astype(float) / self.keep_probability
                 del keep
                 carried = False
             noise = (
                 None
                 if banks[0] is None
-                else _stack_rows([bank[index] for bank in banks])
+                else np.concatenate([bank[index] for bank in banks], axis=1)
             )
             ledgers = [(item[index], n_rows) for item, n_rows in zip(tapes, rows)]
             if not delta_steps.size:
@@ -655,7 +652,7 @@ class CIMMCDropoutEngine:
             raise ValueError(
                 "every item of a wave must pin streams on the same layers"
             )
-        return _stack_rows([item[:, None, :] for item in masks])
+        return np.stack(masks, axis=1)
 
     def _forward_loop(
         self,
@@ -718,8 +715,3 @@ class CIMMCDropoutEngine:
             samples[t] = activation
         return samples
 
-
-def _stack_rows(parts: list[np.ndarray]) -> np.ndarray:
-    """Items' arrays joined along the row axis (axis 1); a wave of one
-    uses its item's array as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)

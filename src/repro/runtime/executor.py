@@ -106,6 +106,7 @@ class JobRecord:
             substrate=payload.get("substrate"),
             seed=int(payload.get("seed") or 0),
             overrides=dict(payload.get("overrides") or {}),
+            config_digest=payload.get("config_hash"),
         )
         result = payload.get("result")
         return cls(

@@ -45,6 +45,10 @@ class JobSpec:
             part of the spec -- not of executor state -- which is what
             keeps parallel and serial execution bit-identical.
         overrides: config field overrides applied to this job.
+        config_digest: short hash of the decoded overrides ('' when
+            none).  Computed once, at construction, when not given; a job
+            reloaded from a store keeps the digest it was stored under,
+            so its id never depends on overrides still decoding.
     """
 
     index: int
@@ -52,17 +56,21 @@ class JobSpec:
     substrate: str | None = None
     seed: int = 0
     overrides: dict[str, Any] = field(default_factory=dict)
+    config_digest: str | None = None
 
-    @property
-    def config_digest(self) -> str:
-        """Short hash of the decoded overrides ('' when none)."""
-        return override_digest(self.experiment_id, self.overrides)
+    def __post_init__(self) -> None:
+        if self.config_digest is None:
+            object.__setattr__(
+                self,
+                "config_digest",
+                override_digest(self.experiment_id, self.overrides),
+            )
 
     @property
     def job_id(self) -> str:
         """Stable id / filename stem: ``E3-cim-seed1[-cfg<hash>]``."""
         return result_stem(
-            self.experiment_id, self.substrate, self.seed, self.overrides
+            self.experiment_id, self.substrate, self.seed, digest=self.config_digest
         )
 
     def to_jsonable(self) -> dict:
@@ -130,6 +138,7 @@ class Plan:
             # Coercion check, and the source of the default seed.
             config = spec.make_config(resolved_overrides or None)
             default_seed = int(getattr(config, "seed", 0) or 0)
+            digest = override_digest(spec.id, resolved_overrides)
             for substrate in substrate_axis:
                 resolved = resolve_substrate(spec, substrate)
                 name = None if resolved is None else resolved.name
@@ -141,6 +150,7 @@ class Plan:
                             substrate=name,
                             seed=default_seed if seed is None else int(seed),
                             overrides=dict(resolved_overrides),
+                            config_digest=digest,
                         )
                     )
         if not jobs:
@@ -169,6 +179,7 @@ class Plan:
                 substrate=entry.get("substrate"),
                 seed=int(entry.get("seed") or 0),
                 overrides=dict(entry.get("overrides") or {}),
+                config_digest=entry.get("config_hash"),
             )
             for entry in payload
         )

@@ -69,12 +69,6 @@ class MacroConfig:
         return self.mac_energy_j[nearest] * (self.weight_bits / nearest)
 
 
-# Driven reads sharing a line count (and segment rows) are stacked into
-# one batched GEMM from this many on; fewer take one 2-D GEMM each, which
-# is cheaper below it.  Both are the same GEMM per read, bit for bit.
-_STACKED_READS = 4
-
-
 class SRAMCIMMacro:
     """One macro storing a weight matrix.
 
@@ -285,16 +279,15 @@ class SRAMCIMMacro:
     def _per_segment(
         masks: np.ndarray, n_steps: int, n_segments: int, width: int, what: str
     ) -> np.ndarray:
-        """(T, in) masks shared by every segment, or (T, S, in) ones per
-        segment, as a (T, S, in) array."""
-        if masks.ndim == 2 and masks.shape == (n_steps, width):
-            return np.broadcast_to(masks[:, None, :], (n_steps, n_segments, width))
-        if masks.shape != (n_steps, n_segments, width):
+        """(T, S, in) masks, one (T, in) set per segment; a call of one
+        segment may pass its (T, in) set as it is."""
+        stacked = masks[:, None, :] if masks.ndim == 2 else masks
+        if stacked.shape != (n_steps, n_segments, width):
             raise ValueError(
-                f"expected ({n_steps}, {width}) or ({n_steps}, {n_segments}, "
-                f"{width}) {what}, got {masks.shape}"
+                f"expected ({n_steps}, {n_segments}, {width}) {what}, "
+                f"got {masks.shape}"
             )
-        return masks
+        return stacked
 
     def matvec_delta_many(
         self,
@@ -312,22 +305,24 @@ class SRAMCIMMacro:
         :meth:`matvec_delta` calls over that segment's rows, in which
         step ``k`` updates ``anchors[k]`` when given and step ``k - 1``'s
         output otherwise -- the same outputs bit for bit and the same
-        per-call ledger entries in the same order -- with one ADC pass and
-        one batched ledger replay (:meth:`EnergyLedger.add_many`) per
-        segment.  Three details keep it exact:
+        per-call ledger entries in the same order -- with one quantise and
+        one ADC pass over the driven reads' rows only and one batched
+        ledger replay (:meth:`EnergyLedger.add_many`) per segment.  Three
+        details keep it exact:
 
         - every read's GEMM runs over exactly its k driven lines.  Reads
-          are grouped by k (and segment rows); a group of at least
-          ``_STACKED_READS`` reads is one batched ``np.matmul`` of an
-          (S, rows, k) stack of driven input columns by the (S, k, out)
-          stack of their weight rows, whose every slice is the very GEMM
-          the read makes alone, both operands C-contiguous (a strided
-          operand makes BLAS round differently).  Zero-padding deltas to
-          a full-width GEMM is *not* exact: on numpy 2.4 / OpenBLAS 0.3.31
+          are grouped by k and segment rows, and each group is one batched
+          ``np.matmul`` of an (S, rows, k) stack of driven input columns
+          by the (S, k, out) stack of their weight rows, whose every slice
+          is the very GEMM the read makes alone; both operands are runs
+          of arrays gathered in read order, so they are C-contiguous (a
+          strided operand makes BLAS round differently).  Zero-padding deltas to a
+          full-width GEMM is *not* exact: on numpy 2.4 / OpenBLAS 0.3.31
           it changed the GEMM result of 2,523 of the 2,795 driven steps of
-          100 demo ``reference_run`` calls (the 6-bit ADC then rounds
-          almost all of that away, which is why only a read model that
-          keeps the GEMM's bits can test it);
+          the ``cim-ordered`` ``reference_run`` calls on demo inputs of
+          seeds 0-99 (the 6-bit ADC then rounds almost all of that away,
+          which is why only a read model that keeps the GEMM's bits can
+          test it);
         - a step that drives no line reads ``-0.0``, the one exact
           identity addend (a ``+0.0`` read would turn a ``-0.0`` product
           into ``+0.0``), so every step is ``out = base + read``;
@@ -339,8 +334,8 @@ class SRAMCIMMacro:
                 must contain step 0.
             delta_x: (T, B, in) input changes; only entries where
                 ``changed`` is True are driven.
-            changed: (T, in) boolean masks of driven input lines shared by
-                every segment, or (T, S, in) with one per segment.
+            changed: (T, S, in) boolean masks of driven input lines, one
+                set per segment ((T, in) for a call of one segment).
             rng: generator for analog noise; the driven reads' variates
                 are drawn in one C-order block (step-major), which for one
                 segment matches sequential per-step draws.
@@ -378,52 +373,56 @@ class SRAMCIMMacro:
                 self._ensure_input_spec(
                     delta_x[k, starts[s] : starts[s] + rows[s]][:, changed[k, s]]
                 )
-            delta_q = self._quantize_inputs(delta_x)
-            analog = np.zeros_like(reads)
-            # One batched GEMM per (line count, segment rows) group.
+            # Reads sorted by (line count, rows): each group of one batched
+            # GEMM then owns consecutive runs of driven rows, operand entries
+            # and weight rows.  Only driven entries are gathered and
+            # quantised, and only driven rows are read.
             counts = n_changed[steps, segments]
-            key = counts * (batch + 1) + rows[segments]
+            sizes = rows[segments]
+            key = counts * (batch + 1) + sizes
             order = np.argsort(key, kind="stable")
             steps, segments = steps[order], segments[order]
-            counts, key = counts[order], key[order]
-            all_lines = np.nonzero(changed[steps, segments])[1]
-            line_edges = np.concatenate(([0], np.cumsum(counts)))
-            edges = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), key.size]
-            for start, stop in zip(edges[:-1], edges[1:]):
-                count, n_rows = divmod(int(key[start]), batch + 1)
-                if stop - start < _STACKED_READS:
-                    # Too few reads to pay for stacking: one GEMM each.
-                    for k, segment in zip(
-                        steps[start:stop].tolist(), segments[start:stop].tolist()
-                    ):
-                        block = slice(starts[segment], starts[segment] + n_rows)
-                        lines = changed[k, segment]
-                        analog[k, block] = delta_q[k, block].compress(
-                            lines, axis=1
-                        ) @ self.stored_weight.compress(lines, axis=0)
-                    continue
-                group_steps, group_segments = steps[start:stop], segments[start:stop]
-                lines = all_lines[line_edges[start] : line_edges[stop]]
-                lines = lines.reshape(-1, count)
-                row_index = starts[group_segments][:, None] + np.arange(n_rows)
-                driven = delta_q[
-                    group_steps[:, None, None], row_index[:, :, None], lines[:, None, :]
+            counts, sizes, key = counts[order], sizes[order], key[order]
+            lines = np.nonzero(changed[steps, segments])[1]
+            # Per driven row, in read order: its place among the T * B rows,
+            # then its entries' (place, line) pairs.
+            places = _runs(steps * batch + starts[segments], sizes)
+            row_counts = np.repeat(counts, sizes)
+            row_lines = np.repeat(np.cumsum(counts) - counts, sizes)
+            entries = self._quantize_inputs(
+                delta_x.reshape(-1, self.in_features)[
+                    np.repeat(places, row_counts), lines[_runs(row_lines, row_counts)]
                 ]
-                weights = self.stored_weight[lines]
-                assert driven.flags.c_contiguous and weights.flags.c_contiguous
-                analog[group_steps[:, None], row_index] = np.matmul(
-                    driven, weights
+            )
+            analog = np.empty((places.size, self.out_features))
+            last = np.append(np.flatnonzero(np.diff(key)), key.size - 1)
+            groups = zip(
+                counts[last].tolist(),
+                sizes[last].tolist(),
+                np.split(entries, np.cumsum(sizes * counts)[last[:-1]]),
+                np.split(self.stored_weight[lines], np.cumsum(counts)[last[:-1]]),
+                np.split(analog, np.cumsum(sizes)[last[:-1]]),
+            )
+            for count, n_rows, operands, weights, products in groups:
+                operands = operands.reshape(-1, n_rows, count)
+                weights = weights.reshape(-1, count, self.out_features)
+                assert operands.flags.c_contiguous and weights.flags.c_contiguous
+                np.matmul(
+                    operands,
+                    weights,
+                    out=products.reshape(-1, n_rows, self.out_features),
                 )
-            driven_rows = np.repeat(n_changed > 0, rows, axis=1)
-            if noise is None and self.config.adc_noise_lsb > 0:
+            if noise is not None:
+                noise = noise.reshape(-1, self.out_features)[places]
+            elif self.config.adc_noise_lsb > 0:
                 if rng is None:
                     raise ValueError("rng required for noisy macro reads")
-                noise = np.zeros_like(reads)
-                noise[driven_rows] = rng.normal(
-                    size=(int(driven_rows.sum()), self.out_features)
-                )
-            values = self._read_columns(analog, rng, noise=noise)
-            np.copyto(reads, values, where=driven_rows[:, :, None])
+                # Variates in step-major order of the driven rows.
+                noise = np.empty_like(analog)
+                noise[np.argsort(places)] = rng.normal(size=analog.shape)
+            reads.reshape(-1, self.out_features)[places] = self._read_columns(
+                analog, rng, noise=noise
+            )
         out = np.empty_like(reads)
         bounds = sorted(k for k in anchors if k < n_steps) + [n_steps]
         for start, stop in zip(bounds[:-1], bounds[1:]):
@@ -465,9 +464,9 @@ class SRAMCIMMacro:
 
         Args:
             x: (T, B, in) stacked input activations.
-            input_masks: (T, in) per-slice keep-masks (CL dropout) shared
-                by every segment, (T, S, in) with one per segment, or None
-                to drive every line.
+            input_masks: (T, S, in) per-slice keep-masks (CL dropout), one
+                set per segment ((T, in) for a call of one segment), or
+                None to drive every line.
             rng: generator for analog noise; variates are drawn in one
                 C-order block, which matches T sequential per-slice draws.
             noise: pre-drawn (T, B, out) standard-normal read noise.
@@ -490,13 +489,8 @@ class SRAMCIMMacro:
                 self.in_features,
                 "input masks",
             )
-            if rows.size == 1:
-                # One segment broadcasts its masks over its rows as they are.
-                x = x * masks.astype(float)
-                active_in = np.count_nonzero(masks) * rows
-            else:
-                x = x * np.repeat(masks, rows, axis=1).astype(float)
-                active_in = masks.sum(axis=(0, 2), dtype=np.int64) * rows
+            x = x * np.repeat(masks, rows, axis=1).astype(float)
+            active_in = masks.sum(axis=(0, 2), dtype=np.int64) * rows
         else:
             active_in = n_stacked * self.in_features * rows
         # Pin the DAC grid exactly as the first segment's first matvec would.
@@ -546,3 +540,9 @@ class SRAMCIMMacro:
 
     def total_energy_j(self) -> float:
         return self.ledger.total_energy_j()
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs ``arange(start, start + length)``, concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())

@@ -74,6 +74,28 @@ class TestPlan:
         assert [job.job_id for job in back] == [job.job_id for job in plan]
         assert back[1].overrides == plan[1].overrides
 
+    def test_reloaded_job_keeps_its_id_when_overrides_no_longer_decode(
+        self, tmp_path
+    ):
+        # A store written before a config field was renamed: the reloaded
+        # plan and records keep the ids they were stored under instead of
+        # decoding the stale override.
+        plan = Plan.compile("E9", seeds=[0], overrides=FAST_E9)
+        ParallelExecutor(workers=1).execute(plan, store=tmp_path / "run")
+        for name in ("manifest.json", "results.jsonl"):
+            path = tmp_path / "run" / name
+            path.write_text(
+                path.read_text().replace('"n_trials"', '"n_trials_renamed"')
+            )
+        loaded = RunStore.load(tmp_path / "run")
+        assert [job.job_id for job in loaded.plan] == [plan[0].job_id]
+        assert [record.job.job_id for record in loaded.records()] == [
+            plan[0].job_id
+        ]
+        assert "n_trials_renamed" in loaded.plan[0].overrides
+        with pytest.raises(ValueError, match="unknown config field"):
+            JobSpec(0, "E9", overrides=dict(loaded.plan[0].overrides))
+
 
 class TestExecutor:
     def test_parallel_matches_serial_bit_for_bit(self):

@@ -471,9 +471,9 @@ class TestMatvecMany:
         # Three segments of 1, 3 and 2 rows, each its own ledger; the
         # driven-line counts include k = 1 and k = in_features, so the
         # grouped GEMMs meet both edge widths, and steps 6-11 drive the
-        # same three lines in segments 0 and 1, so reads of one count and
-        # row count are stacked into one batched GEMM as well as read
-        # one by one.
+        # same three lines in segments 0 and 1, so one batched GEMM stacks
+        # many reads of one count and row count while other groups hold
+        # a single read.
         # With the ADC read made the identity, the outputs are the GEMMs'
         # own bits, so any change of GEMM rounding shows (the 6-bit ADC
         # rounds almost all of it away).  Noise still has to be drawn.
@@ -568,4 +568,12 @@ class TestMatvecMany:
                 rng.normal(size=(3, 4, 8)),
                 rng=rng,
                 ledgers=[(EnergyLedger(), 1), (EnergyLedger(), 2)],
+            )
+        # Several segments take one mask set each, never a shared one.
+        with pytest.raises(ValueError, match="input masks"):
+            macro.matvec_many(
+                rng.normal(size=(3, 4, 8)),
+                input_masks=np.ones((3, 8), dtype=np.uint8),
+                rng=rng,
+                ledgers=[(EnergyLedger(), 1), (EnergyLedger(), 3)],
             )
