@@ -3,7 +3,9 @@
 # tracks enabled, assert that a malformed track init is a 400,
 # per-substrate HTTP bit-parity
 # (scripts/ci/serve_parity_check.py) and live-HTTP streaming-track
-# bit-parity vs a one-shot run (scripts/ci/track_stream_check.py), then
+# bit-parity vs a one-shot run, for one stream and for a concurrent
+# burst of tracks that the server steps as waves
+# (scripts/ci/track_stream_check.py), then
 # shut down with live tracks open and verify the server exits cleanly
 # (SIGTERM path must also stop any worker shards -- no orphaned
 # children, even mid-stream).

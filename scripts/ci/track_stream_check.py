@@ -13,6 +13,12 @@ an unknown path (body left unread, so the server closes) between two
 steps: the stream must carry on exactly, on one reused connection
 before and one after.
 
+Then a burst: several tracks, each at its own orbit phase and on its
+own connection, step concurrently, so the server coalesces steps of
+different tracks into one wave.  Every track's stream must still match
+its own one-shot run, and ``/stats`` must show a step batch of at least
+two (a server-side wave really ran).
+
 Environment:
     SERVE_URL   base URL (default http://127.0.0.1:8731)
     N_STEPS     measurement steps to stream (default 3)
@@ -21,6 +27,7 @@ Environment:
 import http.client
 import json
 import os
+import threading
 import urllib.parse
 import urllib.request
 
@@ -47,6 +54,76 @@ def post(conn: http.client.HTTPConnection, path: str, payload: dict) -> dict:
     raw = reply.read().decode()
     assert reply.status == 200, raw
     return strict_loads(raw)
+
+
+BURST_TRACKS = 8
+
+
+def burst(base_url: str, world, n_steps: int) -> int:
+    """Step :data:`BURST_TRACKS` tracks at distinct orbit phases
+    concurrently, one connection each, in lockstep rounds; assert each
+    stream's parity.  Returns the largest step batch ``/stats`` saw."""
+    url = urllib.parse.urlsplit(base_url)
+    controls, depths, truths = demo_track_measurements(
+        n_steps=n_steps + BURST_TRACKS
+    )
+    rounds = threading.Barrier(BURST_TRACKS, timeout=120)
+    streams: list = [None] * BURST_TRACKS
+    errors: list = []
+
+    def run(k: int) -> None:
+        # Track k joins the orbit at frame k and holds station first.
+        steps = slice(k, k + n_steps)
+        sequence = (np.vstack([np.zeros(4), controls[steps][1:]]),
+                    depths[steps], truths[steps])
+        init = TrackInit(
+            mode="tracking",
+            state=truths[k],
+            sigma=np.full(truths.shape[1], 0.05),
+            z_range=None,
+        )
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=120)
+        try:
+            track_id = post(
+                conn,
+                "/track/open",
+                {"init": init.to_dict(), "substrate": "cim", "seed": 100 + k},
+            )["track_id"]
+            responses = []
+            for control, depth, truth in zip(*sequence):
+                rounds.wait()
+                payload = post(
+                    conn,
+                    "/track/step",
+                    {
+                        "track_id": track_id,
+                        "control": control.tolist(),
+                        "depth": depth.tolist(),
+                        "truth": truth.tolist(),
+                    },
+                )
+                responses.append(TrackStepResponse.from_dict(payload))
+            post(conn, "/track/close", {"track_id": track_id})
+            streams[k] = (init, sequence, responses)
+        except Exception as error:
+            errors.append(f"track {k}: {error!r}")
+            rounds.abort()
+        finally:
+            conn.close()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(BURST_TRACKS)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+        assert not thread.is_alive(), "a burst track hung"
+    assert not errors, errors
+    for k, (init, sequence, responses) in enumerate(streams):
+        reference = reference_track_run(world, "cim", init, 100 + k, sequence)
+        mismatches = stream_mismatches(responses, reference)
+        assert not mismatches, f"burst track {k}: {mismatches} differ"
+    stats = json.loads(urllib.request.urlopen(f"{base_url}/stats").read())
+    return int(stats["tracks"]["max_step_batch"])
 
 
 def main() -> None:
@@ -118,6 +195,13 @@ def main() -> None:
     print(
         f"track stream: bit-parity ok over {n_steps} live-HTTP steps "
         f"(energy_j={final.energy_j:.3e}, ops={final.ops_executed})"
+    )
+
+    max_batch = burst(base_url, world, n_steps)
+    assert max_batch >= 2, f"no step batch of two or more ran (max {max_batch})"
+    print(
+        f"track burst: bit-parity ok for {BURST_TRACKS} concurrent tracks "
+        f"at distinct phases (max step batch {max_batch})"
     )
 
 

@@ -85,6 +85,20 @@ class EnergyLedger:
         for scope in self._scopes:
             scope._apply_many(operation, counts, energies)
 
+    def add_charges(self, charges: dict[str, tuple[list[int], list[float]]]) -> None:
+        """Record runs of entries owed per operation, one run each.
+
+        ``charges`` maps an operation to its ``(counts, energies)`` entries
+        in the order they were incurred, with the operations in the order
+        they first appear.  Operations accumulate independently, so one
+        :meth:`_apply_many` per operation makes the same float additions,
+        and the same first insertions, as the interleaved sequence of
+        single entries it stands for.
+        """
+        for operation, (counts, energies) in charges.items():
+            if counts:
+                self._apply_many(operation, counts, energies)
+
     def add_energy(self, operation: str, total_energy_j: float, count: int = 1) -> None:
         """Record a pre-totalled energy contribution."""
         if total_energy_j < 0:

@@ -8,12 +8,17 @@ replication.  A logarithmic ADC digitises the summed current (the particle
 filter consumes log-likelihoods), and DACs drive the input voltages.
 
 The evaluation path is fully vectorised: per-column device parameters are
-baked into arrays at construction so a batch of query points costs a few
-broadcast numpy expressions rather than a Python loop over columns.
+baked into arrays at construction, and since the inputs arrive through
+DACs, each column's per-axis current term is tabulated per DAC code, so
+a batch of query points costs a few table gathers rather than a Python
+loop over columns.  :class:`ArrayBank` reads a wave of callers' points
+over several arrays (the tiles of a domain) with one pass per array.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +77,14 @@ class VoltageEncoder:
     def encode(self, points: np.ndarray) -> np.ndarray:
         """World points (N, A) -> gate voltages (N, A), clipped to rails."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        volts = self.v_lo + (points - self.lo) * self.scale()
+        volts = np.empty(points.shape)
+        for axis in range(points.shape[1]):
+            volts[:, axis] = self.encode_axis(points[:, axis], axis)
+        return volts
+
+    def encode_axis(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """World coordinates (N,) on ``axis`` -> gate voltages (N,)."""
+        volts = self.v_lo + (values - self.lo[axis]) * self.scale()[axis]
         return np.clip(volts, 0.0, self.vdd)
 
     def decode(self, volts: np.ndarray) -> np.ndarray:
@@ -86,29 +98,18 @@ class VoltageEncoder:
 STACK_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class PlannedRead:
-    """One read's query points with its noise already drawn.
-
-    Attributes:
-        points: (N, A) world points.
-        current_noise: (N,) standard normals for the output-line current
-            noise, or ``None`` without a noise model.
-    """
-
-    points: np.ndarray
-    current_noise: np.ndarray | None
-
-    @staticmethod
-    def stack(reads: list["PlannedRead"]) -> "PlannedRead":
-        """Reads of one array concatenated in order (one noise config)."""
-
-        return PlannedRead(
-            np.concatenate([read.points for read in reads]),
-            None
-            if reads[0].current_noise is None
-            else np.concatenate([read.current_noise for read in reads]),
-        )
+def _runs(sizes: list[int], limit: int) -> list[list[int]]:
+    """Consecutive ``sizes`` grouped into runs of at most ``limit`` in
+    total (a larger size is a run of its own)."""
+    runs: list[list[int]] = []
+    total = 0
+    for size in sizes:
+        if not runs or total + size > limit:
+            runs.append([])
+            total = 0
+        runs[-1].append(size)
+        total += size
+    return runs
 
 
 class InverterColumn:
@@ -140,6 +141,13 @@ class InverterColumn:
 
 class InverterArray:
     """A bank of likelihood-inverter columns with shared current summation.
+
+    :meth:`column_currents` evaluates the device model at any input
+    voltages.  A read (:meth:`read`) only ever drives the inputs at DAC
+    levels, so it gathers each column's per-axis term from a table
+    built with the same formula at every DAC code, and sums the terms
+    in the same axis order -- bit-equal to :meth:`column_currents` of
+    the DAC voltages.
 
     Args:
         node: technology node.
@@ -224,22 +232,52 @@ class InverterArray:
         soft = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
         return i_spec * soft**2
 
+    def _axis_inverse(self, axis: int, volts: np.ndarray) -> np.ndarray:
+        """Inverse per-axis currents ``1 / (I_axis + 1e-300)`` (N, C) at
+        input voltages ``volts`` (N,) on ``axis``."""
+        vdd = self.node.vdd
+        # Effective input after the programmed threshold shift.
+        v_eff = volts[:, None] - (self._centers[None, :, axis] - vdd / 2.0)
+        slopes = self._slopes[None, :, axis]
+        i_spec = self._i_spec[None, :, axis]
+        i_n = self._ekv(v_eff, slopes, i_spec)
+        i_p = self._ekv(vdd - v_eff, slopes, i_spec)
+        i_axis = i_n * i_p / (i_n + i_p + 1e-300)
+        return 1.0 / (i_axis + 1e-300)
+
+    @functools.cached_property
+    def _inverse_table(self) -> np.ndarray:
+        """Each column's inverse axis current at every DAC level,
+        (A, levels, C): a read only ever drives an axis at one of the
+        DAC's 2**bits voltages.  Built at the first read, so arrays
+        that are never read (co-design probes) skip it."""
+        return np.stack(
+            [
+                self._axis_inverse(axis, dac.output(np.arange(dac.levels)))
+                for axis, dac in enumerate(self.dacs)
+            ]
+        )
+
     def column_currents(self, volts: np.ndarray) -> np.ndarray:
         """Per-column stack currents (N, C) for input voltages (N, A)."""
         volts = np.atleast_2d(np.asarray(volts, dtype=float))
         if volts.shape[1] != self.n_axes:
             raise ValueError(f"expected {self.n_axes} axes, got {volts.shape[1]}")
-        vdd = self.node.vdd
         inverse_sum = np.zeros((volts.shape[0], self.n_columns))
         for axis in range(self.n_axes):
-            # Effective input after the programmed threshold shift.
-            v_eff = volts[:, axis, None] - (self._centers[None, :, axis] - vdd / 2.0)
-            slopes = self._slopes[None, :, axis]
-            i_spec = self._i_spec[None, :, axis]
-            i_n = self._ekv(v_eff, slopes, i_spec)
-            i_p = self._ekv(vdd - v_eff, slopes, i_spec)
-            i_axis = i_n * i_p / (i_n + i_p + 1e-300)
-            inverse_sum += 1.0 / (i_axis + 1e-300)
+            inverse_sum += self._axis_inverse(axis, volts[:, axis])
+        return 1.0 / inverse_sum
+
+    def code_currents(self, codes: np.ndarray) -> np.ndarray:
+        """Per-column stack currents (N, C) for DAC input codes (N, A).
+
+        Bit-equal to :meth:`column_currents` of the codes' DAC voltages:
+        the table rows are that method's per-axis terms, summed in the
+        same axis order from the same ``0.0 +`` start.
+        """
+        inverse_sum = 0.0 + self._inverse_table[0][codes[:, 0]]
+        for axis in range(1, self.n_axes):
+            inverse_sum += self._inverse_table[axis][codes[:, axis]]
         return 1.0 / inverse_sum
 
     def total_current(
@@ -271,86 +309,89 @@ class InverterArray:
             (N,) unnormalised log-likelihood values (log of the decoded
             summed current).
         """
-        [(log_lik, currents)] = self.read_planned(
-            [self.plan_read(points, rng)], encoder
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        sizes = np.array([points.shape[0]])
+        log_lik, currents = self.read(
+            points, self.draw_noise(points.shape[0], rng), sizes, encoder
         )
-        self._account(currents.shape[0], currents, self.ledger)
+        self.ledger.add_charges(self.read_energies(sizes, currents))
         return log_lik
 
-    def plan_read(
-        self, points: np.ndarray, rng: np.random.Generator | None = None
-    ) -> PlannedRead:
-        """Draw everything one read of ``points`` takes from ``rng``.
+    def draw_noise(
+        self, n_queries: int, rng: np.random.Generator | None
+    ) -> np.ndarray | None:
+        """The output-line noise normals one read of ``n_queries`` points
+        draws from ``rng`` (``None`` without a noise model)."""
+        if self.noise is None:
+            return None
+        if rng is None:
+            raise ValueError("rng required when a noise model is attached")
+        return rng.normal(size=(n_queries,))
 
-        The draws are exactly those of :meth:`read_log_likelihood`: the
-        current noise (``total_current``).
+    def read(
+        self,
+        points: np.ndarray,
+        current_noise: np.ndarray | None,
+        sizes: np.ndarray,
+        encoder: VoltageEncoder,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluate consecutive reads in one stacked pass, without metering.
+
+        ``points`` (N, A) holds reads of ``sizes`` rows each, in order, and
+        ``current_noise`` their :meth:`draw_noise` normals.  Returns the
+        ``(log-likelihoods, currents)`` of every row, each read's rows
+        bit-equal to that read alone; the caller meters them with
+        :meth:`read_energies`.  Consecutive reads share a table gather
+        of up to :data:`STACK_ROWS` rows.  The column-current sum stays
+        one matvec per read: a BLAS matvec rounds a row differently
+        depending on the call's row count, so one matvec over the stack
+        would not reproduce the per-read values.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        current_noise = None
-        if self.noise is not None:
-            if rng is None:
-                raise ValueError("rng required when a noise model is attached")
-            current_noise = rng.normal(size=(points.shape[0],))
-        return PlannedRead(points, current_noise)
-
-    def read_planned(
-        self, reads: list[PlannedRead], encoder: VoltageEncoder
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Evaluate planned reads in one stacked pass, without metering.
-
-        Returns one ``(log-likelihoods, currents)`` pair per read, each
-        bit-equal to that read evaluated alone; the caller meters every
-        read with :meth:`_account` on its ``currents``, into a ledger of
-        its choice.  Consecutive reads are stacked up to
-        :data:`STACK_ROWS` rows per pass.  The
-        column-current sum stays one matvec per read: a BLAS matvec rounds
-        a row differently depending on the call's row count, so one
-        matvec over the stack would not reproduce the per-read values.
-        """
-        outputs: list[tuple[np.ndarray, np.ndarray]] = []
-        batch: list[PlannedRead] = []
-        rows = 0
-        for read in reads:
-            if batch and rows + read.points.shape[0] > STACK_ROWS:
-                outputs += self._read_stacked(batch, encoder)
-                batch, rows = [], 0
-            batch.append(read)
-            rows += read.points.shape[0]
-        if batch:
-            outputs += self._read_stacked(batch, encoder)
-        return outputs
-
-    def _read_stacked(
-        self, reads: list[PlannedRead], encoder: VoltageEncoder
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        stacked = reads[0] if len(reads) == 1 else PlannedRead.stack(reads)
-        volts = encoder.encode(stacked.points)
+        # Axis-major codes: each axis's gather reads a contiguous row.
+        codes = np.empty((self.n_axes, points.shape[0]), dtype=np.int64)
         for axis, dac in enumerate(self.dacs):
-            volts[:, axis] = dac.convert(volts[:, axis])
-        columns = self.column_currents(volts)
-        bounds = np.cumsum([0] + [read.points.shape[0] for read in reads])
-        currents = np.empty(columns.shape[0])
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            currents[start:stop] = columns[start:stop] @ self.replication
+            codes[axis] = dac.quantize(encoder.encode_axis(points[:, axis], axis))
+        currents = np.empty(points.shape[0])
+        start = 0
+        for chunk in _runs(np.asarray(sizes).tolist(), STACK_ROWS):
+            columns = self.code_currents(codes.T[start : start + sum(chunk)])
+            offset = 0
+            for size in chunk:
+                currents[start + offset : start + offset + size] = (
+                    columns[offset : offset + size] @ self.replication
+                )
+                offset += size
+            start += offset
         if self.noise is not None:
-            currents = np.maximum(
-                self.noise.apply(currents, stacked.current_noise), 0.0
-            )
+            currents = np.maximum(self.noise.apply(currents, current_noise), 0.0)
         log_lik = self.adc.log_likelihood(self.adc.convert(currents))
-        return [
-            (log_lik[start:stop], currents[start:stop])
-            for start, stop in zip(bounds[:-1], bounds[1:])
-        ]
+        return log_lik, currents
 
-    def _account(
-        self, n_queries: int, currents: np.ndarray, ledger: EnergyLedger
-    ) -> None:
-        ledger.add(
-            "dac_conversion", n_queries * self.n_axes, self.node.dac_energy_j
+    def read_energies(
+        self, sizes: np.ndarray, currents: np.ndarray
+    ) -> dict[str, tuple[list[int], list[float]]]:
+        """What :meth:`read` of reads of ``sizes`` rows with output-line
+        ``currents`` costs: operation -> (counts, energies), one entry per
+        read in read order, each the value one ``add`` of that read would
+        record."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        bounds = np.cumsum(sizes).tolist()
+        # np.sum's own reduction, without its Python wrapper per read.
+        sums = np.array(
+            [
+                np.add.reduce(currents[stop - size : stop])
+                for size, stop in zip(sizes.tolist(), bounds)
+            ]
         )
-        ledger.add("adc_conversion", n_queries, self.adc.conversion_energy())
-        analog = float(np.sum(currents) * self.node.vdd * self.eval_time_s)
-        ledger.add_energy("analog_evaluation", analog, count=n_queries)
+        conversions = sizes * self.n_axes
+        return {
+            operation: (counts.tolist(), energies.tolist())
+            for operation, counts, energies in (
+                ("dac_conversion", conversions, conversions * self.node.dac_energy_j),
+                ("adc_conversion", sizes, sizes * self.adc.conversion_energy()),
+                ("analog_evaluation", sizes, sums * self.node.vdd * self.eval_time_s),
+            )
+        }
 
     def energy_per_query(self) -> float:
         """Mean energy per likelihood query so far (J)."""
@@ -358,3 +399,134 @@ class InverterArray:
         if queries == 0:
             return 0.0
         return self.ledger.total_energy_j() / queries
+
+
+@dataclass(frozen=True)
+class WavePlan:
+    """One planned :meth:`ArrayBank.read` of a wave of callers.
+
+    Attributes:
+        order: stable (key, caller) sort of the callers' flat rows.
+        counts: (K, W) rows per (key, caller).
+        points: (N, A) the rows in sorted order.
+        noise: (N,) each row's output-line noise normal, drawn from its
+            caller's generator; ``None`` without a noise model.
+    """
+
+    order: np.ndarray
+    counts: np.ndarray
+    points: np.ndarray
+    noise: np.ndarray | None
+
+
+class ArrayBank:
+    """Inverter arrays addressed by integer keys, read a wave at a time.
+
+    A wave is W callers' query points, each row routed to the array of
+    its key (a tile of the domain).  :meth:`plan` sorts every row once
+    on its (key, caller) pair, so each array's rows lie stacked in caller
+    order, and draws each caller's read noise from its own generator in
+    key order -- exactly the draws of that caller's reads alone.
+    :meth:`read` then makes one stacked pass per array.  Rows whose key
+    has no array read ``empty_log``.
+
+    Args:
+        arrays: key -> (programmed array, its encoder).
+        n_keys: size of the key space.
+        empty_log: log-likelihood of a row whose key has no array.
+    """
+
+    def __init__(
+        self,
+        arrays: dict[int, tuple[InverterArray, VoltageEncoder]],
+        n_keys: int,
+        empty_log: float,
+    ):
+        self.arrays = dict(sorted(arrays.items()))
+        self.n_keys = int(n_keys)
+        self.empty_log = float(empty_log)
+        self._noisy = [
+            (key, array)
+            for key, (array, _) in self.arrays.items()
+            if array.noise is not None
+        ]
+
+    def plan(
+        self,
+        points: np.ndarray,
+        keys: np.ndarray,
+        rngs: Sequence[np.random.Generator | None],
+    ) -> WavePlan:
+        """Sort ``points`` (W, Q, A) by their ``keys`` (W, Q) and draw
+        every read's noise."""
+        n_callers, n_points = points.shape[:2]
+        # A (key, caller) pair in 16 bits sorts by radix.
+        dtype = np.uint16 if self.n_keys * n_callers <= 1 << 16 else np.int64
+        paired = (
+            keys.astype(dtype) * dtype(n_callers)
+            + np.arange(n_callers, dtype=dtype)[:, None]
+        ).reshape(-1)
+        order = np.argsort(paired, kind="stable")
+        counts = np.bincount(paired, minlength=self.n_keys * n_callers).reshape(
+            self.n_keys, n_callers
+        )
+        ordered = np.take(points.reshape(n_callers * n_points, -1), order, axis=0)
+        noise = None
+        if self._noisy:
+            noise = np.empty(ordered.shape[0])
+            sizes = counts.tolist()
+            starts = (np.cumsum(counts) - counts.reshape(-1)).tolist()
+            for caller, rng in enumerate(rngs):
+                for key, array in self._noisy:
+                    size = sizes[key][caller]
+                    if size:
+                        start = starts[key * n_callers + caller]
+                        noise[start : start + size] = array.draw_noise(size, rng)
+        return WavePlan(order, counts, ordered, noise)
+
+    def read(
+        self, plan: WavePlan
+    ) -> tuple[np.ndarray, list[dict[str, tuple[list, list]]]]:
+        """The wave's values (W, Q) and each caller's metering
+        (operation -> per-read counts and energies, in key order)."""
+        n_callers = plan.counts.shape[1]
+        values = np.full(plan.points.shape[0], self.empty_log)
+        totals = plan.counts.sum(axis=1)
+        offsets = (np.cumsum(totals) - totals).tolist()
+        callers, entries = [], []
+        for key, (array, encoder) in self.arrays.items():
+            rows = int(totals[key])
+            if not rows:
+                continue
+            block = slice(offsets[key], offsets[key] + rows)
+            sizes = plan.counts[key][plan.counts[key] > 0]
+            log_lik, currents = array.read(
+                plan.points[block],
+                None if plan.noise is None else plan.noise[block],
+                sizes,
+                encoder,
+            )
+            values[block] = log_lik
+            callers.append(np.flatnonzero(plan.counts[key]))
+            entries.append(array.read_energies(sizes, currents))
+        unsorted = np.empty_like(values)
+        unsorted[plan.order] = values
+        return unsorted.reshape(n_callers, -1), self._charges(
+            callers, entries, n_callers
+        )
+
+    @staticmethod
+    def _charges(
+        callers: list[np.ndarray],
+        entries: list[dict[str, tuple[list[int], list[float]]]],
+        n_callers: int,
+    ) -> list[dict[str, tuple[list, list]]]:
+        """Regroup per-array read entries (arrays in key order) by caller."""
+        charges: list[dict[str, tuple[list, list]]] = [{} for _ in range(n_callers)]
+        for readers, entry in zip(callers, entries):
+            for operation, (counts, energies) in entry.items():
+                for caller, count, energy_j in zip(readers.tolist(), counts, energies):
+                    owed = charges[caller].setdefault(operation, ([], []))
+                    owed[0].append(count)
+                    owed[1].append(energy_j)
+        return charges

@@ -15,13 +15,13 @@ sides; the duplicated columns are reported in the tiling report.
 
 from __future__ import annotations
 
-import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.circuits.energy import EnergyLedger
-from repro.circuits.inverter_array import PlannedRead, VoltageEncoder
+from repro.circuits.inverter_array import ArrayBank, VoltageEncoder, WavePlan
 from repro.circuits.noise import NoiseModel
 from repro.circuits.technology import TechnologyNode
 from repro.circuits.variability import MismatchSampler
@@ -51,20 +51,6 @@ def tiled_sigma_menu(
     span = tile_size * (1.0 + 2.0 * apron_fraction)
     encoder = VoltageEncoder(lo=lo, hi=lo + span, vdd=node.vdd, margin=margin)
     return hardware_sigma_menu(node, encoder, fg_bits=fg_bits)
-
-
-@dataclass(frozen=True)
-class TiledPlan:
-    """One planned :meth:`TiledInverterArrayMap.field_log` call.
-
-    Attributes:
-        n_points: number of query points.
-        reads: ``(tile index, query rows, planned read)`` per tile visited,
-            in the stable-argsort order the field evaluation draws in.
-    """
-
-    n_points: int
-    reads: list[tuple[tuple[int, ...], np.ndarray, PlannedRead]]
 
 
 @dataclass(frozen=True)
@@ -194,11 +180,6 @@ class TiledInverterArrayMap:
             self._encoders[index] = encoder
         if not self._arrays:
             raise ValueError("no tile received any mixture component")
-        # Active tiles by the flat key plan_field_log groups queries on.
-        self._tile_at_key = {
-            (i * self.tiles[1] + j) * self.tiles[2] + k: (i, j, k)
-            for i, j, k in self._arrays
-        }
         duplicated -= mixture.n_components
         self.report = TilingReport(
             tiles=self.tiles,
@@ -209,78 +190,69 @@ class TiledInverterArrayMap:
         # Log-likelihood returned for points falling in a component-free
         # tile: below every active tile's ADC floor.
         floors = [a.adc.log_likelihood(np.array([0]))[0] for a in self._arrays.values()]
-        self._empty_tile_log = float(min(floors) - 1.0)
+        # The active tiles by the flat key plan_field_log groups queries on.
+        self._bank = ArrayBank(
+            {
+                (i * self.tiles[1] + j) * self.tiles[2] + k: (
+                    array,
+                    self._encoders[(i, j, k)],
+                )
+                for (i, j, k), array in self._arrays.items()
+            },
+            int(np.prod(self.tiles)),
+            empty_log=float(min(floors) - 1.0),
+        )
 
     def tile_of(self, points: np.ndarray) -> np.ndarray:
         """(N, 3) integer tile indices for world points (clipped to grid)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        raw = np.floor((points - self.lo) / self.tile_size).astype(int)
-        return np.minimum(np.maximum(raw, 0), np.asarray(self.tiles) - 1)
+        indices = np.empty(points.shape, dtype=int)
+        for axis, count in enumerate(self.tiles):
+            raw = np.floor((points[:, axis] - self.lo[axis]) / self.tile_size[axis])
+            indices[:, axis] = np.clip(raw.astype(int), 0, count - 1)
+        return indices
 
     def field_log(
         self, points: np.ndarray, rng: np.random.Generator | None = None
     ) -> np.ndarray:
         """(N,) log field values; queries are routed to their tile's array."""
-        [reading] = self.read_planned([self.plan_field_log(points, rng)])
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        [reading] = self.read_planned(self.plan_field_log(points[None], [rng]))
         reading.account(self.ledger)
         return reading.values
 
     def plan_field_log(
-        self, points: np.ndarray, rng: np.random.Generator | None = None
-    ) -> TiledPlan:
-        """Group ``points`` by tile and draw each tile read's noise.
+        self,
+        points: np.ndarray,
+        rngs: Sequence[np.random.Generator | None],
+    ) -> WavePlan:
+        """Route W callers' points (W, Q, 3) to their tiles and draw each
+        tile read's noise.
 
-        Tiles are visited in stable-argsort key order, one
-        :meth:`~repro.circuits.inverter_array.InverterArray.plan_read` per
-        tile, so ``rng`` sees exactly the draws :meth:`field_log` makes.
+        Every caller's rows are grouped by tile in flat-key order, so
+        its generator sees exactly the draws :meth:`field_log` of its
+        points makes: one per visited tile, in key order.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        indices = self.tile_of(points)
+        indices = self.tile_of(points.reshape(-1, 3))
         keys = (
             indices[:, 0] * (self.tiles[1] * self.tiles[2])
             + indices[:, 1] * self.tiles[2]
             + indices[:, 2]
         )
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        ordered = points[order]
-        bounds = [0, *(np.flatnonzero(np.diff(sorted_keys)) + 1).tolist(), order.size]
-        reads = []
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            index = self._tile_at_key.get(int(sorted_keys[start]))
-            if index is None:
-                continue
-            read = self._arrays[index].plan_read(ordered[start:stop], rng)
-            reads.append((index, order[start:stop], read))
-        return TiledPlan(points.shape[0], reads)
+        return self._bank.plan(points, keys.reshape(points.shape[:2]), rngs)
 
-    def read_planned(self, plans: list[TiledPlan]) -> list[FieldReading]:
-        """Evaluate many planned field reads with one array pass per tile.
+    def read_planned(self, plan: WavePlan) -> list[FieldReading]:
+        """Evaluate a planned wave with one array pass per tile.
 
-        Every plan's reads of one tile are stacked into a single
-        DAC -> array -> noise -> ADC pass; each plan gets its values and
+        Every caller's reads of one tile are stacked into a single
+        DAC -> array -> noise -> ADC pass; each caller gets its values and
         its deferred per-tile metering back, bit-equal to evaluating it
         alone.  Nothing is metered until a reading's ``account(ledger)``
         runs.
         """
-        values = [np.full(plan.n_points, self._empty_tile_log) for plan in plans]
-        charges: list[list] = [[None] * len(plan.reads) for plan in plans]
-        by_tile: dict[tuple, list[tuple[int, int]]] = {}
-        for p, plan in enumerate(plans):
-            for j, (index, _, _) in enumerate(plan.reads):
-                by_tile.setdefault(index, []).append((p, j))
-        for index, members in by_tile.items():
-            array = self._arrays[index]
-            outputs = array.read_planned(
-                [plans[p].reads[j][2] for p, j in members], self._encoders[index]
-            )
-            for (p, j), (log_lik, currents) in zip(members, outputs):
-                values[p][plans[p].reads[j][1]] = log_lik
-                charges[p][j] = functools.partial(
-                    array._account, currents.shape[0], currents
-                )
         return [
-            FieldReading(value, charge) for value, charge in zip(values, charges)
+            FieldReading(values, charges)
+            for values, charges in zip(*self._bank.read(plan))
         ]
 
     def energy_per_query(self) -> float:
@@ -302,9 +274,11 @@ class TiledCIMBackend(MapFieldBackend):
         return self.tiled_map.ledger
 
     def plan_field_log(
-        self, points: np.ndarray, rng: np.random.Generator | None = None
-    ) -> TiledPlan:
-        return self.tiled_map.plan_field_log(points, rng=rng)
+        self,
+        points: np.ndarray,
+        rngs: Sequence[np.random.Generator | None],
+    ) -> WavePlan:
+        return self.tiled_map.plan_field_log(points, rngs)
 
-    def read_planned(self, plans: list[TiledPlan]) -> list[FieldReading]:
-        return self.tiled_map.read_planned(plans)
+    def read_planned(self, plan: WavePlan) -> list[FieldReading]:
+        return self.tiled_map.read_planned(plan)

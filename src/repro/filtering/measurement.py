@@ -14,14 +14,19 @@ field comes from a pluggable backend:
 from __future__ import annotations
 
 import abc
-import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro.circuits.energy import EnergyLedger
-from repro.circuits.inverter_array import InverterArray, PlannedRead, VoltageEncoder
+from repro.circuits.inverter_array import (
+    ArrayBank,
+    InverterArray,
+    VoltageEncoder,
+    WavePlan,
+)
 from repro.circuits.technology import TechnologyNode
 from repro.filtering.particles import YAW_INDEX, ParticleSet
 from repro.maps.gmm import GaussianMixture
@@ -47,54 +52,57 @@ def state_to_pose(state: np.ndarray, camera_mount: Pose | None = None) -> Pose:
 
 @dataclass(frozen=True)
 class FieldReading:
-    """One planned field evaluation's values and its deferred metering.
+    """One caller's share of a planned field evaluation.
 
     Attributes:
         values: (Q,) log field values.
-        charges: ledger entries still owed, applied by :meth:`account`
-            into the ledger its caller passes.
+        charges: the metering still owed: operation -> (counts, energies)
+            of the evaluation's reads, in read order, applied by
+            :meth:`account` into the ledger its caller passes.
     """
 
     values: np.ndarray
-    charges: list[Callable[[EnergyLedger], None]]
+    charges: dict[str, tuple[list[int], list[float]]]
 
     def account(self, ledger: EnergyLedger) -> None:
-        for charge in self.charges:
-            charge(ledger)
+        ledger.add_charges(self.charges)
 
 
 class MapFieldBackend(abc.ABC):
     """Evaluates the (unnormalised) log map field at world points.
 
-    A field evaluation runs in two halves so several callers can share
+    A field evaluation runs in two halves so a wave of callers can share
     one hardware pass: :meth:`plan_field_log` takes every draw the
-    evaluation needs from the caller's generator, and
-    :meth:`read_planned` evaluates many plans at once and returns each
-    one's values plus its metering, deferred until
-    :meth:`FieldReading.account` charges it into a ledger.
-    :meth:`field_log` is the two halves for a single caller, metered
-    into :attr:`ledger`.
+    callers' evaluations need from their generators, and
+    :meth:`read_planned` evaluates the plan and returns each caller's
+    values plus its metering, deferred until :meth:`FieldReading.account`
+    charges it into a ledger.  :meth:`field_log` is the wave of one,
+    metered into :attr:`ledger`.
     """
 
     def field_log(
         self, points: np.ndarray, rng: np.random.Generator | None = None
     ) -> np.ndarray:
         """(Q,) log field values at (Q, 3) world points."""
-        [reading] = self.read_planned([self.plan_field_log(points, rng)])
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        [reading] = self.read_planned(self.plan_field_log(points[None], [rng]))
         reading.account(self.ledger)
         return reading.values
 
     @abc.abstractmethod
     def plan_field_log(
-        self, points: np.ndarray, rng: np.random.Generator | None = None
+        self,
+        points: np.ndarray,
+        rngs: Sequence[np.random.Generator | None],
     ) -> Any:
-        """Everything one :meth:`field_log` of ``points`` draws from
-        ``rng``, drawn now and in the same order."""
+        """Everything the :meth:`field_log` of each caller's points
+        (W, Q, 3) draws from that caller's generator, drawn now and in
+        the same order."""
 
     @abc.abstractmethod
-    def read_planned(self, plans: list[Any]) -> list[FieldReading]:
-        """Evaluate planned reads; one reading per plan, each bit-equal
-        to that plan's :meth:`field_log` alone."""
+    def read_planned(self, plan: Any) -> list[FieldReading]:
+        """Evaluate a plan; one reading per caller, each bit-equal to
+        that caller's :meth:`field_log` alone."""
 
     @property
     @abc.abstractmethod
@@ -134,17 +142,16 @@ class DigitalGMMBackend(MapFieldBackend):
         return self._ledger
 
     def plan_field_log(
-        self, points: np.ndarray, rng: np.random.Generator | None = None
+        self,
+        points: np.ndarray,
+        rngs: Sequence[np.random.Generator | None],
     ) -> np.ndarray:
-        return np.atleast_2d(np.asarray(points, dtype=float))
+        return points
 
-    def read_planned(self, plans: list[np.ndarray]) -> list[FieldReading]:
+    def read_planned(self, plan: np.ndarray) -> list[FieldReading]:
         return [
-            FieldReading(
-                self._field_values(points),
-                [functools.partial(self._account, points.shape[0])],
-            )
-            for points in plans
+            FieldReading(self._field_values(points), self._charges(points.shape[0]))
+            for points in plan
         ]
 
     def _field_values(self, points: np.ndarray) -> np.ndarray:
@@ -163,19 +170,26 @@ class DigitalGMMBackend(MapFieldBackend):
         )
         return np.round((clipped - self._log_ceiling) / step) * step + self._log_ceiling
 
-    def _account(self, n_queries: int, ledger: EnergyLedger) -> None:
+    def _charges(self, n_queries: int) -> dict[str, tuple[list[int], list[float]]]:
         """Per query: K * (3 MAC for z^2, 1 exp LUT, 1 weight MAC, 1 acc)."""
         k = self.gmm.n_components
         bits = self.bits if self.bits is not None else 32
-        ledger.add("mac", n_queries * 4 * k, self.node.mac_energy(bits))
-        ledger.add("exp_lut", n_queries * k, self.node.lut_energy_j)
-        ledger.add("accumulate", n_queries * k, self.node.add_energy(bits))
-        # Fetch component parameters (7 words of `bits` each) from local SRAM.
-        ledger.add(
-            "sram_read_bit",
-            n_queries * 7 * k * bits,
-            self.node.sram_read_energy_per_bit_j,
+        entries = (
+            ("mac", n_queries * 4 * k, self.node.mac_energy(bits)),
+            ("exp_lut", n_queries * k, self.node.lut_energy_j),
+            ("accumulate", n_queries * k, self.node.add_energy(bits)),
+            # Fetch component parameters (7 words of `bits` each) from
+            # local SRAM.
+            (
+                "sram_read_bit",
+                n_queries * 7 * k * bits,
+                self.node.sram_read_energy_per_bit_j,
+            ),
         )
+        return {
+            operation: ([count], [count * energy_per_op_j])
+            for operation, count, energy_per_op_j in entries
+        }
 
     def energy_per_query(self) -> float:
         queries = self._ledger.count("exp_lut") // max(self.gmm.n_components, 1)
@@ -195,28 +209,25 @@ class CIMArrayBackend(MapFieldBackend):
     def __init__(self, array: InverterArray, encoder: VoltageEncoder):
         self.array = array
         self.encoder = encoder
+        # A single array is a bank of one: every point reads it.
+        self._bank = ArrayBank({0: (array, encoder)}, 1, empty_log=-np.inf)
 
     @property
     def ledger(self) -> EnergyLedger:
         return self.array.ledger
 
     def plan_field_log(
-        self, points: np.ndarray, rng: np.random.Generator | None = None
-    ) -> PlannedRead:
-        return self.array.plan_read(points, rng)
+        self,
+        points: np.ndarray,
+        rngs: Sequence[np.random.Generator | None],
+    ) -> WavePlan:
+        return self._bank.plan(points, np.zeros(points.shape[:2], dtype=int), rngs)
 
-    def read_planned(self, plans: list[PlannedRead]) -> list[FieldReading]:
-        """All plans in one array pass (a single array is one tile)."""
+    def read_planned(self, plan: WavePlan) -> list[FieldReading]:
+        """Every caller in one array pass."""
         return [
-            FieldReading(
-                log_lik,
-                [
-                    functools.partial(
-                        self.array._account, currents.shape[0], currents
-                    )
-                ],
-            )
-            for log_lik, currents in self.array.read_planned(plans, self.encoder)
+            FieldReading(values, charges)
+            for values, charges in zip(*self._bank.read(plan))
         ]
 
 
@@ -293,51 +304,56 @@ class DepthScanMeasurementModel:
         """Per-particle scan log-likelihoods, shape (N,).
 
         :meth:`project`, the backend's field evaluation, then
-        :meth:`combine`.
+        :meth:`combine`, for one particle set.
 
         Args:
             particles: particle set (states (N, 4)).
             scan_points_cam: (M, 3) valid scan points in the camera frame.
             rng: generator (scan subsampling, backend noise).
         """
-        world = self.project(particles, scan_points_cam, rng)
+        world = self.project(particles.states[None], [scan_points_cam], [rng])
         field = self.backend.field_log(world.reshape(-1, 3), rng=rng)
-        return self.combine(field.reshape(world.shape[:2]))
+        return self.combine(field.reshape(world.shape[:3]))[0]
 
     def project(
         self,
-        particles: ParticleSet,
-        scan_points_cam: np.ndarray,
-        rng: np.random.Generator,
+        states: np.ndarray,
+        scans: Sequence[np.ndarray],
+        rngs: Sequence[np.random.Generator],
     ) -> np.ndarray:
-        """Subsample the scan and move it through every particle pose:
-        (N, M, 3) world points (the scan subsample draws from ``rng``)."""
+        """Subsample each caller's scan and move it through every one of
+        its particle poses: (W, N, M, 3) world points for states
+        (W, N, 4).  Each scan subsample draws from its caller's
+        generator; the subsamples must all have M points."""
         if self._log_floor is None:
             raise RuntimeError("call calibrate_floor() before log_likelihoods()")
-        scan = self.subsample_scan(scan_points_cam, rng)
-        mounted = self.camera_mount.transform_points(scan)
-        states = particles.states
-        n, m = states.shape[0], mounted.shape[0]
-        yaw = states[:, YAW_INDEX]
-        cos_y, sin_y = np.cos(yaw), np.sin(yaw)
-        world = np.empty((n, m, 3))
-        world[:, :, 0] = (
-            cos_y[:, None] * mounted[None, :, 0]
-            - sin_y[:, None] * mounted[None, :, 1]
-            + states[:, None, 0]
+        mounted = np.stack(
+            [
+                self.camera_mount.transform_points(self.subsample_scan(scan, rng))
+                for scan, rng in zip(scans, rngs)
+            ]
+        )[:, None]
+        yaw = states[..., YAW_INDEX]
+        cos_y, sin_y = np.cos(yaw)[..., None], np.sin(yaw)[..., None]
+        world = np.empty((*states.shape[:2], mounted.shape[2], 3))
+        world[..., 0] = (
+            cos_y * mounted[..., 0]
+            - sin_y * mounted[..., 1]
+            + states[:, :, None, 0]
         )
-        world[:, :, 1] = (
-            sin_y[:, None] * mounted[None, :, 0]
-            + cos_y[:, None] * mounted[None, :, 1]
-            + states[:, None, 1]
+        world[..., 1] = (
+            sin_y * mounted[..., 0]
+            + cos_y * mounted[..., 1]
+            + states[:, :, None, 1]
         )
-        world[:, :, 2] = mounted[None, :, 2] + states[:, None, 2]
+        world[..., 2] = mounted[..., 2] + states[:, :, None, 2]
         return world
 
     def combine(self, field: np.ndarray) -> np.ndarray:
-        """(N,) log-likelihoods from the (N, M) field at projected points."""
+        """(..., N) log-likelihoods from the (..., N, M) field at
+        projected points."""
         # Robust mixture with the floor, computed stably in the log domain.
         log_in = field + np.log1p(-self.outlier_fraction)
         log_out = self._log_floor + np.log(self.outlier_fraction + 1e-300)
         per_pixel = np.logaddexp(log_in, log_out)
-        return per_pixel.sum(axis=1) / self.temperature
+        return per_pixel.sum(axis=-1) / self.temperature

@@ -8,10 +8,11 @@ the predicted set represents motion uncertainty (paper Eq. 1a).
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.filtering.particles import YAW_INDEX, ParticleSet
+from repro.filtering.particles import YAW_INDEX
 
 
 def wrap_angle(angle: np.ndarray) -> np.ndarray:
@@ -24,9 +25,14 @@ class MotionModel(abc.ABC):
 
     @abc.abstractmethod
     def propagate(
-        self, particles: ParticleSet, control: np.ndarray, rng: np.random.Generator
-    ) -> ParticleSet:
-        """Sample x_t ~ P(. | u_t, x_{t-1}) for every particle."""
+        self,
+        states: np.ndarray,
+        controls: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """Sample x_t ~ P(. | u_t, x_{t-1}) for every particle of W sets:
+        states (W, N, D) under controls (W, 4), set w drawing from
+        ``rngs[w]``.  Returns new states; the input is untouched."""
 
 
 class OdometryMotionModel(MotionModel):
@@ -53,25 +59,36 @@ class OdometryMotionModel(MotionModel):
         self.proportional_noise = float(proportional_noise)
 
     def propagate(
-        self, particles: ParticleSet, control: np.ndarray, rng: np.random.Generator
-    ) -> ParticleSet:
-        control = np.asarray(control, dtype=float).reshape(-1)
-        if control.size != 4:
+        self,
+        states: np.ndarray,
+        controls: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        controls = np.asarray(controls, dtype=float)
+        if controls.shape[-1] != 4:
             raise ValueError("control must be (d_forward, d_lateral, d_up, d_yaw)")
-        states = particles.states.copy()
-        n = particles.n_particles
-        d_body = control[:3]
+        n = states.shape[1]
+        # Each set's draws, in the order one set alone takes them.
+        body_normals = np.empty((len(rngs), n, 3))
+        yaw_normals = np.empty((len(rngs), n))
+        for w, rng in enumerate(rngs):
+            body_normals[w] = rng.normal(size=(n, 3))
+            yaw_normals[w] = rng.normal(size=n)
+        states = states.copy()
+        d_body = controls[:, None, :3]
         translation_sigma = (
             self.translation_noise + self.proportional_noise * np.abs(d_body)
         )
-        yaw_sigma = self.yaw_noise + self.proportional_noise * abs(control[3])
-        noisy_body = d_body + rng.normal(size=(n, 3)) * translation_sigma
-        noisy_dyaw = control[3] + rng.normal(size=n) * yaw_sigma
-        yaw = states[:, YAW_INDEX]
+        yaw_sigma = self.yaw_noise + self.proportional_noise * np.abs(
+            controls[:, None, 3]
+        )
+        noisy_body = d_body + body_normals * translation_sigma
+        noisy_dyaw = controls[:, None, 3] + yaw_normals * yaw_sigma
+        yaw = states[..., YAW_INDEX]
         cos_y, sin_y = np.cos(yaw), np.sin(yaw)
         # Rotate the body-frame increment into the world frame per particle.
-        states[:, 0] += cos_y * noisy_body[:, 0] - sin_y * noisy_body[:, 1]
-        states[:, 1] += sin_y * noisy_body[:, 0] + cos_y * noisy_body[:, 1]
-        states[:, 2] += noisy_body[:, 2]
-        states[:, YAW_INDEX] = wrap_angle(yaw + noisy_dyaw)
-        return ParticleSet(states, particles.log_weights.copy())
+        states[..., 0] += cos_y * noisy_body[..., 0] - sin_y * noisy_body[..., 1]
+        states[..., 1] += sin_y * noisy_body[..., 0] + cos_y * noisy_body[..., 1]
+        states[..., 2] += noisy_body[..., 2]
+        states[..., YAW_INDEX] = wrap_angle(yaw + noisy_dyaw)
+        return states

@@ -7,13 +7,20 @@ and resample when the effective sample size collapses.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.filtering.measurement import DepthScanMeasurementModel
 from repro.filtering.motion import MotionModel
-from repro.filtering.particles import ParticleSet
+from repro.filtering.particles import (
+    ParticleSet,
+    effective_sample_size,
+    logsumexp,
+    normalized_weights,
+    posterior_estimates,
+)
 from repro.filtering.resampling import systematic_resample
 
 # Resample (systematically) when the ESS falls below this share of N.
@@ -72,7 +79,7 @@ class ParticleFilter:
         scan_points_cam: np.ndarray,
         rng: np.random.Generator,
     ) -> StepDiagnostics:
-        """One predict-update-resample cycle.
+        """One predict-update-resample cycle: the wave of one.
 
         :meth:`predict`, the measurement likelihoods, then :meth:`update`.
 
@@ -86,59 +93,91 @@ class ParticleFilter:
         """
         if self.particles is None:
             raise RuntimeError("call initialize() before step()")
-        predicted = self.predict(self.particles, control, rng)
-        log_lik = self.measurement_model.log_likelihoods(
-            predicted, scan_points_cam, rng
+        log_weights = self.particles.log_weights
+        predicted = self.predict(
+            self.particles.states[None],
+            np.asarray(control, dtype=float).reshape(1, -1),
+            [rng],
         )
-        self.particles, diagnostics = self.update(predicted, log_lik, rng)
+        log_lik = self.measurement_model.log_likelihoods(
+            ParticleSet(predicted[0], log_weights), scan_points_cam, rng
+        )
+        states, log_weights, [diagnostics] = self.update(
+            predicted, log_weights[None], log_lik[None], [rng]
+        )
+        self.particles = ParticleSet(states[0], log_weights[0])
         self.history.append(diagnostics)
         return diagnostics
 
     def predict(
         self,
-        particles: ParticleSet,
-        control: np.ndarray,
-        rng: np.random.Generator,
-    ) -> ParticleSet:
-        """The prediction half: propagate ``particles`` through the
-        motion model."""
-        return self.motion_model.propagate(particles, control, rng)
+        states: np.ndarray,
+        controls: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """The prediction half for W particle sets: propagate states
+        (W, N, D) under controls (W, 4) through the motion model."""
+        return self.motion_model.propagate(states, controls, rngs)
 
     def update(
         self,
-        predicted: ParticleSet,
+        states: np.ndarray,
+        log_weights: np.ndarray,
         log_lik: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[ParticleSet, StepDiagnostics]:
-        """The correction half: reweight ``predicted`` by the per-particle
-        log-likelihoods, resample (with roughening) when the ESS
-        collapses.  Returns the posterior set and its diagnostics; the
-        filter's own state is untouched."""
-        updated = predicted.reweighted(log_lik - log_lik.max())
-        ess = updated.effective_sample_size()
-        resampled = ess < RESAMPLE_THRESHOLD * updated.n_particles
-        log_evidence = updated.log_evidence()
-        if resampled:
-            indices = systematic_resample(updated.normalized_weights(), rng)
-            updated = updated.resampled(indices)
-            jitter = rng.normal(size=updated.states.shape) * self.roughening
-            updated = ParticleSet(
-                updated.states + jitter, updated.log_weights.copy()
-            )
-        diagnostics = StepDiagnostics(
-            estimate=updated.mean_estimate(),
-            ess=ess,
-            resampled=resampled,
-            log_evidence=log_evidence,
-            spread=updated.position_spread(),
+        rngs: Sequence[np.random.Generator],
+    ) -> tuple[np.ndarray, np.ndarray, list[StepDiagnostics]]:
+        """The correction half for W predicted particle sets: reweight
+        states (W, N, D) with log-weights (W, N) by the per-particle
+        log-likelihoods (W, N), and resample (with roughening) each set
+        whose ESS collapses, drawing from its own generator.  Returns the
+        posterior states and log-weights and one diagnostics per set;
+        the inputs and the filter's own state are untouched."""
+        n = states.shape[1]
+        log_weights = log_weights + (
+            log_lik - log_lik.max(axis=-1, keepdims=True)
         )
-        return updated, diagnostics
+        weights = normalized_weights(log_weights)
+        ess = effective_sample_size(weights)
+        resampled = ess < RESAMPLE_THRESHOLD * n
+        log_evidence = logsumexp(log_weights) - np.log(n)
+        rows = np.flatnonzero(resampled)
+        if rows.size:
+            parents = np.empty((rows.size, n), dtype=np.int64)
+            jitter = np.empty((rows.size, *states.shape[1:]))
+            for i, row in enumerate(rows.tolist()):
+                parents[i] = systematic_resample(weights[row], rngs[row])
+                jitter[i] = rngs[row].normal(size=states.shape[1:])
+            resampled_states = states[rows[:, None], parents]
+            states = states.copy()
+            states[rows] = resampled_states + jitter * self.roughening
+            log_weights[rows] = -np.log(n)
+            # What normalized_weights gives for uniform log-weights:
+            # exp(0) = 1 per particle over a total of exactly n.
+            weights[rows] = 1.0 / n
+        estimates, spreads = posterior_estimates(states, weights)
+        diagnostics = [
+            StepDiagnostics(
+                estimate=estimate,
+                ess=float(set_ess),
+                resampled=bool(set_resampled),
+                log_evidence=float(set_evidence),
+                spread=float(spread),
+            )
+            for estimate, set_ess, set_resampled, set_evidence, spread in zip(
+                estimates, ess, resampled, log_evidence, spreads
+            )
+        ]
+        return states, log_weights, diagnostics
 
     def estimate(self) -> np.ndarray:
         """Current posterior-mean state."""
         if self.particles is None:
             raise RuntimeError("filter not initialised")
-        return self.particles.mean_estimate()
+        estimates, _ = posterior_estimates(
+            self.particles.states[None],
+            normalized_weights(self.particles.log_weights[None]),
+        )
+        return estimates[0]
 
     def position_errors(self, ground_truth: np.ndarray) -> np.ndarray:
         """Per-step position error against a (T, >=3) ground-truth array."""

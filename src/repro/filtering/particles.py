@@ -3,36 +3,93 @@
 Drone pose states are 4-vectors ``(x, y, z, yaw)``: insect-scale platforms
 stabilise roll/pitch with inertial feedback, so localization estimates
 position and heading (the convention of the paper's prior work [10]).
+
+The statistics work on stacks of particle sets -- log-weights (W, N),
+states (W, N, D) -- so a wave of tracks reduces in one call, and each
+set's row comes out bit-equal to the same call on that set alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
 YAW_INDEX = 3
 
 
-def logsumexp(values: np.ndarray) -> np.float64:
-    """``scipy.special.logsumexp`` of a 1-D float array, bit-for-bit.
+def logsumexp(values: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp`` over the last axis, bit-for-bit.
 
     The same arithmetic as scipy 1.17's implementation, in plain numpy:
     the maximal elements are taken out of the shifted sum and counted,
     ``log1p(s / m) + log(m) + max``, with the direct ``log(sum(exp))``
     standing in wherever that is not finite.  scipy's array-API layer
     costs more per call than the particle filter's whole weight sum.
+    A stack of rows reduces each row exactly as it would alone.
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.size == 0:
-        return np.float64(-np.inf)
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] == 0:
+        return np.full(values.shape[:-1], -np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = values.max(keepdims=True)
+        a_max = values.max(axis=-1, keepdims=True)
         at_max = values == a_max
-        m = np.sum(at_max, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, values) - a_max), keepdims=True)
+        m = np.sum(at_max, axis=-1, keepdims=True, dtype=float)
+        s = np.sum(
+            np.exp(np.where(at_max, -np.inf, values) - a_max),
+            axis=-1,
+            keepdims=True,
+        )
         s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out[0]):
-            out = np.log(np.sum(np.exp(values), keepdims=True))
-    return out[0]
+        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
+        fallback = ~np.isfinite(out)
+        if fallback.any():
+            out[fallback] = np.log(np.sum(np.exp(values[fallback]), axis=-1))
+    return out
+
+
+def normalized_weights(log_weights: np.ndarray) -> np.ndarray:
+    """Weights normalised to sum to 1 over the last axis; a row whose
+    weights do not sum to a positive finite value falls back to uniform
+    (never NaN)."""
+    n = log_weights.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.exp(log_weights - log_weights.max(axis=-1, keepdims=True))
+        total = weights.sum(axis=-1, keepdims=True)
+        weights /= total
+    degenerate = ~(np.isfinite(total[..., 0]) & (total[..., 0] > 0))
+    if degenerate.any():
+        weights[degenerate] = 1.0 / n
+    return weights
+
+
+def effective_sample_size(weights: np.ndarray) -> np.ndarray:
+    """ESS = 1 / sum(w^2) of normalised weights, over the last axis."""
+    return 1.0 / np.sum(weights**2, axis=-1)
+
+
+def posterior_estimates(
+    states: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted mean states (W, D) of particle sets (W, N, D) under
+    normalised weights (W, N) -- the yaw dimension a circular mean --
+    and the RMS weighted spread (W,) of their position (first 3)
+    dimensions.
+
+    The batched products are the forms that round each set exactly as
+    its own ``w @ states`` and ``(c * w[:, None]).T @ c`` would.
+    """
+    weights_row = weights[:, None, :]
+    mean = (weights_row @ states)[:, 0]
+    centered = states - mean[:, None, :]
+    covariance = np.swapaxes(centered * weights[..., None], 1, 2) @ centered
+    d = min(3, states.shape[-1])
+    spread = np.sqrt(np.trace(covariance[:, :d, :d], axis1=1, axis2=2))
+    if states.shape[-1] > YAW_INDEX:
+        yaws = states[..., YAW_INDEX]
+        mean[:, YAW_INDEX] = np.arctan2(
+            (weights_row @ np.sin(yaws)[..., None])[:, 0, 0],
+            (weights_row @ np.cos(yaws)[..., None])[:, 0, 0],
+        )
+    return mean, spread
 
 
 class ParticleSet:
@@ -51,14 +108,6 @@ class ParticleSet:
         self.log_weights = np.asarray(log_weights, dtype=float).reshape(-1)
         if self.log_weights.size != states.shape[0]:
             raise ValueError("states / log_weights length mismatch")
-
-    @property
-    def n_particles(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def n_dims(self) -> int:
-        return self.states.shape[1]
 
     @staticmethod
     def uniform(
@@ -87,57 +136,3 @@ class ParticleSet:
         sigma = np.asarray(sigma, dtype=float)
         states = mean + rng.normal(size=(n_particles, mean.size)) * sigma
         return ParticleSet(states)
-
-    def normalized_weights(self) -> np.ndarray:
-        """Weights normalised to sum to 1 (never NaN: falls back to uniform)."""
-        shifted = self.log_weights - self.log_weights.max()
-        weights = np.exp(shifted)
-        total = weights.sum()
-        if not np.isfinite(total) or total <= 0:
-            return np.full(self.n_particles, 1.0 / self.n_particles)
-        return weights / total
-
-    def log_evidence(self) -> float:
-        """log mean weight -- the incremental measurement evidence."""
-        return float(logsumexp(self.log_weights) - np.log(self.n_particles))
-
-    def effective_sample_size(self) -> float:
-        """ESS = 1 / sum(w^2) of the normalised weights."""
-        weights = self.normalized_weights()
-        return float(1.0 / np.sum(weights**2))
-
-    def mean_estimate(self, yaw_index: int | None = YAW_INDEX) -> np.ndarray:
-        """Weighted mean state; the yaw dimension uses a circular mean."""
-        weights = self.normalized_weights()
-        mean = weights @ self.states
-        if yaw_index is not None and yaw_index < self.n_dims:
-            yaws = self.states[:, yaw_index]
-            mean[yaw_index] = np.arctan2(
-                weights @ np.sin(yaws), weights @ np.cos(yaws)
-            )
-        return mean
-
-    def weighted_covariance(self) -> np.ndarray:
-        """Weighted sample covariance of the states (D, D)."""
-        weights = self.normalized_weights()
-        mean = weights @ self.states
-        centered = self.states - mean
-        return (centered * weights[:, None]).T @ centered
-
-    def position_spread(self) -> float:
-        """RMS weighted spread of the position (first 3) dimensions."""
-        cov = self.weighted_covariance()
-        d = min(3, self.n_dims)
-        return float(np.sqrt(np.trace(cov[:d, :d])))
-
-    def reweighted(self, delta_log_weights: np.ndarray) -> "ParticleSet":
-        """A copy with log-weights incremented by per-particle deltas."""
-        delta = np.asarray(delta_log_weights, dtype=float).reshape(-1)
-        if delta.size != self.n_particles:
-            raise ValueError("delta length mismatch")
-        return ParticleSet(self.states.copy(), self.log_weights + delta)
-
-    def resampled(self, indices: np.ndarray) -> "ParticleSet":
-        """A copy holding ``states[indices]`` with uniform weights."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return ParticleSet(self.states[indices].copy())

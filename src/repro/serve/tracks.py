@@ -155,12 +155,14 @@ def stream_mismatches(
 class _StoredTrack:
     """One track's state inside a :class:`TrackStore`."""
 
-    __slots__ = ("substrate", "rng", "particles", "ledger", "steps")
+    __slots__ = ("substrate", "rng", "states", "log_weights", "ledger", "steps")
 
     def __init__(self, substrate: str, rng: np.random.Generator):
         self.substrate = substrate
         self.rng = rng
-        self.particles: Any = None
+        # The particle set: (N, D) states and (N,) log-weights.
+        self.states: Any = None
+        self.log_weights: Any = None
         # Everything this track's steps metered since open.
         self.ledger = EnergyLedger(label="track")
         self.steps = 0
@@ -169,16 +171,15 @@ class _StoredTrack:
 class _WaveItem:
     """One step item between the phases of a wave."""
 
-    __slots__ = ("index", "item", "track", "rng_state", "predicted", "plan", "shape")
+    __slots__ = ("index", "item", "track", "rng_state", "control", "scan")
 
     def __init__(self, index: int, item: tuple, track: _StoredTrack):
         self.index = index
         self.item = item
         self.track = track
         self.rng_state = track.rng.bit_generator.state
-        self.predicted: Any = None
-        self.plan: Any = None
-        self.shape: tuple[int, ...] = ()
+        self.control: Any = None
+        self.scan: Any = None
 
 
 class TrackStore:
@@ -193,13 +194,17 @@ class TrackStore:
     serial by construction).
 
     A micro-batch of steps executes as *waves* of at most one step per
-    track.  A wave runs the per-track predict/project half of every
-    step (motion, scan subsample, world points, tile grouping and read
-    noise, all from the track's own generator in the order a lone step
-    draws them), then ONE field pass over every track's points -- one
-    DAC -> array -> noise -> ADC pass per tile on CIM -- then the
-    per-track update half (metering, reweight, resample).  Each response
-    is bit-for-bit the lone step's.
+    track, and a wave's steps on one substrate with equal scan sizes run
+    as one struct-of-arrays step: the tracks' particle sets are stacked
+    on a wave axis (W, N, ...) and every filter half runs once over it
+    -- motion, projection, tile routing, ONE field pass (one
+    DAC -> array -> noise -> ADC pass per tile on CIM), likelihood
+    combination, reweighting, estimate and spread.  Each track still
+    draws from its own generator, into its slot of the stacked buffers,
+    in the order a lone step draws (motion, scan subsample, per-tile
+    read noise, resampling), and meters its reads into its own ledger.
+    Each response is bit-for-bit the lone step's: a lone step is the
+    wave of one through the same functions.
     """
 
     def __init__(self, world: TrackWorld, substrates: Sequence[str]):
@@ -229,7 +234,8 @@ class TrackStore:
         session = self._prototypes[resolved]
         track = _StoredTrack(resolved, np.random.default_rng(int(seed)))
         init.apply(session, track.rng)
-        track.particles = session.localizer.filter.particles
+        particles = session.localizer.filter.particles
+        track.states, track.log_weights = particles.states, particles.log_weights
         self._tracks[track_id] = track
         return {
             "track_id": track_id,
@@ -272,86 +278,139 @@ class TrackStore:
     def _run_wave(
         self, wave: dict[str, list[_WaveItem]], encoded: list[Any]
     ) -> None:
+        """Step a wave as one group per substrate and scan size (the
+        stacked arrays need equal particle and scan-point counts)."""
         for substrate, members in wave.items():
-            self._run_group(substrate, members, encoded)
+            localizer = self._prototypes[substrate].localizer
+            by_size: dict[int, list[_WaveItem]] = {}
+            for member in members:
+                # Draw-free input checks: a frame without valid pixels
+                # fails its own item before the track draws anything.
+                try:
+                    _, control, depth, _ = member.item
+                    member.control = np.asarray(control, dtype=float).reshape(-1)
+                    member.scan = localizer.scan_points(np.asarray(depth, dtype=float))
+                except Exception as error:
+                    encoded[member.index] = encode_error(error)
+                    continue
+                size = min(
+                    member.scan.shape[0], localizer.measurement_model.max_pixels
+                )
+                by_size.setdefault(size, []).append(member)
+            for group in by_size.values():
+                self._step_group(localizer, group, encoded)
 
-    def _run_group(
-        self, substrate: str, members: list[_WaveItem], encoded: list[Any]
+    def _step_group(
+        self, localizer: Any, members: list[_WaveItem], encoded: list[Any]
     ) -> None:
-        """One wave's steps on one substrate prototype."""
-        localizer = self._prototypes[substrate].localizer
-        staged = []
-        for member in members:
-            try:
-                self._predict(localizer, member)
-                staged.append(member)
-            except Exception as error:
-                encoded[member.index] = encode_error(error)
-        if not staged:
-            return
+        """One struct-of-arrays step of tracks with equal scan sizes."""
+        rngs = [member.track.rng for member in members]
         try:
-            readings = localizer.field_backend.read_planned(
-                [member.plan for member in staged]
+            log_weights = np.stack([member.track.log_weights for member in members])
+            predicted = localizer.filter.predict(
+                np.stack([member.track.states for member in members]),
+                np.stack([member.control for member in members]),
+                rngs,
+            )
+            world = localizer.measurement_model.project(
+                predicted, [member.scan for member in members], rngs
+            )
+            backend = localizer.field_backend
+            readings = backend.read_planned(
+                backend.plan_field_log(world.reshape(len(members), -1, 3), rngs)
             )
         except Exception as error:
-            if len(staged) == 1:
-                encoded[staged[0].index] = encode_error(error)
+            if len(members) == 1:
+                encoded[members[0].index] = encode_error(error)
                 return
             # Isolate the failure: rewind every generator to before its
             # predict half and re-run the steps one at a time, so only
             # the item that raises fails and the rest stay bit-exact.
-            for member in staged:
+            for member in members:
                 member.track.rng.bit_generator.state = member.rng_state
-            for member in staged:
-                self._run_group(
-                    substrate,
-                    [_WaveItem(member.index, member.item, member.track)],
+            for member in members:
+                self._step_group(localizer, [member], encoded)
+            return
+        metered, scopes = [], []
+        for row, (member, reading) in enumerate(zip(members, readings)):
+            ledger = member.track.ledger
+            step = ledger.begin_scope()
+            try:
+                reading.account(ledger)
+            except Exception as error:
+                encoded[member.index] = encode_error(error)
+                continue
+            finally:
+                ledger.end_scope(step)
+            metered.append(row)
+            scopes.append(step)
+        if not metered:
+            return
+        field = np.stack([readings[row].values for row in metered])
+        self._update(
+            localizer,
+            [members[row] for row in metered],
+            predicted[metered],
+            log_weights[metered],
+            localizer.measurement_model.combine(
+                field.reshape(len(metered), *world.shape[1:3])
+            ),
+            scopes,
+            encoded,
+        )
+
+    def _update(
+        self,
+        localizer: Any,
+        members: list[_WaveItem],
+        predicted: np.ndarray,
+        log_weights: np.ndarray,
+        log_lik: np.ndarray,
+        scopes: list[EnergyLedger],
+        encoded: list[Any],
+    ) -> None:
+        """The update half of metered steps: reweight/resample the
+        stacked sets, then store each track's posterior and build its
+        response."""
+        rngs = [member.track.rng for member in members]
+        rng_states = (
+            [rng.bit_generator.state for rng in rngs] if len(rngs) > 1 else []
+        )
+        try:
+            states, log_weights, diagnostics = localizer.filter.update(
+                predicted, log_weights, log_lik, rngs
+            )
+        except Exception as error:
+            if len(members) == 1:
+                encoded[members[0].index] = encode_error(error)
+                return
+            # As for the read: rewind and update each step on its own.
+            for rng, state in zip(rngs, rng_states):
+                rng.bit_generator.state = state
+            for row, member in enumerate(members):
+                self._update(
+                    localizer,
+                    [member],
+                    predicted[row : row + 1],
+                    log_weights[row : row + 1],
+                    log_lik[row : row + 1],
+                    scopes[row : row + 1],
                     encoded,
                 )
             return
-        for member, reading in zip(staged, readings):
-            try:
-                encoded[member.index] = (
-                    "ok",
-                    self._update(localizer, member, reading),
-                )
-            except Exception as error:
-                encoded[member.index] = encode_error(error)
+        for row, (member, step) in enumerate(zip(members, scopes)):
+            track = member.track
+            track.states, track.log_weights = states[row], log_weights[row]
+            track.steps += 1
+            encoded[member.index] = (
+                "ok",
+                self._response(member, diagnostics[row], step),
+            )
 
     @staticmethod
-    def _predict(localizer: Any, member: _WaveItem) -> None:
-        """A step's first half: everything up to the field evaluation,
-        drawing from the track's generator exactly as a lone step does."""
-        _, control, depth, _ = member.item
-        rng = member.track.rng
-        scan = localizer.scan_points(np.asarray(depth, dtype=float))
-        member.predicted = localizer.filter.predict(
-            member.track.particles, np.asarray(control, dtype=float), rng
-        )
-        world = localizer.measurement_model.project(member.predicted, scan, rng)
-        member.shape = world.shape[:2]
-        member.plan = localizer.field_backend.plan_field_log(
-            world.reshape(-1, 3), rng
-        )
-
-    @staticmethod
-    def _update(localizer: Any, member: _WaveItem, reading: Any) -> dict:
-        """A step's second half: meter the field read into the track's
-        ledger, then reweight/resample and build the response."""
+    def _response(member: _WaveItem, diagnostics: Any, step: EnergyLedger) -> dict:
         track = member.track
         ledger = track.ledger
-        step = ledger.begin_scope()
-        try:
-            reading.account(ledger)
-        finally:
-            ledger.end_scope(step)
-        log_lik = localizer.measurement_model.combine(
-            reading.values.reshape(member.shape)
-        )
-        track.particles, diagnostics = localizer.filter.update(
-            member.predicted, log_lik, track.rng
-        )
-        track.steps += 1
         estimate = np.asarray(diagnostics.estimate, dtype=float)
         error_m = None
         truth = member.item[3]

@@ -435,6 +435,69 @@ class TestInverterArray:
             )
 
 
+def _table_arrays():
+    """The demo localization world's arrays, noise and mismatch on: every
+    tile of the default tiled map, then the single-array map."""
+    import dataclasses
+
+    from repro.serve.demo import demo_track_world
+
+    world = demo_track_world()
+    tiled = world.build_session("cim").localizer.tiled_map
+    single = dataclasses.replace(
+        world, localizer_kwargs={**world.localizer_kwargs, "tiles": (1, 1, 1)}
+    ).build_session("cim").localizer.array
+    return [*tiled._arrays.values(), single]
+
+
+class TestDACCodeTable:
+    """The per-DAC-code table read equals the analytic column currents
+    of the DAC's output voltages, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def arrays(self):
+        arrays = _table_arrays()
+        assert all(a.noise is not None for a in arrays)
+        return arrays
+
+    @staticmethod
+    def _analytic(array, volts):
+        converted = np.column_stack(
+            [dac.convert(volts[:, axis]) for axis, dac in enumerate(array.dacs)]
+        )
+        return array.column_currents(converted)
+
+    @staticmethod
+    def _codes(array, volts):
+        return np.column_stack(
+            [dac.quantize(volts[:, axis]) for axis, dac in enumerate(array.dacs)]
+        )
+
+    def test_every_code_on_each_axis(self, arrays):
+        rng = np.random.default_rng(0)
+        for array in arrays:
+            levels = array.dacs[0].levels
+            lsb = array.dacs[0].lsb
+            for axis in range(array.n_axes):
+                codes = rng.integers(0, levels, size=(levels, array.n_axes))
+                codes[:, axis] = np.arange(levels)
+                volts = codes * lsb
+                assert np.array_equal(
+                    array.code_currents(self._codes(array, volts)),
+                    self._analytic(array, volts),
+                )
+
+    def test_random_code_triples_and_clipped_voltages(self, arrays):
+        rng = np.random.default_rng(1)
+        for array in arrays:
+            vdd = array.node.vdd
+            volts = rng.uniform(-0.2 * vdd, 1.2 * vdd, size=(5000, array.n_axes))
+            assert np.array_equal(
+                array.code_currents(self._codes(array, volts)),
+                self._analytic(array, volts),
+            )
+
+
 class TestVoltageEncoder:
     def test_round_trip(self, rng):
         encoder = VoltageEncoder(lo=np.array([-2.0, -2.0, 0.0]), hi=np.array([2.0, 2.0, 3.0]), vdd=1.0)

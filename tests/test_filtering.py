@@ -15,7 +15,21 @@ from repro.filtering import (
 )
 from repro.circuits.technology import NODE_45NM
 from repro.filtering.motion import wrap_angle
+from repro.filtering.particles import (
+    effective_sample_size,
+    logsumexp,
+    normalized_weights,
+    posterior_estimates,
+)
 from repro.maps.gmm import GaussianMixture
+
+
+def _posterior(particles):
+    """Estimate and spread of one particle set through the stacked form."""
+    estimates, spreads = posterior_estimates(
+        particles.states[None], normalized_weights(particles.log_weights[None])
+    )
+    return estimates[0], float(spreads[0])
 
 
 class TestParticleSet:
@@ -27,60 +41,68 @@ class TestParticleSet:
 
     def test_default_weights_uniform(self, rng):
         particles = ParticleSet.uniform([0], [1], 10, rng)
-        assert np.allclose(particles.normalized_weights(), 0.1)
+        assert np.allclose(normalized_weights(particles.log_weights), 0.1)
 
     def test_ess_uniform_equals_n(self, rng):
         particles = ParticleSet.uniform([0], [1], 50, rng)
-        assert particles.effective_sample_size() == pytest.approx(50.0)
+        weights = normalized_weights(particles.log_weights)
+        assert effective_sample_size(weights) == pytest.approx(50.0)
 
-    def test_ess_degenerate_equals_one(self, rng):
-        particles = ParticleSet.uniform([0], [1], 50, rng)
+    def test_ess_degenerate_equals_one(self):
         lw = np.full(50, -1e9)
         lw[3] = 0.0
-        particles = ParticleSet(particles.states, lw)
-        assert particles.effective_sample_size() == pytest.approx(1.0)
+        assert effective_sample_size(normalized_weights(lw)) == pytest.approx(1.0)
+
+    def test_degenerate_row_falls_back_to_uniform(self):
+        lw = np.array([[0.0, -1.0, -2.0], [-np.inf, -np.inf, -np.inf]])
+        weights = normalized_weights(lw)
+        assert np.array_equal(weights[1], np.full(3, 1.0 / 3))
+        assert np.array_equal(weights[0], normalized_weights(lw[0]))
 
     def test_mean_estimate_circular_yaw(self):
         states = np.array(
             [[0, 0, 0, np.pi - 0.1], [0, 0, 0, -np.pi + 0.1]]
         )
-        particles = ParticleSet(states)
-        yaw = particles.mean_estimate()[3]
-        assert abs(abs(yaw) - np.pi) < 0.05
+        estimate, _ = _posterior(ParticleSet(states))
+        assert abs(abs(estimate[3]) - np.pi) < 0.05
 
     def test_dominant_particle_collapses_estimate(self, rng):
         particles = ParticleSet.uniform([0, 0, 0, -1], [1, 1, 1, 1], 20, rng)
         lw = np.full(20, -1e9)
         lw[7] = 0.0
-        particles = ParticleSet(particles.states, lw)
-        assert np.allclose(particles.mean_estimate(), particles.states[7])
-        assert np.allclose(particles.weighted_covariance(), 0.0)
-        assert particles.position_spread() == pytest.approx(0.0, abs=1e-9)
+        estimate, spread = _posterior(ParticleSet(particles.states, lw))
+        assert np.allclose(estimate, particles.states[7])
+        assert spread == pytest.approx(0.0, abs=1e-9)
 
-    def test_uniform_covariance_matches_numpy(self, rng):
+    def test_uniform_spread_matches_numpy(self, rng):
         particles = ParticleSet.uniform([0, 0, 0, -1], [1, 2, 3, 1], 200, rng)
         expected = np.cov(particles.states.T, bias=True)
-        assert np.allclose(particles.weighted_covariance(), expected)
-        assert particles.position_spread() == pytest.approx(
-            np.sqrt(np.trace(expected[:3, :3]))
-        )
-
-    def test_reweight_shifts_weights(self, rng):
-        particles = ParticleSet.uniform([0], [1], 10, rng)
-        delta = np.zeros(10)
-        delta[0] = 10.0
-        updated = particles.reweighted(delta)
-        assert updated.normalized_weights()[0] > 0.99
-
-    def test_resampled_uniform_weights(self, rng):
-        particles = ParticleSet.uniform([0], [1], 10, rng)
-        resampled = particles.resampled(np.zeros(10, dtype=int))
-        assert np.allclose(resampled.states, particles.states[0])
-        assert np.allclose(resampled.normalized_weights(), 0.1)
+        _, spread = _posterior(particles)
+        assert spread == pytest.approx(np.sqrt(np.trace(expected[:3, :3])))
 
     def test_position_spread_positive(self, rng):
         particles = ParticleSet.uniform([0, 0, 0, 0], [1, 1, 1, 1], 100, rng)
-        assert particles.position_spread() > 0.1
+        assert _posterior(particles)[1] > 0.1
+
+    @pytest.mark.parametrize("width", [1, 2, 8, 32])
+    def test_stacked_sets_match_each_set_alone(self, width):
+        """Every stacked statistic of W sets is bit-equal to the same
+        function of each set alone."""
+        rng = np.random.default_rng(width)
+        states = rng.normal(size=(width, 48, 4))
+        log_weights = rng.normal(scale=5.0, size=(width, 48))
+        weights = normalized_weights(log_weights)
+        estimates, spreads = posterior_estimates(states, weights)
+        ess = effective_sample_size(weights)
+        evidence = logsumexp(log_weights)
+        for w in range(width):
+            alone = normalized_weights(log_weights[w : w + 1])
+            assert np.array_equal(weights[w], alone[0])
+            estimate, spread = posterior_estimates(states[w : w + 1], alone)
+            assert np.array_equal(estimates[w], estimate[0])
+            assert spreads[w] == spread[0]
+            assert ess[w] == effective_sample_size(alone)[0]
+            assert evidence[w] == logsumexp(log_weights[w])
 
 
 def _weight_cases():
@@ -147,58 +169,76 @@ class TestResampling:
         assert np.all(counts >= np.floor(n * weights))
 
 
+def _propagate(model, states, control, rng):
+    """One particle set through the stacked motion model."""
+    return model.propagate(states[None], np.asarray(control)[None], [rng])[0]
+
+
 class TestMotionModels:
     def test_wrap_angle(self):
         assert wrap_angle(np.pi + 0.1) == pytest.approx(-np.pi + 0.1)
         assert wrap_angle(-np.pi - 0.1) == pytest.approx(np.pi - 0.1)
 
     def test_odometry_moves_mean(self, rng):
-        particles = ParticleSet(np.tile([0.0, 0.0, 1.0, 0.0], (500, 1)))
+        states = np.tile([0.0, 0.0, 1.0, 0.0], (500, 1))
         model = OdometryMotionModel(translation_noise=0.01, yaw_noise=0.005)
-        moved = model.propagate(particles, np.array([1.0, 0.0, 0.1, 0.0]), rng)
-        mean = moved.states.mean(axis=0)
+        moved = _propagate(model, states, [1.0, 0.0, 0.1, 0.0], rng)
+        mean = moved.mean(axis=0)
         assert mean[0] == pytest.approx(1.0, abs=0.01)
         assert mean[2] == pytest.approx(1.1, abs=0.01)
 
     def test_odometry_heading_rotates_increment(self, rng):
-        particles = ParticleSet(np.tile([0.0, 0.0, 0.0, np.pi / 2], (500, 1)))
+        states = np.tile([0.0, 0.0, 0.0, np.pi / 2], (500, 1))
         model = OdometryMotionModel(translation_noise=0.01)
-        moved = model.propagate(particles, np.array([1.0, 0.0, 0.0, 0.0]), rng)
-        mean = moved.states.mean(axis=0)
+        moved = _propagate(model, states, [1.0, 0.0, 0.0, 0.0], rng)
+        mean = moved.mean(axis=0)
         assert mean[1] == pytest.approx(1.0, abs=0.02)
         assert abs(mean[0]) < 0.02
 
     def test_noise_grows_with_motion(self, rng):
-        particles = ParticleSet(np.tile([0.0, 0.0, 0.0, 0.0], (2000, 1)))
+        states = np.tile([0.0, 0.0, 0.0, 0.0], (2000, 1))
         model = OdometryMotionModel(translation_noise=0.01, proportional_noise=0.2)
-        small = model.propagate(particles, np.array([0.1, 0, 0, 0]), rng)
-        large = model.propagate(particles, np.array([2.0, 0, 0, 0]), rng)
-        assert large.states[:, 0].std() > small.states[:, 0].std()
+        small = _propagate(model, states, [0.1, 0, 0, 0], rng)
+        large = _propagate(model, states, [2.0, 0, 0, 0], rng)
+        assert large[:, 0].std() > small[:, 0].std()
 
     def test_zero_control_diffuses_at_noise_floor(self, rng):
-        particles = ParticleSet(np.zeros((4000, 4)))
         model = OdometryMotionModel(translation_noise=0.1, yaw_noise=0.05)
-        moved = model.propagate(particles, np.zeros(4), rng)
-        assert moved.states[:, :3].std(axis=0) == pytest.approx([0.1] * 3, rel=0.1)
-        assert moved.states[:, 3].std() == pytest.approx(0.05, rel=0.1)
-        assert np.allclose(moved.states.mean(axis=0), 0.0, atol=0.01)
+        moved = _propagate(model, np.zeros((4000, 4)), np.zeros(4), rng)
+        assert moved[:, :3].std(axis=0) == pytest.approx([0.1] * 3, rel=0.1)
+        assert moved[:, 3].std() == pytest.approx(0.05, rel=0.1)
+        assert np.allclose(moved.mean(axis=0), 0.0, atol=0.01)
 
     def test_noiseless_model_is_deterministic(self, rng):
         states = np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 2.0, 0.5, np.pi / 2]])
         model = OdometryMotionModel(0.0, 0.0, 0.0)
-        moved = model.propagate(ParticleSet(states), np.array([1.0, 0.5, 0.2, 0.3]), rng)
+        moved = _propagate(model, states, [1.0, 0.5, 0.2, 0.3], rng)
         expected = np.array(
             [[1.0, 0.5, 1.2, 0.3], [0.5, 3.0, 0.7, wrap_angle(np.pi / 2 + 0.3)]]
         )
-        assert np.allclose(moved.states, expected)
+        assert np.allclose(moved, expected)
 
-    def test_propagate_keeps_weights_and_input(self, rng):
-        log_weights = np.log(np.array([0.1, 0.2, 0.7]))
-        particles = ParticleSet(np.zeros((3, 4)), log_weights)
-        before = particles.states.copy()
-        moved = OdometryMotionModel().propagate(particles, np.ones(4), rng)
-        assert np.allclose(moved.log_weights, particles.log_weights)
-        assert np.array_equal(particles.states, before)
+    def test_propagate_keeps_input(self, rng):
+        states = np.zeros((1, 3, 4))
+        OdometryMotionModel().propagate(states, np.ones((1, 4)), [rng])
+        assert np.array_equal(states, np.zeros((1, 3, 4)))
+
+    @pytest.mark.parametrize("width", [1, 2, 8, 32])
+    def test_stacked_sets_draw_and_move_as_alone(self, width):
+        model = OdometryMotionModel()
+        source = np.random.default_rng(width)
+        states = source.normal(size=(width, 48, 4))
+        controls = source.normal(size=(width, 4))
+        wave_rngs = [np.random.default_rng([3, w]) for w in range(width)]
+        lone_rngs = [np.random.default_rng([3, w]) for w in range(width)]
+        moved = model.propagate(states, controls, wave_rngs)
+        for w in range(width):
+            alone = _propagate(model, states[w], controls[w], lone_rngs[w])
+            assert np.array_equal(moved[w], alone)
+            assert (
+                wave_rngs[w].bit_generator.state
+                == lone_rngs[w].bit_generator.state
+            )
 
     def test_negative_noise_rejected(self):
         for kwargs in (
@@ -212,7 +252,7 @@ class TestMotionModels:
     def test_control_shape_validated(self, rng):
         model = OdometryMotionModel()
         with pytest.raises(ValueError):
-            model.propagate(ParticleSet(np.zeros((2, 4))), np.zeros(3), rng)
+            _propagate(model, np.zeros((2, 4)), np.zeros(3), rng)
 
 
 def _simple_backend():
@@ -341,7 +381,41 @@ class TestParticleFilter:
         # k equal weights and n - k zero ones give an ESS of exactly k.
         k = int(ess_share * n)
         log_lik = np.where(np.arange(n) < k, 0.0, -np.inf)
-        predicted = ParticleSet(rng.normal(size=(n, 4)))
-        _, diagnostics = pf.update(predicted, log_lik, rng)
+        states = rng.normal(size=(1, n, 4))
+        _, _, [diagnostics] = pf.update(
+            states, np.zeros((1, n)), log_lik[None], [rng]
+        )
         assert diagnostics.ess == pytest.approx(k)
         assert diagnostics.resampled is resampled
+
+    def test_reweight_shifts_weights(self, rng):
+        backend, _ = _simple_backend()
+        pf = ParticleFilter(
+            OdometryMotionModel(), DepthScanMeasurementModel(backend), np.zeros(4)
+        )
+        log_lik = np.zeros((1, 10))
+        log_lik[0, 0] = 1.0
+        states = rng.normal(size=(1, 10, 4))
+        out_states, log_weights, [diagnostics] = pf.update(
+            states, np.zeros((1, 10)), log_lik, [rng]
+        )
+        assert not diagnostics.resampled
+        assert np.array_equal(out_states, states)
+        weights = normalized_weights(log_weights)
+        assert weights[0, 0] > weights[0, 1] == pytest.approx(weights[0, 9])
+
+    def test_resampled_uniform_weights(self, rng):
+        backend, _ = _simple_backend()
+        pf = ParticleFilter(
+            OdometryMotionModel(), DepthScanMeasurementModel(backend), np.zeros(4)
+        )
+        log_lik = np.full((1, 10), -1e9)
+        log_lik[0, 3] = 0.0
+        states = rng.normal(size=(1, 10, 4))
+        out_states, log_weights, [diagnostics] = pf.update(
+            states, np.zeros((1, 10)), log_lik, [rng]
+        )
+        assert diagnostics.resampled
+        assert np.array_equal(out_states[0], np.tile(states[0, 3], (10, 1)))
+        assert np.array_equal(log_weights, np.full((1, 10), -np.log(10)))
+        assert np.array_equal(normalized_weights(log_weights), np.full((1, 10), 0.1))

@@ -893,7 +893,7 @@ class TestStepExceptionSafety:
     ):
         # Metering raises for t1's ledger only, on every step of a
         # two-track wave.
-        from repro.circuits.inverter_array import InverterArray
+        from repro.filtering.measurement import FieldReading
         from repro.serve.tracks import TrackStore
 
         store = TrackStore(world, ("cim",))
@@ -905,14 +905,14 @@ class TestStepExceptionSafety:
             for op in prototype.operations
         }
         doomed = store._tracks["t1"].ledger
-        account = InverterArray._account
+        account = FieldReading.account
 
-        def glitch(self, n_queries, currents, ledger):
+        def glitch(self, ledger):
             if ledger is doomed:
                 raise RuntimeError("sensor glitch")
-            account(self, n_queries, currents, ledger)
+            account(self, ledger)
 
-        monkeypatch.setattr(InverterArray, "_account", glitch)
+        monkeypatch.setattr(FieldReading, "account", glitch)
         controls, depths, truths = measurements
         streamed = []
         for i in range(N_STEPS):

@@ -1,9 +1,14 @@
 """Cross-track fused localization step: golden pins and wave parity.
 
 ``TrackStore.step_batch`` runs a micro-batch as waves -- at most one
-step per track -- with one DAC -> array -> noise -> ADC pass per tile
-over every track's points.  Every response must stay bit-for-bit what
-the per-track step loop produced.
+step per track -- and a wave as one struct-of-arrays step: the tracks'
+particle sets stacked on a wave axis through every filter half, with
+one DAC -> array -> noise -> ADC pass per tile over every track's
+points.  Every response must stay bit-for-bit what the per-track step
+loop produced.  Parity is checked over wave widths {1, 2, 8, 32} (the
+``vec_size`` idiom), on lockstep waves and on the fleet's own traffic
+shape: tracks at distinct frames, ragged scans, frames with no valid
+pixel, and resampling and non-resampling tracks in one wave.
 
 The pins in ``data/track_golden_pins.json`` were captured from the
 per-track step loop (one ``localizer.step`` per item) that the wave
@@ -234,25 +239,25 @@ class TestWaveParity:
             assert_matches_oracle(streams[seed], reference)
 
     def test_planned_reads_match_lone_reads(self, width, config, fresh_sessions):
-        """Backend level: one ``read_planned`` over ``width`` plans ==
-        lone ``field_log`` calls in values, generator states and
-        metering."""
+        """Backend level: one planned wave of ``width`` callers == lone
+        ``field_log`` calls in values, generator states and metering."""
         session_a = copy.deepcopy(fresh_sessions[config])
         session_b = copy.deepcopy(fresh_sessions[config])
         lone_backend = session_a.localizer.field_backend
         wave_backend = session_b.localizer.field_backend
         lo, hi = session_a.localizer.bounds
-        points = [
-            np.random.default_rng([width, i]).uniform(lo - 0.3, hi + 0.3, size=(n, 3))
-            for i, n in enumerate(_point_counts(width))
-        ]
+        # An odd point count, spilling past the domain: every caller
+        # visits the tiles (and the empty ones) in uneven shares.
+        points = np.random.default_rng(width).uniform(
+            lo - 0.3, hi + 0.3, size=(width, 48 * 16 - 37, 3)
+        )
         lone_rngs = [np.random.default_rng([7, i]) for i in range(width)]
         wave_rngs = [np.random.default_rng([7, i]) for i in range(width)]
         lone_values = [
             lone_backend.field_log(p, rng=r) for p, r in zip(points, lone_rngs)
         ]
         readings = wave_backend.read_planned(
-            [wave_backend.plan_field_log(p, rng=r) for p, r in zip(points, wave_rngs)]
+            wave_backend.plan_field_log(points, wave_rngs)
         )
         for reading in readings:
             reading.account(wave_backend.ledger)
@@ -305,24 +310,115 @@ def test_stacked_array_pass_matches_lone_reads(width, fresh_sessions):
     array, encoder = localizer.array, localizer.encoder
     lo, hi = localizer.bounds
     rng = np.random.default_rng([11, width])
-    reads = [
-        array.plan_read(rng.uniform(lo, hi, size=(1 + (7 * i) % 13, 3)), rng)
-        for i in range(4 * width)
-    ]
-    stacked = array.read_planned(reads, encoder)
-    for read, (log_lik, currents) in zip(reads, stacked):
-        [(lone_log_lik, lone_currents)] = array.read_planned([read], encoder)
-        assert np.array_equal(currents, lone_currents)
-        assert np.array_equal(log_lik, lone_log_lik)
-
-
-def _point_counts(width):
-    """Uneven per-plan sizes, so stacked reads straddle every tail."""
-    return [48 * 16 - 37 * (i % 5) for i in range(width)]
+    sizes = np.array([1 + (7 * i) % 13 for i in range(4 * width)])
+    points = [rng.uniform(lo, hi, size=(size, 3)) for size in sizes]
+    noise = [array.draw_noise(size, rng) for size in sizes]
+    log_lik, currents = array.read(
+        np.concatenate(points), np.concatenate(noise), sizes, encoder
+    )
+    stop = 0
+    for size, read_points, read_noise in zip(sizes, points, noise):
+        start, stop = stop, stop + size
+        lone_log_lik, lone_currents = array.read(
+            read_points, read_noise, [size], encoder
+        )
+        assert np.array_equal(currents[start:stop], lone_currents)
+        assert np.array_equal(log_lik[start:stop], lone_log_lik)
 
 
 def _ledger_pin(ledger):
     return {op: (ledger.count(op), ledger.energy(op).hex()) for op in ledger.operations}
+
+
+# -- the fleet's traffic shape ---------------------------------------------
+
+FLEET_FRAMES = 14
+FLEET_STEPS = 5
+
+
+def sparse_frame(depth, n_valid):
+    """``depth`` with only its first ``n_valid`` valid pixels kept."""
+    sparse = np.full_like(depth, np.nan)
+    valid = np.flatnonzero(np.isfinite(depth) & (depth > 0))[:n_valid]
+    sparse.flat[valid] = depth.flat[valid]
+    return sparse
+
+
+def fleet_streams(width):
+    """Per track: its init and its step items, as a served fleet sends
+    them -- every track at its own orbit frame, tight and loose priors
+    side by side, ragged scans and frames with no valid pixel."""
+    controls, depths, truths = demo_track_measurements(n_steps=FLEET_FRAMES)
+    streams = []
+    for i in range(width):
+        phase = i % (FLEET_FRAMES - FLEET_STEPS + 1)
+        init = TrackInit(
+            mode="tracking",
+            state=truths[phase],
+            sigma=np.full(truths.shape[1], 0.05 if i % 2 == 0 else 0.4),
+            z_range=None,
+        )
+        items = []
+        for j in range(FLEET_STEPS):
+            k = phase + j
+            control = np.zeros(4) if j == 0 else controls[k]
+            depth = depths[k]
+            if j == 2 and i % 2 == 0:
+                depth = sparse_frame(depth, 6 + i % 5)
+            if j == 3 and i % 3 == 1:
+                depth = np.full_like(depth, np.nan)
+            items.append((f"t{i}", control, depth, truths[k]))
+        streams.append((init, items))
+    return streams
+
+
+@pytest.mark.parametrize("width", [1, 2, 8, 32])
+@pytest.mark.parametrize("config", ["tiled-noisy", "single-array"])
+def test_fleet_traffic_matches_lone_steps(width, config, worlds, fresh_sessions):
+    """Waves as the served fleet makes them: tracks at distinct frames,
+    scans smaller than ``max_pixels`` of several sizes, a frame with no
+    valid pixel (which fails only its own item), and resampling and
+    non-resampling tracks in one wave.  Every outcome equals the same
+    track's lone steps, and the first tracks' streams their one-shot
+    runs."""
+    substrate = PIN_CONFIGS[config][0]
+    streams = fleet_streams(width)
+    wave_store = TrackStore(worlds[config], (substrate,))
+    lone_store = TrackStore(worlds[config], (substrate,))
+    for i, (init, _) in enumerate(streams):
+        wave_store.open(f"t{i}", substrate, init, 200 + i)
+        lone_store.open(f"t{i}", substrate, init, 200 + i)
+    served = [[] for _ in streams]
+    mixed_waves = 0
+    for j in range(FLEET_STEPS):
+        wave = [steps[j] for _, steps in streams]
+        waved = wave_store.step_batch(wave)
+        alone = [lone_store.step_batch([item])[0] for item in wave]
+        for i, (wave_outcome, lone_outcome) in enumerate(zip(waved, alone)):
+            assert wave_outcome[0] == lone_outcome[0]
+            if wave_outcome[0] == "ok":
+                assert _response_pin(wave_outcome[1]) == _response_pin(
+                    lone_outcome[1]
+                )
+                served[i].append((wave[i], wave_outcome[1]))
+            else:
+                assert j == 3 and i % 3 == 1
+                assert "no valid pixels" in wave_outcome[1]
+        resampled = {
+            payload["resampled"] for status, payload in waved if status == "ok"
+        }
+        mixed_waves += resampled == {True, False}
+    if width > 1:
+        assert mixed_waves > 0
+    for i in range(min(width, 2)):
+        items = [item for item, _ in served[i]]
+        measurements = (
+            np.array([item[1] for item in items]),
+            [item[2] for item in items],
+            np.array([item[3] for item in items]),
+        )
+        reference = oracle(fresh_sessions[config], streams[i][0], 200 + i, measurements)
+        assert_matches_oracle([payload for _, payload in served[i]], reference)
 
 
 class TestWaveShapes:
@@ -401,6 +497,47 @@ class TestWaveShapes:
         assert failed["step_ops"] == clean["step_ops"]
         assert failed["ops_executed"] == 2 * clean["ops_executed"]
 
+    def test_failed_update_in_a_wave_fails_only_its_item(
+        self, worlds, fresh_sessions, init, measurements, monkeypatch
+    ):
+        """An update half that raises for one track of a wave, after the
+        resampling draws: the wave rewinds the generators to before the
+        update and updates its steps one at a time, so only that track's
+        step fails and every other stream stays bit-exact."""
+        # A loose prior, so the failing step resamples (and draws).
+        loose = dataclasses.replace(init, sigma=np.full(4, 0.4))
+        seeds = (4, 5, 6)
+        store = open_store(worlds["tiled-noisy"], "cim", loose, seeds)
+        pf = store._prototypes["cim"].localizer.filter
+        doomed = store._tracks["t5"].rng
+        update = pf.update
+
+        def selective(states, log_weights, log_lik, rngs):
+            result = update(states, log_weights, log_lik, rngs)
+            if any(rng is doomed for rng in rngs):
+                raise RuntimeError("update glitch")
+            return result
+
+        streams = {seed: [] for seed in (4, 6)}
+        for k in range(N_STEPS):
+            with monkeypatch.context() as patched:
+                if k == 0:
+                    patched.setattr(pf, "update", selective)
+                outcomes = store.step_batch(
+                    [step_item(seed, k, measurements) for seed in seeds]
+                )
+            if k == 0:
+                assert outcomes[1][0] == "error"
+                assert "update glitch" in outcomes[1][1]
+            for seed, (status, payload) in zip(seeds, outcomes):
+                if seed != 5:
+                    assert status == "ok", payload
+                    streams[seed].append(payload)
+        assert any(stream[0]["resampled"] for stream in streams.values())
+        for seed, stream in streams.items():
+            reference = oracle(fresh_sessions["tiled-noisy"], loose, seed, measurements)
+            assert_matches_oracle(stream, reference)
+
     def test_shared_pass_failure_retries_item_by_item(
         self, worlds, fresh_sessions, init, measurements, monkeypatch
     ):
@@ -411,11 +548,11 @@ class TestWaveShapes:
         original = TiledInverterArrayMap.read_planned
         calls = []
 
-        def flaky(self, plans):
-            calls.append(len(plans))
+        def flaky(self, plan):
+            calls.append(plan.counts.shape[1])
             if len(calls) == 1:
                 raise RuntimeError("transient array fault")
-            return original(self, plans)
+            return original(self, plan)
 
         seeds = (4, 5, 6)
         store = open_store(worlds["tiled-noisy"], "cim", init, seeds)
@@ -437,26 +574,24 @@ class TestWaveShapes:
     ):
         from repro.core.tiling import TiledInverterArrayMap
 
-        original = TiledInverterArrayMap.read_planned
-        bad = {}
-
-        def selective(self, plans):
-            if any(plan is bad.get("plan") for plan in plans):
-                raise RuntimeError("bad tile read")
-            return original(self, plans)
-
-        original_plan = TiledInverterArrayMap.plan_field_log
-        plans_made = []
-
-        def recording(self, points, rng=None):
-            plan = original_plan(self, points, rng)
-            plans_made.append(plan)
-            if len(plans_made) in (2, 5):  # the middle item, both tries
-                bad["plan"] = plan
-            return plan
-
         seeds = (4, 5, 6)
         store = open_store(worlds["tiled-noisy"], "cim", init, seeds)
+        doomed = store._tracks["t5"].rng
+        original_plan = TiledInverterArrayMap.plan_field_log
+        original_read = TiledInverterArrayMap.read_planned
+        bad_plans = []
+
+        def recording(self, points, rngs):
+            plan = original_plan(self, points, rngs)
+            if any(rng is doomed for rng in rngs):
+                bad_plans.append(plan)
+            return plan
+
+        def selective(self, plan):
+            if any(plan is bad for bad in bad_plans):
+                raise RuntimeError("bad tile read")
+            return original_read(self, plan)
+
         monkeypatch.setattr(TiledInverterArrayMap, "read_planned", selective)
         monkeypatch.setattr(TiledInverterArrayMap, "plan_field_log", recording)
         outcomes = store.step_batch(
@@ -499,12 +634,16 @@ class TestWaveShapes:
 def test_log_evidence_matches_scipy_bitwise(weights):
     from scipy.special import logsumexp as scipy_logsumexp
 
-    from repro.filtering.particles import ParticleSet
+    from repro.filtering.particles import logsumexp
 
-    particles = ParticleSet(np.zeros((weights.size, 4)), weights)
     with np.errstate(all="ignore"):
         expected = float(scipy_logsumexp(weights) - np.log(weights.size))
-    got = particles.log_evidence()
+    # The update's stacked form, on a stack of one and of three.
+    got = float(logsumexp(weights[None])[0] - np.log(weights.size))
+    stacked = logsumexp(np.stack([weights[::-1], weights, weights])) - np.log(
+        weights.size
+    )
+    assert np.array_equal(stacked[1:], [got, got], equal_nan=True)
     assert np.array_equal(np.float64(got), np.float64(expected), equal_nan=True)
     if np.isfinite(expected):
         assert got.hex() == expected.hex()
