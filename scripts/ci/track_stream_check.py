@@ -15,9 +15,12 @@ before and one after.
 
 Then a burst: several tracks, each at its own orbit phase and on its
 own connection, step concurrently, so the server coalesces steps of
-different tracks into one wave.  Every track's stream must still match
-its own one-shot run, and ``/stats`` must show a step batch of at least
-two (a server-side wave really ran).
+different tracks into one wave.  One burst track also sends an all-zero
+depth frame (no valid pixel) between two valid steps: that POST must
+fail, and since the check draws nothing, the track's valid steps must
+still match its one-shot run over its valid frames.  Every track's
+stream must match its own one-shot run, and ``/stats`` must show a step
+batch of at least two (a server-side wave really ran).
 
 Environment:
     SERVE_URL   base URL (default http://127.0.0.1:8731)
@@ -43,7 +46,9 @@ from repro.serve import (
 from repro.serve.demo import demo_track_measurements, demo_track_world
 
 
-def post(conn: http.client.HTTPConnection, path: str, payload: dict) -> dict:
+def send(
+    conn: http.client.HTTPConnection, path: str, payload: dict
+) -> tuple[int, dict]:
     conn.request(
         "POST",
         path,
@@ -51,12 +56,19 @@ def post(conn: http.client.HTTPConnection, path: str, payload: dict) -> dict:
         headers={"Content-Type": "application/json"},
     )
     reply = conn.getresponse()
-    raw = reply.read().decode()
-    assert reply.status == 200, raw
-    return strict_loads(raw)
+    return reply.status, strict_loads(reply.read().decode())
+
+
+def post(conn: http.client.HTTPConnection, path: str, payload: dict) -> dict:
+    status, body = send(conn, path, payload)
+    assert status == 200, body
+    return body
 
 
 BURST_TRACKS = 8
+# The burst track that sends an all-zero depth frame (no valid pixel)
+# before its second valid step.
+BAD_FRAME_TRACK = BURST_TRACKS // 2
 
 
 def burst(base_url: str, world, n_steps: int) -> int:
@@ -90,8 +102,21 @@ def burst(base_url: str, world, n_steps: int) -> int:
                 {"init": init.to_dict(), "substrate": "cim", "seed": 100 + k},
             )["track_id"]
             responses = []
-            for control, depth, truth in zip(*sequence):
+            for index, (control, depth, truth) in enumerate(zip(*sequence)):
                 rounds.wait()
+                if k == BAD_FRAME_TRACK and index == 1:
+                    status, body = send(
+                        conn,
+                        "/track/step",
+                        {
+                            "track_id": track_id,
+                            "control": control.tolist(),
+                            "depth": np.zeros_like(depth).tolist(),
+                            "truth": truth.tolist(),
+                        },
+                    )
+                    assert status >= 400, (status, body)
+                    assert "no valid pixels" in body["error"], body
                 payload = post(
                     conn,
                     "/track/step",
@@ -201,7 +226,7 @@ def main() -> None:
     assert max_batch >= 2, f"no step batch of two or more ran (max {max_batch})"
     print(
         f"track burst: bit-parity ok for {BURST_TRACKS} concurrent tracks "
-        f"at distinct phases (max step batch {max_batch})"
+        f"at distinct phases, one bad frame refused (max step batch {max_batch})"
     )
 
 

@@ -425,10 +425,10 @@ class ArrayBank:
     A wave is W callers' query points, each row routed to the array of
     its key (a tile of the domain).  :meth:`plan` sorts every row once
     on its (key, caller) pair, so each array's rows lie stacked in caller
-    order, and draws each caller's read noise from its own generator in
-    key order -- exactly the draws of that caller's reads alone.
-    :meth:`read` then makes one stacked pass per array.  Rows whose key
-    has no array read ``empty_log``.
+    order, and draws each caller's read noise from its own generator, one
+    normal per noisy row in key order -- exactly the draws of that
+    caller's reads alone.  :meth:`read` then makes one stacked pass per
+    array.  Rows whose key has no array read ``empty_log``.
 
     Args:
         arrays: key -> (programmed array, its encoder).
@@ -445,11 +445,10 @@ class ArrayBank:
         self.arrays = dict(sorted(arrays.items()))
         self.n_keys = int(n_keys)
         self.empty_log = float(empty_log)
-        self._noisy = [
-            (key, array)
-            for key, (array, _) in self.arrays.items()
-            if array.noise is not None
-        ]
+        self._noisy_keys = np.array(
+            [key for key, (array, _) in self.arrays.items() if array.noise is not None],
+            dtype=np.int64,
+        )
 
     def plan(
         self,
@@ -472,16 +471,25 @@ class ArrayBank:
         )
         ordered = np.take(points.reshape(n_callers * n_points, -1), order, axis=0)
         noise = None
-        if self._noisy:
+        if self._noisy_keys.size:
             noise = np.empty(ordered.shape[0])
-            sizes = counts.tolist()
-            starts = (np.cumsum(counts) - counts.reshape(-1)).tolist()
-            for caller, rng in enumerate(rngs):
-                for key, array in self._noisy:
-                    size = sizes[key][caller]
-                    if size:
-                        start = starts[key * n_callers + caller]
-                        noise[start : start + size] = array.draw_noise(size, rng)
+            starts = (np.cumsum(counts) - counts.reshape(-1)).reshape(counts.shape)
+            # One draw per caller for its rows of the noisy arrays, in key
+            # order: exactly its per-read draws, back to back.
+            for rng, sizes, firsts in zip(
+                rngs,
+                counts[self._noisy_keys].T.tolist(),
+                starts[self._noisy_keys].T.tolist(),
+            ):
+                if not any(sizes):
+                    continue
+                if rng is None:
+                    raise ValueError("rng required when a noise model is attached")
+                drawn = rng.normal(size=sum(sizes))
+                offset = 0
+                for size, first in zip(sizes, firsts):
+                    noise[first : first + size] = drawn[offset : offset + size]
+                    offset += size
         return WavePlan(order, counts, ordered, noise)
 
     def read(

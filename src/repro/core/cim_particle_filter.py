@@ -316,6 +316,9 @@ class CIMParticleFilterLocalizer:
         controls = np.atleast_2d(np.asarray(controls, dtype=float))
         if controls.shape[0] != len(depths):
             raise ValueError("controls and depths length mismatch")
+        ground_truth = np.atleast_2d(np.asarray(ground_truth, dtype=float))
+        if ground_truth.shape[0] != len(depths):
+            raise ValueError("ground truth and depths length mismatch")
         ledger = self.field_backend.ledger
         scope = ledger.begin_scope()
         try:
@@ -326,10 +329,9 @@ class CIMParticleFilterLocalizer:
         finally:
             ledger.end_scope(scope)
         estimates = np.stack([d.estimate for d in diagnostics], axis=0)
-        errors = self.filter.position_errors(np.asarray(ground_truth))
         return LocalizationResult(
             estimates=estimates,
-            errors=errors,
+            errors=np.linalg.norm(estimates[:, :3] - ground_truth[:, :3], axis=1),
             diagnostics=diagnostics,
             energy=scope,
             backend=self.backend_name,

@@ -28,7 +28,7 @@ from repro.circuits.inverter_array import (
     WavePlan,
 )
 from repro.circuits.technology import TechnologyNode
-from repro.filtering.particles import YAW_INDEX, ParticleSet
+from repro.filtering.particles import YAW_INDEX
 from repro.maps.gmm import GaussianMixture
 from repro.scene.se3 import Pose, rotation_z
 
@@ -297,23 +297,27 @@ class DepthScanMeasurementModel:
 
     def log_likelihoods(
         self,
-        particles: ParticleSet,
-        scan_points_cam: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Per-particle scan log-likelihoods, shape (N,).
+        states: np.ndarray,
+        scans: Sequence[np.ndarray],
+        rngs: Sequence[np.random.Generator],
+    ) -> tuple[np.ndarray, list[FieldReading]]:
+        """The measurement half for W particle sets: per-particle scan
+        log-likelihoods (W, N) for states (W, N, 4) and their W (M, 3)
+        camera-frame scans, and each set's unmetered field reading.
 
-        :meth:`project`, the backend's field evaluation, then
-        :meth:`combine`, for one particle set.
-
-        Args:
-            particles: particle set (states (N, 4)).
-            scan_points_cam: (M, 3) valid scan points in the camera frame.
-            rng: generator (scan subsampling, backend noise).
+        :meth:`project`, the backend's
+        :meth:`~MapFieldBackend.plan_field_log` and
+        :meth:`~MapFieldBackend.read_planned` (one hardware pass for
+        every set), then :meth:`combine`.  Each set draws its scan
+        subsample and read noise from its own generator in ``rngs``;
+        charging its reading (:meth:`FieldReading.account`) is the
+        caller's.
         """
-        world = self.project(particles.states[None], [scan_points_cam], [rng])
-        field = self.backend.field_log(world.reshape(-1, 3), rng=rng)
-        return self.combine(field.reshape(world.shape[:3]))[0]
+        world = self.project(states, scans, rngs)
+        plan = self.backend.plan_field_log(world.reshape(len(world), -1, 3), rngs)
+        readings = self.backend.read_planned(plan)
+        field = np.stack([reading.values for reading in readings])
+        return self.combine(field.reshape(world.shape[:3])), readings
 
     def project(
         self,

@@ -7,11 +7,12 @@ and resample when the effective sample size collapses.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.circuits.energy import EnergyLedger
 from repro.filtering.measurement import DepthScanMeasurementModel
 from repro.filtering.motion import MotionModel
 from repro.filtering.particles import (
@@ -46,8 +47,44 @@ class StepDiagnostics:
     spread: float
 
 
+# One set's step: its posterior (states, log-weights, diagnostics) or the
+# exception the step raised.
+StepOutcome = tuple[np.ndarray, np.ndarray, StepDiagnostics] | Exception
+
+
+def _isolated(
+    run: Callable[..., list[StepOutcome]],
+    rngs: Sequence[np.random.Generator],
+    *stacked: Sequence,
+) -> list[StepOutcome]:
+    """``run(*stacked)``, one outcome per set.  If it raises, a set
+    alone fails with the exception; a wave rewinds every generator and
+    runs each set's slice of ``stacked`` alone, so only the sets that
+    raise again fail."""
+    entry = [rng.bit_generator.state for rng in rngs] if len(rngs) > 1 else []
+    try:
+        return run(*stacked)
+    except Exception as error:
+        if len(rngs) == 1:
+            return [error]
+        for rng, state in zip(rngs, entry):
+            rng.bit_generator.state = state
+        alone = [[part[row : row + 1] for part in stacked] for row in range(len(rngs))]
+        return [_isolated(run, [rng], *parts)[0] for rng, parts in zip(rngs, alone)]
+
+
 class ParticleFilter:
     """SIR Monte-Carlo localization filter.
+
+    A step is :meth:`step_many` over W particle sets: :meth:`predict`,
+    the measurement model's stacked
+    :meth:`~DepthScanMeasurementModel.log_likelihoods`, each set's field
+    read metered into its own ledger, then :meth:`update`.  Each set
+    draws from its own generator in one fixed order -- motion normals,
+    scan subsample, per-tile read noise, resampling -- so its outcome is
+    bit-for-bit the same whether it steps alone or in a wave.
+    :meth:`step` steps the filter's own particle set: ``step_many`` of
+    one, metered into the backend's ledger.
 
     Args:
         motion_model: the prediction-step model.
@@ -66,12 +103,10 @@ class ParticleFilter:
         self.measurement_model = measurement_model
         self.roughening = np.asarray(roughening, dtype=float)
         self.particles: ParticleSet | None = None
-        self.history: list[StepDiagnostics] = []
 
     def initialize(self, particles: ParticleSet) -> None:
         """Install the initial particle set (uniform or prior-based)."""
         self.particles = particles
-        self.history = []
 
     def step(
         self,
@@ -79,35 +114,88 @@ class ParticleFilter:
         scan_points_cam: np.ndarray,
         rng: np.random.Generator,
     ) -> StepDiagnostics:
-        """One predict-update-resample cycle: the wave of one.
-
-        :meth:`predict`, the measurement likelihoods, then :meth:`update`.
-
-        Args:
-            control: body-frame odometry increment (4,).
-            scan_points_cam: (M, 3) valid scan points in the camera frame.
-            rng: random generator.
-
-        Returns:
-            Step diagnostics (posterior estimate, ESS, ...).
+        """One predict-update-resample cycle of the filter's particle set
+        under a control (4,) and a camera-frame scan (M, 3):
+        :meth:`step_many` of one, metered into the backend's ledger.
+        Raises the step's exception; the particles move only on success.
         """
         if self.particles is None:
             raise RuntimeError("call initialize() before step()")
-        log_weights = self.particles.log_weights
-        predicted = self.predict(
+        [outcome] = self.step_many(
             self.particles.states[None],
+            self.particles.log_weights[None],
             np.asarray(control, dtype=float).reshape(1, -1),
+            [scan_points_cam],
             [rng],
+            [self.measurement_model.backend.ledger],
         )
-        log_lik = self.measurement_model.log_likelihoods(
-            ParticleSet(predicted[0], log_weights), scan_points_cam, rng
-        )
-        states, log_weights, [diagnostics] = self.update(
-            predicted, log_weights[None], log_lik[None], [rng]
-        )
-        self.particles = ParticleSet(states[0], log_weights[0])
-        self.history.append(diagnostics)
+        if isinstance(outcome, Exception):
+            raise outcome
+        states, log_weights, diagnostics = outcome
+        self.particles = ParticleSet(states, log_weights)
         return diagnostics
+
+    def step_many(
+        self,
+        states: np.ndarray,
+        log_weights: np.ndarray,
+        controls: np.ndarray,
+        scans: Sequence[np.ndarray],
+        rngs: Sequence[np.random.Generator],
+        ledgers: Sequence[EnergyLedger],
+    ) -> list[StepOutcome]:
+        """One predict-update-resample cycle for W particle sets: states
+        (W, N, D) with log-weights (W, N) under controls (W, 4), each with
+        its camera-frame scan (M, 3; the subsamples must be equal in
+        size), its generator (every draw of its step) and its ledger (its
+        field read).
+
+        Returns, per set, its posterior ``(states, log_weights,
+        diagnostics)`` or the exception its step raised.  A raise fails
+        only its own set, and every other set stays bit-equal to its
+        step alone: a raise before metering rewinds every generator and
+        re-runs each set alone; a raise while metering fails that set; a
+        raise in :meth:`update` rewinds to the pre-update generator
+        states and updates each metered set alone.  A set that fails
+        after metering keeps its read in its ledger.
+        """
+        return _isolated(
+            self._step, rngs, states, log_weights, controls, scans, rngs, ledgers
+        )
+
+    def _step(
+        self,
+        states: np.ndarray,
+        log_weights: np.ndarray,
+        controls: np.ndarray,
+        scans: Sequence[np.ndarray],
+        rngs: Sequence[np.random.Generator],
+        ledgers: Sequence[EnergyLedger],
+    ) -> list[StepOutcome]:
+        """:meth:`step_many` without isolating a raise before metering."""
+        predicted = self.predict(states, controls, rngs)
+        log_lik, readings = self.measurement_model.log_likelihoods(
+            predicted, scans, rngs
+        )
+        outcomes: dict[int, StepOutcome] = {}
+        for row, (reading, ledger) in enumerate(zip(readings, ledgers)):
+            try:
+                reading.account(ledger)
+            except Exception as error:
+                outcomes[row] = error
+        metered = [row for row in range(len(rngs)) if row not in outcomes]
+        if metered:
+            metered_rngs = [rngs[row] for row in metered]
+            updated = _isolated(
+                lambda *halves: list(zip(*self.update(*halves))),
+                metered_rngs,
+                predicted[metered],
+                log_weights[metered],
+                log_lik[metered],
+                metered_rngs,
+            )
+            outcomes.update(zip(metered, updated))
+        return [outcomes[row] for row in range(len(rngs))]
 
     def predict(
         self,
@@ -168,21 +256,3 @@ class ParticleFilter:
             )
         ]
         return states, log_weights, diagnostics
-
-    def estimate(self) -> np.ndarray:
-        """Current posterior-mean state."""
-        if self.particles is None:
-            raise RuntimeError("filter not initialised")
-        estimates, _ = posterior_estimates(
-            self.particles.states[None],
-            normalized_weights(self.particles.log_weights[None]),
-        )
-        return estimates[0]
-
-    def position_errors(self, ground_truth: np.ndarray) -> np.ndarray:
-        """Per-step position error against a (T, >=3) ground-truth array."""
-        ground_truth = np.atleast_2d(np.asarray(ground_truth, dtype=float))
-        if len(self.history) != ground_truth.shape[0]:
-            raise ValueError("history length != ground truth length")
-        estimates = np.stack([h.estimate[:3] for h in self.history], axis=0)
-        return np.linalg.norm(estimates - ground_truth[:, :3], axis=1)

@@ -8,15 +8,14 @@ first stateful layer on top of the stateless ``/infer`` path:
 - :class:`TrackWorld` -- the shared world (map cloud, camera, localizer
   configuration) every track session is built from, picklable so shard
   processes rebuild bit-identical sessions from one spec.
-- :class:`TrackStore` -- the per-process execution engine.  It does NOT
+- :class:`TrackStore` -- the per-process track state.  It does NOT
   build one session per track: it keeps one shared prototype
   :class:`~repro.api.substrates.LocalizationSession` per substrate and
-  carries each track's state -- particles, its private RNG and its own
-  energy ledger -- through the prototype's filter halves, charging the
-  track's field reads into its ledger.  A micro-batch executes as waves
-  of at most one step per track with one field pass per wave (one array
-  pass per tile on CIM).  Per-track state is O(n_particles), which is
-  what makes thousands of live tracks feasible in one process.
+  each track's particles, private RNG and energy ledger, and steps a
+  micro-batch as waves through the prototype filter's
+  :meth:`~repro.filtering.ParticleFilter.step_many`.  Per-track state
+  is O(n_particles), which is what makes thousands of live tracks
+  feasible in one process.
 - :class:`TrackManager` -- lifecycle, placement, eviction and recovery:
   open/step/close with sticky routing of every track to one home shard,
   :class:`~repro.runtime.policy.TrackPolicy` admission (max live tracks,
@@ -168,20 +167,6 @@ class _StoredTrack:
         self.steps = 0
 
 
-class _WaveItem:
-    """One step item between the phases of a wave."""
-
-    __slots__ = ("index", "item", "track", "rng_state", "control", "scan")
-
-    def __init__(self, index: int, item: tuple, track: _StoredTrack):
-        self.index = index
-        self.item = item
-        self.track = track
-        self.rng_state = track.rng.bit_generator.state
-        self.control: Any = None
-        self.scan: Any = None
-
-
 class TrackStore:
     """Per-process track execution over shared prototype sessions.
 
@@ -194,17 +179,13 @@ class TrackStore:
     serial by construction).
 
     A micro-batch of steps executes as *waves* of at most one step per
-    track, and a wave's steps on one substrate with equal scan sizes run
-    as one struct-of-arrays step: the tracks' particle sets are stacked
-    on a wave axis (W, N, ...) and every filter half runs once over it
-    -- motion, projection, tile routing, ONE field pass (one
-    DAC -> array -> noise -> ADC pass per tile on CIM), likelihood
-    combination, reweighting, estimate and spread.  Each track still
-    draws from its own generator, into its slot of the stacked buffers,
-    in the order a lone step draws (motion, scan subsample, per-tile
-    read noise, resampling), and meters its reads into its own ledger.
-    Each response is bit-for-bit the lone step's: a lone step is the
-    wave of one through the same functions.
+    track.  The store keeps track state, groups a wave (a draw-free
+    ``scan_points`` check per item, then one group per substrate and
+    scan size) and builds responses; each group is one
+    :meth:`~repro.filtering.ParticleFilter.step_many` over the tracks'
+    stacked particle sets, which owns the phases, each track's draw
+    order and the failure isolation.  A lone step is ``step_many`` of
+    one, so each response is bit-for-bit the lone step's.
     """
 
     def __init__(self, world: TrackWorld, substrates: Sequence[str]):
@@ -249,10 +230,13 @@ class TrackStore:
 
         Items may mix tracks and substrates.  A new wave starts whenever
         an item's track already has a step in the current wave, so
-        same-track items (a replayed log) execute in list order.
+        same-track items (a replayed log) execute in list order.  A wave
+        steps one group per substrate and scan size: the stacked arrays
+        need equal particle and scan-point counts.
         """
         encoded: list[Any] = [None] * len(items)
-        wave: dict[str, list[_WaveItem]] = {}
+        # (substrate, scan size) -> (index, track, control, scan, truth)
+        wave: dict[tuple[str, int], list[tuple]] = {}
         in_wave: set[str] = set()
         for index, item in enumerate(items):
             track_id = item[0]
@@ -268,152 +252,70 @@ class TrackStore:
                     )
                 )
                 continue
+            localizer = self._prototypes[track.substrate].localizer
+            # Draw-free input checks: a frame without valid pixels fails
+            # its own item before the track draws anything.
+            try:
+                _, control, depth, truth = item
+                control = np.asarray(control, dtype=float).reshape(-1)
+                scan = localizer.scan_points(np.asarray(depth, dtype=float))
+            except Exception as error:
+                encoded[index] = encode_error(error)
+                continue
             in_wave.add(track_id)
-            wave.setdefault(track.substrate, []).append(
-                _WaveItem(index, item, track)
+            size = min(scan.shape[0], localizer.measurement_model.max_pixels)
+            wave.setdefault((track.substrate, size), []).append(
+                (index, track, control, scan, truth)
             )
         self._run_wave(wave, encoded)
         return encoded
 
     def _run_wave(
-        self, wave: dict[str, list[_WaveItem]], encoded: list[Any]
+        self, wave: dict[tuple[str, int], list[tuple]], encoded: list[Any]
     ) -> None:
-        """Step a wave as one group per substrate and scan size (the
-        stacked arrays need equal particle and scan-point counts)."""
-        for substrate, members in wave.items():
-            localizer = self._prototypes[substrate].localizer
-            by_size: dict[int, list[_WaveItem]] = {}
-            for member in members:
-                # Draw-free input checks: a frame without valid pixels
-                # fails its own item before the track draws anything.
-                try:
-                    _, control, depth, _ = member.item
-                    member.control = np.asarray(control, dtype=float).reshape(-1)
-                    member.scan = localizer.scan_points(np.asarray(depth, dtype=float))
-                except Exception as error:
-                    encoded[member.index] = encode_error(error)
-                    continue
-                size = min(
-                    member.scan.shape[0], localizer.measurement_model.max_pixels
-                )
-                by_size.setdefault(size, []).append(member)
-            for group in by_size.values():
-                self._step_group(localizer, group, encoded)
+        for (substrate, _), members in wave.items():
+            self._step_group(
+                self._prototypes[substrate].localizer.filter, members, encoded
+            )
 
     def _step_group(
-        self, localizer: Any, members: list[_WaveItem], encoded: list[Any]
+        self, pf: Any, members: list[tuple], encoded: list[Any]
     ) -> None:
-        """One struct-of-arrays step of tracks with equal scan sizes."""
-        rngs = [member.track.rng for member in members]
+        """One :meth:`~repro.filtering.ParticleFilter.step_many` over
+        tracks with equal scan sizes, inside a per-step scope on each
+        track's ledger; a track's state moves only when its step
+        succeeds."""
+        indices, tracks, controls, scans, truths = zip(*members)
+        scopes = [track.ledger.begin_scope() for track in tracks]
         try:
-            log_weights = np.stack([member.track.log_weights for member in members])
-            predicted = localizer.filter.predict(
-                np.stack([member.track.states for member in members]),
-                np.stack([member.control for member in members]),
-                rngs,
+            outcomes = pf.step_many(
+                np.stack([track.states for track in tracks]),
+                np.stack([track.log_weights for track in tracks]),
+                np.stack(controls),
+                scans,
+                [track.rng for track in tracks],
+                [track.ledger for track in tracks],
             )
-            world = localizer.measurement_model.project(
-                predicted, [member.scan for member in members], rngs
-            )
-            backend = localizer.field_backend
-            readings = backend.read_planned(
-                backend.plan_field_log(world.reshape(len(members), -1, 3), rngs)
-            )
-        except Exception as error:
-            if len(members) == 1:
-                encoded[members[0].index] = encode_error(error)
-                return
-            # Isolate the failure: rewind every generator to before its
-            # predict half and re-run the steps one at a time, so only
-            # the item that raises fails and the rest stay bit-exact.
-            for member in members:
-                member.track.rng.bit_generator.state = member.rng_state
-            for member in members:
-                self._step_group(localizer, [member], encoded)
-            return
-        metered, scopes = [], []
-        for row, (member, reading) in enumerate(zip(members, readings)):
-            ledger = member.track.ledger
-            step = ledger.begin_scope()
-            try:
-                reading.account(ledger)
-            except Exception as error:
-                encoded[member.index] = encode_error(error)
+        finally:
+            for track, scope in zip(tracks, scopes):
+                track.ledger.end_scope(scope)
+        for index, track, truth, scope, outcome in zip(
+            indices, tracks, truths, scopes, outcomes
+        ):
+            if isinstance(outcome, Exception):
+                encoded[index] = encode_error(outcome)
                 continue
-            finally:
-                ledger.end_scope(step)
-            metered.append(row)
-            scopes.append(step)
-        if not metered:
-            return
-        field = np.stack([readings[row].values for row in metered])
-        self._update(
-            localizer,
-            [members[row] for row in metered],
-            predicted[metered],
-            log_weights[metered],
-            localizer.measurement_model.combine(
-                field.reshape(len(metered), *world.shape[1:3])
-            ),
-            scopes,
-            encoded,
-        )
-
-    def _update(
-        self,
-        localizer: Any,
-        members: list[_WaveItem],
-        predicted: np.ndarray,
-        log_weights: np.ndarray,
-        log_lik: np.ndarray,
-        scopes: list[EnergyLedger],
-        encoded: list[Any],
-    ) -> None:
-        """The update half of metered steps: reweight/resample the
-        stacked sets, then store each track's posterior and build its
-        response."""
-        rngs = [member.track.rng for member in members]
-        rng_states = (
-            [rng.bit_generator.state for rng in rngs] if len(rngs) > 1 else []
-        )
-        try:
-            states, log_weights, diagnostics = localizer.filter.update(
-                predicted, log_weights, log_lik, rngs
-            )
-        except Exception as error:
-            if len(members) == 1:
-                encoded[members[0].index] = encode_error(error)
-                return
-            # As for the read: rewind and update each step on its own.
-            for rng, state in zip(rngs, rng_states):
-                rng.bit_generator.state = state
-            for row, member in enumerate(members):
-                self._update(
-                    localizer,
-                    [member],
-                    predicted[row : row + 1],
-                    log_weights[row : row + 1],
-                    log_lik[row : row + 1],
-                    scopes[row : row + 1],
-                    encoded,
-                )
-            return
-        for row, (member, step) in enumerate(zip(members, scopes)):
-            track = member.track
-            track.states, track.log_weights = states[row], log_weights[row]
+            track.states, track.log_weights, diagnostics = outcome
             track.steps += 1
-            encoded[member.index] = (
-                "ok",
-                self._response(member, diagnostics[row], step),
-            )
+            encoded[index] = ("ok", self._response(track, truth, diagnostics, scope))
 
     @staticmethod
-    def _response(member: _WaveItem, diagnostics: Any, step: EnergyLedger) -> dict:
-        track = member.track
+    def _response(
+        track: _StoredTrack, truth: Any, diagnostics: Any, step: EnergyLedger
+    ) -> dict:
         ledger = track.ledger
         estimate = np.asarray(diagnostics.estimate, dtype=float)
         error_m = None
-        truth = member.item[3]
         if truth is not None:
             truth_state = np.asarray(truth, dtype=float).reshape(-1)
             error_m = float(

@@ -264,12 +264,18 @@ def _simple_backend():
     return DigitalGMMBackend(gmm, NODE_45NM, bits=None), gmm
 
 
+def _lone_log_likelihoods(model, states, scan, rng):
+    """One particle set's (N,) log-likelihoods through the stacked half."""
+    log_lik, _ = model.log_likelihoods(states[None], [scan], [rng])
+    return log_lik[0]
+
+
 class TestMeasurementModel:
     def test_requires_floor_calibration(self, rng):
         backend, _ = _simple_backend()
         model = DepthScanMeasurementModel(backend)
         with pytest.raises(RuntimeError):
-            model.log_likelihoods(ParticleSet(np.zeros((1, 4))), np.zeros((3, 3)), rng)
+            model.log_likelihoods(np.zeros((1, 1, 4)), [np.zeros((3, 3))], [rng])
 
     def test_true_pose_scores_higher(self, rng):
         backend, gmm = _simple_backend()
@@ -280,7 +286,7 @@ class TestMeasurementModel:
         state_true = np.array([0.0, 0.0, 0.0, 0.0])
         scan_cam = scan_world  # camera at origin, identity yaw
         states = np.array([state_true, [1.0, 1.0, 0.5, 0.4]])
-        ll = model.log_likelihoods(ParticleSet(states), scan_cam, rng)
+        ll = _lone_log_likelihoods(model, states, scan_cam, rng)
         assert ll[0] > ll[1]
 
     def test_yaw_rotation_applied(self, rng):
@@ -290,7 +296,7 @@ class TestMeasurementModel:
         scan_cam = np.array([[2.0, 0.0, 1.0]])
         # with yaw=pi the point lands at (-2, 0, 1): far from both modes
         states = np.array([[0, 0, 0, 0.0], [0, 0, 0, np.pi]])
-        ll = model.log_likelihoods(ParticleSet(states), scan_cam, rng)
+        ll = _lone_log_likelihoods(model, states, scan_cam, rng)
         assert ll[0] > ll[1]
 
     def test_subsampling_bounds_pixels(self, rng):
@@ -302,12 +308,12 @@ class TestMeasurementModel:
     def test_temperature_softens(self, rng):
         backend, gmm = _simple_backend()
         scan = gmm.sample(30, rng)
-        states = ParticleSet(np.array([[0, 0, 0, 0.0], [3, 3, 1, 1.0]]))
+        states = np.array([[0, 0, 0, 0.0], [3, 3, 1, 1.0]])
         lls = {}
         for temp in (1.0, 10.0):
             model = DepthScanMeasurementModel(backend, temperature=temp)
             model.calibrate_floor(gmm.sample(200, rng))
-            ll = model.log_likelihoods(states, scan, np.random.default_rng(0))
+            ll = _lone_log_likelihoods(model, states, scan, np.random.default_rng(0))
             lls[temp] = ll[0] - ll[1]
         assert lls[1.0] > lls[10.0]
 
@@ -351,17 +357,25 @@ class TestParticleFilter:
             diag = pf.step(np.zeros(4), scan, rng)
         assert np.linalg.norm(diag.estimate[:3]) < 0.4
 
-    def test_history_and_errors(self, rng):
-        backend, gmm = _simple_backend()
-        model = DepthScanMeasurementModel(backend, temperature=2.0)
-        model.calibrate_floor(gmm.sample(300, rng))
-        pf = ParticleFilter(OdometryMotionModel(0.02, 0.01), model, np.zeros(4))
-        pf.initialize(ParticleSet.gaussian([0, 0, 0, 0], [0.2] * 4, 100, rng))
-        scan = gmm.sample(20, rng)
-        for _ in range(3):
-            pf.step(np.zeros(4), scan, rng)
-        errors = pf.position_errors(np.zeros((3, 4)))
-        assert errors.shape == (3,)
+    @pytest.mark.parametrize("truth_rows", [1, 2, 4])
+    def test_run_rejects_ground_truth_of_another_length(self, truth_rows):
+        """A run's truth must have one row per step -- a single row
+        would broadcast -- and is checked before the first step draws."""
+        from repro.serve.demo import demo_track_measurements, demo_track_world
+
+        localizer = demo_track_world().build_session("digital").localizer
+        controls, depths, truths = demo_track_measurements(n_steps=3)
+        rng = np.random.default_rng(0)
+        localizer.initialize_tracking(truths[0], np.full(4, 0.05), rng)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="ground truth"):
+            localizer.run(controls, depths, truths[:1].repeat(truth_rows, 0), rng)
+        assert rng.bit_generator.state == before
+        result = localizer.run(controls, depths, truths, rng)
+        assert np.array_equal(
+            result.errors,
+            np.linalg.norm(result.estimates[:, :3] - truths[:, :3], axis=1),
+        )
 
     def test_requires_initialisation(self, rng):
         backend, _ = _simple_backend()

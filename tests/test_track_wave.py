@@ -268,6 +268,20 @@ class TestWaveParity:
         assert _ledger_pin(lone_backend.ledger) == _ledger_pin(wave_backend.ledger)
 
 
+@pytest.mark.parametrize("config", ["tiled-noisy", "single-array"])
+def test_noisy_read_requires_a_generator(config, fresh_sessions):
+    """A caller with rows on a noisy array must bring a generator, in a
+    wave as alone; the raise comes before anything is read or metered."""
+    backend = copy.deepcopy(fresh_sessions[config]).localizer.field_backend
+    before = _ledger_pin(backend.ledger)
+    points = np.zeros((2, 5, 3))
+    with pytest.raises(ValueError, match="rng required"):
+        backend.plan_field_log(points, [np.random.default_rng(0), None])
+    with pytest.raises(ValueError, match="rng required"):
+        backend.field_log(points[0], rng=None)
+    assert _ledger_pin(backend.ledger) == before
+
+
 @pytest.mark.parametrize("config", WAVE_CONFIGS)
 def test_raising_run_detaches_its_ledger_scope(
     config, fresh_sessions, init, measurements, monkeypatch
@@ -605,6 +619,106 @@ class TestWaveShapes:
                 tuple(part[:1] for part in measurements),
             )
             assert_matches_oracle([payload], reference)
+
+
+# -- lone and wave steps fail the same way ----------------------------------
+
+
+def glitch(patched, localizer, doomed, kind):
+    """Make the ``kind`` half ("update" or "read") raise for the set
+    that draws from ``doomed``, after that half's own work ran."""
+    if kind == "update":
+        update = localizer.filter.update
+
+        def failing_update(states, log_weights, log_lik, rngs):
+            result = update(states, log_weights, log_lik, rngs)
+            if any(rng is doomed for rng in rngs):
+                raise RuntimeError("update glitch")
+            return result
+
+        patched.setattr(localizer.filter, "update", failing_update)
+        return
+    backend = localizer.field_backend
+    plan_field_log, read_planned = backend.plan_field_log, backend.read_planned
+    doomed_plans = []
+
+    def recording(points, rngs):
+        plan = plan_field_log(points, rngs)
+        if any(rng is doomed for rng in rngs):
+            doomed_plans.append(plan)
+        return plan
+
+    def failing_read(plan):
+        values = read_planned(plan)
+        if any(plan is doomed_plan for doomed_plan in doomed_plans):
+            raise RuntimeError("read glitch")
+        return values
+
+    patched.setattr(backend, "plan_field_log", recording)
+    patched.setattr(backend, "read_planned", failing_read)
+
+
+@pytest.mark.parametrize("kind", ["update", "read"])
+@pytest.mark.parametrize("width", [1, 2, 8])
+@pytest.mark.parametrize("config", WAVE_CONFIGS)
+def test_wave_fails_like_lone_steps(
+    config, width, kind, worlds, fresh_sessions, init, measurements, monkeypatch
+):
+    """One set of a ``width``-track wave fails in its update or its read:
+    its track meters and draws what a lone ``localizer.step`` that raised
+    there meters and draws, the lone filter keeps its particles, and
+    every other track equals its lone step."""
+    substrate = PIN_CONFIGS[config][0]
+    # A loose prior, so failing updates resample (and draw) first.
+    loose = dataclasses.replace(init, sigma=np.full(4, 0.4))
+    seeds = range(300, 300 + width)
+    doomed = seeds[width // 2]
+    store = open_store(worlds[config], substrate, loose, seeds)
+    with monkeypatch.context() as patched:
+        glitch(
+            patched,
+            store._prototypes[substrate].localizer,
+            store._tracks[f"t{doomed}"].rng,
+            kind,
+        )
+        outcomes = store.step_batch(
+            [step_item(seed, 0, measurements) for seed in seeds]
+        )
+    for seed, (status, payload) in zip(seeds, outcomes):
+        session = copy.deepcopy(fresh_sessions[config])
+        localizer = session.localizer
+        rng = np.random.default_rng(seed)
+        loose.apply(session, rng)
+        prior = localizer.filter.particles
+        ledger = localizer.field_backend.ledger
+        scope = ledger.begin_scope()
+        _, control, depth, _ = step_item(seed, 0, measurements)
+        with monkeypatch.context() as patched:
+            if seed == doomed:
+                glitch(patched, localizer, rng, kind)
+            try:
+                outcome = localizer.step(control, depth, rng)
+            except RuntimeError as error:
+                outcome = error
+            finally:
+                ledger.end_scope(scope)
+        track = store._tracks[f"t{seed}"]
+        assert _ledger_pin(track.ledger) == _ledger_pin(scope)
+        assert track.rng.bit_generator.state == rng.bit_generator.state
+        if seed == doomed:
+            assert status == "error" and f"{kind} glitch" in payload
+            assert str(outcome) == f"{kind} glitch"
+            assert localizer.filter.particles is prior
+            assert (track.ledger.total_count() > 0) == (kind == "update")
+            continue
+        assert status == "ok", payload
+        assert np.array_equal(payload["estimate"], outcome.estimate)
+        for name in ("ess", "resampled", "log_evidence", "spread"):
+            assert payload[name] == getattr(outcome, name)
+        assert np.array_equal(track.states, localizer.filter.particles.states)
+        assert np.array_equal(
+            track.log_weights, localizer.filter.particles.log_weights
+        )
 
 
 # -- log evidence -----------------------------------------------------------
