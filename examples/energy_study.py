@@ -8,15 +8,18 @@ including the reuse/ordering ablation.
 Run:  python examples/energy_study.py
 """
 
-from repro.experiments.fig2_energy import likelihood_energy_comparison
-from repro.experiments.tops_per_watt import efficiency_table
+from repro.experiments.fig2_energy import (
+    LikelihoodEnergyConfig,
+    likelihood_energy_comparison,
+)
+from repro.experiments.tops_per_watt import EfficiencyConfig, efficiency_table
 
 
 def particle_filter_energy() -> None:
     print("=" * 70)
     print("Likelihood-evaluation energy (Fig. 2i): 500 columns, 100 components")
     print("=" * 70)
-    data = likelihood_energy_comparison()
+    data = likelihood_energy_comparison(LikelihoodEnergyConfig())
     cim_fj = data["cim_energy_per_query_j"] * 1e15
     digital_fj = data["digital_energy_per_query_j"] * 1e15
     print(f"  4-bit HMGM inverter CIM : {cim_fj:8.1f} fJ   (paper: 374 fJ)")
@@ -31,7 +34,7 @@ def macro_efficiency() -> None:
     print("\n" + "=" * 70)
     print("MC-Dropout macro efficiency (Sec. III-D): 30 iterations, 16 nm")
     print("=" * 70)
-    data = efficiency_table()
+    data = efficiency_table(EfficiencyConfig())
     header = f"{'bits':>5} {'reuse':>6} {'order':>6} {'exec frac':>10} {'TOPS/W (sys)':>13}"
     print(header)
     for row in data["rows"]:

@@ -10,7 +10,7 @@ Run:  python examples/rng_calibration.py
 import numpy as np
 
 from repro.circuits.technology import NODE_16NM
-from repro.experiments.fig3_rng import rng_statistics
+from repro.experiments.fig3_rng import RNGStatsConfig, rng_statistics
 from repro.sram.dropout_gen import DropoutBitGenerator
 from repro.sram.rng import CrossCoupledInverterRNG
 
@@ -41,7 +41,9 @@ def column_sweep() -> None:
     print("\n" + "=" * 66)
     print("Column sweep: mismatch filtering / noise amplification")
     print("=" * 66)
-    stats = rng_statistics(column_sweep=(2, 4, 8, 16, 32), n_instances=10)
+    stats = rng_statistics(
+        RNGStatsConfig(column_sweep=(2, 4, 8, 16, 32), n_instances=10)
+    )
     print(f"{'columns':>8} {'bias before':>12} {'bias after':>12} {'mm/noise':>10}")
     for row in stats["rows"]:
         print(

@@ -9,8 +9,14 @@ Run:  python examples/uncertainty_aware_vo.py
 
 import numpy as np
 
-from repro.experiments.fig3_correlation import error_uncertainty_experiment
-from repro.experiments.fig3_trajectory import vo_trajectory_experiment
+from repro.experiments.fig3_correlation import (
+    CorrelationConfig,
+    error_uncertainty_experiment,
+)
+from repro.experiments.fig3_trajectory import (
+    VOTrajectoryConfig,
+    vo_trajectory_experiment,
+)
 
 
 def trajectories() -> None:
@@ -18,12 +24,14 @@ def trajectories() -> None:
     print("VO trajectories across inference conditions, Fig. 3(c-e)")
     print("=" * 70)
     data = vo_trajectory_experiment(
-        modes=(
-            "deterministic-float",
-            "deterministic-4bit",
-            "mc-software",
-            "mc-cim-4bit",
-            "mc-cim-6bit",
+        VOTrajectoryConfig(
+            modes=(
+                "deterministic-float",
+                "deterministic-4bit",
+                "mc-software",
+                "mc-cim-4bit",
+                "mc-cim-6bit",
+            )
         )
     )
     gt = data["ground_truth"]
@@ -52,7 +60,7 @@ def uncertainty_correlation() -> None:
     print("Error vs predictive uncertainty, Fig. 3(f)")
     print("=" * 70)
     for engine in ("software", "cim-4bit"):
-        data = error_uncertainty_experiment(engine=engine)
+        data = error_uncertainty_experiment(CorrelationConfig(engine=engine))
         corr = data["correlation"]
         print(
             f"{engine:>10}: pearson r = {corr['pearson']:.3f}, "

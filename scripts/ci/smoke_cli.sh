@@ -7,6 +7,13 @@ cd "$(dirname "$0")/../.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
 python -m repro list
+# Every driver module registers on import: the paper experiments and SCN.
+ids=$(python -m repro list --json | python -c \
+  'import json, sys; print(" ".join(e["id"] for e in json.load(sys.stdin)["experiments"]))')
+if [ "$ids" != "E1 E3 E4 E5 E6 E7 E8 E9 E10 E11 SCN" ]; then
+  echo "cli smoke: repro list --json lists: $ids" >&2
+  exit 1
+fi
 python -m repro run E1 --json --seed 0 > /dev/null
 python -m repro run E9 --json \
   --set n_inputs=32 --set n_outputs=16 \

@@ -17,7 +17,7 @@ Then a burst: several tracks, each at its own orbit phase and on its
 own connection, step concurrently, so the server coalesces steps of
 different tracks into one wave.  One burst track also sends an all-zero
 depth frame (no valid pixel) between two valid steps: that POST must
-fail, and since the check draws nothing, the track's valid steps must
+answer 400 (a client fault), and since the check draws nothing, the track's valid steps must
 still match its one-shot run over its valid frames.  Every track's
 stream must match its own one-shot run, and ``/stats`` must show a step
 batch of at least two (a server-side wave really ran).
@@ -115,7 +115,7 @@ def burst(base_url: str, world, n_steps: int) -> int:
                             "truth": truth.tolist(),
                         },
                     )
-                    assert status >= 400, (status, body)
+                    assert status == 400, (status, body)
                     assert "no valid pixels" in body["error"], body
                 payload = post(
                     conn,

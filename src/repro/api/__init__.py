@@ -8,10 +8,11 @@ This package is the single front door to everything below it:
   the co-designed engines in :mod:`repro.core`.
 - **Results** (:mod:`repro.api.results`): :class:`InferenceResult` and
   :class:`ExperimentResult` schemas that round-trip through JSON.
-- **Experiments** (:mod:`repro.api.registry` /
-  :mod:`repro.api.experiments`): a decorator-based registry of typed
-  experiment specs (E1-E11) with seeded RNG injection, config overrides
-  and substrate substitution.
+- **Experiments** (:mod:`repro.api.registry`): a decorator-based
+  registry of the paper experiments (E1, E3-E11) and the scenario
+  runner (SCN).  Each is declared once, in its driver module: a typed
+  config (seed included) and the driver that takes it; the registry
+  adds config overrides and substrate substitution.
 - **CLI** (:mod:`repro.api.cli`):
   ``python -m repro list|run|sweep|report|bench``.
 
@@ -33,7 +34,6 @@ Quick start::
 """
 
 from repro.api.registry import (
-    ExperimentContext,
     ExperimentSpec,
     experiment,
     get_experiment,
@@ -80,7 +80,6 @@ __all__ = [
     "to_jsonable",
     "from_jsonable",
     # experiments
-    "ExperimentContext",
     "ExperimentSpec",
     "experiment",
     "get_experiment",

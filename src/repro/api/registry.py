@@ -1,24 +1,29 @@
 """Structured experiment registry.
 
-Experiments register themselves with the :func:`experiment` decorator and
-a typed config dataclass; :func:`run_experiment` resolves id + seed +
-substrate + config overrides into an
+Each paper experiment is declared once, in its driver module under
+:mod:`repro.experiments`: a frozen config dataclass (every config has a
+``seed`` field) and a driver that takes it, registered with the
+:func:`experiment` decorator.  :func:`run_experiment` resolves id + seed
++ substrate + config overrides into an
 :class:`~repro.api.results.ExperimentResult`:
 
     @dataclass(frozen=True)
-    class AblationConfig:
+    class ReuseAblationConfig:
         seed: int = 0
         n_iterations: int = 30
 
-    @experiment("E9", title="reuse ablation", config=AblationConfig)
-    def run_e9(ctx: ExperimentContext) -> dict:
-        return reuse_ablation(seed=ctx.seed, n_iterations=ctx.config.n_iterations)
+    @experiment("E9", title="reuse ablation", config=ReuseAblationConfig)
+    def reuse_ablation(cfg: ReuseAblationConfig) -> dict:
+        ...
 
     result = run_experiment("E9", seed=3, overrides={"n_iterations": 10})
 
-Experiment functions receive an :class:`ExperimentContext` (seed, seeded
-RNG, resolved config, optional substrate override) and return a plain
-metrics dict; the registry handles timing, sanitisation and persistence.
+The registry calls the driver with the resolved config, whose ``seed``
+is the run seed, and, for an experiment that declares substrates, with
+the substrate override too (``None`` for the built-in default).  The
+driver returns a plain metrics dict; the registry handles timing,
+sanitisation and persistence.  The first line of the driver's
+docstring is the description ``repro list`` prints.
 
 Config overrides are decoded by the same typed rule as scenario ``--set``
 paths and scenario spec JSON (:func:`repro.api.results.replace_fields`):
@@ -29,12 +34,11 @@ unknown field name gets a did-you-mean hint.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
-
-import numpy as np
 
 from repro.api.results import (
     ExperimentResult,
@@ -138,23 +142,6 @@ def save_results(
     return paths
 
 
-@dataclass
-class ExperimentContext:
-    """Everything an experiment function needs to run.
-
-    Attributes:
-        seed: effective seed for the run.
-        rng: a generator seeded with ``seed`` (fresh per run).
-        config: the experiment's typed config instance (or None).
-        substrate: substrate override, or None for the built-in default.
-    """
-
-    seed: int
-    rng: np.random.Generator
-    config: Any = None
-    substrate: SubstrateConfig | None = None
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A registered experiment.
@@ -162,17 +149,18 @@ class ExperimentSpec:
     Attributes:
         id: registry id (``"E4"``).
         title: human-readable title (matches the paper figure/table).
-        fn: the experiment function ``(ExperimentContext) -> dict``.
-        config_cls: typed config dataclass, or None for no knobs.
+        fn: the driver, ``fn(config) -> dict``, or ``fn(config,
+            substrate) -> dict`` when ``substrates`` is non-empty.
+        config_cls: typed config dataclass with a ``seed`` field.
         substrates: substrate names the experiment accepts as overrides;
             empty means the experiment is not substrate-parametrisable.
-        description: longer help text.
+        description: the first line of the driver's docstring.
     """
 
     id: str
     title: str
-    fn: Callable[[ExperimentContext], dict]
-    config_cls: type | None = None
+    fn: Callable[..., dict]
+    config_cls: type
     substrates: tuple[str, ...] = ()
     description: str = ""
 
@@ -186,20 +174,12 @@ class ExperimentSpec:
         :func:`~repro.api.results.replace_fields`: a string is
         literal-parsed, then must fit the field's type.
         """
-        if self.config_cls is None:
-            if overrides:
-                raise ValueError(
-                    f"experiment {self.id} takes no config overrides"
-                )
-            return None
         config = self.config_cls()
         if overrides:
             config = replace_fields(
                 config, parse_overrides(overrides, config), "config"
             )
-        if seed is not None and any(
-            f.name == "seed" for f in dataclasses.fields(self.config_cls)
-        ):
+        if seed is not None:
             config = dataclasses.replace(config, seed=int(seed))
         return config
 
@@ -210,14 +190,25 @@ _REGISTRY: dict[str, ExperimentSpec] = {}
 def experiment(
     experiment_id: str,
     title: str,
-    config: type | None = None,
+    config: type,
     substrates: tuple[str, ...] = (),
-    description: str = "",
-) -> Callable[[Callable[[ExperimentContext], dict]], Callable]:
-    """Decorator registering an experiment function under an id."""
+) -> Callable[[Callable[..., dict]], Callable]:
+    """Decorator registering a driver under an id with its config class;
+    the first line of the driver's docstring is its description.
 
-    def decorator(fn: Callable[[ExperimentContext], dict]) -> Callable:
-        key = experiment_id.upper()
+    Raises:
+        ValueError: the id is taken.
+        TypeError: ``config`` is not a dataclass with a ``seed`` field.
+    """
+    key = experiment_id.upper()
+    if not dataclasses.is_dataclass(config) or "seed" not in {
+        field.name for field in dataclasses.fields(config)
+    }:
+        raise TypeError(
+            f"experiment {key}: config must be a dataclass with a 'seed' field"
+        )
+
+    def decorator(fn: Callable[..., dict]) -> Callable:
         if key in _REGISTRY:
             raise ValueError(f"experiment {key!r} already registered")
         doc = (fn.__doc__ or "").strip()
@@ -227,16 +218,36 @@ def experiment(
             fn=fn,
             config_cls=config,
             substrates=tuple(substrates),
-            description=description or (doc.splitlines()[0] if doc else ""),
+            description=doc.splitlines()[0] if doc else "",
         )
         return fn
 
     return decorator
 
 
+# The modules whose import registers the experiments: one driver module
+# per paper experiment (E1, E3-E11), and the scenario library's SCN.
+# Importing them here (not only in the CLI) lets ParallelExecutor
+# worker processes resolve every id.
+_EXPERIMENT_MODULES = (
+    "repro.experiments.fig2_inverter",
+    "repro.experiments.fig2_localization",
+    "repro.experiments.fig2_energy",
+    "repro.experiments.fig3_rng",
+    "repro.experiments.fig3_trajectory",
+    "repro.experiments.fig3_correlation",
+    "repro.experiments.tops_per_watt",
+    "repro.experiments.reuse_ablation",
+    "repro.experiments.map_fidelity",
+    "repro.experiments.conformal_vo",
+    "repro.scenarios.runner",
+)
+
+
 def _ensure_registered() -> None:
     """Import the experiment definitions (idempotent)."""
-    import repro.api.experiments  # noqa: F401  (registration side effect)
+    for module in _EXPERIMENT_MODULES:
+        importlib.import_module(module)
 
 
 def get_experiment(experiment_id: str) -> ExperimentSpec:
@@ -291,24 +302,16 @@ def run_experiment(
     spec = get_experiment(experiment_id)
     resolved = resolve_substrate(spec, substrate)
     config = spec.make_config(overrides, seed)
-    effective_seed = (
-        int(seed) if seed is not None else int(getattr(config, "seed", 0) or 0)
-    )
-    context = ExperimentContext(
-        seed=effective_seed,
-        rng=np.random.default_rng(effective_seed),
-        config=config,
-        substrate=resolved,
-    )
+    args = (config, resolved) if spec.substrates else (config,)
     start = time.perf_counter()
-    metrics = spec.fn(context)
+    metrics = spec.fn(*args)
     runtime = time.perf_counter() - start
     result = ExperimentResult(
         experiment_id=spec.id,
         title=spec.title,
-        seed=effective_seed,
+        seed=int(config.seed),
         substrate=None if resolved is None else resolved.name,
-        config={} if config is None else to_jsonable(dataclasses.asdict(config)),
+        config=to_jsonable(dataclasses.asdict(config)),
         metrics=to_jsonable(metrics),
         runtime_s=runtime,
     )
@@ -318,7 +321,6 @@ def run_experiment(
 
 
 __all__ = [
-    "ExperimentContext",
     "ExperimentSpec",
     "experiment",
     "get_experiment",

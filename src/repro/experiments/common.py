@@ -37,6 +37,22 @@ _VO_CACHE: dict = {}
 _ENV_CACHE_DIR = "REPRO_WORLD_CACHE_DIR"
 
 
+def _keyed_rng(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+    """The run stream ``spawn_key`` (experiment number, purpose) of
+    ``seed``.
+
+    Keyed SeedSequence derivation never collides across base seeds; the
+    old additive offsets (``cfg.seed + 100``/``+ 200``/``+ 77``) made
+    e.g. E3's session stream at seed=0 equal its run stream at
+    seed=-100 -- the DET002 bug class fixed in scene/dataset.py.  The
+    streams are pinned by regression tests in
+    tests/test_api_registry.py.
+    """
+    return np.random.default_rng(
+        np.random.SeedSequence(int(seed), spawn_key=spawn_key)
+    )
+
+
 def _cache_path(kind: str, key: tuple) -> Path | None:
     directory = os.environ.get(_ENV_CACHE_DIR)
     if not directory:

@@ -9,8 +9,11 @@ including an adaptive-conformal run under distribution shift (occluders).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.api.registry import experiment
 from repro.bayesian.conformal import (
     AdaptiveConformalInference,
     SplitConformalRegressor,
@@ -20,19 +23,28 @@ from repro.experiments.common import build_vo_world
 from repro.vo.features import occlude_depth, pose_to_target
 
 
-def conformal_vo_experiment(
-    seed: int = 1,
-    alpha: float = 0.1,
-    n_mc_iterations: int = 30,
-    epochs: int = 200,
-) -> dict:
-    """Compare conformal and MC-Dropout uncertainty on the VO task.
+@dataclass(frozen=True)
+class ConformalConfig:
+    seed: int = 1
+    alpha: float = 0.1
+    n_mc_iterations: int = 30
+    epochs: int = 200
+
+
+@experiment(
+    "E11",
+    title="Sec IV: conformal extension",
+    config=ConformalConfig,
+)
+def conformal_vo_experiment(cfg: ConformalConfig) -> dict:
+    """Split/adaptive conformal vs MC-Dropout coverage and cost.
 
     Returns:
         Dict with coverage/width/compute rows for both methods, plus the
         adaptive-conformal trace under occlusion shift.
     """
-    world = build_vo_world(seed=seed, epochs=epochs)
+    seed, alpha, n_mc_iterations = cfg.seed, cfg.alpha, cfg.n_mc_iterations
+    world = build_vo_world(seed=seed, epochs=cfg.epochs)
     model = world.model
 
     def deterministic_predict(x: np.ndarray) -> np.ndarray:

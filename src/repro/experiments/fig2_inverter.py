@@ -2,23 +2,31 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.api.registry import experiment
 from repro.circuits.inverter import (
     LikelihoodInverter,
     SwitchingCurrentCell,
     gaussian_equivalent_sigma,
     width_code_sigmas,
 )
-from repro.circuits.technology import NODE_45NM, TechnologyNode
+from repro.circuits.technology import NODE_45NM
 from repro.maps.hmg import tail_rectilinearity
 
+# Requested peak positions (V) of the Fig. 2b bells.
+CENTERS = (0.35, 0.5, 0.65)
 
-def inverter_transfer_data(
-    node: TechnologyNode = NODE_45NM,
-    n_grid: int = 201,
-    centers: tuple[float, ...] = (0.35, 0.5, 0.65),
-) -> dict:
+
+@dataclass(frozen=True)
+class InverterConfig:
+    seed: int = 0
+    n_grid: int = 201
+
+
+def inverter_transfer_data(cfg: InverterConfig) -> dict:
     """Regenerate the Fig. 2(b-d) data.
 
     Returns:
@@ -31,10 +39,11 @@ def inverter_transfer_data(
           (the quantitative "rectilinear vs elliptical tails" of Fig. 2c);
         - "width_menu_v": effective sigma per width code.
     """
+    node, n_grid = NODE_45NM, cfg.n_grid
     v = np.linspace(0.0, node.vdd, n_grid)
     sweeps = {}
     peak_errors = []
-    for center in centers:
+    for center in CENTERS:
         cell = SwitchingCurrentCell(node, v_center=center, width_code=1)
         current = cell.current(v)
         sweeps[center] = current
@@ -56,4 +65,18 @@ def inverter_transfer_data(
         "sigma_code0_v": gaussian_equivalent_sigma(
             SwitchingCurrentCell(node, node.vdd / 2.0, width_code=0)
         ),
+    }
+
+
+@experiment(
+    "E1",
+    title="Fig 2b-d: inverter transfer functions",
+    config=InverterConfig,
+)
+def run_e1(cfg: InverterConfig) -> dict:
+    """Switching-current bells, peak-shift error and tail rectilinearity."""
+    data = inverter_transfer_data(cfg)
+    return {
+        "peak_shift_error_v": data["peak_shift_error"],
+        "rectilinearity": data["rectilinearity"],
     }

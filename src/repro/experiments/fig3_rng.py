@@ -8,32 +8,43 @@ instances.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.circuits.technology import NODE_16NM, TechnologyNode
+from repro.api.registry import experiment
+from repro.circuits.technology import NODE_16NM
 from repro.sram.rng import CrossCoupledInverterRNG
 
 
-def rng_statistics(
-    column_sweep: tuple[int, ...] = (2, 4, 8, 16, 32),
-    n_instances: int = 12,
-    bits_per_instance: int = 4096,
-    node: TechnologyNode = NODE_16NM,
-    seed: int = 0,
-) -> dict:
-    """Bias and noise statistics across hardware instances.
+@dataclass(frozen=True)
+class RNGStatsConfig:
+    seed: int = 0
+    column_sweep: tuple[int, ...] = (2, 4, 8, 16, 32)
+    n_instances: int = 12
+    bits_per_instance: int = 4096
+
+
+@experiment(
+    "E5",
+    title="Fig 3b: SRAM RNG statistics",
+    config=RNGStatsConfig,
+)
+def rng_statistics(cfg: RNGStatsConfig) -> dict:
+    """Bias / noise statistics of the SRAM-immersed RNG.
 
     Returns:
-        Dict with, per column count: mean |P(1) - 0.5| before and after
+        Dict with, per column count, over the hardware instances: mean |P(1) - 0.5| before and after
         calibration, the mismatch-to-noise voltage ratio, and lag-1
         autocorrelation after calibration.
     """
+    seed, bits_per_instance = cfg.seed, cfg.bits_per_instance
     rows = []
-    for n_columns in column_sweep:
+    for n_columns in cfg.column_sweep:
         bias_before, bias_after, ratios, autocorrs = [], [], [], []
-        for instance in range(n_instances):
+        for instance in range(cfg.n_instances):
             cell = CrossCoupledInverterRNG(
-                node,
+                NODE_16NM,
                 n_columns_per_side=n_columns,
                 rng=np.random.default_rng(seed + 1000 * instance + n_columns),
             )

@@ -8,15 +8,23 @@ and CIM MC-Dropout at 4- and 6-bit weights.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.api.registry import experiment
+from repro.api.substrates import SubstrateConfig
 from repro.bayesian.mc_dropout import MCDropoutPredictor
 from repro.core.cim_mc_dropout import CIMMCDropoutEngine
-from repro.experiments.common import build_vo_world
+from repro.experiments.common import _keyed_rng, build_vo_world
 from repro.nn.quantization import quantize_model_weights
 from repro.sram.macro import MacroConfig
 from repro.vo.evaluation import trajectory_report
 from repro.vo.odometry import increments_from_predictions, integrate_increments
+
+
+# Spawn key (experiment number, purpose) of E6's substrate session.
+_E6_SESSION = (6, 0)
 
 
 def _copy_model(world):
@@ -26,34 +34,47 @@ def _copy_model(world):
     return copy.deepcopy(world.model)
 
 
-def vo_trajectory_experiment(
-    seed: int = 1,
-    n_iterations: int = 30,
+@dataclass(frozen=True)
+class VOTrajectoryConfig:
+    seed: int = 1
+    n_iterations: int = 30
+    epochs: int = 200
+    n_scenes: int = 6
+    frames_per_scene: int = 40
+    hidden: tuple[int, ...] = (128, 64)
     modes: tuple[str, ...] = (
         "deterministic-float",
         "deterministic-4bit",
         "mc-cim-4bit",
         "mc-cim-6bit",
-    ),
-    epochs: int = 200,
-    n_scenes: int = 6,
-    frames_per_scene: int = 40,
-    hidden: tuple[int, ...] = (128, 64),
-) -> dict:
-    """Regenerate the Fig. 3(c-e) trajectory comparison.
+    )
+
+
+def _vo_world(cfg: VOTrajectoryConfig):
+    return build_vo_world(
+        seed=cfg.seed,
+        n_scenes=cfg.n_scenes,
+        frames_per_scene=cfg.frames_per_scene,
+        hidden=cfg.hidden,
+        epochs=cfg.epochs,
+    )
+
+
+def _path_length(positions: np.ndarray) -> float:
+    """Length (m) of the polyline through ``positions`` (T, 3)."""
+    return float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
+
+
+def vo_trajectory_experiment(cfg: VOTrajectoryConfig) -> dict:
+    """Regenerate the Fig. 3(c-e) trajectory comparison over ``cfg.modes``.
 
     Returns:
         Dict with "ground_truth" positions (T, 3), per-mode estimated
         positions, per-mode trajectory metrics, and per-mode per-step
         uncertainty (MC modes only).
     """
-    world = build_vo_world(
-        seed=seed,
-        n_scenes=n_scenes,
-        frames_per_scene=frames_per_scene,
-        hidden=hidden,
-        epochs=epochs,
-    )
+    seed, n_iterations = cfg.seed, cfg.n_iterations
+    world = _vo_world(cfg)
     val = world.val
     frames = world.dataset.frames(world.val_scene_index)
     gt_poses = [frame.pose for frame in frames]
@@ -63,7 +84,7 @@ def vo_trajectory_experiment(
         "ground_truth": np.stack([p.translation for p in gt_poses], axis=0),
         "modes": {},
     }
-    for mode in modes:
+    for mode in cfg.modes:
         uncertainty = None
         if mode == "deterministic-float":
             predictor = MCDropoutPredictor(world.model, n_iterations=1)
@@ -104,3 +125,53 @@ def vo_trajectory_experiment(
             "uncertainty": uncertainty,
         }
     return results
+
+
+@experiment(
+    "E6",
+    title="Fig 3c-e: VO trajectories",
+    config=VOTrajectoryConfig,
+    substrates=("digital", "cim", "cim-reuse", "cim-ordered"),
+)
+def run_e6(
+    cfg: VOTrajectoryConfig, substrate: SubstrateConfig | None = None
+) -> dict:
+    """ATE of MC-Dropout VO across inference conditions or one substrate."""
+    if substrate is None:
+        data = vo_trajectory_experiment(cfg)
+        return {
+            "ate_rmse_m": {
+                mode: result["report"]["ate_rmse_m"]
+                for mode, result in data["modes"].items()
+            },
+            "path_length_m": _path_length(data["ground_truth"]),
+        }
+    # Substrate override: run the held-out scene through one uniform
+    # MC-Dropout session and integrate the predicted increments.
+    world = _vo_world(cfg)
+    session = substrate.mc_dropout_session(
+        world.model,
+        n_iterations=cfg.n_iterations,
+        calibration_inputs=world.train.features[:128],
+        rng=_keyed_rng(cfg.seed, _E6_SESSION),
+    )
+    result = session.run(world.val.features)
+    frames = world.dataset.frames(world.val_scene_index)
+    gt_poses = [frame.pose for frame in frames]
+    increments = increments_from_predictions(result.mean, world.val.scaler)
+    estimated = integrate_increments(gt_poses[0], increments)
+    report = trajectory_report(estimated, gt_poses)
+    return {
+        "ate_rmse_m": {substrate.name: report["ate_rmse_m"]},
+        "path_length_m": _path_length(
+            np.stack([pose.translation for pose in gt_poses])
+        ),
+        "report": report,
+        "ops_executed": result.ops_executed,
+        "ops_naive": result.ops_naive,
+        "reuse_savings": result.reuse_savings,
+        "energy_j": result.energy_j,
+        "mean_uncertainty": None
+        if result.variance is None
+        else float(result.variance.mean()),
+    }

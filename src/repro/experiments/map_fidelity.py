@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.api.registry import experiment
 from repro.circuits.inverter_array import VoltageEncoder
-from repro.circuits.technology import NODE_45NM, TechnologyNode
+from repro.circuits.technology import NODE_45NM
 from repro.core.codesign import hardware_sigma_menu
 from repro.core.tiling import tiled_sigma_menu
 from repro.experiments.common import build_room_world
@@ -13,13 +16,20 @@ from repro.maps.gmm import GaussianMixture
 from repro.maps.hmgm import HMGMixture
 
 
-def map_fidelity(
-    n_components: int = 64,
-    node: TechnologyNode = NODE_45NM,
-    tiles: tuple[int, int, int] = (2, 2, 2),
-    seed: int = 7,
-) -> dict:
-    """Held-out log-likelihood and field correlation of the map models.
+@dataclass(frozen=True)
+class MapFidelityConfig:
+    seed: int = 7
+    n_components: int = 64
+    tiles: tuple[int, int, int] = (2, 2, 2)
+
+
+@experiment(
+    "E10",
+    title="Sec II-C: map fidelity",
+    config=MapFidelityConfig,
+)
+def map_fidelity(cfg: MapFidelityConfig) -> dict:
+    """Held-out log-likelihood of GMM vs hardware-native HMGM maps.
 
     Compares: free GMM, width-quantised HMGM (single-array menu), and
     width-quantised HMGM under the tiled menu, on train/held-out split of
@@ -30,8 +40,9 @@ def map_fidelity(
         correlation between each HMGM and the GMM (what the particle filter
         actually consumes).
     """
-    world = build_room_world(seed=seed)
-    rng = np.random.default_rng(seed)
+    node, n_components = NODE_45NM, cfg.n_components
+    world = build_room_world(seed=cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     cloud = world.cloud
     split = rng.permutation(cloud.shape[0])
     train = cloud[split[: int(0.8 * cloud.shape[0])]]
@@ -40,7 +51,7 @@ def map_fidelity(
     lo, hi = cloud.min(axis=0) - 0.2, cloud.max(axis=0) + 0.2
     encoder = VoltageEncoder(lo=lo, hi=hi, vdd=node.vdd, margin=0.08)
     menu_single = hardware_sigma_menu(node, encoder)
-    menu_tiled = tiled_sigma_menu(node, lo, hi, tiles)
+    menu_tiled = tiled_sigma_menu(node, lo, hi, cfg.tiles)
 
     gmm = GaussianMixture.fit(train, n_components, rng, min_sigma=0.08)
     hmgm_single = HMGMixture.fit(train, n_components, rng, sigma_menu=menu_single)

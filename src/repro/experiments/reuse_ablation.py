@@ -8,8 +8,11 @@ paper's full recipe.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.api.registry import experiment
 from repro.bayesian.masks import MaskStream
 from repro.bayesian.ordering import (
     mask_hamming_path_length,
@@ -18,27 +21,38 @@ from repro.bayesian.ordering import (
 from repro.bayesian.reuse import DeltaReuseEngine, masked_input_sequence
 
 
-def reuse_ablation(
-    n_inputs: int = 256,
-    n_outputs: int = 128,
-    n_iterations: int = 30,
-    keep_probability: float = 0.5,
-    n_trials: int = 5,
-    seed: int = 0,
-) -> dict:
-    """Work accounting across the four engines.
+@dataclass(frozen=True)
+class ReuseAblationConfig:
+    seed: int = 0
+    n_inputs: int = 256
+    n_outputs: int = 128
+    n_iterations: int = 30
+    keep_probability: float = 0.5
+    n_trials: int = 5
+
+
+@experiment(
+    "E9",
+    title="Sec III-C: reuse ablation",
+    config=ReuseAblationConfig,
+)
+def reuse_ablation(cfg: ReuseAblationConfig) -> dict:
+    """Executed-MAC fraction under reuse / ordering engine variants.
 
     Returns:
         Dict with mean executed-op fractions (relative to naive) and the
         Hamming path-length reduction achieved by ordering.
     """
-    rng = np.random.default_rng(seed)
+    n_inputs, keep_probability = cfg.n_inputs, cfg.keep_probability
+    rng = np.random.default_rng(cfg.seed)
     fractions = {"naive": [], "active_only": [], "reuse": [], "reuse_ordered": []}
     path_reduction = []
-    for _ in range(n_trials):
-        weight = rng.normal(size=(n_inputs, n_outputs))
+    for _ in range(cfg.n_trials):
+        weight = rng.normal(size=(n_inputs, cfg.n_outputs))
         x = rng.normal(size=n_inputs)
-        stream = MaskStream.bernoulli(n_iterations, n_inputs, keep_probability, rng)
+        stream = MaskStream.bernoulli(
+            cfg.n_iterations, n_inputs, keep_probability, rng
+        )
         engine = DeltaReuseEngine(weight)
 
         inputs = masked_input_sequence(x, stream.masks)
@@ -65,5 +79,5 @@ def reuse_ablation(
         "executed_fraction": {k: float(np.mean(v)) for k, v in fractions.items()},
         "ordering_path_reduction": float(np.mean(path_reduction)),
         "keep_probability": keep_probability,
-        "n_iterations": n_iterations,
+        "n_iterations": cfg.n_iterations,
     }

@@ -11,8 +11,11 @@ reuse configurations are mechanistic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.api.registry import experiment
 from repro.core.cim_mc_dropout import CIMMCDropoutEngine
 from repro.experiments.common import build_vo_world
 from repro.sram.macro import MacroConfig
@@ -23,34 +26,41 @@ from repro.sram.macro import MacroConfig
 # reuse+ordering configuration lands at the paper's 3.04 TOPS/W.
 SYSTEM_ENERGY_OVERHEAD_FACTOR = 1400.0
 
+# The (reuse, ordering) engine configurations swept at each precision.
+CONFIGURATIONS = ((True, True), (True, False), (False, False))
 
-def efficiency_table(
-    weight_bits: tuple[int, ...] = (4, 6),
-    n_iterations: int = 30,
-    batch: int = 8,
-    configurations: tuple[tuple[bool, bool], ...] = (
-        (True, True),
-        (True, False),
-        (False, False),
-    ),
-    seed: int = 1,
-    epochs: int = 200,
-) -> dict:
-    """Sweep precision x (reuse, ordering) and report TOPS/W rows.
+
+@dataclass(frozen=True)
+class EfficiencyConfig:
+    seed: int = 1
+    weight_bits: tuple[int, ...] = (4, 6)
+    n_iterations: int = 30
+    batch: int = 8
+    epochs: int = 200
+
+
+@experiment(
+    "E8",
+    title="Sec III-D: TOPS/W table",
+    config=EfficiencyConfig,
+)
+def efficiency_table(cfg: EfficiencyConfig) -> dict:
+    """Macro efficiency across precision x (reuse, ordering).
 
     Returns:
         Dict with "rows": one dict per configuration with executed-op
         fraction, macro TOPS/W, and system-scaled TOPS/W.
     """
-    world = build_vo_world(seed=seed, epochs=epochs)
-    inputs = world.val.features[:batch]
+    seed = cfg.seed
+    world = build_vo_world(seed=seed, epochs=cfg.epochs)
+    inputs = world.val.features[: cfg.batch]
     rows = []
-    for bits in weight_bits:
-        for reuse, ordering in configurations:
+    for bits in cfg.weight_bits:
+        for reuse, ordering in CONFIGURATIONS:
             engine = CIMMCDropoutEngine(
                 world.model,
                 MacroConfig(weight_bits=bits),
-                n_iterations=n_iterations,
+                n_iterations=cfg.n_iterations,
                 reuse=reuse,
                 ordering=ordering,
                 calibration_inputs=world.train.features[:128],

@@ -137,7 +137,7 @@ class Plan:
             spec = get_experiment(experiment_id)
             # Coercion check, and the source of the default seed.
             config = spec.make_config(resolved_overrides or None)
-            default_seed = int(getattr(config, "seed", 0) or 0)
+            default_seed = config.seed
             digest = override_digest(spec.id, resolved_overrides)
             for substrate in substrate_axis:
                 resolved = resolve_substrate(spec, substrate)

@@ -23,8 +23,9 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.api.registry import ExperimentContext, experiment
+from repro.api.registry import experiment
 from repro.api.results import parse_overrides, replace_fields
+from repro.api.substrates import SubstrateConfig
 from repro.core.cim_particle_filter import converged_step
 from repro.runtime.plan import JobSpec, Plan
 from repro.scenarios.library import get_scenario
@@ -101,15 +102,16 @@ def run_scenario(
     config=ScenarioRunConfig,
     substrates=_SCENARIO_SUBSTRATES,
 )
-def run_scn(ctx: ExperimentContext) -> dict:
+def run_scn(
+    cfg: ScenarioRunConfig, substrate: SubstrateConfig | None = None
+) -> dict:
     """Run one library (or inline-JSON) scenario on one substrate."""
-    cfg = ctx.config
     if cfg.spec:
         spec = ScenarioSpec.from_json(cfg.spec)
     else:
         spec = get_scenario(cfg.scenario)
-    substrate = ctx.substrate.name if ctx.substrate else "digital"
-    return run_scenario(spec, substrate=substrate, seed=ctx.seed)
+    name = substrate.name if substrate else "digital"
+    return run_scenario(spec, substrate=name, seed=cfg.seed)
 
 
 def apply_overrides(

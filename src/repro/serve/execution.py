@@ -11,8 +11,9 @@ and the per-request determinism contract cannot depend on it:
 - :class:`ShardState` -- one shard's warm sessions and track store, and
   the dispatch of its ops: ``batch`` (``/infer`` micro-batches),
   ``open`` / ``steps`` / ``close`` (streaming tracks).
-- :func:`encode_error` / :func:`decode_outcomes` -- the outcome codec:
-  ``("ok", payload)`` / ``("track_error", (kind, message))`` /
+- :func:`encode_error` / :func:`encode_invalid` /
+  :func:`decode_outcomes` -- the outcome codec: ``("ok", payload)`` /
+  ``("track_error", (kind, message))`` / ``("invalid", message)`` /
   ``("error", message)`` tuples, so nothing unpicklable ever crosses a
   shard pipe.
 - :func:`reference_run` -- the determinism oracle: what one standalone
@@ -52,7 +53,7 @@ PairKey = tuple[str, str]
 RequestItem = tuple[np.ndarray, int, Optional[str]]
 
 # One wire-encoded outcome: ("ok", payload), ("track_error", (kind,
-# message)) or ("error", message).
+# message)), ("invalid", message) or ("error", message).
 Encoded = tuple[str, Any]
 
 # One seed group of a micro-batch, once drawn: (seed, item indexes, mask
@@ -104,6 +105,13 @@ def encode_error(error: Exception) -> Encoded:
     if isinstance(error, TrackError):
         return ("track_error", (error.kind, str(error)))
     return ("error", f"{type(error).__name__}: {error}")
+
+
+def encode_invalid(error: ValueError) -> Encoded:
+    """The wire outcome of an item whose own input failed a draw-free
+    check: a client fault, decoded back into a ``ValueError`` with the
+    same message."""
+    return ("invalid", str(error))
 
 
 def run_grouped(
@@ -189,8 +197,9 @@ def decode_outcomes(encoded: Sequence[Encoded]) -> list[Any]:
     """Decode wire-encoded outcomes into payloads / typed exceptions.
 
     A ``"track_error"`` becomes a :class:`TrackError` with its kind; an
-    ``"error"`` becomes a :class:`RequestExecutionError` (a server-side
-    fault, HTTP 500).
+    ``"invalid"`` becomes a ``ValueError`` (the request's fault, HTTP
+    400); an ``"error"`` becomes a :class:`RequestExecutionError` (a
+    server-side fault, HTTP 500).
     """
     outcomes: list[Any] = []
     for tag, payload in encoded:
@@ -199,6 +208,8 @@ def decode_outcomes(encoded: Sequence[Encoded]) -> list[Any]:
         elif tag == "track_error":
             kind, message = payload
             outcomes.append(TrackError(kind, message))
+        elif tag == "invalid":
+            outcomes.append(ValueError(payload))
         else:
             outcomes.append(RequestExecutionError(str(payload)))
     return outcomes
@@ -304,6 +315,7 @@ __all__ = [
     "WorkerSpec",
     "decode_outcomes",
     "encode_error",
+    "encode_invalid",
     "reference_run",
     "result_mismatches",
     "run_grouped",

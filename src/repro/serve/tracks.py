@@ -60,7 +60,7 @@ from repro.api.results import InferenceResult
 from repro.api.substrates import LocalizationSession, get_substrate
 from repro.circuits.energy import EnergyLedger
 from repro.runtime.policy import BatchPolicy, TrackPolicy
-from repro.serve.execution import Encoded, encode_error
+from repro.serve.execution import Encoded, encode_error, encode_invalid
 from repro.serve.types import (
     RequestExecutionError,
     ServiceOverloaded,
@@ -253,12 +253,16 @@ class TrackStore:
                 )
                 continue
             localizer = self._prototypes[track.substrate].localizer
-            # Draw-free input checks: a frame without valid pixels fails
-            # its own item before the track draws anything.
+            # Draw-free input checks: a frame of the wrong shape or
+            # without valid pixels fails its own item, as a client fault,
+            # before the track draws anything.
             try:
                 _, control, depth, truth = item
                 control = np.asarray(control, dtype=float).reshape(-1)
                 scan = localizer.scan_points(np.asarray(depth, dtype=float))
+            except ValueError as error:
+                encoded[index] = encode_invalid(error)
+                continue
             except Exception as error:
                 encoded[index] = encode_error(error)
                 continue

@@ -1,6 +1,7 @@
 """CLI (`python -m repro`) and world-cache behaviour."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +14,13 @@ FAST_E9 = [
     "--set", "n_iterations=8",
     "--set", "n_trials=1",
 ]
+
+
+@dataclass(frozen=True)
+class SeedOnlyConfig:
+    """The one-field config of the raising probe experiments."""
+
+    seed: int = 0
 
 
 class TestListCommand:
@@ -97,8 +105,8 @@ class TestRunCommand:
         # the batch run, and turn into a non-zero exit at the end.
         from repro.api.registry import _REGISTRY, experiment
 
-        @experiment("ETEST-BOOM", title="always raises")
-        def boom(ctx):
+        @experiment("ETEST-BOOM", title="always raises", config=SeedOnlyConfig)
+        def boom(cfg):
             raise RuntimeError("kaboom from ETEST-BOOM")
 
         try:
@@ -115,8 +123,8 @@ class TestRunCommand:
     def test_failing_experiment_json_still_prints_successes(self, capsys):
         from repro.api.registry import _REGISTRY, experiment
 
-        @experiment("ETEST-BOOM2", title="always raises")
-        def boom(ctx):
+        @experiment("ETEST-BOOM2", title="always raises", config=SeedOnlyConfig)
+        def boom(cfg):
             raise RuntimeError("kaboom")
 
         try:

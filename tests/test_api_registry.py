@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    ExperimentContext,
     ExperimentResult,
     experiment,
     get_experiment,
@@ -15,6 +14,178 @@ from repro.api import (
 )
 
 FAST_E9 = {"n_inputs": 32, "n_outputs": 16, "n_iterations": 8, "n_trials": 1}
+
+_PF = ("digital", "digital-float", "cim", "cim-reuse", "cim-ordered")
+_VO = ("digital", "cim", "cim-reuse", "cim-ordered")
+_VO_WORLD = (
+    ("n_iterations", 30),
+    ("epochs", 200),
+    ("n_scenes", 6),
+    ("frames_per_scene", 40),
+    ("hidden", (128, 64)),
+)
+
+# Every registered experiment as `repro list` shows it, with its config
+# fields and defaults in declaration order.  A driver module the
+# registry does not import drops a row; an edited default, field or
+# docstring line changes one.  Config fields and defaults feed
+# ExperimentResult.config, config hashes, result stems and job ids.
+REGISTRY_PINS = [
+    (
+        "E1",
+        "Fig 2b-d: inverter transfer functions",
+        "Switching-current bells, peak-shift error and tail rectilinearity.",
+        (),
+        (("seed", 0), ("n_grid", 201)),
+    ),
+    (
+        "E3",
+        "Fig 2e-h: localization comparison",
+        "Same flight through each likelihood substrate; accuracy rows.",
+        _PF,
+        (
+            ("seed", 7),
+            ("n_steps", 25),
+            ("n_particles", 400),
+            ("n_components", 64),
+            ("n_cloud_points", 3000),
+            ("image", (40, 30)),
+            ("substrates", ("digital-float", "digital", "cim")),
+            ("prior_offset", (0.4, -0.3, 0.15, 0.2)),
+            ("prior_sigma", (0.5, 0.5, 0.3, 0.3)),
+        ),
+    ),
+    (
+        "E4",
+        "Fig 2i: likelihood energy",
+        "Per-query likelihood energy: CIM inverter array vs 8-bit digital.",
+        (),
+        (
+            ("seed", 7),
+            ("n_components", 100),
+            ("total_columns", 500),
+            ("n_queries", 2000),
+            ("adc_bits", 4),
+            ("digital_bits", 8),
+        ),
+    ),
+    (
+        "E5",
+        "Fig 3b: SRAM RNG statistics",
+        "Bias / noise statistics of the SRAM-immersed RNG.",
+        (),
+        (
+            ("seed", 0),
+            ("column_sweep", (2, 4, 8, 16, 32)),
+            ("n_instances", 12),
+            ("bits_per_instance", 4096),
+        ),
+    ),
+    (
+        "E6",
+        "Fig 3c-e: VO trajectories",
+        "ATE of MC-Dropout VO across inference conditions or one substrate.",
+        _VO,
+        (
+            ("seed", 1),
+            *_VO_WORLD,
+            (
+                "modes",
+                (
+                    "deterministic-float",
+                    "deterministic-4bit",
+                    "mc-cim-4bit",
+                    "mc-cim-6bit",
+                ),
+            ),
+        ),
+    ),
+    (
+        "E7",
+        "Fig 3f: error-uncertainty correlation",
+        "Correlation between pose error and MC-Dropout variance.",
+        _VO,
+        (
+            ("seed", 1),
+            *_VO_WORLD,
+            ("engine", "software"),
+            ("occlusion_levels", (0.0, 0.15, 0.3, 0.5)),
+        ),
+    ),
+    (
+        "E8",
+        "Sec III-D: TOPS/W table",
+        "Macro efficiency across precision x (reuse, ordering).",
+        (),
+        (
+            ("seed", 1),
+            ("weight_bits", (4, 6)),
+            ("n_iterations", 30),
+            ("batch", 8),
+            ("epochs", 200),
+        ),
+    ),
+    (
+        "E9",
+        "Sec III-C: reuse ablation",
+        "Executed-MAC fraction under reuse / ordering engine variants.",
+        (),
+        (
+            ("seed", 0),
+            ("n_inputs", 256),
+            ("n_outputs", 128),
+            ("n_iterations", 30),
+            ("keep_probability", 0.5),
+            ("n_trials", 5),
+        ),
+    ),
+    (
+        "E10",
+        "Sec II-C: map fidelity",
+        "Held-out log-likelihood of GMM vs hardware-native HMGM maps.",
+        (),
+        (("seed", 7), ("n_components", 64), ("tiles", (2, 2, 2))),
+    ),
+    (
+        "E11",
+        "Sec IV: conformal extension",
+        "Split/adaptive conformal vs MC-Dropout coverage and cost.",
+        (),
+        (
+            ("seed", 1),
+            ("alpha", 0.1),
+            ("n_mc_iterations", 30),
+            ("epochs", 200),
+        ),
+    ),
+    (
+        "SCN",
+        "Scenario library run",
+        "Run one library (or inline-JSON) scenario on one substrate.",
+        _PF,
+        (("seed", 0), ("scenario", "room-baseline"), ("spec", "")),
+    ),
+]
+
+
+@dataclasses.dataclass(frozen=True)
+class ProbeConfig:
+    """The one-field config of the probe experiments below."""
+
+    seed: int = 5
+
+
+def test_registry_pins():
+    specs = list_experiments()
+    assert [spec.id for spec in specs] == [pin[0] for pin in REGISTRY_PINS]
+    for spec, pin in zip(specs, REGISTRY_PINS):
+        fields = tuple(
+            (field.name, field.default)
+            for field in dataclasses.fields(spec.config_cls)
+        )
+        assert (
+            spec.id, spec.title, spec.description, spec.substrates, fields
+        ) == pin
 
 
 class TestResolution:
@@ -55,8 +226,8 @@ class TestResolution:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
 
-            @experiment("E9", title="duplicate")
-            def duplicate(ctx):
+            @experiment("E9", title="duplicate", config=ProbeConfig)
+            def duplicate(cfg):
                 return {}
 
 
@@ -200,26 +371,35 @@ class TestSubstrateOverride:
         assert reused.metrics["reuse_savings"] > 0
 
 
-class TestContext:
-    def test_context_rng_is_seeded(self):
-        captured = {}
+class TestDriverCall:
+    def test_run_seed_reaches_config_seed(self):
+        """The driver gets the resolved config: the run seed is its
+        ``seed``, and without one the config default is the run seed."""
+        from repro.api.registry import _REGISTRY
 
-        @experiment("ETEST-CTX", title="context probe")
-        def probe(ctx: ExperimentContext):
-            captured["seed"] = ctx.seed
-            captured["draw"] = float(ctx.rng.random())
+        captured = []
+
+        @experiment("ETEST-SEED", title="seed probe", config=ProbeConfig)
+        def probe(cfg):
+            captured.append(cfg)
             return {"ok": True}
 
         try:
-            run_experiment("ETEST-CTX", seed=42)
-            assert captured["seed"] == 42
-            assert captured["draw"] == pytest.approx(
-                float(np.random.default_rng(42).random())
-            )
+            seeded = run_experiment("ETEST-SEED", seed=42)
+            default = run_experiment("ETEST-SEED")
         finally:
-            from repro.api.registry import _REGISTRY
+            _REGISTRY.pop("ETEST-SEED", None)
+        assert captured == [ProbeConfig(seed=42), ProbeConfig(seed=5)]
+        assert (seeded.seed, default.seed) == (42, 5)
+        assert seeded.config == {"seed": 42}
 
-            _REGISTRY.pop("ETEST-CTX", None)
+    def test_config_without_seed_rejected(self):
+        @dataclasses.dataclass(frozen=True)
+        class Seedless:
+            n: int = 1
+
+        with pytest.raises(TypeError, match="'seed' field"):
+            experiment("ETEST-SEEDLESS", title="no seed", config=Seedless)
 
 
 class TestNonFiniteRoundTrips:
@@ -295,7 +475,9 @@ class TestKeyedRngStreams:
     """
 
     def test_streams_pinned(self):
-        from repro.api.experiments import _E3_RUN, _E3_SESSION, _E6_SESSION, _keyed_rng
+        from repro.experiments.common import _keyed_rng
+        from repro.experiments.fig2_localization import _E3_RUN, _E3_SESSION
+        from repro.experiments.fig3_trajectory import _E6_SESSION
 
         assert float(_keyed_rng(0, _E3_SESSION).random()) == 0.26594389956428566
         assert float(_keyed_rng(0, _E3_RUN).random()) == 0.11721174817852253
@@ -305,7 +487,9 @@ class TestKeyedRngStreams:
         # Additive offsets alias streams across base seeds (seed=0 with
         # offset k equals seed=k with offset 0); keyed spawns must keep
         # every (seed, spawn_key) stream distinct.
-        from repro.api.experiments import _E3_RUN, _E3_SESSION, _E6_SESSION, _keyed_rng
+        from repro.experiments.common import _keyed_rng
+        from repro.experiments.fig2_localization import _E3_RUN, _E3_SESSION
+        from repro.experiments.fig3_trajectory import _E6_SESSION
 
         keys = (_E3_SESSION, _E3_RUN, _E6_SESSION)
         draws = {

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.experiments.fig2_inverter import inverter_transfer_data
-from repro.experiments.fig3_rng import rng_statistics
-from repro.experiments.reuse_ablation import reuse_ablation
+from repro.experiments.fig2_inverter import InverterConfig, inverter_transfer_data
+from repro.experiments.fig3_rng import RNGStatsConfig, rng_statistics
+from repro.experiments.reuse_ablation import ReuseAblationConfig, reuse_ablation
 
 
 class TestInverterExperiment:
     @pytest.fixture(scope="class")
     def data(self):
-        return inverter_transfer_data(n_grid=101)
+        return inverter_transfer_data(InverterConfig(n_grid=101))
 
     def test_sweeps_are_bells(self, data):
         for center, current in data["sweeps"].items():
@@ -40,20 +40,26 @@ class TestInverterExperiment:
 
 class TestRNGExperiment:
     def test_calibration_always_helps(self):
-        stats = rng_statistics(column_sweep=(4, 16), n_instances=4, bits_per_instance=1024)
+        stats = rng_statistics(
+            RNGStatsConfig(column_sweep=(4, 16), n_instances=4, bits_per_instance=1024)
+        )
         for row in stats["rows"]:
             assert row["bias_after"] <= row["bias_before"] + 0.02
             assert row["bias_after"] < 0.08
 
     def test_mismatch_to_noise_reported(self):
-        stats = rng_statistics(column_sweep=(8,), n_instances=3, bits_per_instance=512)
+        stats = rng_statistics(
+            RNGStatsConfig(column_sweep=(8,), n_instances=3, bits_per_instance=512)
+        )
         assert stats["rows"][0]["mismatch_to_noise"] > 0
 
 
 class TestReuseAblation:
     @pytest.fixture(scope="class")
     def ablation(self):
-        return reuse_ablation(n_inputs=64, n_outputs=32, n_iterations=12, n_trials=2)
+        return reuse_ablation(
+            ReuseAblationConfig(n_inputs=64, n_outputs=32, n_iterations=12, n_trials=2)
+        )
 
     def test_orderings(self, ablation):
         fractions = ablation["executed_fraction"]
@@ -65,11 +71,17 @@ class TestReuseAblation:
         assert ablation["ordering_path_reduction"] > 0.0
 
     def test_keep_probability_sweep(self):
-        sparse = reuse_ablation(
-            n_inputs=64, n_outputs=16, n_iterations=10, keep_probability=0.2, n_trials=2
-        )
-        dense = reuse_ablation(
-            n_inputs=64, n_outputs=16, n_iterations=10, keep_probability=0.8, n_trials=2
+        sparse, dense = (
+            reuse_ablation(
+                ReuseAblationConfig(
+                    n_inputs=64,
+                    n_outputs=16,
+                    n_iterations=10,
+                    keep_probability=keep,
+                    n_trials=2,
+                )
+            )
+            for keep in (0.2, 0.8)
         )
         # sparse masks -> fewer active ops
         assert (

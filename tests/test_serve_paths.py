@@ -14,7 +14,6 @@ from repro.runtime import BatchPolicy, ShardPolicy
 from repro.serve import (
     InferenceRequest,
     InferenceService,
-    RequestExecutionError,
     TrackError,
     TrackInit,
     TrackOpenRequest,
@@ -195,6 +194,12 @@ class TestAdmission:
                     assert post_status(
                         context.port, "/track/step", {**body, "control": bad}
                     ) == 400
+                    # Frames that pass admission but fail the shard's
+                    # draw-free input check are client faults too.
+                    for frame in (np.zeros_like(depth), depth[:-1]):
+                        assert post_status(
+                            context.port, "/track/step", {**body, "depth": frame}
+                        ) == 400
                 responses.append(
                     TrackStepResponse.from_dict(
                         post(context.port, "/track/step", body)
@@ -209,10 +214,12 @@ class TestFailurePathsMatchAcrossShapes:
     def test_failed_step_fails_alone_and_stream_continues(
         self, world, measurements, init, workers
     ):
-        """An all-invalid depth frame passes admission and fails during
-        execution: only that item fails (500), its batch-mate's response
-        is bit-exact, and the failed track keeps streaming bit-exact --
-        the raise comes before the step draws from the track's RNG."""
+        """An all-invalid depth frame passes admission and fails the
+        shard's draw-free input check: only that item fails, as a client
+        fault (``ValueError``, HTTP 400), its batch-mate's response is
+        bit-exact, and the failed track keeps streaming bit-exact -- the
+        raise comes before the step draws from the track's RNG.  A frame
+        of the wrong shape fails the same way."""
         controls, depths, truths = measurements
         blank = np.full_like(depths[1], np.nan)
         service = make_service(world, workers=workers)
@@ -251,20 +258,27 @@ class TestFailurePathsMatchAcrossShapes:
                     step(failing, 1, depth=blank),
                     return_exceptions=True,
                 )
+                misshapen = await asyncio.gather(
+                    step(failing, 1, depth=depths[1][:-1]),
+                    return_exceptions=True,
+                )
                 third = await asyncio.gather(step(ok, 2), step(failing, 1))
                 fourth = await step(failing, 2)
                 ok_stream = [first[0], second[0], third[0]]
                 failing_stream = [first[1], third[1], fourth]
                 return (
                     second,
+                    misshapen,
                     (seeds[ok], ok_stream),
                     (seeds[failing], failing_stream),
                 )
 
-        second, *streams = asyncio.run(drive())
+        second, [misshapen], *streams = asyncio.run(drive())
         served, error = second
-        assert isinstance(error, RequestExecutionError)
-        assert "no valid pixels" in str(error)
+        assert type(error) is ValueError
+        assert str(error) == "depth image contains no valid pixels"
+        assert type(misshapen) is ValueError
+        assert "depth shape" in str(misshapen)
         assert served.batch_size == 2  # the failure shared its batch
         # The healthy batch-mate is untouched, and the failed step never
         # happened: both streams are the reference over the measurements

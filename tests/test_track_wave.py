@@ -268,6 +268,52 @@ class TestWaveParity:
         assert _ledger_pin(lone_backend.ledger) == _ledger_pin(wave_backend.ledger)
 
 
+@pytest.mark.parametrize("width", [2, 8])
+def test_planned_reads_match_per_tile_reads(width, fresh_sessions):
+    """Read-noise draw order checked without ``ArrayBank.plan``: each
+    caller's points routed with ``tile_of``, then every active tile's
+    ``InverterArray.read_log_likelihood`` in flat-key order on the
+    caller's one generator.  ``field_log`` and a planned wave of
+    ``width`` callers must match it in values and generator states."""
+    lone_map, field_map, wave_map = (
+        copy.deepcopy(fresh_sessions["tiled-noisy"]).localizer.field_backend.tiled_map
+        for _ in range(3)
+    )
+    arrays = lone_map._arrays
+    assert all(array.noise is not None for array in arrays.values())
+    lo, hi = fresh_sessions["tiled-noisy"].localizer.bounds
+    points = np.random.default_rng(width).uniform(
+        lo - 0.3, hi + 0.3, size=(width, 48 * 16 - 37, 3)
+    )
+
+    def per_tile_read(caller_points, rng):
+        tiles = lone_map.tile_of(caller_points)
+        values = np.full(caller_points.shape[0], lone_map._bank.empty_log)
+        # Tile (i, j, k)'s flat key is (i * ny + j) * nz + k: sorted
+        # index triples are flat-key order.
+        for tile in sorted(arrays):
+            rows = np.all(tiles == tile, axis=1)
+            if rows.any():
+                values[rows] = arrays[tile].read_log_likelihood(
+                    caller_points[rows], lone_map._encoders[tile], rng
+                )
+        return values
+
+    def rngs():
+        return [np.random.default_rng([7, i]) for i in range(width)]
+
+    lone_rngs, field_rngs, wave_rngs = rngs(), rngs(), rngs()
+    lone = [per_tile_read(p, r) for p, r in zip(points, lone_rngs)]
+    fields = [field_map.field_log(p, rng=r) for p, r in zip(points, field_rngs)]
+    readings = wave_map.read_planned(wave_map.plan_field_log(points, wave_rngs))
+    for i in range(width):
+        assert np.array_equal(lone[i], fields[i])
+        assert np.array_equal(lone[i], readings[i].values)
+        state = lone_rngs[i].bit_generator.state
+        assert field_rngs[i].bit_generator.state == state
+        assert wave_rngs[i].bit_generator.state == state
+
+
 @pytest.mark.parametrize("config", ["tiled-noisy", "single-array"])
 def test_noisy_read_requires_a_generator(config, fresh_sessions):
     """A caller with rows on a noisy array must bring a generator, in a
@@ -461,12 +507,15 @@ class TestWaveShapes:
         controls, depths, truths = measurements
         batch = [step_item(seed, 0, measurements) for seed in seeds]
         batch[1] = ("t2", controls[0], np.full_like(depths[0], np.nan), truths[0])
+        batch[2] = ("t3", controls[0], depths[0][:-1], truths[0])
         outcomes = store.step_batch(batch)
-        assert outcomes[1][0] == "error"
-        assert "no valid pixels" in outcomes[1][1]
-        streams = {1: [outcomes[0][1]], 2: [], 3: [outcomes[2][1]]}
+        # Client faults: decoded into a ValueError with this message.
+        assert outcomes[1] == ("invalid", "depth image contains no valid pixels")
+        assert outcomes[2][0] == "invalid"
+        assert outcomes[2][1].startswith("depth shape")
+        streams = {1: [outcomes[0][1]], 2: [], 3: []}
         for k in range(N_STEPS):
-            live = [seed for seed in seeds if k > 0 or seed == 2]
+            live = [seed for seed in seeds if k > 0 or seed != 1]
             batch = payloads(
                 store.step_batch([step_item(seed, k, measurements) for seed in live])
             )
