@@ -7,6 +7,8 @@ cd "$(dirname "$0")/../.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
 python -m repro list
+# The serve parent's import loads no scipy (tests/test_import_guard.py).
+python -c 'import sys, repro.api.cli; bad = [m for m in sys.modules if m.split(".")[0] == "scipy"]; sys.exit(f"cli smoke: import repro.api.cli loaded {bad}" if bad else 0)'
 # Every driver module registers on import: the paper experiments and SCN.
 ids=$(python -m repro list --json | python -c \
   'import json, sys; print(" ".join(e["id"] for e in json.load(sys.stdin)["experiments"]))')

@@ -8,7 +8,6 @@ predictive variance of MC-Dropout and the actual pose error: the model
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 
 def error_uncertainty_correlation(
@@ -29,6 +28,8 @@ def error_uncertainty_correlation(
         raise ValueError("length mismatch")
     if errors.size < 3:
         raise ValueError("need at least 3 samples")
+    from scipy import stats
+
     pearson = stats.pearsonr(errors, uncertainties)
     spearman = stats.spearmanr(errors, uncertainties)
     return {

@@ -117,8 +117,6 @@ class TiledInverterArrayMap:
         self.node = node
         self.tiles = tuple(int(t) for t in tiles)
         self.tile_size = (self.hi - self.lo) / np.asarray(self.tiles, dtype=float)
-        self._arrays: dict[tuple[int, int, int], object] = {}
-        self._encoders: dict[tuple[int, int, int], VoltageEncoder] = {}
         self.ledger = EnergyLedger(label=f"tiled-array{self.tiles}")
 
         # Each tile's encoder covers the tile box plus an apron, so
@@ -135,7 +133,11 @@ class TiledInverterArrayMap:
         )
         duplicated = 0
         total_columns = 0
-        for index in np.ndindex(*self.tiles):
+        # The active tiles by the flat key plan_field_log groups queries
+        # on: np.ndindex walks the grid in C order, so its count is the
+        # tile's flat key (i * ny + j) * nz + k.
+        arrays = {}
+        for key, index in enumerate(np.ndindex(*self.tiles)):
             tile_lo = self.lo + np.asarray(index) * self.tile_size
             tile_hi = tile_lo + self.tile_size
             # Components whose kernel meaningfully reaches into this tile.
@@ -176,31 +178,21 @@ class TiledInverterArrayMap:
                 eval_time_s=eval_time_s,
             )
             total_columns += int(array.replication.sum())
-            self._arrays[index] = array
-            self._encoders[index] = encoder
-        if not self._arrays:
+            arrays[key] = (array, encoder)
+        if not arrays:
             raise ValueError("no tile received any mixture component")
         duplicated -= mixture.n_components
         self.report = TilingReport(
             tiles=self.tiles,
-            n_active_tiles=len(self._arrays),
+            n_active_tiles=len(arrays),
             total_columns=total_columns,
             duplicated_components=max(duplicated, 0),
         )
         # Log-likelihood returned for points falling in a component-free
         # tile: below every active tile's ADC floor.
-        floors = [a.adc.log_likelihood(np.array([0]))[0] for a in self._arrays.values()]
-        # The active tiles by the flat key plan_field_log groups queries on.
+        floors = [a.adc.log_likelihood(np.array([0]))[0] for a, _ in arrays.values()]
         self._bank = ArrayBank(
-            {
-                (i * self.tiles[1] + j) * self.tiles[2] + k: (
-                    array,
-                    self._encoders[(i, j, k)],
-                )
-                for (i, j, k), array in self._arrays.items()
-            },
-            int(np.prod(self.tiles)),
-            empty_log=float(min(floors) - 1.0),
+            arrays, int(np.prod(self.tiles)), empty_log=float(min(floors) - 1.0)
         )
 
     def tile_of(self, points: np.ndarray) -> np.ndarray:

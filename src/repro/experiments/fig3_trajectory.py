@@ -65,6 +65,26 @@ def _path_length(positions: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
 
 
+def _positions(poses) -> np.ndarray:
+    """(T, 3) translations of a pose sequence."""
+    return np.stack([pose.translation for pose in poses], axis=0)
+
+
+def _held_out_poses(world) -> list:
+    """Ground-truth poses of the held-out scene: its trajectory, the
+    poses its frames are rendered at (no frame is rendered here)."""
+    return list(world.dataset.trajectory(world.val_scene_index))
+
+
+def _integrate_held_out(world, predictions: np.ndarray) -> tuple[list, dict]:
+    """Integrate predicted increments over the held-out scene from its
+    first ground-truth pose: ``(estimated poses, trajectory report)``."""
+    gt_poses = _held_out_poses(world)
+    increments = increments_from_predictions(predictions, world.val.scaler)
+    estimated = integrate_increments(gt_poses[0], increments)
+    return estimated, trajectory_report(estimated, gt_poses)
+
+
 def vo_trajectory_experiment(cfg: VOTrajectoryConfig) -> dict:
     """Regenerate the Fig. 3(c-e) trajectory comparison over ``cfg.modes``.
 
@@ -76,12 +96,8 @@ def vo_trajectory_experiment(cfg: VOTrajectoryConfig) -> dict:
     seed, n_iterations = cfg.seed, cfg.n_iterations
     world = _vo_world(cfg)
     val = world.val
-    frames = world.dataset.frames(world.val_scene_index)
-    gt_poses = [frame.pose for frame in frames]
-    start = gt_poses[0]
-
     results: dict = {
-        "ground_truth": np.stack([p.translation for p in gt_poses], axis=0),
+        "ground_truth": _positions(_held_out_poses(world)),
         "modes": {},
     }
     for mode in cfg.modes:
@@ -117,11 +133,10 @@ def vo_trajectory_experiment(cfg: VOTrajectoryConfig) -> dict:
             uncertainty = mc.variance.mean(axis=1)
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        increments = increments_from_predictions(predictions, val.scaler)
-        estimated = integrate_increments(start, increments)
+        estimated, report = _integrate_held_out(world, predictions)
         results["modes"][mode] = {
-            "positions": np.stack([p.translation for p in estimated], axis=0),
-            "report": trajectory_report(estimated, gt_poses),
+            "positions": _positions(estimated),
+            "report": report,
             "uncertainty": uncertainty,
         }
     return results
@@ -156,16 +171,10 @@ def run_e6(
         rng=_keyed_rng(cfg.seed, _E6_SESSION),
     )
     result = session.run(world.val.features)
-    frames = world.dataset.frames(world.val_scene_index)
-    gt_poses = [frame.pose for frame in frames]
-    increments = increments_from_predictions(result.mean, world.val.scaler)
-    estimated = integrate_increments(gt_poses[0], increments)
-    report = trajectory_report(estimated, gt_poses)
+    _, report = _integrate_held_out(world, result.mean)
     return {
         "ate_rmse_m": {substrate.name: report["ate_rmse_m"]},
-        "path_length_m": _path_length(
-            np.stack([pose.translation for pose in gt_poses])
-        ),
+        "path_length_m": _path_length(_positions(_held_out_poses(world))),
         "report": report,
         "ops_executed": result.ops_executed,
         "ops_naive": result.ops_naive,

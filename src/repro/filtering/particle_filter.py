@@ -18,11 +18,11 @@ from repro.filtering.motion import MotionModel
 from repro.filtering.particles import (
     ParticleSet,
     effective_sample_size,
-    logsumexp,
     normalized_weights,
     posterior_estimates,
 )
 from repro.filtering.resampling import systematic_resample
+from repro.maps.gaussian import logsumexp
 
 # Resample (systematically) when the ESS falls below this share of N.
 RESAMPLE_THRESHOLD = 0.5

@@ -16,36 +16,6 @@ import numpy as np
 YAW_INDEX = 3
 
 
-def logsumexp(values: np.ndarray) -> np.ndarray:
-    """``scipy.special.logsumexp`` over the last axis, bit-for-bit.
-
-    The same arithmetic as scipy 1.17's implementation, in plain numpy:
-    the maximal elements are taken out of the shifted sum and counted,
-    ``log1p(s / m) + log(m) + max``, with the direct ``log(sum(exp))``
-    standing in wherever that is not finite.  scipy's array-API layer
-    costs more per call than the particle filter's whole weight sum.
-    A stack of rows reduces each row exactly as it would alone.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] == 0:
-        return np.full(values.shape[:-1], -np.inf)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = values.max(axis=-1, keepdims=True)
-        at_max = values == a_max
-        m = np.sum(at_max, axis=-1, keepdims=True, dtype=float)
-        s = np.sum(
-            np.exp(np.where(at_max, -np.inf, values) - a_max),
-            axis=-1,
-            keepdims=True,
-        )
-        s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
-        fallback = ~np.isfinite(out)
-        if fallback.any():
-            out[fallback] = np.log(np.sum(np.exp(values[fallback]), axis=-1))
-    return out
-
-
 def normalized_weights(log_weights: np.ndarray) -> np.ndarray:
     """Weights normalised to sum to 1 over the last axis; a row whose
     weights do not sum to a positive finite value falls back to uniform

@@ -8,10 +8,9 @@ model from which the hardware-native HMG mixture is derived.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.maps.fitting import kmeans
-from repro.maps.gaussian import diag_gaussian_logpdf
+from repro.maps.gaussian import diag_gaussian_logpdf, logsumexp
 
 
 class GaussianMixture:
@@ -56,7 +55,7 @@ class GaussianMixture:
     def logpdf(self, points: np.ndarray) -> np.ndarray:
         """(N,) mixture log-density."""
         log_comp = self.component_logpdf(points) + np.log(self.weights)[None, :]
-        return logsumexp(log_comp, axis=1)
+        return logsumexp(log_comp)
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         """(N,) mixture density."""
@@ -119,7 +118,7 @@ class GaussianMixture:
         for _ in range(max_iters):
             # E-step in the log domain.
             log_comp = model.component_logpdf(points) + np.log(model.weights)[None, :]
-            log_norm = logsumexp(log_comp, axis=1, keepdims=True)
+            log_norm = logsumexp(log_comp)[:, None]
             mean_ll = float(log_norm.mean())
             resp = np.exp(log_comp - log_norm)
             # M-step.

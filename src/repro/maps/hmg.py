@@ -19,7 +19,8 @@ integrated unit-kernel volume used to turn kernels into proper densities.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
+
+from repro.maps.gaussian import logsumexp
 
 # Integral of the unit (sigma = 1, peak-normalised) HMG kernel over R^D.
 # D=1 reduces to a Gaussian (sqrt(2*pi)); higher D carry extra tail mass.
@@ -57,7 +58,7 @@ def hmg_log_kernel(
     z = (points[:, None, :] - means[None, :, :]) / sigmas[None, :, :]
     # log f = log D - logsumexp_k(z_k^2 / 2): stable for arbitrarily far
     # points; clamped at 0 so rounding never pushes the kernel above 1.
-    return np.minimum(np.log(d) - logsumexp(0.5 * z**2, axis=2), 0.0)
+    return np.minimum(np.log(d) - logsumexp(0.5 * z**2), 0.0)
 
 
 def hmg_kernel(points: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:

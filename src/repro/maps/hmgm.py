@@ -16,10 +16,9 @@ mirroring the paper's workflow:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.special import logsumexp
 
 from repro.maps.fitting import kmeans
+from repro.maps.gaussian import logsumexp
 from repro.maps.gmm import GaussianMixture
 from repro.maps.hmg import HMG_UNIT_INTEGRALS, hmg_kernel, hmg_log_kernel
 
@@ -101,7 +100,7 @@ class HMGMixture:
         """(N,) log-density of the properly normalised mixture."""
         log_k = hmg_log_kernel(points, self.means, self.sigmas)
         log_w = np.log(self.weights + 1e-300) - self._log_norms()
-        return logsumexp(log_k + log_w[None, :], axis=1)
+        return logsumexp(log_k + log_w[None, :])
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         """(N,) density of the normalised mixture."""
@@ -158,6 +157,8 @@ class HMGMixture:
         target = np.asarray(target_density, dtype=float).reshape(-1)
         if target.size != points.shape[0]:
             raise ValueError("points / target_density length mismatch")
+        from scipy.optimize import nnls
+
         phi = self.kernel_values(points) * np.exp(-self._log_norms())[None, :]
         weights, _ = nnls(phi, target)
         if weights.sum() <= 0:
@@ -206,7 +207,7 @@ class HMGMixture:
             log_k = hmg_log_kernel(points, model.means, model.sigmas)
             log_w = np.log(model.weights + 1e-300) - model._log_norms()
             log_joint = log_k + log_w[None, :]
-            log_norm = logsumexp(log_joint, axis=1, keepdims=True)
+            log_norm = logsumexp(log_joint)[:, None]
             mean_ll = float(log_norm.mean())
             resp = np.exp(log_joint - log_norm)
             mass = resp.sum(axis=0) + 1e-12

@@ -129,14 +129,14 @@ class CrossCoupledInverterRNG:
         converges to).  Multiple rounds handle a heavily stuck start,
         where the first rate estimate clips at the window resolution.
         """
-        from scipy.stats import norm
+        from scipy.special import ndtri
 
         before = float(self.generate(window, rng).mean())
         sigma = self.noise_sigma()
         after = before
         for _ in range(max(rounds, 1)):
             clipped = np.clip(after, 1.0 / window, 1.0 - 1.0 / window)
-            self.trim_volts += float(norm.ppf(clipped)) * sigma
+            self.trim_volts += float(ndtri(clipped)) * sigma
             after = float(self.generate(window, rng).mean())
         return RNGCalibration(
             ones_rate_before=before,

@@ -447,7 +447,7 @@ def _table_arrays():
     single = dataclasses.replace(
         world, localizer_kwargs={**world.localizer_kwargs, "tiles": (1, 1, 1)}
     ).build_session("cim").localizer.array
-    return [*tiled._arrays.values(), single]
+    return [*(array for array, _ in tiled._bank.arrays.values()), single]
 
 
 class TestDACCodeTable:

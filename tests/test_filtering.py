@@ -17,10 +17,10 @@ from repro.circuits.technology import NODE_45NM
 from repro.filtering.motion import wrap_angle
 from repro.filtering.particles import (
     effective_sample_size,
-    logsumexp,
     normalized_weights,
     posterior_estimates,
 )
+from repro.maps.gaussian import logsumexp
 from repro.maps.gmm import GaussianMixture
 
 

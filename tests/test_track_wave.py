@@ -279,23 +279,25 @@ def test_planned_reads_match_per_tile_reads(width, fresh_sessions):
         copy.deepcopy(fresh_sessions["tiled-noisy"]).localizer.field_backend.tiled_map
         for _ in range(3)
     )
-    arrays = lone_map._arrays
-    assert all(array.noise is not None for array in arrays.values())
+    arrays = lone_map._bank.arrays
+    assert all(array.noise is not None for array, _ in arrays.values())
     lo, hi = fresh_sessions["tiled-noisy"].localizer.bounds
     points = np.random.default_rng(width).uniform(
         lo - 0.3, hi + 0.3, size=(width, 48 * 16 - 37, 3)
     )
 
     def per_tile_read(caller_points, rng):
-        tiles = lone_map.tile_of(caller_points)
+        # Tile (i, j, k)'s flat key is (i * ny + j) * nz + k.
+        keys = np.ravel_multi_index(
+            lone_map.tile_of(caller_points).T, lone_map.tiles
+        )
         values = np.full(caller_points.shape[0], lone_map._bank.empty_log)
-        # Tile (i, j, k)'s flat key is (i * ny + j) * nz + k: sorted
-        # index triples are flat-key order.
-        for tile in sorted(arrays):
-            rows = np.all(tiles == tile, axis=1)
+        for key in sorted(arrays):
+            rows = keys == key
             if rows.any():
-                values[rows] = arrays[tile].read_log_likelihood(
-                    caller_points[rows], lone_map._encoders[tile], rng
+                array, encoder = arrays[key]
+                values[rows] = array.read_log_likelihood(
+                    caller_points[rows], encoder, rng
                 )
         return values
 
@@ -797,7 +799,7 @@ def test_wave_fails_like_lone_steps(
 def test_log_evidence_matches_scipy_bitwise(weights):
     from scipy.special import logsumexp as scipy_logsumexp
 
-    from repro.filtering.particles import logsumexp
+    from repro.maps.gaussian import logsumexp
 
     with np.errstate(all="ignore"):
         expected = float(scipy_logsumexp(weights) - np.log(weights.size))
