@@ -148,15 +148,17 @@ class MaskPlan:
     """Pre-drawn dropout mask streams (and visit order) for a session.
 
     A batch of inference calls shares one mask plan: the streams are
-    drawn once -- amortising software sampling, hardware RNG cycles and
-    the O(T^2) ordering search -- and pinned into every item's engine
-    pass.  Obtained from :meth:`MCDropoutSession.draw_masks`.
+    drawn once -- amortising software sampling and hardware RNG cycles --
+    and pinned into every item's engine pass, and
+    :meth:`MCDropoutSession.run_batch` runs the O(T^2) ordering search
+    once per plan.  Obtained from :meth:`MCDropoutSession.draw_masks`.
 
     Attributes:
         streams: per-mapped-layer streams for CIM engines (None entries
             where a stage has no dropout) or per-Dropout-layer streams
             for the digital predictor.
-        order: iteration visit order (None keeps the natural order).
+        order: iteration visit order (None: the engine's ordering policy
+            picks it where the plan runs).
         generation_energy_j: hardware RNG energy spent drawing the
             streams (0 for software sampling).
     """
@@ -300,21 +302,22 @@ class MCDropoutSession:
             )
 
     def draw_masks(self, rng: np.random.Generator | None = None) -> MaskPlan:
-        """Draw (and order) one set of mask streams for later pinning.
+        """Draw one set of mask streams for later pinning.
 
         The returned :class:`MaskPlan` can be passed to :meth:`run` /
         :meth:`run_batch` so many inference calls share identical masks
         without re-drawing them -- the amortisation the batch runtime
         relies on.  With the hardware RNG the plan also carries the
         generation energy, which :meth:`run_batch` accounts once at the
-        batch level instead of charging it to any single item.
+        batch level instead of charging it to any single item.  The plan
+        carries no visit order: the engine's ordering policy picks it
+        where the plan runs, once per plan in :meth:`run_batch`.
         """
         rng = rng if rng is not None else self._rng
         if isinstance(self.engine, CIMMCDropoutEngine):
             generator = self.engine.bit_generator
             cycles_before = generator.cycles_used if generator is not None else 0
             streams = self.engine.draw_mask_streams(rng)
-            order = self.engine.order_mask_streams(streams)
             energy = (
                 generator.generation_energy(
                     cycles=generator.cycles_used - cycles_before
@@ -322,9 +325,7 @@ class MCDropoutSession:
                 if generator is not None
                 else 0.0
             )
-            return MaskPlan(
-                streams=tuple(streams), order=order, generation_energy_j=energy
-            )
+            return MaskPlan(streams=tuple(streams), generation_energy_j=energy)
         streams = _bernoulli_streams(self.model, self.n_iterations, rng)
         return MaskPlan(streams=tuple(streams), order=None)
 
@@ -413,10 +414,11 @@ class MCDropoutSession:
     ) -> BatchResult:
         """Batched MC-Dropout inference: pinned masks, per-item noise.
 
-        The mask streams (and, for ordered CIM engines, the visit order)
-        are drawn **once** from ``rng`` and pinned into every item, so
-        mask generation, the ordering search and the session's macro
-        mapping are amortised over the batch instead of rebuilt per call.
+        The mask streams are drawn **once** from ``rng`` and pinned into
+        every item, and an ordered CIM engine searches each distinct
+        plan's visit order once (every plan in one batched call), so mask
+        generation, the ordering search and the session's macro mapping
+        are amortised over the batch instead of rebuilt per call.
         One child generator is spawned per item for analog read noise,
         which makes every cell independently reproducible: item ``i`` is
         bit-for-bit equal to::

@@ -84,6 +84,21 @@ class MCDropoutResult:
         return self.ops_naive * ops_per_mac / energy / 1.0e12
 
 
+def _joint_masks(streams: Sequence[MaskStream | None]) -> np.ndarray:
+    """(T, W) masks of every dropout stage, layers side by side."""
+    joint = None
+    for stream in streams:
+        if stream is None:
+            continue
+        joint = stream if joint is None else joint.concatenate(stream)
+    if joint is None:
+        raise ValueError(
+            "cannot order mask streams: every stream is None (the "
+            "mapped model must have at least one dropout stage)"
+        )
+    return joint.masks
+
+
 @dataclass
 class _MappedLayer:
     """One network stage mapped onto hardware."""
@@ -264,22 +279,27 @@ class CIMMCDropoutEngine:
         return streams
 
     def order_mask_streams(
-        self, streams: list[MaskStream | None]
+        self,
+        streams: Sequence[MaskStream | None] | Sequence[Sequence[MaskStream | None]],
     ) -> np.ndarray:
-        """Iteration visit order for ``streams`` under the engine's policy."""
+        """Iteration visit order(s) under the engine's ordering policy.
+
+        ``streams`` is one item's per-layer streams (as
+        :meth:`draw_mask_streams` returns them), giving a (T,) order, or a
+        sequence of such sets, giving (R, T) orders from one batched
+        search (each row is the order its set gets alone).
+        """
+        many = not all(s is None or isinstance(s, MaskStream) for s in streams)
+        sets = list(streams) if many else [streams]
         if not self.ordering:
-            return np.arange(self.n_iterations, dtype=np.int64)
-        joint = None
-        for stream in streams:
-            if stream is None:
-                continue
-            joint = stream if joint is None else joint.concatenate(stream)
-        if joint is None:
-            raise ValueError(
-                "cannot order mask streams: every stream is None (the "
-                "mapped model must have at least one dropout stage)"
+            orders = np.tile(
+                np.arange(self.n_iterations, dtype=np.int64), (len(sets), 1)
             )
-        return optimal_mask_order(joint.masks)
+        else:
+            orders = optimal_mask_order(
+                np.stack([_joint_masks(item) for item in sets])
+            )
+        return orders if many else orders[0]
 
     def _validate_streams(
         self, mask_streams: list[MaskStream | None]
@@ -379,7 +399,9 @@ class CIMMCDropoutEngine:
         Each item's noise bank is drawn from its own generator, as a lone
         call draws it, so items with distinct generators are independent
         of the wave they ride in.  A None order applies the engine's
-        ordering policy, as :meth:`predict` does.
+        ordering policy, as :meth:`predict` does: every distinct
+        None-ordered stream set is searched once, all of them in one
+        batched :meth:`order_mask_streams` call.
         """
         if not (len(inputs) == len(rngs) == len(mask_streams) == len(mask_orders)):
             raise ValueError(
@@ -387,10 +409,21 @@ class CIMMCDropoutEngine:
             )
         streams = [self._validate_streams(item) for item in mask_streams]
         orders = [
-            self.order_mask_streams(item) if order is None
-            else self._checked_order(order)
-            for item, order in zip(streams, mask_orders)
+            None if order is None else self._checked_order(order)
+            for order in mask_orders
         ]
+        # Items pinning the same stream objects share one search.
+        unordered: dict[tuple[int, ...], list[int]] = {}
+        for index, order in enumerate(orders):
+            if order is None:
+                unordered.setdefault(tuple(map(id, streams[index])), []).append(index)
+        if unordered:
+            found = self.order_mask_streams(
+                [streams[indexes[0]] for indexes in unordered.values()]
+            )
+            for indexes, order in zip(unordered.values(), found):
+                for index in indexes:
+                    orders[index] = order
         return self._wave(list(inputs), list(rngs), streams, orders, 0)
 
     def _wave(

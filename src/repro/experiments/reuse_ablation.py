@@ -45,14 +45,24 @@ def reuse_ablation(cfg: ReuseAblationConfig) -> dict:
     """
     n_inputs, keep_probability = cfg.n_inputs, cfg.keep_probability
     rng = np.random.default_rng(cfg.seed)
-    fractions = {"naive": [], "active_only": [], "reuse": [], "reuse_ordered": []}
-    path_reduction = []
+    # Every trial's weight, input and masks come first, in trial order;
+    # then one batched search orders every trial's masks.
+    trials = []
     for _ in range(cfg.n_trials):
         weight = rng.normal(size=(n_inputs, cfg.n_outputs))
         x = rng.normal(size=n_inputs)
         stream = MaskStream.bernoulli(
             cfg.n_iterations, n_inputs, keep_probability, rng
         )
+        trials.append((weight, x, stream))
+    orders = optimal_mask_order(
+        np.array([stream.masks for _, _, stream in trials]).reshape(
+            cfg.n_trials, cfg.n_iterations, n_inputs
+        )
+    )
+    fractions = {"naive": [], "active_only": [], "reuse": [], "reuse_ordered": []}
+    path_reduction = []
+    for (weight, x, stream), order in zip(trials, orders):
         engine = DeltaReuseEngine(weight)
 
         inputs = masked_input_sequence(x, stream.masks)
@@ -64,7 +74,6 @@ def reuse_ablation(cfg: ReuseAblationConfig) -> dict:
         fractions["active_only"].append(stats.ops_active_only / stats.ops_naive)
         fractions["reuse"].append(stats.ops_executed / stats.ops_naive)
 
-        order = optimal_mask_order(stream.masks)
         ordered = stream.reordered(order)
         products_o, stats_o = engine.run(masked_input_sequence(x, ordered.masks))
         if not np.allclose(products_o, ordered.masks * x[None, :] @ weight, atol=1e-9):

@@ -21,9 +21,10 @@ and the per-request determinism contract cannot depend on it:
 - :func:`run_grouped` -- executes a micro-batch of wire-level request
   items as one MC-Dropout wave: one mask-plan draw per seed group, a
   generator restored to the exact post-draw state its standalone
-  reference run would consume for every item, and one layer-major pass
-  over every item's iterations, so coalescing (and sharding) changes
-  throughput, never bits.
+  reference run would consume for every item, one ordering search over
+  every group's masks, and one layer-major pass over every item's
+  iterations, so coalescing (and sharding) changes throughput, never
+  bits.
 
 Items travel as plain ``(inputs, seed, request_id)`` tuples rather than
 request objects so the same payload can cross a multiprocessing pipe
@@ -66,11 +67,12 @@ def reference_run(
 ) -> InferenceResult:
     """The per-request determinism oracle.
 
-    One base generator seeded with the request seed draws (and orders)
-    the mask plan, then the *same* generator -- now advanced past the
-    draw -- feeds the pinned-mask run.  The service reproduces this
-    exactly for every request by snapshotting the post-draw generator
-    state and handing each coalesced item a generator restored to it.
+    One base generator seeded with the request seed draws the mask plan,
+    then the *same* generator -- now advanced past the draw -- feeds the
+    pinned-mask run, which orders the plan's masks.  The service
+    reproduces this exactly for every request by snapshotting the
+    post-draw generator state and handing each coalesced item a
+    generator restored to it.
     """
     base = np.random.default_rng(seed)
     plan = session.draw_masks(base)
@@ -126,11 +128,13 @@ def run_grouped(
     a generator seeded like :func:`reference_run`'s, and every item gets
     a generator restored to that post-draw state -- exactly what a
     standalone reference run would hand it.  Then every group's items
-    run as **one wave** (one ``session.run_batch`` call with a plan per
-    item), so neither batch composition nor the executing shard changes
-    bits.  If the wave raises, each group re-runs alone from its drawn
-    plan (nothing is drawn twice) and only the groups that raise again
-    fail.
+    run as **one wave**: one ``session.run_batch`` call with a plan per
+    item, which orders every group's masks in one batched search (a
+    group's order is the one it gets alone), so neither batch
+    composition nor the executing shard changes bits.  If the wave
+    raises, each group re-runs alone from its drawn plan (nothing is
+    drawn twice; its order is searched again) and only the groups that
+    raise again fail.
 
     Returns one encoded outcome per item, in item order: ``("ok",``
     :class:`InferenceResponse` ``)`` on success, or an ``("error",

@@ -12,7 +12,8 @@ requests**:
 - A :class:`Batcher` per pair coalesces concurrent ``submit`` calls into
   ``session.run_batch`` micro-batches, amortising dropout-mask drawing
   and the O(T^2) ordering search across every same-seed request in the
-  batch.  Batching is work-conserving: a batcher with no batch in flight
+  batch, and searching every seed group's order in one batched call.
+  Batching is work-conserving: a batcher with no batch in flight
   dispatches what is queued at once, and only waits for company -- at
   most the :class:`~repro.runtime.BatchPolicy` ``max_wait_ms``, up to
   ``max_batch`` requests -- while one of its batches is executing.

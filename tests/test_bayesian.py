@@ -14,7 +14,7 @@ from repro.bayesian import (
     mask_hamming_path_length,
     optimal_mask_order,
 )
-from repro.bayesian.ordering import _best_greedy, _hamming_matrix
+from repro.bayesian.ordering import _greedy_orders, _hamming_matrices
 from repro.bayesian.reuse import masked_input_sequence
 from repro.circuits.technology import NODE_16NM
 from repro.nn import Dense, Dropout, ReLU, Sequential
@@ -171,11 +171,16 @@ class TestDeltaReuse:
         assert np.allclose(products, inputs @ weight, atol=1e-9)
 
 
+def _greedy(masks):
+    """The batched search's greedy order for one mask set."""
+    return _greedy_orders(_hamming_matrices(masks[None]))[0]
+
+
 class TestOrdering:
     def test_greedy_reduces_path(self, rng):
         masks = (rng.random((25, 64)) < 0.5).astype(np.uint8)
         base = mask_hamming_path_length(masks)
-        order = _best_greedy(_hamming_matrix(masks))
+        order = _greedy(masks)
         assert mask_hamming_path_length(masks, order) <= base
 
     @pytest.mark.parametrize("depth", [3, 12, 40])
@@ -187,7 +192,7 @@ class TestOrdering:
     def test_two_opt_not_worse_than_greedy(self, rng):
         masks = (rng.random((20, 48)) < 0.5).astype(np.uint8)
         greedy = mask_hamming_path_length(
-            masks, _best_greedy(_hamming_matrix(masks))
+            masks, _greedy(masks)
         )
         polished = mask_hamming_path_length(masks, optimal_mask_order(masks))
         assert polished <= greedy

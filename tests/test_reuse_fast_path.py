@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 
 from repro.bayesian.ordering import (
-    _best_greedy,
-    _hamming_matrix,
+    _greedy_orders,
+    _hamming_matrices,
     optimal_mask_order,
 )
 from repro.core.cim_mc_dropout import CIMMCDropoutEngine
@@ -141,7 +141,9 @@ def capture_ordering_pins() -> dict[str, dict[str, list[int]]]:
     """The greedy start order and the 2-opt polished one, per case."""
     return {
         name: {
-            "greedy": [int(t) for t in _best_greedy(_hamming_matrix(masks))],
+            "greedy": [
+                int(t) for t in _greedy_orders(_hamming_matrices(masks[None]))[0]
+            ],
             "greedy-2opt": [int(t) for t in optimal_mask_order(masks)],
         }
         for name, masks in ordering_cases()
